@@ -6,7 +6,7 @@ multiresolution centers around defects, and verifying the predicted
 pointwise approximation rates of polyharmonic quasi-interpolation.
 """
 
-from .centers import CenterSet, neighbors_within, sorted_candidate_radii
+from .centers import CenterSet, sorted_candidate_radii
 from .density import (
     DensityField,
     DensityParams,
@@ -17,7 +17,6 @@ from .density import (
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
-    majorant_many,
     minimal_density,
     validate_theorem1_params,
 )
@@ -64,7 +63,6 @@ from .polyrep import (
     monomial_exponents,
     polynomial_dim,
     refine_weights,
-    stability_norm,
     verify_reproduction,
 )
 from .quasiinterp import (

@@ -14,6 +14,27 @@ from scipy.spatial import cKDTree
 DUPLICATE_TOL = 1e-12
 
 
+def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Point/batch contract in R^dim: ``(dim,)`` is one point, ``(n, dim)`` a batch.
+
+    Any other shape raises.  Returns the ``(n, dim)`` points and whether x was
+    one point, for which callers return a float instead of an ``(n,)`` array.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,) and (x.ndim != 2 or x.shape[1] != dim):
+        raise ValueError(f"points have shape {x.shape}; expected ({dim},) for one point "
+                         f"or (n, {dim}) for a batch")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point coordinates must be finite")
+    return x.reshape(-1, dim), x.ndim == 1
+
+
+def _grid_points(axes) -> np.ndarray:
+    """Tensor-product grid of the 1-D ``axes`` as (n, d) rows, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 class CenterSet:
     """A finite point cloud in R^d with optional per-point resolution tags.
 
@@ -56,18 +77,16 @@ class CenterSet:
         return f"CenterSet(n={len(self)}, dim={self.dim})"
 
     def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.dim,):
-            raise ValueError(f"query point has dimension {x.shape[0]}, expected {self.dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("query point must be finite")
-        return x
+        pts, single = _as_points(x, self.dim)
+        if not single:
+            raise ValueError(f"expected one query point of shape ({self.dim},), got shape {pts.shape}")
+        return pts[0]
 
     def neighbor_arrays(self, center, radius) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of centers with |xi - center| <= radius.
 
-        Sorted by ascending distance, ties broken by index.  This is the
-        array-valued workhorse behind :func:`neighbors_within`.
+        Sorted by ascending distance, ties broken by index; boundary points
+        (distance exactly ``radius``) are included.
         """
         center = self._check_point(center)
         if not radius > 0:
@@ -82,28 +101,20 @@ class CenterSet:
         return idx[order], dist[order]
 
 
-def neighbors_within(cs: CenterSet, center, radius) -> list[tuple[int, np.ndarray, float]]:
-    """All centers within ``radius`` of ``center`` as (index, point, distance).
-
-    Returned sorted by ascending distance with deterministic tie order
-    (by index).  Boundary points (distance exactly ``radius``) are included.
-    """
-    idx, dist = cs.neighbor_arrays(center, radius)
-    return [(int(i), cs.points[i], float(r)) for i, r in zip(idx, dist)]
+def _tie_groups(cs: CenterSet, center) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sorted_candidate_radii` and the number of centers each radius captures."""
+    center = cs._check_point(center)
+    dist = np.sort(np.linalg.norm(cs.points - center, axis=1))
+    counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
+    return dist[counts - 1], counts
 
 
 def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
     """Strictly increasing distinct distances from ``center`` to all centers.
 
-    Distances closer than ``DUPLICATE_TOL`` are merged (the smaller is kept).
+    Distances closer than ``DUPLICATE_TOL`` are merged, keeping the largest,
+    so a ball of each returned radius holds every center of its tie group.
     The result enumerates every radius at which the neighbor set of
     ``center`` can change, which drives the minimal-density search.
     """
-    if len(cs) == 0:
-        raise ValueError("center set is empty")
-    center = cs._check_point(center)
-    dist = np.sort(np.linalg.norm(cs.points - center, axis=1))
-    keep = np.empty(dist.shape, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(dist), DUPLICATE_TOL, out=keep[1:])
-    return dist[keep]
+    return _tie_groups(cs, center)[0]

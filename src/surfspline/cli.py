@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centers import CenterSet
+from .centers import CenterSet, _grid_points
 from .density import (
     DensityField,
     DensityParams,
@@ -209,9 +209,7 @@ def _probe_grid(obj, d: int) -> np.ndarray:
     n = int(obj["count"])
     if lo.shape != (d,) or hi.shape != (d,) or n < 2:
         raise ConfigError("bad probe grid")
-    axes = [np.linspace(lo[a], hi[a], n) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _grid_points([np.linspace(lo[a], hi[a], n) for a in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,7 @@ def cmd_density(block: dict, out: Path, seed: int) -> None:
             raise NoAdmissibleRadius(f"at probe {p.tolist()}: {exc}") from exc
     df = DensityField(probes, rho, params)
     write_density(out / "density.csv", probes, rho)
-    hvals = np.array([majorant(df, p, r) for p in probes])
-    write_density(out / "majorant.csv", probes, hvals)
+    write_density(out / "majorant.csv", probes, majorant(df, probes, r))
     c_sg = certify_slow_growth(df, epsilon)
     c_sm = certify_self_majorization(df, r)
     eps_from_sm, c_sg_from_sm = lemma_transfer_sm_to_sg(c_sm, r)
@@ -317,13 +314,9 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
     def factory(j):
         if placement == "uniform":
             h = 2.0**-j
-            axes = []
-            for a in range(d):
-                i0 = int(np.ceil(box[0][a] / h))
-                i1 = int(np.floor(box[1][a] / h))
-                axes.append(np.arange(i0, i1 + 1) * h)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return CenterSet(np.stack([m.ravel() for m in mesh], axis=1))
+            axes = [np.arange(int(np.ceil(lo / h)), int(np.floor(hi / h)) + 1) * h
+                    for lo, hi in zip(*box)]
+            return CenterSet(_grid_points(axes))
         spec = MultiresSpec(j=j, k=k, d=d, defect=np.asarray(defect, dtype=float),
                             box=box, epsilon=epsilon, degree=degree)
         return generate_centers(spec)
@@ -423,12 +416,14 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](block, out, args.seed)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (NoAdmissibleRadius, AssemblyError, ReproductionError, UndersampledDensity,
+            np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoAdmissibleRadius, AssemblyError, ReproductionError, UndersampledDensity) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

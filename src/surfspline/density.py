@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .centers import CenterSet, sorted_candidate_radii
+from .centers import CenterSet, _as_points, _tie_groups
 from .polyrep import (
     PolyRep,
     ReproductionError,
@@ -96,15 +96,11 @@ class DensityField:
     def dim(self):
         return self.points.shape[1]
 
-    def nearest(self, x) -> float:
-        """Density value at the sample nearest to x."""
-        _, i = self._tree.query(np.asarray(x, dtype=float).reshape(-1))
-        return float(self.values[i])
-
-    def nearest_many(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        _, i = self._tree.query(xs)
-        return self.values[i]
+    def nearest(self, x) -> float | np.ndarray:
+        """Value at the sample nearest to x: float at a point, (n,) for a batch."""
+        pts, single = _as_points(x, self.dim)
+        _, i = self._tree.query(pts)
+        return float(self.values[i[0]]) if single else self.values[i]
 
 
 def minimal_density(
@@ -115,28 +111,23 @@ def minimal_density(
 ) -> tuple[float, PolyRep]:
     """Smallest candidate radius admitting a K-stable reproduction at alpha.
 
-    The candidate radii are the distinct center distances from ``alpha``.
+    The candidate radii are :func:`~surfspline.centers.sorted_candidate_radii`.
     Unisolvency is monotone in the radius, so the smallest unisolvent
     candidate is located by exponential search plus bisection; the stability
     cap need not be monotone, so from there the candidates are scanned
     linearly until the cap is met.
 
     Returns ``(rho, witness)`` where ``witness`` is the reproduction built at
-    radius ``rho``.  Raises :class:`NoAdmissibleRadius` if even the full set
-    fails.
+    radius ``rho`` on its whole tie group.  Raises :class:`NoAdmissibleRadius`
+    if even the full set fails.
     """
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
     m = polynomial_dim(cs.dim, degree)
     if len(cs) < m:
         raise NoAdmissibleRadius(f"only {len(cs)} centers, need {m} for degree {degree}")
-    alpha = cs._check_point(alpha)
-    radii = sorted_candidate_radii(cs, alpha)
-    dists = np.sort(np.linalg.norm(cs.points - alpha, axis=1))
-    counts = np.searchsorted(dists, radii + _ZERO_RADIUS, side="right")
+    radii, counts = _tie_groups(cs, alpha)
     first = int(np.searchsorted(counts, m, side="left"))
-    if first >= radii.size:
-        raise NoAdmissibleRadius("full center set smaller than the polynomial space")
 
     def attempt(i: int) -> PolyRep | None:
         r = max(radii[i], _ZERO_RADIUS)
@@ -177,26 +168,21 @@ def minimal_density(
     return float(pr.radius), pr
 
 
-def majorant(df: DensityField, x, r: float) -> float:
+def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
     """Finite-sample majorant H(x) = max_y rho(y) (1 + |x-y|/rho(y))^(-r).
 
     The max runs over the sample set, so this lower-bounds the true
     supremum and is exact whenever the supremum is attained on a sample.
+    Returns a float for one point x and an (n,) array for a batch.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = np.linalg.norm(df.points - x, axis=1)
-    return float(np.max(df.values * (1.0 + d / df.values) ** (-r)))
-
-
-def majorant_many(df: DensityField, xs, r: float) -> np.ndarray:
-    """Vectorized :func:`majorant` over rows of xs."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape[0])
-    for i, x in enumerate(xs):
-        out[i] = majorant(df, x, r)
-    return out
+    pts, single = _as_points(x, df.dim)
+    out = np.empty(pts.shape[0])
+    for i, p in enumerate(pts):
+        d = np.linalg.norm(df.points - p, axis=1)
+        out[i] = np.max(df.values * (1.0 + d / df.values) ** (-r))
+    return float(out[0]) if single else out
 
 
 def _chunked_pair_extremum(df: DensityField, ratio_fn, reduce_fn, chunk: int = 512):

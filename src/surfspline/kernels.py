@@ -11,11 +11,11 @@ error from rate studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma, pi
+from math import pi
 
 import numpy as np
 
-from .centers import CenterSet
+from .centers import CenterSet, _as_points
 from .polyrep import PolyRep
 
 #: Supported ambient dimensions at desk scale.
@@ -61,12 +61,11 @@ def phi_radial(r, d: int, k: int):
     return out if out.ndim else float(out)
 
 
-def phi(x, params: KernelParams) -> float:
-    """Kernel value at the point x (not normalized by c_{d,k})."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != params.d:
-        raise ValueError(f"point has dimension {x.shape[0]}, kernel expects {params.d}")
-    return float(phi_radial(np.linalg.norm(x), params.d, params.k))
+def phi(x, params: KernelParams) -> float | np.ndarray:
+    """Kernel value (not normalized by c_{d,k}): float at a point, (n,) for a batch."""
+    pts, single = _as_points(x, params.d)
+    vals = phi_radial(np.linalg.norm(pts, axis=1), params.d, params.k)
+    return float(vals[0]) if single else vals
 
 
 def fundamental_normalization(d: int, k: int) -> float:
@@ -97,11 +96,6 @@ def fundamental_normalization(d: int, k: int) -> float:
     return 1.0 / (2.0 * pi * prod)
 
 
-def surface_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d."""
-    return 2.0 * pi ** (d / 2.0) / gamma(d / 2.0)
-
-
 @dataclass(frozen=True)
 class RadialBump:
     """A compactly supported radial polynomial around ``center``.
@@ -121,10 +115,9 @@ class RadialBump:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+    def __call__(self, x) -> float | np.ndarray:
+        """Values at x: a float for one point, an (n,) array for a batch."""
+        pts, single = _as_points(x, self.dim)
         t = np.sum((pts - self.center) ** 2, axis=1)
         inside = t <= self.scale**2
         vals = np.zeros(pts.shape[0])

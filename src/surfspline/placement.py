@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, DUPLICATE_TOL
+from .centers import CenterSet, DUPLICATE_TOL, _grid_points
 from .density import minimal_density, validate_theorem1_params
 
 
@@ -126,8 +126,7 @@ def _region_grid(spec: MultiresSpec, spacing: float, reach: float | None) -> np.
         i0 = int(np.ceil((lo_a - anchor[a]) / spacing - 1e-9))
         i1 = int(np.floor((hi_a - anchor[a]) / spacing + 1e-9))
         axes.append(anchor[a] + np.arange(i0, i1 + 1) * spacing)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _grid_points(axes)
 
 
 def generate_centers(spec: MultiresSpec) -> CenterSet:

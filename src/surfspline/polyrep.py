@@ -18,6 +18,7 @@ reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -47,10 +48,12 @@ def polynomial_dim(dim: int, degree: int) -> int:
     return comb(degree + dim, dim)
 
 
+@lru_cache(maxsize=None)
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     """Multi-indices of total degree <= degree, graded lexicographic, (M, dim).
 
     The zero multi-index always comes first; the ordering is deterministic.
+    The array is cached per (dim, degree) and therefore read-only.
     """
     if degree < 0 or dim < 1:
         raise ValueError("need degree >= 0 and dim >= 1")
@@ -65,13 +68,22 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
     for total in range(degree + 1):
         rec((), dim, total)
-    return np.array(out, dtype=int)
+    expo = np.array(out, dtype=int)
+    expo.setflags(write=False)
+    return expo
 
 
-def _basis_matrix(expo: np.ndarray, scaled_pts: np.ndarray) -> np.ndarray:
-    """Rows = monomials, columns = points; entries x^beta for scaled offsets."""
+def _moment_system(cs: CenterSet, alpha, radius, indices, degree) -> tuple[np.ndarray, np.ndarray]:
+    """Basis matrix (rows = monomials, columns = centers ``indices``) on offsets
+    shifted to ``alpha`` and scaled by ``radius``, and the moments of alpha in
+    that basis (1 for the constant, 0 otherwise)."""
+    expo = monomial_exponents(cs.dim, degree)
+    scaled = (cs.points[indices] - alpha) / radius
     # (M, n, d) -> (M, n); exponent 0 must yield 1 even at 0.
-    return np.prod(scaled_pts[None, :, :] ** expo[:, None, :], axis=2)
+    bmat = np.prod(scaled[None, :, :] ** expo[:, None, :], axis=2)
+    rhs = np.zeros(expo.shape[0])
+    rhs[0] = 1.0
+    return bmat, rhs
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,7 @@ class PolyRep:
 
     ``weights[i]`` is the coefficient attached to center ``indices[i]``; all
     weighted centers lie inside ``B(alpha, radius)``.
+    ``stability`` is the sum of absolute weights, >= 1 for any reproduction.
     """
 
     alpha: np.ndarray
@@ -104,22 +117,16 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         If the local Vandermonde has numerical rank below ``dim Pi_degree``
         at relative tolerance ``RANK_RTOL``.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     alpha = cs._check_point(alpha)
-    idx, _ = cs.neighbor_arrays(alpha, radius)
+    idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
     m = polynomial_dim(cs.dim, degree)
     if idx.size < m:
         raise InsufficientPoints(
             f"{idx.size} centers in B(alpha, {radius:g}), need {m} for degree {degree}"
         )
-    expo = monomial_exponents(cs.dim, degree)
-    scaled = (cs.points[idx] - alpha) / radius
-    bmat = _basis_matrix(expo, scaled)
-    rhs = np.zeros(m)
-    rhs[0] = 1.0  # p(alpha) in the shifted basis: 1 for the constant, 0 otherwise
+    bmat, rhs = _moment_system(cs, alpha, radius, idx, degree)
     sol, _, rank, _ = scipy.linalg.lstsq(bmat, rhs, cond=RANK_RTOL, lapack_driver="gelsd")
     if rank < m:
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
@@ -133,17 +140,8 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     the value is comparable across locations and scales.  The caller decides
     what tolerance to hold it to.
     """
-    expo = monomial_exponents(cs.dim, pr.degree)
-    scaled = (cs.points[pr.indices] - pr.alpha) / pr.radius
-    bmat = _basis_matrix(expo, scaled)
-    rhs = np.zeros(expo.shape[0])
-    rhs[0] = 1.0
+    bmat, rhs = _moment_system(cs, pr.alpha, pr.radius, pr.indices, pr.degree)
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
-
-
-def stability_norm(pr: PolyRep) -> float:
-    """Sum of absolute weights; >= 1 for any successful reproduction."""
-    return float(np.sum(np.abs(pr.weights)))
 
 
 def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):

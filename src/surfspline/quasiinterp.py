@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centers import CenterSet
+from .centers import CenterSet, _as_points
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, build_reproduction
@@ -135,33 +135,25 @@ def assemble(
                 continue
             rho = density.nearest(node)
             radius = radius_factor * rho
-            idx, dist = cs.neighbor_arrays(node, radius)
+            # build_reproduction queries the same ball: its weights align with idx
+            idx, _ = cs.neighbor_arrays(node, radius)
             key = (radius, idx.size,
                    np.round((cs.points[idx] - node) * 2.0**40).astype(np.int64).tobytes())
             weights = cache.get(key)
             if weights is None:
                 try:
-                    pr = build_reproduction(cs, node, radius, degree)
+                    weights = build_reproduction(cs, node, radius, degree).weights
                 except ReproductionError as exc:
                     raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
-                # re-align to the local neighbor order (identical by construction)
-                weights = np.zeros(idx.size)
-                pos = {int(i): p for p, i in enumerate(idx)}
-                for wgt, i in zip(pr.weights, pr.indices):
-                    weights[pos[int(i)]] = wgt
                 cache[key] = weights
             coeffs[idx] += (w * v) * weights
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 
 
-def evaluate(ad: ApproximantDump, x, params: KernelParams):
-    """Sum of coefficient-weighted kernel translates at x (point or batch)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x if x.ndim else x[None])
-    if pts.shape[1] != params.d:
-        pts = pts.reshape(-1, params.d)
+def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray:
+    """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch."""
+    pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
     centers = ad.centers.points
     for i, p in enumerate(pts):
@@ -170,11 +162,10 @@ def evaluate(ad: ApproximantDump, x, params: KernelParams):
     return float(out[0]) if single else out
 
 
-def error_bound_map(density: DensityField, f: RadialBump, k: int, points) -> np.ndarray:
+def error_bound_map(density: DensityField, f: RadialBump, k: int, points) -> float | np.ndarray:
     """Per-point bound shape rho(x)^(2k) * sup|Delta^k f| (unit constant)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     sup = laplacian_power(f, k).sup_norm()
-    return density.nearest_many(pts) ** (2 * k) * sup
+    return density.nearest(points) ** (2 * k) * sup
 
 
 @dataclass(frozen=True)
@@ -213,15 +204,14 @@ def convergence_study(
     For each j: generate centers, measure the minimal density on a sample
     set (by default the centers inside the inflated quadrature domain),
     assemble the approximant, and record the sup error over ``probes`` and
-    the error at ``defect``.  Slopes are least-squares fits of log2(error)
-    against -j.
+    the error at ``defect``; ``probes`` is one point (d,) or a batch (n, d).
+    Slopes are least-squares fits of log2(error) against -j.
     """
     from .density import DensityParams, default_stability_cap
 
     js = tuple(int(j) for j in js)
     if len(js) < 3:
         raise ValueError("need a sweep of at least 3 levels")
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     lo = f.center - f.scale
     hi = f.center + f.scale
     cap = stability_cap if stability_cap is not None else default_stability_cap(f.dim, degree)
@@ -248,7 +238,7 @@ def convergence_study(
         g_errors.append(float(np.max(np.abs(approx - exact))))
         if defect is not None:
             dpt = np.asarray(defect, dtype=float).reshape(-1)
-            d_errors.append(abs(float(evaluate(dump, dpt, params)) - float(f(dpt))))
+            d_errors.append(abs(evaluate(dump, dpt, params) - f(dpt)))
     g_errors = np.array(g_errors)
     result_defect = np.array(d_errors) if defect is not None else None
     return StudyResult(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfspline import CenterSet, neighbors_within, sorted_candidate_radii
+from surfspline import CenterSet, sorted_candidate_radii
 
 
 def test_duplicate_rejection():
@@ -21,23 +21,23 @@ def test_nonfinite_rejection():
 def test_dimension_mismatch():
     cs = CenterSet([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
-        neighbors_within(cs, [0.0], 1.0)
+        cs.neighbor_arrays([0.0], 1.0)
 
 
 def test_neighbors_line_example():
     # {0, 1, 2} in R^1, center 0.9, radius 1.0 -> (1, 0.1) then (0, 0.9)
     cs = CenterSet([0.0, 1.0, 2.0])
-    out = neighbors_within(cs, [0.9], 1.0)
-    assert [(i, d) for i, _, d in out] == [(1, pytest.approx(0.1)), (0, pytest.approx(0.9))]
+    idx, dist = cs.neighbor_arrays([0.9], 1.0)
+    assert idx.tolist() == [1, 0]
+    assert dist.tolist() == [pytest.approx(0.1), pytest.approx(0.9)]
 
 
 def test_neighbors_all_enclosing():
     rng = np.random.default_rng(0)
     cs = CenterSet(rng.uniform(-1, 1, size=(30, 2)))
-    out = neighbors_within(cs, [0.0, 0.0], 10.0)
-    assert len(out) == 30
-    dists = [d for _, _, d in out]
-    assert dists == sorted(dists)
+    idx, dist = cs.neighbor_arrays([0.0, 0.0], 10.0)
+    assert sorted(idx.tolist()) == list(range(30))
+    assert np.all(np.diff(dist) >= 0)
 
 
 def test_neighbors_grid_cross():
@@ -45,19 +45,21 @@ def test_neighbors_grid_cross():
     xs = np.arange(8.0)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
-    out = neighbors_within(cs, [3.0, 3.0], 1.0)
-    assert len(out) == 5
+    idx, dist = cs.neighbor_arrays([3.0, 3.0], 1.0)
+    # the four neighbors at exactly the radius are included, tied ones by index
+    assert idx.tolist() == [27, 19, 26, 28, 35]
+    assert dist.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
     # brute force agreement
-    dist = np.linalg.norm(cs.points - np.array([3.0, 3.0]), axis=1)
-    assert len(out) == int(np.sum(dist <= 1.0))
+    brute = np.linalg.norm(cs.points - np.array([3.0, 3.0]), axis=1)
+    assert len(idx) == int(np.sum(brute <= 1.0))
 
 
 def test_neighbors_monotone_in_radius():
     rng = np.random.default_rng(1)
     cs = CenterSet(rng.normal(size=(60, 3)))
     c = rng.normal(size=3)
-    small = {i for i, _, _ in neighbors_within(cs, c, 0.8)}
-    large = {i for i, _, _ in neighbors_within(cs, c, 1.6)}
+    small = set(cs.neighbor_arrays(c, 0.8)[0].tolist())
+    large = set(cs.neighbor_arrays(c, 1.6)[0].tolist())
     assert small <= large
 
 
@@ -66,7 +68,7 @@ def test_neighbors_exact_cut():
     cs = CenterSet(rng.uniform(size=(100, 2)))
     c = np.array([0.5, 0.5])
     r = 0.3
-    idx = {i for i, _, _ in neighbors_within(cs, c, r)}
+    idx = set(cs.neighbor_arrays(c, r)[0].tolist())
     dist = np.linalg.norm(cs.points - c, axis=1)
     for i in range(len(cs)):
         assert (i in idx) == (dist[i] <= r)
@@ -96,13 +98,59 @@ def test_candidate_radii_brute_force():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.1, 3.0))
-def test_neighbors_within_property(seed, radius):
+def test_neighbor_arrays_property(seed, radius):
     rng = np.random.default_rng(seed)
     cs = CenterSet(rng.normal(size=(25, 2)))
     c = rng.normal(size=2)
-    out = neighbors_within(cs, c, radius)
-    dist = np.linalg.norm(cs.points - c, axis=1)
-    assert {i for i, _, _ in out} == set(np.flatnonzero(dist <= radius).tolist())
-    for i, p, d in out:
-        assert d == pytest.approx(float(dist[i]), abs=1e-12)
-        assert np.array_equal(p, cs.points[i])
+    idx, dist = cs.neighbor_arrays(c, radius)
+    brute = np.linalg.norm(cs.points - c, axis=1)
+    assert set(idx.tolist()) == set(np.flatnonzero(brute <= radius).tolist())
+    assert np.allclose(dist, brute[idx], rtol=0, atol=1e-12)
+    # ascending distance, ties by index
+    assert np.array_equal(np.lexsort((idx, dist)), np.arange(idx.size))
+
+
+def contract_targets(d):
+    """The functions under the point/batch contract, each as x -> value."""
+    from surfspline import (ApproximantDump, DensityField, KernelParams, bump, evaluate,
+                            majorant, phi)
+
+    rng = np.random.default_rng(4)
+    cs = CenterSet(rng.uniform(-1, 1, size=(12, d)))
+    params = KernelParams(d=d, k=2, degree=3)
+    dump = ApproximantDump(centers=cs, coefficients=rng.normal(size=12))
+    df = DensityField(cs.points, np.exp(rng.normal(size=12)))
+    return {
+        "RadialBump.__call__": bump(5, np.zeros(d), 1.0),
+        "evaluate": lambda x: evaluate(dump, x, params),
+        "phi": lambda x: phi(x, params),
+        "majorant": lambda x: majorant(df, x, 2.0),
+        "DensityField.nearest": df.nearest,
+        "CenterSet.neighbor_arrays": lambda x: cs.neighbor_arrays(x, 0.7),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", list(contract_targets(1)))
+def test_point_batch_contract(name, d):
+    fn = contract_targets(d)[name]
+    flat = np.linspace(-0.5, 0.5, 5)
+    batch = np.stack([flat] * d, axis=1)
+    if name == "CenterSet.neighbor_arrays":  # takes one query point only
+        idx, dist = fn(batch[1])
+        assert idx.shape == dist.shape
+        with pytest.raises(ValueError, match=r"one query point"):
+            fn(batch)
+    else:
+        value = fn(batch[1])
+        assert isinstance(value, float)
+        values = fn(batch)
+        assert isinstance(values, np.ndarray) and values.shape == (5,)
+        assert np.array_equal(values, [fn(p) for p in batch])
+    bad = [batch.T, np.zeros((5, d + 1)), np.zeros(d + 1), np.full(d, np.nan)]
+    if d == 1:  # five 1-D points in a flat vector used to pass as one point
+        bad.append(flat)
+    for x in bad:
+        with pytest.raises(ValueError, match=r"expected|finite"):
+            fn(x)
+

@@ -151,6 +151,22 @@ def test_study_short_sweep_rejected(tmp_path):
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_study_svd_failure_is_numerical(tmp_path, monkeypatch):
+    # numpy.linalg.LinAlgError subclasses ValueError, the config-error class
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", no_convergence)
+    cfg = write_config(tmp_path, "s.json", {"study": {
+        "d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
+        "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},
+        "box": {"lo": [-2.5], "hi": [2.5]},
+        "probe": {"lo": [-1.2], "hi": [1.2], "count": 41}}})
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+
 def test_dyadic_pipeline(tmp_path):
     out_place = run_place(tmp_path)
     dcfg = density_config(tmp_path, str(out_place / "centers.csv"))

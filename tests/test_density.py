@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfspline import (
     CenterSet,
@@ -17,6 +19,7 @@ from surfspline import (
     polynomial_dim,
     validate_theorem1_params,
 )
+from surfspline.centers import DUPLICATE_TOL
 
 
 def brute_force_minimal(cs, alpha, degree, cap):
@@ -61,6 +64,43 @@ def test_minimal_density_matches_brute_force():
         rho, pr = minimal_density(cs, alpha, 2, cap)
         assert rho == pytest.approx(brute_force_minimal(cs, alpha, 2, cap))
         assert pr.stability < cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 4), st.booleans())
+def test_search_matches_linear_scan(seed, d, degree, clustered):
+    # the bisection assumes unisolvency is monotone in the radius
+    rng = np.random.default_rng(seed)
+    n = 3 * polynomial_dim(d, degree) + 4
+    if clustered:
+        hubs = rng.uniform(-1, 1, size=(3, d))
+        pts = hubs[rng.integers(3, size=n)] + 0.05 * rng.normal(size=(n, d))
+    else:
+        pts = rng.uniform(-1, 1, size=(n, d))
+    cs = CenterSet(pts)
+    alpha = rng.uniform(-0.5, 0.5, size=d)
+    cap = 4.0 * polynomial_dim(d, degree)
+    try:
+        expected = brute_force_minimal(cs, alpha, degree, cap)
+    except NoAdmissibleRadius:
+        with pytest.raises(NoAdmissibleRadius):
+            minimal_density(cs, alpha, degree, cap)
+        return
+    rho, _ = minimal_density(cs, alpha, degree, cap)
+    assert rho == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 20))
+def test_witness_holds_whole_tie_group(i, j):
+    # a 0.1-spaced grid: distances that tie exactly differ by rounding
+    xs = np.arange(-10, 11) * 0.1
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    alpha = np.array([xs[i], xs[j]])
+    rho, pr = minimal_density(cs, alpha, 3)
+    dist = np.linalg.norm(cs.points - alpha, axis=1)
+    assert sorted(pr.indices.tolist()) == np.flatnonzero(dist <= rho + DUPLICATE_TOL).tolist()
 
 
 def test_adding_centers_never_increases_rho():

@@ -12,7 +12,6 @@ from surfspline import (
     build_reproduction,
     monomial_exponents,
     polynomial_dim,
-    stability_norm,
     verify_reproduction,
 )
 
@@ -55,7 +54,7 @@ def test_midpoint_linear_weights():
     cs = CenterSet([0.0, 1.0])
     pr = build_reproduction(cs, [0.5], 0.6, 1)
     assert sorted(pr.weights.tolist()) == pytest.approx([0.5, 0.5])
-    assert stability_norm(pr) == pytest.approx(1.0)
+    assert pr.stability == pytest.approx(1.0)
 
 
 def test_triangle_barycentric():
@@ -68,7 +67,7 @@ def test_triangle_barycentric():
     for i, w in zip(pr.indices, pr.weights):
         assert w == pytest.approx(expected[int(i)], abs=1e-12)
         assert 0 < w < 1
-    assert stability_norm(pr) == pytest.approx(1.0)
+    assert pr.stability == pytest.approx(1.0)
 
 
 def test_insufficient_points():
@@ -167,4 +166,4 @@ def test_precision_and_stability_property(seed, d, degree):
     radius = 2.5 if d == 1 else 2.0
     pr = build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), radius, degree)
     assert verify_reproduction(pr, cs) <= 1e-9
-    assert stability_norm(pr) >= 1 - 1e-9
+    assert pr.stability >= 1 - 1e-9
