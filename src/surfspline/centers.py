@@ -1,7 +1,7 @@
 """Immutable center sets in R^d with exact-radius neighbor queries.
 
-All distances are Euclidean.  A :class:`CenterSet` is read-only after
-construction, so queries are safe to issue concurrently.
+All distances are Euclidean.  A :class:`CenterSet`'s points are read-only
+after construction, so queries are safe to issue concurrently.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from scipy.spatial import cKDTree
 #: Two centers closer than this are considered duplicates and rejected;
 #: duplicates make the downstream Vandermonde systems rank-deficient.
 DUPLICATE_TOL = 1e-12
+
+#: Entries of a center set's solve memo (a few KB each).
+_SOLVE_MEMO_CAP = 4096
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -46,6 +49,16 @@ class CenterSet:
     levels : array_like of int, shape (n,), optional
         Resolution-region index for each center (used by the
         multiresolution placement; plain clouds leave this ``None``).
+
+    Local solves on the set (``build_reproduction`` and the attempts of
+    ``minimal_density``) share one memo owned by the set, keyed by the exact
+    bytes of a solve's only inputs: the ordered neighbor offsets from the
+    base point, the radius and the degree.  A hit is bit for bit a fresh
+    solve, rank failures included; lattice placements repeat one neighbor
+    geometry at many base points.  The memo holds at most
+    ``_SOLVE_MEMO_CAP`` entries (cleared when full) and dies with the set.
+    Concurrent use stays safe: each value is a pure function of its key, so
+    a race can only repeat a solve or overshoot the cap by one entry a thread.
     """
 
     def __init__(self, points, levels=None):
@@ -67,6 +80,7 @@ class CenterSet:
             levels.setflags(write=False)
         self.levels = levels
         self._tree = cKDTree(pts)
+        self._solves: dict = {}
         if len(pts) > 1 and self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray").size:
             raise ValueError(f"duplicate centers within {DUPLICATE_TOL}")
 
@@ -91,22 +105,30 @@ class CenterSet:
         center = self._check_point(center)
         if not radius > 0:
             raise ValueError("radius must be positive")
-        idx = np.asarray(self._tree.query_ball_point(center, radius), dtype=np.intp)
-        if idx.size == 0:
-            return idx, np.empty(0)
-        dist = np.linalg.norm(self.points[idx] - center, axis=1)
-        keep = dist <= radius
-        idx, dist = idx[keep], dist[keep]
-        order = np.lexsort((idx, dist))
-        return idx[order], dist[order]
+        # the tree compares squared distances, which can drop a center at
+        # exactly ``radius``: pad far above that rounding, then cut exactly
+        idx = self._tree.query_ball_point(center, radius * (1.0 + 1e-9))
+        idx, dist = _by_distance(self, center, np.sort(np.asarray(idx, dtype=np.intp)))
+        n = int(np.searchsorted(dist, radius, side="right"))
+        return idx[:n], dist[:n]
 
 
-def _tie_groups(cs: CenterSet, center) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sorted_candidate_radii` and the number of centers each radius captures."""
+def _by_distance(cs: CenterSet, center, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending indices ``idx`` and their distances to ``center``, ordered
+    by distance with ties kept in index order: the one distance sort."""
+    dist = np.linalg.norm(cs.points[idx] - center, axis=1)
+    order = np.argsort(dist, kind="stable")
+    return idx[order], dist[order]
+
+
+def _tie_groups(cs: CenterSet, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All centers in :meth:`CenterSet.neighbor_arrays` order, the
+    :func:`sorted_candidate_radii` and the number of centers each radius
+    captures, so ``order[:counts[i]]`` is the ball of radius ``radii[i]``."""
     center = cs._check_point(center)
-    dist = np.sort(np.linalg.norm(cs.points - center, axis=1))
+    order, dist = _by_distance(cs, center, np.arange(len(cs)))
     counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
-    return dist[counts - 1], counts
+    return order, dist[counts - 1], counts
 
 
 def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
@@ -117,4 +139,4 @@ def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
     The result enumerates every radius at which the neighbor set of
     ``center`` can change, which drives the minimal-density search.
     """
-    return _tie_groups(cs, center)[0]
+    return _tie_groups(cs, center)[1]

@@ -264,10 +264,7 @@ def cmd_density(block: dict, out: Path, seed: int) -> None:
                            majorant_exponent=r, growth_exponent=epsilon)
     rho = np.empty(probes.shape[0])
     for i, p in enumerate(probes):
-        try:
-            rho[i], _ = minimal_density(cs, p, degree, cap)
-        except NoAdmissibleRadius as exc:
-            raise NoAdmissibleRadius(f"at probe {p.tolist()}: {exc}") from exc
+        rho[i], _ = minimal_density(cs, p, degree, cap)
     df = DensityField(probes, rho, params)
     write_density(out / "density.csv", probes, rho)
     write_density(out / "majorant.csv", probes, majorant(df, probes, r))

@@ -16,12 +16,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .centers import CenterSet, _as_points, _tie_groups
-from .polyrep import (
-    PolyRep,
-    ReproductionError,
-    build_reproduction,
-    polynomial_dim,
-)
+from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
 #: Effective radius substituted when the minimal candidate radius is zero
 #: (base point coincident with a center); anything below the duplicate
@@ -112,27 +107,34 @@ def minimal_density(
     """Smallest candidate radius admitting a K-stable reproduction at alpha.
 
     The candidate radii are :func:`~surfspline.centers.sorted_candidate_radii`.
-    Unisolvency is monotone in the radius, so the smallest unisolvent
-    candidate is located by exponential search plus bisection; the stability
-    cap need not be monotone, so from there the candidates are scanned
-    linearly until the cap is met.
+    Distances are sorted once per query; the neighbor set at each candidate
+    radius is a prefix of that order (whole tie groups), the same set in the
+    same order as the ball query of ``build_reproduction``, and each solve
+    goes through the center set's solve memo.  Unisolvency is monotone in
+    the radius, so the smallest unisolvent candidate is located by
+    exponential search plus bisection; the stability cap need not be
+    monotone, so from there the candidates are scanned linearly until the
+    cap is met.
 
     Returns ``(rho, witness)`` where ``witness`` is the reproduction built at
-    radius ``rho`` on its whole tie group.  Raises :class:`NoAdmissibleRadius`
-    if even the full set fails.
+    radius ``rho`` on its whole tie group, equal bit for bit to
+    ``build_reproduction(cs, alpha, rho, degree)``.  Raises
+    :class:`NoAdmissibleRadius`, naming alpha, if even the full set fails.
     """
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
+    alpha = cs._check_point(alpha)
     m = polynomial_dim(cs.dim, degree)
     if len(cs) < m:
-        raise NoAdmissibleRadius(f"only {len(cs)} centers, need {m} for degree {degree}")
-    radii, counts = _tie_groups(cs, alpha)
+        raise NoAdmissibleRadius(
+            f"at alpha {alpha.tolist()}: only {len(cs)} centers, need {m} for degree {degree}")
+    order, radii, counts = _tie_groups(cs, alpha)
     first = int(np.searchsorted(counts, m, side="left"))
 
     def attempt(i: int) -> PolyRep | None:
-        r = max(radii[i], _ZERO_RADIUS)
+        r = max(float(radii[i]), _ZERO_RADIUS)
         try:
-            return build_reproduction(cs, alpha, r, degree)
+            return _reproduce(cs, alpha, r, order[:counts[i]], degree)
         except ReproductionError:
             return None
 
@@ -142,7 +144,8 @@ def minimal_density(
     step = 1
     while pr_hi is None:
         if hi == last:
-            raise NoAdmissibleRadius("no unisolvent neighbor set at any radius")
+            raise NoAdmissibleRadius(
+                f"at alpha {alpha.tolist()}: no unisolvent neighbor set at any radius")
         lo = hi
         step *= 2
         hi = min(hi + step, last)
@@ -161,11 +164,11 @@ def minimal_density(
         i += 1
         if i > last:
             raise NoAdmissibleRadius(
-                f"stability cap {stability_cap:g} never met (best Sum|a| = "
-                f"{pr.stability if pr else float('nan'):g})"
+                f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
+                f"(best Sum|a| = {pr.stability if pr else float('nan'):g})"
             )
         pr = attempt(i)
-    return float(pr.radius), pr
+    return pr.radius, pr
 
 
 def majorant(df: DensityField, x, r: float) -> float | np.ndarray:

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from .centers import CenterSet
+from .centers import _SOLVE_MEMO_CAP, CenterSet
 
 #: Relative rank tolerance (w.r.t. the largest singular value) separating
 #: genuine unisolvency failures from round-off.
@@ -73,12 +73,12 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return expo
 
 
-def _moment_system(cs: CenterSet, alpha, radius, indices, degree) -> tuple[np.ndarray, np.ndarray]:
-    """Basis matrix (rows = monomials, columns = centers ``indices``) on offsets
-    shifted to ``alpha`` and scaled by ``radius``, and the moments of alpha in
-    that basis (1 for the constant, 0 otherwise)."""
-    expo = monomial_exponents(cs.dim, degree)
-    scaled = (cs.points[indices] - alpha) / radius
+def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
+    """Basis matrix (rows = monomials, columns = centers) on the neighbor
+    ``offsets`` from the base point scaled by ``radius``, and the moments of
+    the base point in that basis (1 for the constant, 0 otherwise)."""
+    expo = monomial_exponents(offsets.shape[1], degree)
+    scaled = offsets / radius
     # (M, n, d) -> (M, n); exponent 0 must yield 1 even at 0.
     bmat = np.prod(scaled[None, :, :] ** expo[:, None, :], axis=2)
     rhs = np.zeros(expo.shape[0])
@@ -109,6 +109,9 @@ class PolyRep:
 def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> PolyRep:
     """Minimum-norm weights reproducing Pi_degree from centers in B(alpha, radius).
 
+    The weights are read-only: equal local geometries share one array
+    through the center set's solve memo.
+
     Raises
     ------
     InsufficientPoints
@@ -121,16 +124,38 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         raise ValueError("degree must be >= 0")
     alpha = cs._check_point(alpha)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
+    return _reproduce(cs, alpha, float(radius), idx, degree)
+
+
+def _reproduce(cs: CenterSet, alpha: np.ndarray, radius: float, idx: np.ndarray,
+               degree: int) -> PolyRep:
+    """:func:`build_reproduction` on ``idx``, the ball of ``radius`` about the
+    checked point ``alpha`` in :meth:`CenterSet.neighbor_arrays` order.
+
+    The solve goes through the center set's memo, keyed by the exact bytes
+    of its only inputs, so a hit equals a fresh solve bit for bit.
+    """
     m = polynomial_dim(cs.dim, degree)
     if idx.size < m:
         raise InsufficientPoints(
             f"{idx.size} centers in B(alpha, {radius:g}), need {m} for degree {degree}"
         )
-    bmat, rhs = _moment_system(cs, alpha, radius, idx, degree)
-    sol, _, rank, _ = scipy.linalg.lstsq(bmat, rhs, cond=RANK_RTOL, lapack_driver="gelsd")
+    offsets = cs.points[idx] - alpha
+    key = (offsets.tobytes(), radius, degree)
+    memo = cs._solves
+    hit = memo.get(key)
+    if hit is None:
+        bmat, rhs = _moment_system(offsets, radius, degree)
+        sol, _, rank, _ = scipy.linalg.lstsq(bmat, rhs, cond=RANK_RTOL, lapack_driver="gelsd")
+        sol.setflags(write=False)
+        hit = (sol, int(rank))
+        if len(memo) >= _SOLVE_MEMO_CAP:
+            memo.clear()
+        memo[key] = hit
+    sol, rank = hit
     if rank < m:
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
-    return PolyRep(alpha=alpha, radius=float(radius), indices=idx, weights=sol, degree=degree)
+    return PolyRep(alpha=alpha, radius=radius, indices=idx, weights=sol, degree=degree)
 
 
 def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
@@ -140,7 +165,7 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     the value is comparable across locations and scales.  The caller decides
     what tolerance to hold it to.
     """
-    bmat, rhs = _moment_system(cs, pr.alpha, pr.radius, pr.indices, pr.degree)
+    bmat, rhs = _moment_system(cs.points[pr.indices] - pr.alpha, pr.radius, pr.degree)
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
 
 

@@ -113,8 +113,10 @@ def assemble(
     At each quadrature node a reproduction of the density's degree is built
     with support radius ``radius_factor`` times the nearest density sample
     (the inflation absorbs the sampling error of the density field; any
-    admissible radius preserves the rates).  Nodes sharing the same relative
-    neighbor geometry reuse one solve via translation covariance.
+    admissible radius preserves the rates).  Nodes whose neighbor offsets,
+    radius and degree match an earlier solve exactly (lattice geometry
+    recurs at many nodes) reuse its weights from the center set's solve memo,
+    bit for bit what a fresh solve would return.
     """
     if density.params is None:
         raise ValueError("density field must carry DensityParams")
@@ -126,27 +128,18 @@ def assemble(
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
     centers_arr, sides_arr = quadrature_cells(qs, density.nearest)
-    cache: dict = {}
     for c, s in zip(centers_arr, sides_arr):
         nodes, w = _cell_nodes(c, s, qs.rule)
         vals = dkf(nodes)
         for node, v in zip(nodes, vals):
             if v == 0.0:
                 continue
-            rho = density.nearest(node)
-            radius = radius_factor * rho
-            # build_reproduction queries the same ball: its weights align with idx
-            idx, _ = cs.neighbor_arrays(node, radius)
-            key = (radius, idx.size,
-                   np.round((cs.points[idx] - node) * 2.0**40).astype(np.int64).tobytes())
-            weights = cache.get(key)
-            if weights is None:
-                try:
-                    weights = build_reproduction(cs, node, radius, degree).weights
-                except ReproductionError as exc:
-                    raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
-                cache[key] = weights
-            coeffs[idx] += (w * v) * weights
+            radius = radius_factor * density.nearest(node)
+            try:
+                pr = build_reproduction(cs, node, radius, degree)
+            except ReproductionError as exc:
+                raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
+            coeffs[pr.indices] += (w * v) * pr.weights
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 

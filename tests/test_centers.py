@@ -54,6 +54,20 @@ def test_neighbors_grid_cross():
     assert len(idx) == int(np.sum(brute <= 1.0))
 
 
+@pytest.mark.parametrize("r2, expected", [(13, 45), (18, 61)])
+def test_neighbors_grid_boundary_ring(r2, expected):
+    # unit 9x9 grid centered at 0: the ring at distance sqrt(r2) sits exactly
+    # on the radius, where a squared-distance comparison can drop it
+    xs = np.arange(-4.0, 5.0)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    radius = np.sqrt(r2)
+    idx, dist = cs.neighbor_arrays([0.0, 0.0], radius)
+    brute = np.linalg.norm(cs.points, axis=1)
+    assert idx.size == expected == int(np.sum(brute <= radius))
+    assert dist[-1] == radius
+
+
 def test_neighbors_monotone_in_radius():
     rng = np.random.default_rng(1)
     cs = CenterSet(rng.normal(size=(60, 3)))
@@ -97,11 +111,13 @@ def test_candidate_radii_brute_force():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.floats(0.1, 3.0))
-def test_neighbor_arrays_property(seed, radius):
+@given(st.integers(0, 10_000), st.floats(0.1, 3.0), st.booleans())
+def test_neighbor_arrays_property(seed, radius, at_center):
     rng = np.random.default_rng(seed)
     cs = CenterSet(rng.normal(size=(25, 2)))
     c = rng.normal(size=2)
+    if at_center:  # the radius is an actual center distance: a boundary point
+        radius = float(np.linalg.norm(cs.points[rng.integers(25)] - c))
     idx, dist = cs.neighbor_arrays(c, radius)
     brute = np.linalg.norm(cs.points - c, axis=1)
     assert set(idx.tolist()) == set(np.flatnonzero(brute <= radius).tolist())

@@ -116,8 +116,186 @@ def test_adding_centers_never_increases_rho():
 
 def test_no_admissible_radius():
     cs = CenterSet([0.0, 1.0])
-    with pytest.raises(NoAdmissibleRadius):
+    with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.5\]"):
         minimal_density(cs, [0.5], 3, 100.0)
+    # every exit names the point: too few centers above, then collinear
+    # centers (never unisolvent) and a cap below 1 (never met)
+    cs = CenterSet([[float(i), 0.0] for i in range(6)])
+    with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.5, 0\.0\]: no unisolvent"):
+        minimal_density(cs, [0.5, 0.0], 1)
+    cs = CenterSet([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.25\]: stability cap"):
+        minimal_density(cs, [0.25], 1, 0.5)
+
+
+def fresh_witness(cs, alpha, rho, degree):
+    """build_reproduction at rho on a copy of cs, whose solve memo is empty."""
+    return build_reproduction(CenterSet(cs.points), alpha, rho, degree)
+
+
+def count_solves(monkeypatch):
+    """Count the least-squares solves made from here on."""
+    import scipy.linalg
+
+    calls = []
+    lstsq = scipy.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
+    return calls
+
+
+def consistency_cloud(seed, d, dyadic):
+    rng = np.random.default_rng(seed)
+    if dyadic:  # 2^-j lattice: many exact ties, offsets repeat from point to point
+        h = 2.0 ** -int(rng.integers(1, 4))
+        xs = np.arange(-6, 7) * h if d < 3 else np.arange(-3, 4) * h
+        cs = CenterSet(np.stack([m.ravel() for m in np.meshgrid(*[xs] * d, indexing="ij")], 1))
+        alpha = h * (rng.integers(-2, 3, size=d) + rng.choice([0.0, 0.5], size=d))
+    else:
+        cs = CenterSet(rng.uniform(-1, 1, size=(60, d)))
+        alpha = rng.uniform(-0.5, 0.5, size=d)
+    return cs, alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans())
+def test_prefix_windows_match_ball_queries(seed, d, dyadic):
+    from surfspline.centers import _tie_groups
+    from surfspline.density import _ZERO_RADIUS
+
+    cs, alpha = consistency_cloud(seed, d, dyadic)
+    order, radii, counts = _tie_groups(cs, alpha)
+    for r, n in zip(radii, counts):
+        idx, _ = cs.neighbor_arrays(alpha, max(r, _ZERO_RADIUS))
+        assert np.array_equal(idx, order[:n])  # same set, same order
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 4), st.booleans())
+def test_witness_equals_build_reproduction(seed, d, degree, dyadic):
+    cs, alpha = consistency_cloud(seed, d, dyadic)
+    try:
+        rho, pr = minimal_density(cs, alpha, degree)
+    except NoAdmissibleRadius:
+        return
+    ref = fresh_witness(cs, alpha, rho, degree)
+    assert ref.radius == rho
+    assert np.array_equal(pr.indices, ref.indices)
+    assert np.array_equal(pr.weights, ref.weights)
+
+
+def test_solve_memo_is_exact(monkeypatch):
+    # a dyadic grid: base points one spacing apart see the same offsets
+    h = 0.25
+    xs = np.arange(-8, 9) * h
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    alphas = [h * np.array([i + 0.5 * (j % 2), j]) for i in range(-2, 3) for j in range(-2, 3)]
+    shared = count_solves(monkeypatch)
+    results = [minimal_density(cs, a, 5) for a in alphas]
+    n_shared = len(shared)
+    shared.clear()
+    for a, (rho, pr) in zip(alphas, results):
+        rho0, pr0 = minimal_density(CenterSet(cs.points), a, 5)
+        assert rho == rho0
+        assert np.array_equal(pr.indices, pr0.indices)
+        assert np.array_equal(pr.weights, pr0.weights)
+    assert n_shared < len(shared)  # the shared set's memo was hit
+
+
+def test_solve_memo_misses_near_matches():
+    # a translated copy jittered by 1e-9, and one ball at two radii: equal
+    # up to round-off, so only an exact key returns each fresh solve's bits
+    rng = np.random.default_rng(22)
+    base = rng.uniform(-0.6, 0.6, size=(20, 2))  # all within radius 1 of 0
+    copy = base + [10.0, 0.0]
+    copy[0, 0] += 1e-9
+    cs = CenterSet(np.concatenate([base, copy]))
+    queries = [([0.0, 0.0], 1.0), ([10.0, 0.0], 1.0), ([0.0, 0.0], 1.3)]
+    refs = [fresh_witness(cs, a, r, 3).weights for a, r in queries]
+    assert not np.array_equal(refs[0], refs[1])
+    assert not np.array_equal(refs[0], refs[2])
+    for (a, r), ref in zip(queries, refs):
+        assert np.array_equal(build_reproduction(cs, a, r, 3).weights, ref)
+
+
+def test_solve_memo_scope(monkeypatch):
+    cs = CenterSet(np.random.default_rng(20).uniform(-1, 1, size=(40, 2)))
+    alpha = np.zeros(2)
+    minimal_density(cs, alpha, 2)
+    calls = count_solves(monkeypatch)
+    minimal_density(cs, alpha, 2)
+    assert calls == []  # every attempt repeats an earlier solve
+    minimal_density(CenterSet(cs.points), alpha, 2)
+    assert calls  # a new set starts with an empty memo
+
+
+def test_solve_memo_bound():
+    from surfspline.centers import _SOLVE_MEMO_CAP
+
+    rng = np.random.default_rng(21)
+    cs = CenterSet(rng.uniform(-1, 1, size=(200, 1)))
+    largest = 0
+    for a in rng.uniform(-0.5, 0.5, size=_SOLVE_MEMO_CAP + 50):
+        build_reproduction(cs, [a], 0.1, 1)  # distinct offsets at every point
+        largest = max(largest, len(cs._solves))
+    assert largest == _SOLVE_MEMO_CAP
+
+
+def test_solve_memo_shared_by_threads(monkeypatch):
+    import sys
+    import threading
+
+    import surfspline.polyrep
+
+    cap, n_threads = 5, 4
+    monkeypatch.setattr(surfspline.polyrep, "_SOLVE_MEMO_CAP", cap)  # evict often
+    xs = np.arange(-6, 7) * 0.25
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    alphas = [np.array([0.125 * i, 0.25 * j]) for i in range(-2, 3) for j in range(-1, 2)]
+    serial = [minimal_density(CenterSet(pts), a, 4) for a in alphas]
+    cs = CenterSet(pts)
+    results, sizes = {}, []
+
+    def work(t):
+        for k in range(len(alphas)):
+            k = (k + 5 * t) % len(alphas)
+            results[t, k] = minimal_density(cs, alphas[k], 4)
+            sizes.append(len(cs._solves))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == n_threads * len(alphas)
+    for (t, k), (rho, pr) in results.items():
+        assert rho == serial[k][0]
+        assert np.array_equal(pr.indices, serial[k][1].indices)
+        assert np.array_equal(pr.weights, serial[k][1].weights)
+    assert max(sizes) <= cap + n_threads - 1
+
+
+def test_solve_memo_weights_read_only():
+    cs = CenterSet(np.arange(-4, 5) * 0.5)
+    first = build_reproduction(cs, [0.25], 1.0, 2)
+    hit = build_reproduction(cs, [0.25], 1.0, 2)
+    assert hit.weights is first.weights
+    with pytest.raises(ValueError):
+        hit.weights[0] = 0.0
+    assert np.array_equal(build_reproduction(cs, [0.25], 1.0, 2).weights,
+                          fresh_witness(cs, [0.25], 1.0, 2).weights)
 
 
 def make_field(rng, n=40, d=2, params=None):

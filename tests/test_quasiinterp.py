@@ -1,5 +1,7 @@
 """Quasi-interpolation assembly, evaluation, and convergence studies."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,28 @@ def test_uniform_convergence_d1():
                             degree=4, epsilon=0.6, probes=probes)
     assert res.global_slope >= 1.5
     assert np.all(np.diff(res.global_errors) < 0)
+
+
+def test_uniform_convergence_d2():
+    # the 2-D rate study: rate 2k = 4 on 2^-j grids of [-2, 2]^2
+    from surfspline import convergence_study
+
+    t0 = time.perf_counter()
+    k = 2
+    f = bump(6, [0.0, 0.0], 1.0)
+    params = KernelParams(d=2, k=k, degree=7)
+    xs = np.linspace(-1.2, 1.2, 41)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    probes = np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    def uniform_2d(j):
+        ax = np.arange(-2 * 2**j, 2 * 2**j + 1) * 2.0**-j
+        gx, gy = np.meshgrid(ax, ax, indexing="ij")
+        return CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+
+    res = convergence_study([1, 2, 3], uniform_2d, f, params,
+                            degree=7, epsilon=0.6, probes=probes)
+    elapsed = time.perf_counter() - t0
+    assert np.all(np.diff(res.global_errors) < 0)
+    assert res.global_slope >= 0.75 * 2 * k
+    assert elapsed < 10.0, f"2-D rate study took {elapsed:.1f}s, budget 10s"
