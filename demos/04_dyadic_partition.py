@@ -39,22 +39,19 @@ print(f"certified self-majorization: C_sm = {c_sm:.4f} at r = {r}")
 params = DyadicParams(gamma=2.0, sigma=1.5, two_k=4.0)
 box = (np.full(2, -0.5), np.full(2, 0.5))
 cubes = enumerate_cubes(box, range(0, 7), 2)
-good, bad = classify(cubes, df, params)
+good = classify(cubes, df, params)
 print(f"\nclassified {len(cubes)} gendered cubes over levels 0..6:")
-by_level = {}
-for c in good:
-    by_level.setdefault(c.level, [0, 0])[0] += 1
-for c in bad:
-    by_level.setdefault(c.level, [0, 0])[1] += 1
-for lv in sorted(by_level):
-    g, b = by_level[lv]
+for lv in np.unique(cubes.level):
+    at = cubes.level == lv
+    g = np.count_nonzero(good & at)
+    b = np.count_nonzero(at) - g
     print(f"  level {lv}: {g:5d} good  {b:6d} bad   (side 2^-{lv})")
 
-ratio = bad_cube_bound_check(bad, df, params, c_sm, r)
+ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
 print(f"\nbad-cube sidelength bound: max ratio {ratio:.4f} (must be <= 1)")
 
 rng = np.random.default_rng(0)
-level4 = [c for c in cubes if c.level == 4]
+level4 = cubes[cubes.level == 4]
 worst = max(overlap_count(level4, rng.uniform(-0.5, 0.5, 2), params)
             for _ in range(50))
 print(f"overlap at level 4: max {worst} over 50 points "

@@ -21,7 +21,7 @@ from .density import (
     validate_theorem1_params,
 )
 from .dyadic import (
-    DyadicCube,
+    DyadicCubes,
     DyadicParams,
     UndersampledDensity,
     bad_cube_bound_check,
@@ -38,7 +38,6 @@ from .kernels import (
     bump,
     fundamental_normalization,
     laplacian_power,
-    local_kernel_error,
     local_kernel_error_precise,
     phi,
     phi_radial,

@@ -104,8 +104,7 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 def write_centers(path: Path, cs: CenterSet) -> None:
     levels = cs.levels if cs.levels is not None else np.zeros(len(cs), dtype=int)
-    rows = [tuple(map(float, p)) + (int(lv),) for p, lv in zip(cs.points, levels)]
-    write_csv(path, f"dim,{cs.dim}", rows)
+    write_csv(path, f"dim,{cs.dim}", zip(*cs.points.T.tolist(), levels.tolist()))
 
 
 def read_centers(path: Path) -> CenterSet:
@@ -134,8 +133,7 @@ def read_centers(path: Path) -> CenterSet:
 def write_density(path: Path, pts: np.ndarray, values: np.ndarray) -> None:
     d = pts.shape[1]
     header = ",".join(f"x{a + 1}" for a in range(d)) + ",rho"
-    rows = [tuple(map(float, p)) + (float(v),) for p, v in zip(pts, values)]
-    write_csv(path, header, rows)
+    write_csv(path, header, zip(*pts.T.tolist(), values.tolist()))
 
 
 def read_density(path: Path, params: DensityParams | None = None) -> DensityField:
@@ -252,14 +250,16 @@ def cmd_place(block: dict, out: Path, seed: int) -> None:
 
 
 def cmd_density(block: dict, out: Path, seed: int) -> None:
-    cs = read_centers(Path(take(block, "centers_file")))
+    centers_file = Path(take(block, "centers_file"))
     degree = int(take(block, "degree"))
     epsilon = float(take(block, "epsilon"))
     r = float(take(block, "r"))
     cap = take(block, "stability_cap", required=False)
-    cap = float(cap) if cap is not None else default_stability_cap(cs.dim, degree)
-    probes = _probe_grid(take(block, "probe"), cs.dim)
+    probe = take(block, "probe")
     ensure_consumed(block)
+    cs = read_centers(centers_file)
+    cap = float(cap) if cap is not None else default_stability_cap(cs.dim, degree)
+    probes = _probe_grid(probe, cs.dim)
     params = DensityParams(degree=degree, stability_cap=cap,
                            majorant_exponent=r, growth_exponent=epsilon)
     rho = np.empty(probes.shape[0])
@@ -349,20 +349,18 @@ def cmd_dyadic(block: dict, out: Path, seed: int) -> None:
     if not (isinstance(levels, list) and len(levels) == 2):
         raise ConfigError("levels must be [lo, hi]")
     overlap_points = int(take(block, "overlap_points", required=False, default=20))
-    df = read_density(density_file)
-    box = _box(take(block, "box"), df.dim)
+    box = take(block, "box")
     ensure_consumed(block)
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
-    cubes = enumerate_cubes(box, range(int(levels[0]), int(levels[1]) + 1), df.dim)
-    good, bad = classify(cubes, df, params)
-    c_sm = certify_self_majorization(df, r)
-    ratio = bad_cube_bound_check(bad, df, params, c_sm, r)
-    good_set = set(good)
-    rows = []
-    for cube in cubes:
-        rows.append((cube.level,) + cube.corner_index + cube.gender
-                    + ("good" if cube in good_set else "bad",))
+    df = read_density(density_file)
+    box = _box(box, df.dim)
     d = df.dim
+    cubes = enumerate_cubes(box, range(int(levels[0]), int(levels[1]) + 1), d)
+    good = classify(cubes, df, params)
+    c_sm = certify_self_majorization(df, r)
+    ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
+    rows = zip(cubes.level.tolist(), *cubes.index.T.tolist(), *cubes.gender.T.tolist(),
+               np.where(good, "good", "bad").tolist())
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
     write_csv(out / "partition.csv", header, rows)
@@ -370,17 +368,16 @@ def cmd_dyadic(block: dict, out: Path, seed: int) -> None:
     lo, hi = box
     bound = max_overlap(d, gamma)
     worst = 0
-    by_level: dict[int, list] = {}
-    for cube in cubes:
-        by_level.setdefault(cube.level, []).append(cube)
+    per_level = [cubes[cubes.level == lv] for lv in np.unique(cubes.level)]
     for _ in range(overlap_points):
         x = rng.uniform(lo, hi)
-        for level_cubes in by_level.values():
+        for level_cubes in per_level:
             worst = max(worst, overlap_count(level_cubes, x, params))
+    n_good = int(np.count_nonzero(good))
     write_json(out / "bound_check.json", {
         "gamma": gamma, "sigma": sigma, "two_k": two_k, "r": r,
         "c_sm": c_sm,
-        "n_cubes": len(cubes), "n_good": len(good), "n_bad": len(bad),
+        "n_cubes": len(cubes), "n_good": n_good, "n_bad": len(cubes) - n_good,
         "bad_cube_max_ratio": ratio,
         "overlap": {"bound": bound, "max_observed": worst,
                     "points": overlap_points},

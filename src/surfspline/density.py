@@ -181,28 +181,29 @@ def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
     if not r > 0:
         raise ValueError("r must be positive")
     pts, single = _as_points(x, df.dim)
-    out = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        d = np.linalg.norm(df.points - p, axis=1)
-        out[i] = np.max(df.values * (1.0 + d / df.values) ** (-r))
+    out = _chunked_pair_extremum(df, pts, lambda rows, d, vy: vy * (1.0 + d / vy) ** (-r),
+                                 np.max)
     return float(out[0]) if single else out
 
 
-def _chunked_pair_extremum(df: DensityField, ratio_fn, reduce_fn, chunk: int = 512):
-    """Extremum of ratio_fn(rho_x, dist, rho_other) over all ordered sample pairs.
+#: Rows per distance block in :func:`_chunked_pair_extremum`.
+_PAIR_CHUNK = 512
 
-    Reduction order is fixed (row-major chunks) for bit-reproducibility.
+
+def _chunked_pair_extremum(df: DensityField, x: np.ndarray, ratio_fn, reduce_fn) -> np.ndarray:
+    """Per-row extremum over the samples y of ratio_fn(rows, |x - y|, rho_y).
+
+    ``x`` is an (n, d) array and ``rows`` the slice of x in the current
+    block, by which a ratio that needs rho at x (x being the samples) selects
+    it.  Returns an (n,) array; max and min are exact, so neither the
+    blocking nor a further reduction over the rows changes any bit.
     """
-    pts, vals = df.points, df.values
-    best = None
-    for start in range(0, len(vals), chunk):
-        px = pts[start:start + chunk]
-        vx = vals[start:start + chunk][:, None]
-        d = cdist(px, pts)
-        block = ratio_fn(vx, d, vals[None, :])
-        b = reduce_fn(block)
-        best = b if best is None else reduce_fn(np.array([best, b]))
-    return float(best)
+    out = np.empty(len(x))
+    for start in range(0, len(x), _PAIR_CHUNK):
+        rows = slice(start, start + _PAIR_CHUNK)
+        out[rows] = reduce_fn(ratio_fn(rows, cdist(x[rows], df.points), df.values[None, :]),
+                              axis=1)
+    return out
 
 
 def certify_slow_growth(df: DensityField, epsilon: float) -> float:
@@ -214,11 +215,12 @@ def certify_slow_growth(df: DensityField, epsilon: float) -> float:
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    return _chunked_pair_extremum(
-        df,
-        lambda vx, d, va: va / (vx * (1.0 + d / vx) ** (1.0 - epsilon)),
+    vx = df.values[:, None]
+    return float(np.max(_chunked_pair_extremum(
+        df, df.points,
+        lambda rows, d, va: va / (vx[rows] * (1.0 + d / vx[rows]) ** (1.0 - epsilon)),
         np.max,
-    )
+    )))
 
 
 def certify_self_majorization(df: DensityField, r: float) -> float:
@@ -230,11 +232,12 @@ def certify_self_majorization(df: DensityField, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    return _chunked_pair_extremum(
-        df,
-        lambda vx, d, vy: vy / (vx * (1.0 + d / vx) ** (-r)),
+    vx = df.values[:, None]
+    return float(np.min(_chunked_pair_extremum(
+        df, df.points,
+        lambda rows, d, vy: vy / (vx[rows] * (1.0 + d / vx[rows]) ** (-r)),
         np.min,
-    )
+    )))
 
 
 def lemma_transfer_sm_to_sg(c_sm: float, r: float) -> tuple[float, float]:

@@ -2,43 +2,55 @@
 
 A gendered cube is a pair (gender, dyadic cube): the gender is a nonzero
 0/1 vector (2^d - 1 per cube) and the cube at level j has corner
-``2^-j * corner_index`` and sidelength ``2^-j``.  No wavelets are ever
-constructed; the inflated support is modeled as the ball
-``B(corner, Gamma * sidelength)``, which is all the partition machinery
-depends on.  A cube is *good* when its sidelength dominates the density
-over its inflated support, *bad* otherwise; bad cubes have their sidelength
-bounded by a multiple of the density anywhere in their support, which is the
-step that tames the rough part of a smoothness split.
+``2^-j * corner_index`` and sidelength ``2^-j``.  Cubes are held as arrays,
+one row per gendered cube, in a :class:`DyadicCubes` record; every function
+here works on whole records, and the support extrema come from one batched
+ball query over the distinct corners.  No wavelets are ever constructed; the inflated support is
+modeled as the ball ``B(corner, Gamma * sidelength)``, which is all the
+partition machinery depends on.  A cube is *good* when its sidelength
+dominates the density over its inflated support, *bad* otherwise; bad cubes
+have their sidelength bounded by a multiple of the density anywhere in their
+support, which is the step that tames the rough part of a smoothness split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import NamedTuple
+from itertools import chain, product
 
 import numpy as np
 
+from .centers import _grid_points
 from .density import DensityField
 
 
-class DyadicCube(NamedTuple):
-    level: int
-    corner_index: tuple[int, ...]
-    gender: tuple[int, ...]
+@dataclass(frozen=True, eq=False)
+class DyadicCubes:
+    """Gendered dyadic cubes, one row each.
+
+    ``level`` (n,) ints, corner ``index`` (n, d) ints and ``gender`` (n, d)
+    0/1 ints: row i is the cube of sidelength ``2^-level[i]`` with corner
+    ``index[i] * 2^-level[i]`` and gender ``gender[i]``.  Indexing by a
+    boolean mask or an index array selects rows.
+    """
+
+    level: np.ndarray
+    index: np.ndarray
+    gender: np.ndarray
 
     @property
-    def side(self) -> float:
+    def side(self) -> np.ndarray:
         return 2.0**-self.level
 
     @property
     def corner(self) -> np.ndarray:
-        return np.array(self.corner_index, dtype=float) * self.side
+        return self.index * self.side[:, None]
 
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level - 1,
-                          tuple(c // 2 for c in self.corner_index),
-                          self.gender)
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def __getitem__(self, rows) -> "DyadicCubes":
+        return DyadicCubes(self.level[rows], self.index[rows], self.gender[rows])
 
 
 @dataclass(frozen=True)
@@ -65,63 +77,68 @@ def genders(d: int) -> list[tuple[int, ...]]:
     return [g for g in product((0, 1), repeat=d) if any(g)]
 
 
-def enumerate_cubes(box, levels, d: int) -> list[DyadicCube]:
+def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
     """All gendered cubes at the given levels whose cube intersects the box.
 
-    Deterministic ordering: (level, corner index, gender).
+    Deterministic row order: (level, corner index, gender).
     """
     lo = np.asarray(box[0], dtype=float).reshape(-1)
     hi = np.asarray(box[1], dtype=float).reshape(-1)
-    gs = genders(d)
-    out = []
-    for level in levels:
-        side = 2.0**-level
-        ranges = [range(int(np.floor(lo[a] / side)), int(np.ceil(hi[a] / side)))
-                  for a in range(d)]
-        for corner in product(*ranges):
-            for g in gs:
-                out.append(DyadicCube(level, corner, g))
-    return out
+    level, index = [np.empty(0, dtype=int)], [np.empty((0, d), dtype=int)]
+    for lv in levels:
+        side = 2.0**-lv
+        corners = _grid_points([np.arange(int(np.floor(lo[a] / side)), int(np.ceil(hi[a] / side)))
+                                for a in range(d)])
+        level.append(np.full(len(corners), lv))
+        index.append(corners)
+    gs = np.array(genders(d))
+    level, index = np.concatenate(level), np.concatenate(index)
+    return DyadicCubes(np.repeat(level, len(gs)), np.repeat(index, len(gs), axis=0),
+                       np.tile(gs, (len(level), 1)))
 
 
-def _support_extrema(cubes, density: DensityField, gamma: float):
-    """(rho_max, rho_min) of density samples in each cube's inflated support."""
-    rho_max = np.empty(len(cubes))
-    rho_min = np.empty(len(cubes))
-    by_level: dict[int, list[int]] = {}
-    for i, cube in enumerate(cubes):
-        by_level.setdefault(cube.level, []).append(i)
-    for level, idxs in by_level.items():
-        radius = gamma * 2.0**-level
-        corners = np.array([cubes[i].corner for i in idxs])
-        hits = density._tree.query_ball_point(corners, radius)
-        for i, hit in zip(idxs, hits):
-            if not hit:
-                raise UndersampledDensity(
-                    f"no density sample within {radius:g} of cube {cubes[i]}"
-                )
-            vals = density.values[hit]
-            rho_max[i] = vals.max()
-            rho_min[i] = vals.min()
-    return rho_max, rho_min
+def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
+    """(rho_max, rho_min) of density samples in each cube's inflated support.
+
+    Adjacent rows with the same level and corner share one support (the
+    genders of a corner are adjacent in :func:`enumerate_cubes` order), so
+    one batched ball query covers each such run once, and the hits are
+    reduced per run.
+    """
+    key = np.column_stack([cubes.level, cubes.index])
+    new = np.ones(len(cubes), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    runs = cubes[new]
+    radius = gamma * runs.side
+    hits = density._tree.query_ball_point(runs.corner, radius)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    if not counts.all():
+        i = np.flatnonzero(counts == 0)[0]
+        raise UndersampledDensity(
+            f"no density sample within {radius[i]:g} of the corner of the level "
+            f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
+        )
+    vals = density.values[np.fromiter(chain.from_iterable(hits), dtype=np.intp,
+                                      count=int(counts.sum()))]
+    starts = np.cumsum(counts) - counts
+    run_of_row = np.cumsum(new) - 1
+    return (np.maximum.reduceat(vals, starts)[run_of_row],
+            np.minimum.reduceat(vals, starts)[run_of_row])
 
 
-def classify(cubes, density: DensityField, params: DyadicParams):
-    """Partition cubes into (good, bad) by sidelength versus support density.
+def classify(cubes: DyadicCubes, density: DensityField, params: DyadicParams) -> np.ndarray:
+    """Boolean mask of the good cubes, aligned with ``cubes``.
 
     A cube is good iff its sidelength is at least the max density sample in
-    ``B(corner, gamma * sidelength)``.  Raises
-    :class:`UndersampledDensity` for cubes whose support holds no sample.
+    ``B(corner, gamma * sidelength)``; ``cubes[~good]`` are the bad cubes.
+    Raises :class:`UndersampledDensity` for cubes whose support holds no
+    sample.
     """
-    cubes = list(cubes)
     rho_max, _ = _support_extrema(cubes, density, params.gamma)
-    good, bad = [], []
-    for cube, r in zip(cubes, rho_max):
-        (good if cube.side >= r else bad).append(cube)
-    return good, bad
+    return cubes.side >= rho_max
 
 
-def bad_cube_bound_check(bad, density: DensityField, params: DyadicParams,
+def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: DyadicParams,
                          c_sm: float, r: float) -> float:
     """Worst ratio of ell(nu) against C * rho(x) over bad cubes and samples x.
 
@@ -130,27 +147,22 @@ def bad_cube_bound_check(bad, density: DensityField, params: DyadicParams,
     the rough-part estimate, restated at sample level).  Returns 0.0 when
     there are no bad cubes.
     """
-    bad = list(bad)
-    if not bad:
+    if not len(bad):
         return 0.0
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
     _, rho_min = _support_extrema(bad, density, params.gamma)
-    sides = np.array([c.side for c in bad])
-    return float(np.max(sides / (cap * rho_min)))
+    return float(np.max(bad.side / (cap * rho_min)))
 
 
-def overlap_count(cubes, x, params: DyadicParams) -> int:
-    """Number of cubes in the list whose inflated support contains x.
+def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int:
+    """Number of cubes whose inflated support contains x.
 
     For cubes of a fixed level this is bounded by
     ``(2^d - 1) (2 ceil(Gamma) + 1)^d`` independently of x and the level.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    count = 0
-    for cube in cubes:
-        if np.linalg.norm(x - cube.corner) <= params.gamma * cube.side:
-            count += 1
-    return count
+    dist = np.linalg.norm(x - cubes.corner, axis=1)
+    return int(np.count_nonzero(dist <= params.gamma * cubes.side))
 
 
 def max_overlap(d: int, gamma: float) -> int:

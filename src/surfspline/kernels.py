@@ -180,28 +180,15 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
     return RadialBump(exponent=f.exponent - k, center=f.center, scale=f.scale, coeffs=coeffs)
 
 
-def local_kernel_error(pr: PolyRep, cs: CenterSet, x, params: KernelParams) -> tuple[float, float]:
+def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelParams,
+                               weights=None, dps: int = 60) -> tuple[float, float]:
     """Error of replacing phi(x - alpha) by the reproduction's combination.
 
     Returns ``(error, normalized)`` where ``normalized`` divides by the decay
-    profile ``rho^(2k-d) (1 + |x-alpha|/rho)^(-nu)``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    target = phi(x - pr.alpha, params)
-    shifts = phi_radial(np.linalg.norm(x - cs.points[pr.indices], axis=1), params.d, params.k)
-    err = abs(target - float(pr.weights @ shifts))
-    rho = pr.radius
-    profile = rho ** (2 * params.k - params.d) * (1.0 + np.linalg.norm(x - pr.alpha) / rho) ** (-params.nu)
-    return err, err / profile
-
-
-def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelParams,
-                               weights=None, dps: int = 60) -> tuple[float, float]:
-    """Extended-precision variant of :func:`local_kernel_error`.
-
-    The direct float64 difference bottoms out near ``eps * |phi|`` long
-    before the true far-field error does, so decay studies past a few
-    support radii need both refined weights (see
+    profile ``rho^(2k-d) (1 + |x-alpha|/rho)^(-nu)``, both computed in
+    ``dps``-digit arithmetic.  A direct float64 difference bottoms out near
+    ``eps * |phi|`` long before the true far-field error does, so decay
+    studies past a few support radii need both refined weights (see
     :func:`surfspline.polyrep.refine_weights`) and high-precision kernel
     sums.  ``weights`` accepts a pre-refined mpmath weight list.
     """

@@ -304,10 +304,10 @@ def test_criterion_9_dyadic_checks():
     params = DyadicParams(gamma=2.0, sigma=1.5, two_k=4.0)
     box = (np.full(2, -0.5), np.full(2, 0.5))
     cubes = enumerate_cubes(box, range(0, 9), 2)
-    good, bad = classify(cubes, df, params)
-    ratio = bad_cube_bound_check(bad, df, params, c_sm, r)
+    good = classify(cubes, df, params)
+    ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
     rng = np.random.default_rng(9)
-    level5 = [c for c in cubes if c.level == 5]
+    level5 = cubes[cubes.level == 5]
     bound = max_overlap(2, params.gamma)
     worst_overlap = max(
         overlap_count(level5, rng.uniform(-0.5, 0.5, size=2), params)
@@ -316,7 +316,8 @@ def test_criterion_9_dyadic_checks():
     elapsed = time.perf_counter() - t0
     ok = ratio <= 1.0 and worst_overlap <= bound
     report(9, ok, f"bad-cube bound max ratio {ratio:.3f} <= 1 "
-                  f"({len(bad)} bad / {len(good)} good cubes, c_sm = {c_sm:.3f}); "
+                  f"({np.count_nonzero(~good)} bad / {np.count_nonzero(good)} good cubes, "
+                  f"c_sm = {c_sm:.3f}); "
                   f"overlap max {worst_overlap} <= {bound} at 100 points "
                   f"({elapsed:.1f}s)")
     assert ok

@@ -120,6 +120,12 @@ def test_density_uniform_grid_constants(tmp_path):
     assert certs["c_sm"] >= 0.9
 
 
+def test_density_unknown_key_before_reading_centers(tmp_path, capsys):
+    cfg = density_config(tmp_path, str(tmp_path / "missing.csv"), bogus=1)
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_density_empty_centers_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("dim,1\n")
@@ -194,6 +200,15 @@ def test_dyadic_gamma_below_one_rejected(tmp_path):
         "density_file": str(path), "gamma": 0.5, "sigma": 1.0, "two_k": 2.0,
         "r": 1.0, "levels": [0, 2], "box": {"lo": [-1.0], "hi": [1.0]}}})
     assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_dyadic_unknown_key_before_reading_density(tmp_path, capsys):
+    cfg = write_config(tmp_path, "u.json", {"dyadic": {
+        "density_file": str(tmp_path / "missing.csv"), "gamma": 1.5, "sigma": 1.0,
+        "two_k": 2.0, "r": 1.0, "levels": [0, 2], "box": {"lo": [-1.0], "hi": [1.0]},
+        "bogus": 1}})
+    assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_round_trip_centers(tmp_path):

@@ -1,11 +1,15 @@
 """Gendered dyadic cubes: partition rule, bad-cube bound, overlap count."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfspline import (
     DensityField,
-    DyadicCube,
+    DyadicCubes,
     DyadicParams,
     UndersampledDensity,
     bad_cube_bound_check,
@@ -27,12 +31,10 @@ def test_genders():
 
 
 def test_cube_geometry():
-    cube = DyadicCube(2, (3, -1), (1, 0))
-    assert cube.side == 0.25
-    assert cube.corner.tolist() == [0.75, -0.25]
-    parent = cube.parent()
-    assert parent.level == 1 and parent.gender == cube.gender
-    assert parent.corner_index == (1, -1)
+    cube = DyadicCubes(np.array([2]), np.array([[3, -1]]), np.array([[1, 0]]))
+    assert len(cube) == 1
+    assert cube.side.tolist() == [0.25]
+    assert cube.corner.tolist() == [[0.75, -0.25]]
 
 
 def test_params_validation():
@@ -46,7 +48,7 @@ def test_enumerate_cubes_counts():
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1], 1)
     # level 0: 1 cube, level 1: 2 cubes, one gender each
     assert len(cubes) == 3
-    levels = [c.level for c in cubes]
+    levels = cubes.level.tolist()
     assert levels == sorted(levels)
 
 
@@ -54,12 +56,10 @@ def test_classify_constant_density_threshold():
     df = DensityField(np.linspace(0, 1, 9), np.full(9, 0.3))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3], 1)
-    good, bad = classify(cubes, df, params)
-    for c in good:
-        assert c.side >= 0.3
-    for c in bad:
-        assert c.side < 0.3
-    assert len(good) + len(bad) == len(cubes)
+    good = classify(cubes, df, params)
+    assert good.shape == (len(cubes),)
+    assert np.all(cubes.side[good] >= 0.3)
+    assert np.all(cubes.side[~good] < 0.3)
 
 
 def test_classify_spike():
@@ -70,11 +70,11 @@ def test_classify_spike():
     df = DensityField(pts, vals)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.array([-1.0]), np.array([1.0])), [1, 4], 1)
-    good, bad = classify(cubes, df, params)
-    for c in cubes:
-        sees_spike = abs(float(c.corner[0])) <= params.gamma * c.side
-        if sees_spike and c.side < 1.0:
-            assert c in bad
+    good = classify(cubes, df, params)
+    sees_spike = np.abs(cubes.corner[:, 0]) <= params.gamma * cubes.side
+    small = sees_spike & (cubes.side < 1.0)
+    assert small.any()
+    assert not good[small].any()
 
 
 def test_classify_monotone_in_density():
@@ -83,17 +83,17 @@ def test_classify_monotone_in_density():
     vals = np.exp(rng.normal(size=20) * 0.5) * 0.1
     params = DyadicParams(gamma=1.5, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3, 4], 1)
-    good_lo, _ = classify(cubes, DensityField(pts, vals), params)
-    good_hi, _ = classify(cubes, DensityField(pts, vals * 3.0), params)
+    good_lo = classify(cubes, DensityField(pts, vals), params)
+    good_hi = classify(cubes, DensityField(pts, vals * 3.0), params)
     # increasing the density never moves a cube from bad to good
-    assert set(good_hi) <= set(good_lo)
+    assert not np.any(good_hi & ~good_lo)
 
 
 def test_classify_undersampled():
     df = DensityField(np.array([[50.0]]), np.array([0.1]))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [3], 1)
-    with pytest.raises(UndersampledDensity):
+    with pytest.raises(UndersampledDensity, match=r"level 3 cube with corner index \(0,\)"):
         classify(cubes, df, params)
 
 
@@ -108,14 +108,11 @@ def test_conditional_parent_goodness():
     from surfspline.dyadic import _support_extrema
 
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [2, 3], 1)
-    children = [c for c in cubes if c.level == 3]
-    parents = [c.parent() for c in children]
+    children = cubes[cubes.level == 3]
+    parents = DyadicCubes(children.level - 1, children.index // 2, children.gender)
     rho_parent, _ = _support_extrema(parents, df, params.gamma)
-    good_parents, _ = classify(parents, df, params)
-    good_set = set(good_parents)
-    for child, rp in zip(children, rho_parent):
-        if child.side >= rp:
-            assert child.parent() in good_set
+    good_parents = classify(parents, df, params)
+    assert np.all(good_parents[children.side >= rho_parent])
 
 
 def test_self_majorization_hand_value_and_cap():
@@ -137,21 +134,24 @@ def test_bad_cube_bound_with_certified_constants():
     c_sm = certify_self_majorization(df, r)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 7), 1)
-    good, bad = classify(cubes, df, params)
-    assert bad  # the field exceeds every sidelength somewhere
-    assert bad_cube_bound_check(bad, df, params, c_sm, r) <= 1.0
+    good = classify(cubes, df, params)
+    assert not good.all()  # the field exceeds every sidelength somewhere
+    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) <= 1.0
 
 
 def test_bad_cube_bound_no_bad_cubes():
     df = DensityField(np.linspace(0, 1, 5), np.full(5, 1e-6))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
-    assert bad_cube_bound_check([], df, params, 1.0, 1.0) == 0.0
+    cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 3), 1)
+    good = classify(cubes, df, params)
+    assert good.all()
+    assert bad_cube_bound_check(cubes[~good], df, params, 1.0, 1.0) == 0.0
 
 
 def test_overlap_count_d1():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     level = 4
-    cubes = [DyadicCube(level, (i,), (1,)) for i in range(-20, 20)]
+    cubes = DyadicCubes(np.full(40, level), np.arange(-20, 20)[:, None], np.ones((40, 1), int))
     rng = np.random.default_rng(42)
     for _ in range(25):
         x = rng.uniform(-1, 1, size=1)
@@ -161,7 +161,7 @@ def test_overlap_count_d1():
 
 def test_overlap_count_far_point():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
-    cubes = [DyadicCube(2, (i,), (1,)) for i in range(4)]
+    cubes = DyadicCubes(np.full(4, 2), np.arange(4)[:, None], np.ones((4, 1), int))
     assert overlap_count(cubes, np.array([100.0]), params) == 0
 
 
@@ -169,8 +169,9 @@ def test_overlap_count_d2_corner():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     level = 3
     side = 2.0**-level
-    cubes = [DyadicCube(level, (i, jj), g)
-             for i in range(-4, 5) for jj in range(-4, 5) for g in genders(2)]
+    # corner indices -4..4 on both axes, all three genders
+    cubes = enumerate_cubes((np.full(2, -4 * side), np.full(2, 5 * side)), [level], 2)
+    assert len(cubes) == 3 * 81
     x = np.zeros(2)
     count = overlap_count(cubes, x, params)
     # brute force: corners within distance gamma * side of the origin
@@ -196,3 +197,78 @@ def test_geometric_tail_partial_sums():
     bsum = sum((2.0 ** (j - i)) ** sigma for i in range(200))
     assert abs(gsum - good) <= 1e-10
     assert abs(bsum - bad) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the array layer against per-cube brute force
+
+
+def random_case(seed, d):
+    """A random positive field on [0, 1]^d, random levels and gamma in [1, 3]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 80))
+    df = DensityField(rng.uniform(-0.1, 1.1, size=(n, d)), np.exp(rng.normal(size=n)) * 0.1)
+    lo = int(rng.integers(0, 3))
+    levels = range(lo, lo + int(rng.integers(1, 4)))
+    params = DyadicParams(gamma=float(rng.uniform(1.0, 3.0)), sigma=1.0, two_k=2.0)
+    return rng, df, enumerate_cubes((np.zeros(d), np.ones(d)), levels, d), params
+
+
+def support_values(cubes, df, gamma):
+    """Density samples in each cube's inflated support, one cube at a time."""
+    out = []
+    for level, index in zip(cubes.level.tolist(), cubes.index.tolist()):
+        side = 2.0**-level
+        corner = np.array(index, dtype=float) * side
+        out.append(df.values[np.linalg.norm(df.points - corner, axis=1) <= gamma * side])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2))
+def test_classify_and_bound_match_brute_force(seed, d):
+    rng, df, cubes, params = random_case(seed, d)
+    vals = support_values(cubes, df, params.gamma)
+    if not all(v.size for v in vals):
+        with pytest.raises(UndersampledDensity):
+            classify(cubes, df, params)
+        return
+    good = classify(cubes, df, params)
+    sides = cubes.side.tolist()
+    assert good.tolist() == [s >= v.max() for s, v in zip(sides, vals)]
+    r = float(rng.uniform(0.5, 3.0))
+    c_sm = certify_self_majorization(df, r)
+    cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
+    ratios = [s / (cap * v.min()) for s, v, g in zip(sides, vals, good) if not g]
+    expected = max(ratios) if ratios else 0.0
+    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2))
+def test_overlap_count_matches_loop(seed, d):
+    rng, _, cubes, params = random_case(seed, d)
+    for _ in range(5):
+        x = rng.uniform(-0.2, 1.2, size=d)
+        loop = sum(1 for level, index in zip(cubes.level.tolist(), cubes.index.tolist())
+                   if np.linalg.norm(x - np.array(index, dtype=float) * 2.0**-level)
+                   <= params.gamma * 2.0**-level)
+        assert overlap_count(cubes, x, params) == loop
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2))
+def test_enumerate_cubes_order_and_count(seed, d):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 0.5, size=d)
+    hi = lo + rng.uniform(0.1, 1.5, size=d)
+    levels = range(int(rng.integers(0, 3)), int(rng.integers(3, 6)))
+    cubes = enumerate_cubes((lo, hi), levels, d)
+    rows = list(zip(cubes.level.tolist(), cubes.index.tolist(), cubes.gender.tolist()))
+    assert rows == sorted(rows)
+    assert len(set(map(str, rows))) == len(rows)
+    assert {tuple(g) for g in cubes.gender.tolist()} == set(genders(d))
+    count = sum((2**d - 1) * math.prod(math.ceil(b * 2**lv) - math.floor(a * 2**lv)
+                                       for a, b in zip(lo, hi))
+                for lv in levels)
+    assert len(cubes) == count

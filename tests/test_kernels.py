@@ -10,7 +10,7 @@ from surfspline import (
     bump,
     fundamental_normalization,
     laplacian_power,
-    local_kernel_error,
+    local_kernel_error_precise,
     phi,
     phi_radial,
 )
@@ -136,7 +136,7 @@ def test_local_kernel_error_point_mass():
     cs = CenterSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     params = KernelParams(d=2, k=2, degree=14)
     pr = build_reproduction(cs, [1.0, 0.0], 0.1, 0)
-    err, _ = local_kernel_error(pr, cs, [5.0, 5.0], params)
+    err, _ = local_kernel_error_precise(pr, cs, [5.0, 5.0], params)
     assert err == 0.0
 
 
@@ -146,7 +146,7 @@ def test_local_kernel_error_affine_exact():
     cs = CenterSet([0.0, 1.0])
     params = KernelParams(d=1, k=1, degree=2)
     pr = build_reproduction(cs, [0.5], 0.6, 1)
-    err, _ = local_kernel_error(pr, cs, [10.0], params)
+    err, _ = local_kernel_error_precise(pr, cs, [10.0], params)
     assert err <= 1e-12
 
 
@@ -159,7 +159,7 @@ def test_normalized_error_bounded():
     pr = build_reproduction(cs, [0.3, 0.2], 3.0, 5)
     norms = []
     for dist in (2.0, 3.0, 4.5):
-        _, nrm = local_kernel_error(pr, cs, [dist * pr.radius, 0.1], params)
+        _, nrm = local_kernel_error_precise(pr, cs, [dist * pr.radius, 0.1], params)
         norms.append(nrm)
     # no growth trend over the measured range
     assert norms[-1] <= max(norms) * 1.01
