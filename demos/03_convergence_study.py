@@ -31,7 +31,7 @@ def uniform(j):
 
 print("uniform centers, degree 4, epsilon 0.6")
 res = convergence_study(js, uniform, f, KernelParams(d=1, k=1, degree=4),
-                        degree=4, epsilon=0.6, probes=probes)
+                        epsilon=0.6, probes=probes)
 print("   j   sup error")
 for j, e in zip(res.js, res.global_errors):
     print(f"  {j:2d}   {e:.3e}")
@@ -46,7 +46,7 @@ def multires(j):
 
 print("defect-refined centers, degree 7, epsilon 1/3")
 res = convergence_study(js, multires, f, KernelParams(d=1, k=1, degree=7),
-                        degree=7, epsilon=1 / 3, probes=probes, defect=[0.0])
+                        epsilon=1 / 3, probes=probes, defect=[0.0])
 print("   j   sup error     error at 0")
 for j, eg, ed in zip(res.js, res.global_errors, res.defect_errors):
     print(f"  {j:2d}   {eg:.3e}    {ed:.3e}")

@@ -9,7 +9,6 @@ pointwise approximation rates of polyharmonic quasi-interpolation.
 from .centers import CenterSet, sorted_candidate_radii
 from .density import (
     DensityField,
-    DensityParams,
     NoAdmissibleRadius,
     certify_self_majorization,
     certify_slow_growth,

@@ -32,6 +32,14 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     return x.reshape(-1, dim), x.ndim == 1
 
 
+def _as_point(x, dim: int) -> np.ndarray:
+    """The one query point x, shape ``(dim,)``; a batch or any other shape raises."""
+    pts, single = _as_points(x, dim)
+    if not single:
+        raise ValueError(f"expected one query point of shape ({dim},), got shape {pts.shape}")
+    return pts[0]
+
+
 def _grid_points(axes) -> np.ndarray:
     """Tensor-product grid of the 1-D ``axes`` as (n, d) rows, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -90,19 +98,13 @@ class CenterSet:
     def __repr__(self):
         return f"CenterSet(n={len(self)}, dim={self.dim})"
 
-    def _check_point(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.dim)
-        if not single:
-            raise ValueError(f"expected one query point of shape ({self.dim},), got shape {pts.shape}")
-        return pts[0]
-
     def neighbor_arrays(self, center, radius) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of centers with |xi - center| <= radius.
 
         Sorted by ascending distance, ties broken by index; boundary points
         (distance exactly ``radius``) are included.
         """
-        center = self._check_point(center)
+        center = _as_point(center, self.dim)
         if not radius > 0:
             raise ValueError("radius must be positive")
         # the tree compares squared distances, which can drop a center at
@@ -125,7 +127,7 @@ def _tie_groups(cs: CenterSet, center) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """All centers in :meth:`CenterSet.neighbor_arrays` order, the
     :func:`sorted_candidate_radii` and the number of centers each radius
     captures, so ``order[:counts[i]]`` is the ball of radius ``radii[i]``."""
-    center = cs._check_point(center)
+    center = _as_point(center, cs.dim)
     order, dist = _by_distance(cs, center, np.arange(len(cs)))
     counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
     return order, dist[counts - 1], counts

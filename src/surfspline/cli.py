@@ -22,7 +22,6 @@ from . import __version__
 from .centers import CenterSet, _grid_points
 from .density import (
     DensityField,
-    DensityParams,
     NoAdmissibleRadius,
     certify_self_majorization,
     certify_slow_growth,
@@ -57,8 +56,8 @@ class ConfigError(Exception):
 # deterministic serialization
 
 
-def format_float(v: float) -> str:
-    return f"{v:.17g}"
+#: The one float format: 17 significant digits round-trip every float64.
+FLOAT_FORMAT = "%.17g"
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -80,7 +79,7 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        return FLOAT_FORMAT % float(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -91,69 +90,64 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(_json_text(obj) + "\n")
 
 
-def write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: str, columns) -> None:
+    """One row per entry of the equally long ``columns`` (lists); a column of
+    floats is written with :data:`FLOAT_FORMAT`, any other with ``str``."""
+    fmt = ",".join(FLOAT_FORMAT if col and isinstance(col[0], float) else "%s"
+                   for col in columns)
+    path.write_text("\n".join([header] + [fmt % row for row in zip(*columns)]) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # centers / density file formats
 
 
+def _read_rows(path: Path, kind: str, prefix: str, dim_of, last: tuple) -> np.ndarray:
+    """Rows under a header ``prefix + rest``, ``dim_of(rest)`` being the point
+    dimension, as a structured array of fields ``x`` (dim floats) and ``last``
+    (name, type).  Every fault is a ConfigError naming the file."""
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        dim = dim_of(lines[0][len(prefix):]) if lines and lines[0].startswith(prefix) else 0
+    except ValueError:
+        dim = 0
+    if dim < 1:
+        raise ConfigError(f"{kind} file {path} lacks a {prefix!r}... header")
+    if len(lines) < 2:
+        raise ConfigError(f"{kind} file {path} holds no rows")
+    if not all(lines):
+        raise ConfigError(f"{kind} file {path} has a blank line between rows")
+    if lines[1].count(",") != dim:  # before loadtxt sizes its buffer by the header
+        raise ConfigError(f"{kind} file {path}: row 1 does not hold {dim + 1} fields")
+    try:
+        return np.loadtxt(lines[1:], dtype=[("x", float, (dim,)), last], delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"bad row in {kind} file {path}: {exc}") from exc
+
+
 def write_centers(path: Path, cs: CenterSet) -> None:
     levels = cs.levels if cs.levels is not None else np.zeros(len(cs), dtype=int)
-    write_csv(path, f"dim,{cs.dim}", zip(*cs.points.T.tolist(), levels.tolist()))
+    write_csv(path, f"dim,{cs.dim}", [*cs.points.T.tolist(), levels.tolist()])
 
 
 def read_centers(path: Path) -> CenterSet:
-    try:
-        lines = Path(path).read_text().strip().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read centers file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("dim,"):
-        raise ConfigError(f"centers file {path} missing 'dim,<d>' header")
-    try:
-        dim = int(lines[0].split(",")[1])
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"bad centers header {lines[0]!r}") from exc
-    if len(lines) < 2:
-        raise ConfigError(f"centers file {path} holds no centers")
-    pts, levels = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != dim + 1:
-            raise ConfigError(f"bad centers row {ln!r} (expected {dim + 1} fields)")
-        pts.append([float(v) for v in parts[:dim]])
-        levels.append(int(parts[dim]))
-    return CenterSet(np.array(pts), levels=np.array(levels))
+    rows = _read_rows(path, "centers", "dim,", int, ("level", int))
+    return CenterSet(rows["x"], levels=rows["level"])
 
 
 def write_density(path: Path, pts: np.ndarray, values: np.ndarray) -> None:
-    d = pts.shape[1]
-    header = ",".join(f"x{a + 1}" for a in range(d)) + ",rho"
-    write_csv(path, header, zip(*pts.T.tolist(), values.tolist()))
+    header = ",".join(f"x{a + 1}" for a in range(pts.shape[1])) + ",rho"
+    write_csv(path, header, [*pts.T.tolist(), values.tolist()])
 
 
-def read_density(path: Path, params: DensityParams | None = None) -> DensityField:
-    try:
-        lines = Path(path).read_text().strip().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read density file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("x1"):
-        raise ConfigError(f"density file {path} missing 'x1,...,rho' header")
-    d = len(lines[0].split(",")) - 1
-    pts, vals = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise ConfigError(f"bad density row {ln!r}")
-        pts.append([float(v) for v in parts[:d]])
-        vals.append(float(parts[d]))
-    if not pts:
-        raise ConfigError(f"density file {path} holds no samples")
-    return DensityField(np.array(pts), np.array(vals), params)
+def read_density(path: Path) -> DensityField:
+    rows = _read_rows(path, "density", "x1,", lambda rest: rest.count(",") + 1,
+                      ("rho", float))
+    return DensityField(rows["x"], rows["rho"])
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +251,18 @@ def cmd_density(block: dict, out: Path, seed: int) -> None:
     cap = take(block, "stability_cap", required=False)
     probe = take(block, "probe")
     ensure_consumed(block)
+    for key, ok, rule in (("degree", degree >= 0, ">= 0"), ("r", r > 0, "> 0"),
+                          ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
+                          ("stability_cap", cap is None or float(cap) > 1, "> 1")):
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {rule}")
     cs = read_centers(centers_file)
     cap = float(cap) if cap is not None else default_stability_cap(cs.dim, degree)
     probes = _probe_grid(probe, cs.dim)
-    params = DensityParams(degree=degree, stability_cap=cap,
-                           majorant_exponent=r, growth_exponent=epsilon)
     rho = np.empty(probes.shape[0])
     for i, p in enumerate(probes):
         rho[i], _ = minimal_density(cs, p, degree, cap)
-    df = DensityField(probes, rho, params)
+    df = DensityField(probes, rho)
     write_density(out / "density.csv", probes, rho)
     write_density(out / "majorant.csv", probes, majorant(df, probes, r))
     c_sg = certify_slow_growth(df, epsilon)
@@ -321,18 +318,16 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
     if placement == "multires" and defect is None:
         raise ConfigError("multires placement requires a defect")
     res = convergence_study(
-        js, factory, f, params, degree=degree, epsilon=epsilon, probes=probes,
+        js, factory, f, params, epsilon=epsilon, probes=probes,
         cells_per_rho=int(quad["cells_per_rho"]), rule=str(quad["rule"]),
         defect=np.asarray(defect, dtype=float).reshape(-1) if defect is not None else None,
     )
-    rows = []
-    for i, j in enumerate(res.js):
-        row = (j, float(res.global_errors[i]))
-        if res.defect_errors is not None:
-            row += (float(res.defect_errors[i]),)
-        rows.append(row)
-    header = "j,sup_error" + (",defect_error" if res.defect_errors is not None else "")
-    write_csv(out / "study.csv", header, rows)
+    columns = [list(res.js), res.global_errors.tolist()]
+    header = "j,sup_error"
+    if res.defect_errors is not None:
+        columns.append(res.defect_errors.tolist())
+        header += ",defect_error"
+    write_csv(out / "study.csv", header, columns)
     report = {"js": list(res.js), "global_slope": res.global_slope}
     if res.defect_slope is not None:
         report["defect_slope"] = res.defect_slope
@@ -359,11 +354,11 @@ def cmd_dyadic(block: dict, out: Path, seed: int) -> None:
     good = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
     ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
-    rows = zip(cubes.level.tolist(), *cubes.index.T.tolist(), *cubes.gender.T.tolist(),
-               np.where(good, "good", "bad").tolist())
+    columns = [cubes.level.tolist(), *cubes.index.T.tolist(), *cubes.gender.T.tolist(),
+               np.where(good, "good", "bad").tolist()]
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
-    write_csv(out / "partition.csv", header, rows)
+    write_csv(out / "partition.csv", header, columns)
     rng = np.random.default_rng(seed)
     lo, hi = box
     bound = max_overlap(d, gamma)

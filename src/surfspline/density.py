@@ -9,13 +9,11 @@ set, so the certificates are exact on the samples and heuristic off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .centers import CenterSet, _as_points, _tie_groups
+from .centers import CenterSet, _as_point, _as_points, _tie_groups
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
 #: Effective radius substituted when the minimal candidate radius is zero
@@ -37,36 +35,15 @@ def default_stability_cap(dim: int, degree: int) -> float:
     return 4.0 * polynomial_dim(dim, degree)
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    """Exponents and caps attached to a density field.
+class DensityField:
+    """A sampled density: points (n, d) with strictly positive values.
 
-    degree         -- polynomial precision of the underlying reproductions
-    stability_cap  -- K > 1 bounding the absolute weight sums
-    majorant_exponent -- r > 0, decay rate in the majorant / self-majorization
-    growth_exponent   -- epsilon in (0, 1), the slow-growth exponent
+    The field holds samples only; the reproduction degree that produced them
+    and the exponents they are certified against are arguments of the
+    functions that read it.
     """
 
-    degree: int
-    stability_cap: float
-    majorant_exponent: float
-    growth_exponent: float
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if not self.stability_cap > 1:
-            raise ValueError("stability_cap must exceed 1")
-        if not self.majorant_exponent > 0:
-            raise ValueError("majorant_exponent must be positive")
-        if not 0 < self.growth_exponent < 1:
-            raise ValueError("growth_exponent must lie in (0, 1)")
-
-
-class DensityField:
-    """A sampled density: points (n, d) with strictly positive values."""
-
-    def __init__(self, points, values, params: DensityParams | None = None):
+    def __init__(self, points, values):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -81,7 +58,6 @@ class DensityField:
         vals.setflags(write=False)
         self.points = pts
         self.values = vals
-        self.params = params
         self._tree = cKDTree(pts)
 
     def __len__(self):
@@ -123,7 +99,7 @@ def minimal_density(
     """
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
-    alpha = cs._check_point(alpha)
+    alpha = _as_point(alpha, cs.dim)
     m = polynomial_dim(cs.dim, degree)
     if len(cs) < m:
         raise NoAdmissibleRadius(

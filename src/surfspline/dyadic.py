@@ -20,7 +20,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .centers import _grid_points
+from .centers import _as_point, _grid_points
 from .density import DensityField
 
 
@@ -155,12 +155,12 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
 
 
 def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int:
-    """Number of cubes whose inflated support contains x.
+    """Number of cubes whose inflated support contains the one point x, shape (d,).
 
     For cubes of a fixed level this is bounded by
     ``(2^d - 1) (2 ceil(Gamma) + 1)^d`` independently of x and the level.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _as_point(x, cubes.index.shape[1])
     dist = np.linalg.norm(x - cubes.corner, axis=1)
     return int(np.count_nonzero(dist <= params.gamma * cubes.side))
 

@@ -15,7 +15,7 @@ from math import pi
 
 import numpy as np
 
-from .centers import CenterSet, _as_points
+from .centers import CenterSet, _as_point, _as_points
 from .polyrep import PolyRep
 
 #: Supported ambient dimensions at desk scale.
@@ -30,10 +30,11 @@ def _check_dk(d: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel order, ambient dimension, decay exponent and normalization.
+    """Kernel order, dimension, reproduction degree, decay exponent, normalization.
 
-    ``nu = degree + d - 2k`` is the far-field decay exponent of the local
-    kernel-approximation error for reproductions of precision ``degree``.
+    ``degree`` is the one reproduction degree of ``assemble`` and
+    ``convergence_study``.  ``nu = degree + d - 2k`` is the far-field decay
+    exponent of the local kernel-approximation error at that degree.
     """
 
     d: int
@@ -190,11 +191,11 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     ``eps * |phi|`` long before the true far-field error does, so decay
     studies past a few support radii need both refined weights (see
     :func:`surfspline.polyrep.refine_weights`) and high-precision kernel
-    sums.  ``weights`` accepts a pre-refined mpmath weight list.
+    sums.  ``weights`` accepts a pre-refined mpmath weight list; ``x`` is one point.
     """
     import mpmath as mp
 
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _as_point(x, cs.dim)
     two_k_d = 2 * params.k - params.d
 
     with mp.workdps(dps):

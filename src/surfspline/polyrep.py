@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from .centers import _SOLVE_MEMO_CAP, CenterSet
+from .centers import _SOLVE_MEMO_CAP, CenterSet, _as_point
 
 #: Relative rank tolerance (w.r.t. the largest singular value) separating
 #: genuine unisolvency failures from round-off.
@@ -122,7 +122,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    alpha = cs._check_point(alpha)
+    alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
     return _reproduce(cs, alpha, float(radius), idx, degree)
 

@@ -12,7 +12,7 @@ density, so the integrand is resolved where the reproductions vary fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, build_reproduction
 
 _SQRT3 = np.sqrt(3.0)
+
+#: Support radius of an assembly reproduction, in units of the nearest
+#: density sample.
+_RADIUS_FACTOR = 1.5
 
 
 class AssemblyError(Exception):
@@ -106,25 +110,18 @@ def assemble(
     params: KernelParams,
     qs: QuadratureSpec,
     density: DensityField,
-    radius_factor: float = 1.5,
 ) -> ApproximantDump:
     """Aggregate kernel coefficients for the quasi-interpolant of f.
 
-    At each quadrature node a reproduction of the density's degree is built
-    with support radius ``radius_factor`` times the nearest density sample
-    (the inflation absorbs the sampling error of the density field; any
-    admissible radius preserves the rates).  Nodes whose neighbor offsets,
-    radius and degree match an earlier solve exactly (lattice geometry
-    recurs at many nodes) reuse its weights from the center set's solve memo,
-    bit for bit what a fresh solve would return.
+    At each quadrature node a reproduction of degree ``params.degree`` is
+    built with support radius 1.5 times the nearest density sample (the
+    inflation absorbs the sampling error of the density field; any
+    admissible radius preserves the rates).  Nodes whose neighbor
+    offsets, radius and degree match an earlier solve exactly (lattice
+    geometry recurs at many nodes) reuse its weights from the center set's
+    solve memo, bit for bit what a fresh solve would return.  The theorem's
+    parameter constraints are checked by :func:`convergence_study`, not here.
     """
-    if density.params is None:
-        raise ValueError("density field must carry DensityParams")
-    degree = density.params.degree
-    violations = validate_theorem1_params(params.k, params.d, degree,
-                                         density.params.growth_exponent)
-    if violations:
-        raise ValueError("; ".join(violations))
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
     centers_arr, sides_arr = quadrature_cells(qs, density.nearest)
@@ -134,9 +131,9 @@ def assemble(
         for node, v in zip(nodes, vals):
             if v == 0.0:
                 continue
-            radius = radius_factor * density.nearest(node)
+            radius = _RADIUS_FACTOR * density.nearest(node)
             try:
-                pr = build_reproduction(cs, node, radius, degree)
+                pr = build_reproduction(cs, node, radius, params.degree)
             except ReproductionError as exc:
                 raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
             coeffs[pr.indices] += (w * v) * pr.weights
@@ -182,35 +179,32 @@ def convergence_study(
     center_factory,
     f: RadialBump,
     params: KernelParams,
-    degree: int,
     epsilon: float,
     probes,
     cells_per_rho: int = 4,
     rule: str = "gauss2",
     defect=None,
-    stability_cap: float | None = None,
     density_points_factory=None,
-    radius_factor: float = 1.5,
 ) -> StudyResult:
     """Sup-error versus refinement level, with optional defect-point tracking.
 
-    For each j: generate centers, measure the minimal density on a sample
-    set (by default the centers inside the inflated quadrature domain),
-    assemble the approximant, and record the sup error over ``probes`` and
-    the error at ``defect``; ``probes`` is one point (d,) or a batch (n, d).
-    Slopes are least-squares fits of log2(error) against -j.
+    ``params.degree`` is the degree of the minimal density and of the
+    assembly; a violated constraint of the pointwise theorem raises
+    ``ValueError`` before any level is generated.  For each j: generate
+    centers, measure the minimal density on a sample set (by default the
+    centers inside the inflated quadrature domain), assemble the approximant,
+    and record the sup error over ``probes`` and the error at ``defect``;
+    ``probes`` is one point (d,) or a batch (n, d).  Slopes are least-squares
+    fits of log2(error) against -j.
     """
-    from .density import DensityParams, default_stability_cap
-
     js = tuple(int(j) for j in js)
     if len(js) < 3:
         raise ValueError("need a sweep of at least 3 levels")
+    violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
+    if violations:
+        raise ValueError("; ".join(violations))
     lo = f.center - f.scale
     hi = f.center + f.scale
-    cap = stability_cap if stability_cap is not None else default_stability_cap(f.dim, degree)
-    dparams = DensityParams(degree=degree, stability_cap=cap,
-                            majorant_exponent=(1 - epsilon) / epsilon,
-                            growth_exponent=epsilon)
     g_errors, d_errors = [], []
     for j in js:
         cs = center_factory(j)
@@ -222,10 +216,10 @@ def convergence_study(
             sample_pts = cs.points[inside]
         rho = np.empty(sample_pts.shape[0])
         for i, p in enumerate(sample_pts):
-            rho[i], _ = minimal_density(cs, p, degree, cap)
-        density = DensityField(sample_pts, rho, dparams)
+            rho[i], _ = minimal_density(cs, p, params.degree)
+        density = DensityField(sample_pts, rho)
         qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule, domain=(lo, hi))
-        dump = assemble(cs, f, params, qs, density, radius_factor=radius_factor)
+        dump = assemble(cs, f, params, qs, density)
         approx = evaluate(dump, probes, params)
         exact = f(probes)
         g_errors.append(float(np.max(np.abs(approx - exact))))

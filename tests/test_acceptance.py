@@ -261,8 +261,7 @@ def test_criterion_8_convergence_rates():
         h = 2.0**-j
         return CenterSet(np.arange(np.ceil(-2.5 / h), np.floor(2.5 / h) + 1) * h)
 
-    res_u = convergence_study([3, 4, 5, 6], uniform, f, params,
-                              degree=4, epsilon=0.6, probes=probes)
+    res_u = convergence_study([3, 4, 5, 6], uniform, f, params, epsilon=0.6, probes=probes)
 
     def multires(j):
         spec = MultiresSpec(j=j, k=1, d=1, defect=np.zeros((1, 1)),
@@ -270,9 +269,8 @@ def test_criterion_8_convergence_rates():
         return generate_centers(spec)
 
     params_m = KernelParams(d=1, k=1, degree=7)
-    res_m = convergence_study([3, 4, 5, 6], multires, f, params_m,
-                              degree=7, epsilon=1 / 3, probes=probes,
-                              defect=[0.0])
+    res_m = convergence_study([3, 4, 5, 6], multires, f, params_m, epsilon=1 / 3,
+                              probes=probes, defect=[0.0])
     elapsed = time.perf_counter() - t0
     gap = res_m.defect_slope - res_m.global_slope
     predicted_gap = 2.0  # defect rate 2*(2k) vs global 2k for k = 1

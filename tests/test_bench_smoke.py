@@ -1,0 +1,36 @@
+"""Each benchmark workload, once, at its reduced size, through its own check.
+
+The benchmark (``bench/run.py``) calls the library only through the functions
+in ``bench/workloads.py``; running them here makes a library change that
+breaks the benchmark fail the test suite too.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_runs_and_passes_its_check(tmp_path, name):
+    wl = WORKLOADS[name]
+    inputs = wl.make_inputs(np.random.default_rng(1), True, tmp_path)
+    out = tmp_path / "out"  # the place workload names its centers file under it
+    out.mkdir()
+    wl.repeat(inputs, out)
+    wl.check(inputs, out)

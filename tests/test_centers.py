@@ -128,15 +128,20 @@ def test_neighbor_arrays_property(seed, radius, at_center):
 
 def contract_targets(d):
     """The functions under the point/batch contract, each as x -> value."""
-    from surfspline import (ApproximantDump, DensityField, KernelParams, bump, evaluate,
-                            majorant, phi)
+    from surfspline import (ApproximantDump, DensityField, DyadicParams, KernelParams,
+                            build_reproduction, bump, enumerate_cubes, evaluate,
+                            local_kernel_error_precise, majorant, overlap_count, phi)
 
     rng = np.random.default_rng(4)
     cs = CenterSet(rng.uniform(-1, 1, size=(12, d)))
     params = KernelParams(d=d, k=2, degree=3)
     dump = ApproximantDump(centers=cs, coefficients=rng.normal(size=12))
     df = DensityField(cs.points, np.exp(rng.normal(size=12)))
+    pr = build_reproduction(cs, np.zeros(d), 3.0, 1)
+    cubes = enumerate_cubes((np.full(d, -1.0), np.ones(d)), [1, 2], d)
     return {
+        "overlap_count": lambda x: overlap_count(cubes, x, DyadicParams(1.5, 1.0, 4.0)),
+        "local_kernel_error_precise": lambda x: local_kernel_error_precise(pr, cs, x, params),
         "RadialBump.__call__": bump(5, np.zeros(d), 1.0),
         "evaluate": lambda x: evaluate(dump, x, params),
         "phi": lambda x: phi(x, params),
@@ -146,15 +151,20 @@ def contract_targets(d):
     }
 
 
+#: Functions that take one query point only and reject a batch.
+ONE_POINT = {"CenterSet.neighbor_arrays", "overlap_count", "local_kernel_error_precise"}
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(contract_targets(1)))
 def test_point_batch_contract(name, d):
     fn = contract_targets(d)[name]
     flat = np.linspace(-0.5, 0.5, 5)
     batch = np.stack([flat] * d, axis=1)
-    if name == "CenterSet.neighbor_arrays":  # takes one query point only
-        idx, dist = fn(batch[1])
-        assert idx.shape == dist.shape
+    if name in ONE_POINT:
+        value = fn(batch[1])
+        if name == "CenterSet.neighbor_arrays":
+            assert value[0].shape == value[1].shape
         with pytest.raises(ValueError, match=r"one query point"):
             fn(batch)
     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surfspline.cli import main, read_centers, read_density, write_centers
+from surfspline.cli import ConfigError, main, read_centers, read_density, write_centers
 from surfspline import CenterSet
 
 
@@ -124,6 +124,45 @@ def test_density_unknown_key_before_reading_centers(tmp_path, capsys):
     cfg = density_config(tmp_path, str(tmp_path / "missing.csv"), bogus=1)
     assert main(["density", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("degree", -1), ("stability_cap", 1.0), ("r", 0.0),
+                                       ("epsilon", 1.0)])
+def test_density_bad_value_before_reading_centers(tmp_path, capsys, key, value):
+    cfg = density_config(tmp_path, str(tmp_path / "missing.csv"), **{key: value})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "missing.csv" not in err
+
+
+#: Rejected file bodies, per reader: (reader, case, text); ``None`` text
+#: means no file at all.
+BAD_FILES = [
+    (reader, case, text)
+    for reader, rows in [
+        (read_centers, {"header": "dim,x\n0.5,0\n", "field count": "dim,1\n0.5,0,1\n",
+                        "later field count": "dim,1\n0.5,0\n0.7\n",
+                        "huge dim": "dim,1000000000000\n0.5,0\n",
+                        "non-numeric": "dim,1\nabc,0\n", "level 3.0": "dim,1\n0.5,3.0\n",
+                        "level 1.5": "dim,1\n0.5,1.5\n", "blank line": "dim,1\n0.5,0\n\n0.7,0\n",
+                        "no rows": "dim,1\n", "unreadable": None}),
+        (read_density, {"header": "y1,rho\n0.5,1\n", "field count": "x1,rho\n0.5\n",
+                        "non-numeric": "x1,rho\n0.5,abc\n",
+                        "blank line": "x1,rho\n0.5,1\n\n0.7,1\n",
+                        "no rows": "x1,rho\n", "unreadable": None}),
+    ]
+    for case, text in rows.items()
+]
+
+
+@pytest.mark.parametrize("reader,case,text", BAD_FILES,
+                         ids=[f"{r.__name__}-{c}" for r, c, _ in BAD_FILES])
+def test_csv_reader_rejects(tmp_path, reader, case, text):
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="input.csv"):
+        reader(path)
 
 
 def test_density_empty_centers_file(tmp_path):

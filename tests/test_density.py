@@ -298,10 +298,10 @@ def test_solve_memo_weights_read_only():
                           fresh_witness(cs, [0.25], 1.0, 2).weights)
 
 
-def make_field(rng, n=40, d=2, params=None):
+def make_field(rng, n=40, d=2):
     pts = rng.uniform(-5, 5, size=(n, d))
     vals = np.exp(rng.normal(size=n) * 0.7)
-    return DensityField(pts, vals, params)
+    return DensityField(pts, vals)
 
 
 def test_majorant_constant_field():

@@ -9,7 +9,6 @@ from surfspline import (
     ApproximantDump,
     CenterSet,
     DensityField,
-    DensityParams,
     KernelParams,
     QuadratureSpec,
     assemble,
@@ -29,14 +28,11 @@ def uniform_1d(j, half=2.5):
     return CenterSet(np.arange(np.ceil(-half / h), np.floor(half / h) + 1) * h)
 
 
-def density_for(cs, degree, epsilon, lo=-1.6, hi=1.6):
+def density_for(cs, degree, lo=-1.6, hi=1.6):
     inside = np.all((cs.points >= lo) & (cs.points <= hi), axis=1)
     pts = cs.points[inside]
     rho = np.array([minimal_density(cs, p, degree)[0] for p in pts])
-    params = DensityParams(degree=degree, stability_cap=4.0 * (degree + 1),
-                           majorant_exponent=(1 - epsilon) / epsilon,
-                           growth_exponent=epsilon)
-    return DensityField(pts, rho, params)
+    return DensityField(pts, rho)
 
 
 def test_quadrature_spec_validation():
@@ -77,7 +73,7 @@ def test_quadrature_integral_of_laplacian_vanishes():
 
 def test_assemble_zero_function():
     cs = uniform_1d(3)
-    density = density_for(cs, 4, 0.6)
+    density = density_for(cs, 4)
     params = KernelParams(d=1, k=1, degree=4)
     from surfspline.kernels import RadialBump
 
@@ -90,7 +86,7 @@ def test_assemble_zero_function():
 
 def test_assemble_linearity():
     cs = uniform_1d(3)
-    density = density_for(cs, 4, 0.6)
+    density = density_for(cs, 4)
     params = KernelParams(d=1, k=1, degree=4)
     qs = QuadratureSpec(cells_per_rho=4, rule="gauss2", domain=([-1.0], [1.0]))
     from surfspline.kernels import RadialBump
@@ -103,16 +99,6 @@ def test_assemble_linearity():
     c2 = assemble(cs, f2, params, qs, density).coefficients
     cs_sum = assemble(cs, fsum, params, qs, density).coefficients
     assert np.max(np.abs(cs_sum - (c1 + c2))) <= 1e-12 * max(1.0, np.max(np.abs(c1 + c2)))
-
-
-def test_assemble_rejects_bad_params():
-    cs = uniform_1d(3)
-    density = density_for(cs, 4, 0.6)
-    bad = DensityField(density.points, density.values, None)
-    params = KernelParams(d=1, k=1, degree=4)
-    qs = QuadratureSpec(cells_per_rho=4, rule="gauss2", domain=([-1.0], [1.0]))
-    with pytest.raises(ValueError):
-        assemble(cs, bump(5, [0.0], 1.0), params, qs, bad)
 
 
 def test_evaluate_trivial_cases():
@@ -165,7 +151,7 @@ def test_fit_slope():
 def test_quadrature_refinement_cauchy():
     # errors for cells_per_rho 2 -> 4 -> 8 form a Cauchy sequence
     cs = uniform_1d(4)
-    density = density_for(cs, 4, 0.6)
+    density = density_for(cs, 4)
     params = KernelParams(d=1, k=1, degree=4)
     f = bump(5, [0.0], 1.0)
     probes = np.linspace(-1.2, 1.2, 121)[:, None]
@@ -183,8 +169,7 @@ def test_uniform_convergence_d1():
     f = bump(5, [0.0], 1.0)
     params = KernelParams(d=1, k=1, degree=4)
     probes = np.linspace(-1.2, 1.2, 241)[:, None]
-    res = convergence_study([3, 4, 5], uniform_1d, f, params,
-                            degree=4, epsilon=0.6, probes=probes)
+    res = convergence_study([3, 4, 5], uniform_1d, f, params, epsilon=0.6, probes=probes)
     assert res.global_slope >= 1.5
     assert np.all(np.diff(res.global_errors) < 0)
 
@@ -206,9 +191,21 @@ def test_uniform_convergence_d2():
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         return CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
 
-    res = convergence_study([1, 2, 3], uniform_2d, f, params,
-                            degree=7, epsilon=0.6, probes=probes)
+    res = convergence_study([1, 2, 3], uniform_2d, f, params, epsilon=0.6, probes=probes)
     elapsed = time.perf_counter() - t0
     assert np.all(np.diff(res.global_errors) < 0)
     assert res.global_slope >= 0.75 * 2 * k
     assert elapsed < 10.0, f"2-D rate study took {elapsed:.1f}s, budget 10s"
+
+
+def test_convergence_study_checks_theorem_params_before_placing_centers():
+    # epsilon 0.2 at degree 7, k = 2 violates epsilon > 2k/degree = 4/7
+    from surfspline import convergence_study
+
+    def factory(j):
+        pytest.fail("center_factory ran before the parameter check")
+
+    params = KernelParams(d=2, k=2, degree=7)
+    with pytest.raises(ValueError, match="epsilon 0.2 must exceed 2k/degree"):
+        convergence_study([1, 2, 3], factory, bump(6, [0.0, 0.0], 1.0), params,
+                          epsilon=0.2, probes=np.zeros(2))
