@@ -70,7 +70,7 @@ class CenterSet:
     """
 
     def __init__(self, points, levels=None):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
@@ -82,7 +82,7 @@ class CenterSet:
         self.points = pts
         self.dim = pts.shape[1]
         if levels is not None:
-            levels = np.asarray(levels, dtype=int)
+            levels = np.array(levels, dtype=int)
             if levels.shape != (pts.shape[0],):
                 raise ValueError("levels must have one entry per point")
             levels.setflags(write=False)

@@ -3,8 +3,10 @@
 Four subcommands (``place``, ``density``, ``study``, ``dyadic``), each taking
 ``--config <path>`` and ``--out <dir>`` plus an optional ``--seed``.  Configs
 are strict JSON: unknown keys are rejected so a typo in an exponent name can
-never silently fall back to a default.  All outputs are deterministic given
-(config, seed); floats are serialized with 17 significant digits.
+never silently fall back to a default, and every value is checked for its
+type (:func:`_as`) before any input file is read.  All outputs are
+deterministic given (config, seed); floats are serialized with 17
+significant digits.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -185,21 +188,61 @@ def ensure_consumed(block: dict) -> None:
         raise ConfigError(f"unknown config keys {sorted(block)}")
 
 
-def _box(obj, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _as(kind, value, key: str):
+    """The value of config key ``key`` as ``kind``: ``int``, ``float``, a float
+    ``np.ndarray`` (a number or nested lists of numbers) or a ``Path`` (a string).
+
+    Only finite JSON numbers qualify, and an ``int`` must be whole: a string,
+    a bool, null, a list where a number belongs or 2.5 for an ``int`` is a
+    ConfigError naming the key, never a silent cast or an uncaught TypeError.
+    """
+    if kind is Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} must be a file name, got {json.dumps(value)}")
+        return Path(value)
+    if kind is np.ndarray:
+        def walk(v):
+            return [walk(u) for u in v] if isinstance(v, list) else _as(float, v, key)
+        try:
+            return np.array(walk(value), dtype=float)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"config key {key!r} must hold lists of equal length") from exc
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value) and (kind is float or value == int(value)))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _box(obj, d: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The box's corners, vectors of length d (of one common length if d is None)."""
     if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
         raise ConfigError("box must be {'lo': [...], 'hi': [...]}")
-    lo, hi = np.asarray(obj["lo"], dtype=float), np.asarray(obj["hi"], dtype=float)
-    if lo.shape != (d,) or hi.shape != (d,):
-        raise ConfigError(f"box vectors must have length {d}")
+    lo, hi = _as(np.ndarray, obj["lo"], "box.lo"), _as(np.ndarray, obj["hi"], "box.hi")
+    if lo.ndim != 1 or hi.shape != lo.shape or (d is not None and lo.shape != (d,)):
+        raise ConfigError(f"box vectors must have length {d if d is not None else 'd'}")
     return lo, hi
 
 
-def _probe_grid(obj, d: int) -> np.ndarray:
+def _probe(obj) -> tuple[np.ndarray, np.ndarray, int]:
+    """Corners and points per axis of a probe grid, checked but for their
+    dimension, which :func:`_probe_grid` checks."""
     if not isinstance(obj, dict) or set(obj) != {"lo", "hi", "count"}:
         raise ConfigError("probe must be {'lo': [...], 'hi': [...], 'count': n}")
-    lo, hi = np.asarray(obj["lo"], dtype=float), np.asarray(obj["hi"], dtype=float)
-    n = int(obj["count"])
-    if lo.shape != (d,) or hi.shape != (d,) or n < 2:
+    lo, hi = _as(np.ndarray, obj["lo"], "probe.lo"), _as(np.ndarray, obj["hi"], "probe.hi")
+    n = _as(int, obj["count"], "probe.count")
+    if n < 2:
+        raise ConfigError("bad probe grid")
+    return lo, hi, n
+
+
+def _probe_grid(probe, d: int) -> np.ndarray:
+    lo, hi, n = probe
+    if lo.shape != (d,) or hi.shape != (d,):
         raise ConfigError("bad probe grid")
     return _grid_points([np.linspace(lo[a], hi[a], n) for a in range(d)])
 
@@ -209,15 +252,17 @@ def _probe_grid(obj, d: int) -> np.ndarray:
 
 
 def cmd_place(block: dict, out: Path, seed: int) -> None:
-    d = int(take(block, "d"))
+    d = _as(int, take(block, "d"), "d")
+    degree = take(block, "degree", required=False)
     spec = MultiresSpec(
-        j=int(take(block, "j")),
-        k=int(take(block, "k")),
+        j=_as(int, take(block, "j"), "j"),
+        k=_as(int, take(block, "k"), "k"),
         d=d,
-        defect=np.asarray(take(block, "defect"), dtype=float),
+        defect=_as(np.ndarray, take(block, "defect"), "defect"),
         box=_box(take(block, "box"), d),
-        epsilon=float(take(block, "epsilon", required=False, default=1.0 / 3.0)),
-        degree=take(block, "degree", required=False),
+        epsilon=_as(float, take(block, "epsilon", required=False, default=1.0 / 3.0),
+                    "epsilon"),
+        degree=_as(int, degree, "degree") if degree is not None else None,
     )
     ensure_consumed(block)
     plan = build_ring_plan(spec)
@@ -244,20 +289,21 @@ def cmd_place(block: dict, out: Path, seed: int) -> None:
 
 
 def cmd_density(block: dict, out: Path, seed: int) -> None:
-    centers_file = Path(take(block, "centers_file"))
-    degree = int(take(block, "degree"))
-    epsilon = float(take(block, "epsilon"))
-    r = float(take(block, "r"))
+    centers_file = _as(Path, take(block, "centers_file"), "centers_file")
+    degree = _as(int, take(block, "degree"), "degree")
+    epsilon = _as(float, take(block, "epsilon"), "epsilon")
+    r = _as(float, take(block, "r"), "r")
     cap = take(block, "stability_cap", required=False)
-    probe = take(block, "probe")
+    cap = _as(float, cap, "stability_cap") if cap is not None else None
+    probe = _probe(take(block, "probe"))
     ensure_consumed(block)
     for key, ok, rule in (("degree", degree >= 0, ">= 0"), ("r", r > 0, "> 0"),
                           ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
-                          ("stability_cap", cap is None or float(cap) > 1, "> 1")):
+                          ("stability_cap", cap is None or cap > 1, "> 1")):
         if not ok:
             raise ConfigError(f"config key {key!r} must be {rule}")
     cs = read_centers(centers_file)
-    cap = float(cap) if cap is not None else default_stability_cap(cs.dim, degree)
+    cap = cap if cap is not None else default_stability_cap(cs.dim, degree)
     probes = _probe_grid(probe, cs.dim)
     rho = np.empty(probes.shape[0])
     for i, p in enumerate(probes):
@@ -280,11 +326,14 @@ def cmd_density(block: dict, out: Path, seed: int) -> None:
 
 
 def cmd_study(block: dict, out: Path, seed: int) -> None:
-    d = int(take(block, "d"))
-    k = int(take(block, "k"))
-    degree = int(take(block, "degree"))
-    epsilon = float(take(block, "epsilon"))
-    js = [int(j) for j in take(block, "js")]
+    d = _as(int, take(block, "d"), "d")
+    k = _as(int, take(block, "k"), "k")
+    degree = _as(int, take(block, "degree"), "degree")
+    epsilon = _as(float, take(block, "epsilon"), "epsilon")
+    js = take(block, "js")
+    if not isinstance(js, list):
+        raise ConfigError(f"config key 'js' must be a list of levels, got {json.dumps(js)}")
+    js = [_as(int, j, "js") for j in js]
     if len(js) < 3:
         raise ConfigError("js sweep must have length >= 3")
     placement = take(block, "placement")
@@ -297,13 +346,17 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
                 default={"cells_per_rho": 4, "rule": "gauss2"})
     if not isinstance(quad, dict) or set(quad) != {"cells_per_rho", "rule"}:
         raise ConfigError("quadrature must be {'cells_per_rho': m, 'rule': ...}")
+    cells_per_rho = _as(int, quad["cells_per_rho"], "quadrature.cells_per_rho")
     box = _box(take(block, "box"), d)
-    probes = _probe_grid(take(block, "probe"), d)
+    probes = _probe_grid(_probe(take(block, "probe")), d)
     defect = take(block, "defect", required=False)
+    if defect is not None:
+        defect = _as(np.ndarray, defect, "defect")
     ensure_consumed(block)
 
     params = KernelParams(d=d, k=k, degree=degree)
-    f = bump(int(bump_cfg["exponent"]), np.zeros(d), float(bump_cfg["scale"]))
+    f = bump(_as(int, bump_cfg["exponent"], "bump.exponent"), np.zeros(d),
+             _as(float, bump_cfg["scale"], "bump.scale"))
 
     def factory(j):
         if placement == "uniform":
@@ -311,16 +364,16 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
             axes = [np.arange(int(np.ceil(lo / h)), int(np.floor(hi / h)) + 1) * h
                     for lo, hi in zip(*box)]
             return CenterSet(_grid_points(axes))
-        spec = MultiresSpec(j=j, k=k, d=d, defect=np.asarray(defect, dtype=float),
-                            box=box, epsilon=epsilon, degree=degree)
+        spec = MultiresSpec(j=j, k=k, d=d, defect=defect, box=box, epsilon=epsilon,
+                            degree=degree)
         return generate_centers(spec)
 
     if placement == "multires" and defect is None:
         raise ConfigError("multires placement requires a defect")
     res = convergence_study(
         js, factory, f, params, epsilon=epsilon, probes=probes,
-        cells_per_rho=int(quad["cells_per_rho"]), rule=str(quad["rule"]),
-        defect=np.asarray(defect, dtype=float).reshape(-1) if defect is not None else None,
+        cells_per_rho=cells_per_rho, rule=str(quad["rule"]),
+        defect=defect.reshape(-1) if defect is not None else None,
     )
     columns = [list(res.js), res.global_errors.tolist()]
     header = "j,sup_error"
@@ -335,22 +388,25 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
 
 
 def cmd_dyadic(block: dict, out: Path, seed: int) -> None:
-    density_file = Path(take(block, "density_file"))
-    gamma = float(take(block, "gamma"))
-    sigma = float(take(block, "sigma"))
-    two_k = float(take(block, "two_k"))
-    r = float(take(block, "r"))
+    density_file = _as(Path, take(block, "density_file"), "density_file")
+    gamma = _as(float, take(block, "gamma"), "gamma")
+    sigma = _as(float, take(block, "sigma"), "sigma")
+    two_k = _as(float, take(block, "two_k"), "two_k")
+    r = _as(float, take(block, "r"), "r")
     levels = take(block, "levels")
     if not (isinstance(levels, list) and len(levels) == 2):
         raise ConfigError("levels must be [lo, hi]")
-    overlap_points = int(take(block, "overlap_points", required=False, default=20))
+    levels = [_as(int, lv, "levels") for lv in levels]
+    overlap_points = _as(int, take(block, "overlap_points", required=False, default=20),
+                         "overlap_points")
     box = take(block, "box")
+    _box(box, None)  # its length is checked against the density file's
     ensure_consumed(block)
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(density_file)
     box = _box(box, df.dim)
     d = df.dim
-    cubes = enumerate_cubes(box, range(int(levels[0]), int(levels[1]) + 1), d)
+    cubes = enumerate_cubes(box, range(levels[0], levels[1] + 1), d)
     good = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
     ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)

@@ -3,15 +3,18 @@
 The minimal local density at a point is the smallest radius capturing a
 stable polynomial reproduction.  A density field is represented by samples
 ``(point, rho)``; the majorant and the two global-compatibility properties
-(slow growth, self-majorization) are evaluated exhaustively over the sample
-set, so the certificates are exact on the samples and heuristic off them.
+(slow growth, self-majorization) are extrema over pairs of samples.  A
+kd-tree pair engine skips the pairs that provably cannot reach the extremum,
+so the certificates stay exact on the samples (bit for bit an exhaustive
+scan) and heuristic off them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .centers import CenterSet, _as_point, _as_points, _tie_groups
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
@@ -44,10 +47,10 @@ class DensityField:
     """
 
     def __init__(self, points, values):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)  # copies: freezing them leaves the caller's
         if pts.ndim == 1:
             pts = pts[:, None]
-        vals = np.asarray(values, dtype=float).reshape(-1)
+        vals = np.array(values, dtype=float).reshape(-1)
         if pts.shape[0] != vals.shape[0] or pts.shape[0] == 0:
             raise ValueError("need one value per sample point, at least one sample")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
@@ -152,34 +155,123 @@ def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
 
     The max runs over the sample set, so this lower-bounds the true
     supremum and is exact whenever the supremum is attained on a sample.
-    Returns a float for one point x and an (n,) array for a batch.
+    Returns a float for one point x and an (n,) array for a batch.  The
+    pair engine prunes with the bound ``rho_max (1 + |x-y|/rho_max)^(-r)`` on
+    each term (a term grows with rho(y)), which falls with the distance; the
+    value is the one an exhaustive scan returns, bit for bit.
     """
     if not r > 0:
         raise ValueError("r must be positive")
     pts, single = _as_points(x, df.dim)
-    out = _chunked_pair_extremum(df, pts, lambda rows, d, vy: vy * (1.0 + d / vy) ** (-r),
-                                 np.max)
+    v, top = df.values, float(np.max(df.values))
+    out = _pair_extremum(
+        df, pts, lambda i, j, d: v[j] * (1.0 + d / v[j]) ** (-r),
+        lambda best, i: top * ((top / best) ** (1.0 / r) - 1.0), maximize=True, shared=False)
     return float(out[0]) if single else out
 
 
-#: Rows per distance block in :func:`_chunked_pair_extremum`.
+#: Rows per block of :func:`_pair_extremum`; a block holds at most
+#: ``_PAIR_CHUNK * len(df)`` pairs.
 _PAIR_CHUNK = 512
 
+#: Inputs of at most this many pairs are scanned whole: below it the pruning
+#: costs more than it saves.
+_SCAN_PAIRS = 32768
 
-def _chunked_pair_extremum(df: DensityField, x: np.ndarray, ratio_fn, reduce_fn) -> np.ndarray:
-    """Per-row extremum over the samples y of ratio_fn(rows, |x - y|, rho_y).
+#: Relative slack on the pruning bound, and relative and absolute pad on each
+#: cutoff radius: far above the rounding of a ratio, of a radius and of the
+#: kd-tree's squared distances, so pruning keeps extra pairs, never drops one.
+_CUTOFF_PAD = 1e-9
 
-    ``x`` is an (n, d) array and ``rows`` the slice of x in the current
-    block, by which a ratio that needs rho at x (x being the samples) selects
-    it.  Returns an (n,) array; max and min are exact, so neither the
-    blocking nor a further reduction over the rows changes any bit.
+
+def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| over the last axis of two broadcasting arrays, bit for bit
+    ``cdist``'s value: squared differences summed over the axes in order,
+    then one sqrt."""
+    sq = np.square(x[..., 0] - y[..., 0])
+    for a in range(1, x.shape[-1]):
+        diff = x[..., a] - y[..., a]
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
+
+
+def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: bool,
+                   shared: bool) -> np.ndarray:
+    """Per-row extremum over the samples y_j of ``ratio(i, j, |x_i - y_j|)``.
+
+    ``x`` is an (n, d) array; ``ratio`` maps broadcasting arrays of row
+    indices i, sample indices j and their distances to the pair values.
+    Returns an (n,) array, each entry the max (``maximize``) or min over all
+    samples, bit for bit what an exhaustive ``cdist`` scan gives.
+
+    Exactness.  A first bound ``best`` comes from the exact ratios of each
+    row's ``2^d + 1`` nearest samples: per row, or with ``shared`` one value
+    for all rows (whose extremum the caller takes).  ``cutoff(b, i)`` gives,
+    for rows i, a radius R_i beyond which no pair's ratio can reach b in
+    exact arithmetic; it is called with ``best`` loosened by the relative
+    slack ``_CUTOFF_PAD``, which covers the rounding of the ratio, and each
+    R_i is padded by ``_CUTOFF_PAD`` relative and absolute, which covers the
+    rounding of R_i and of the tree's squared distances.  So every pair
+    whose computed ratio beats ``best`` lies in the kd-tree ball of radius
+    R_i; a non-finite R_i becomes the farthest any sample lies from x_i, and
+    rows with R_i < 0 have no such pair.  Each kept pair's distance equals
+    ``cdist``'s bit for bit (:func:`_pair_distances`) and goes through the
+    same ratio expression, and max/min are exact in any order, so pruning
+    changes no bit.
+
+    Inputs of at most ``_SCAN_PAIRS`` pairs, and blocks whose balls hold
+    more than an eighth of their pairs, are scanned against every sample
+    instead: that is cheaper than pruning them (or listing their hits), and
+    a superset of the kept pairs.
     """
-    out = np.empty(len(x))
-    for start in range(0, len(x), _PAIR_CHUNK):
-        rows = slice(start, start + _PAIR_CHUNK)
-        out[rows] = reduce_fn(ratio_fn(rows, cdist(x[rows], df.points), df.values[None, :]),
-                              axis=1)
-    return out
+    extremum = np.maximum if maximize else np.minimum
+    everyone = np.arange(len(df))
+
+    def scan(b):  # rows b against every sample
+        dist = _pair_distances(x[b, None, :], df.points[None, :, :])
+        return extremum.reduce(ratio(b[:, None], everyone, dist), axis=1)
+
+    n = len(x)
+    rows = np.arange(n)
+    if n * len(df) <= _SCAN_PAIRS:
+        return scan(rows)
+    blocks = [rows[s:s + _PAIR_CHUNK] for s in range(0, n, _PAIR_CHUNK)]
+    k = min(2**df.dim + 1, len(df))
+    best = np.empty(n)
+    for b in blocks:
+        _, near = df._tree.query(x[b], k=k)
+        near = near.reshape(len(b), k)
+        dist = _pair_distances(x[b, None, :], df.points[near])
+        best[b] = extremum.reduce(ratio(b[:, None], near, dist), axis=1)
+    if shared:
+        best[:] = extremum.reduce(best)
+    loose = best * (1.0 - _CUTOFF_PAD if maximize else 1.0 + _CUTOFF_PAD)
+    lo, hi = df.points.min(axis=0), df.points.max(axis=0)
+    for b in blocks:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            radius = cutoff(loose[b], b)
+        reach = np.linalg.norm(x[b] - (lo + hi) / 2, axis=1) + np.linalg.norm(hi - lo) / 2
+        radius = np.where(np.isfinite(radius), np.minimum(radius, reach), reach)
+        keep = radius >= 0
+        if not keep.any():
+            continue
+        dense = bool(np.all(radius == reach))
+        b, radius = b[keep], radius[keep] * (1.0 + _CUTOFF_PAD) + _CUTOFF_PAD
+        if not dense:
+            counts = df._tree.query_ball_point(x[b], radius, return_length=True)
+            dense = 8 * int(counts.sum()) > b.size * len(df)
+        if dense:
+            best[b] = extremum(best[b], scan(b))
+            continue
+        hits = df._tree.query_ball_point(x[b], radius, return_sorted=False)
+        i = np.repeat(b, counts)
+        j = np.fromiter(chain.from_iterable(hits), np.intp, i.size)
+        del hits
+        vals = ratio(i, j, _pair_distances(x[i], df.points[j]))
+        some = counts > 0
+        best[b[some]] = extremum(best[b[some]],
+                                 extremum.reduceat(vals, (np.cumsum(counts) - counts)[some]))
+    return best
 
 
 def certify_slow_growth(df: DensityField, epsilon: float) -> float:
@@ -187,16 +279,19 @@ def certify_slow_growth(df: DensityField, epsilon: float) -> float:
 
     Returns the max over ordered pairs (x, alpha) of
     ``rho(alpha) / [rho(x) (1 + |x-alpha|/rho(x))^(1-epsilon)]``.
-    The diagonal pair contributes exactly 1, so the result is >= 1.
+    The diagonal pair contributes exactly 1, so the result is >= 1.  The
+    pair engine prunes with the bound ``rho_max / [rho(x) (1 +
+    |x-alpha|/rho(x))^(1-epsilon)]``, which falls with the distance; the
+    value is the one an exhaustive scan returns, bit for bit.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    vx = df.values[:, None]
-    return float(np.max(_chunked_pair_extremum(
+    v, top = df.values, float(np.max(df.values))
+    return float(np.max(_pair_extremum(
         df, df.points,
-        lambda rows, d, va: va / (vx[rows] * (1.0 + d / vx[rows]) ** (1.0 - epsilon)),
-        np.max,
-    )))
+        lambda i, j, d: v[j] / (v[i] * (1.0 + d / v[i]) ** (1.0 - epsilon)),
+        lambda best, i: v[i] * ((top / (best * v[i])) ** (1.0 / (1.0 - epsilon)) - 1.0),
+        maximize=True, shared=True)))
 
 
 def certify_self_majorization(df: DensityField, r: float) -> float:
@@ -204,16 +299,19 @@ def certify_self_majorization(df: DensityField, r: float) -> float:
 
     Returns the min over ordered pairs (x, y) of
     ``rho(y) / [rho(x) (1 + |x-y|/rho(x))^(-r)]``; always <= 1 because the
-    diagonal pair contributes exactly 1.
+    diagonal pair contributes exactly 1.  The pair engine prunes with the
+    bound ``rho_min / [rho(x) (1 + |x-y|/rho(x))^(-r)]``, which grows with
+    the distance; the value is the one an exhaustive scan returns, bit for
+    bit.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    vx = df.values[:, None]
-    return float(np.min(_chunked_pair_extremum(
+    v, bottom = df.values, float(np.min(df.values))
+    return float(np.min(_pair_extremum(
         df, df.points,
-        lambda rows, d, vy: vy / (vx[rows] * (1.0 + d / vx[rows]) ** (-r)),
-        np.min,
-    )))
+        lambda i, j, d: v[j] / (v[i] * (1.0 + d / v[i]) ** (-r)),
+        lambda best, i: v[i] * ((best * v[i] / bottom) ** (1.0 / r) - 1.0),
+        maximize=False, shared=True)))
 
 
 def lemma_transfer_sm_to_sg(c_sm: float, r: float) -> tuple[float, float]:

@@ -189,8 +189,9 @@ def convergence_study(
     """Sup-error versus refinement level, with optional defect-point tracking.
 
     ``params.degree`` is the degree of the minimal density and of the
-    assembly; a violated constraint of the pointwise theorem raises
-    ``ValueError`` before any level is generated.  For each j: generate
+    assembly; a violated constraint of the pointwise theorem or a bad
+    quadrature (``cells_per_rho``, ``rule``) raises ``ValueError`` before any
+    level is generated.  For each j: generate
     centers, measure the minimal density on a sample set (by default the
     centers inside the inflated quadrature domain), assemble the approximant,
     and record the sup error over ``probes`` and the error at ``defect``;
@@ -205,6 +206,7 @@ def convergence_study(
         raise ValueError("; ".join(violations))
     lo = f.center - f.scale
     hi = f.center + f.scale
+    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule, domain=(lo, hi))
     g_errors, d_errors = [], []
     for j in js:
         cs = center_factory(j)
@@ -218,7 +220,6 @@ def convergence_study(
         for i, p in enumerate(sample_pts):
             rho[i], _ = minimal_density(cs, p, params.degree)
         density = DensityField(sample_pts, rho)
-        qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule, domain=(lo, hi))
         dump = assemble(cs, f, params, qs, density)
         approx = evaluate(dump, probes, params)
         exact = f(probes)

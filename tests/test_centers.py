@@ -18,6 +18,23 @@ def test_nonfinite_rejection():
         CenterSet([[0.0], [np.nan]])
 
 
+def test_constructors_copy_before_freezing():
+    from surfspline import DensityField
+
+    rng = np.random.default_rng(0)
+    p, v, q = rng.uniform(size=(5, 2)), rng.uniform(1, 2, size=5), rng.uniform(size=(5, 2))
+    lv = np.arange(5)
+    df, cs = DensityField(p, v), CenterSet(q, levels=lv)
+    for caller in (p, v, q, lv):
+        assert caller.flags.writeable
+    for frozen in (df.points, df.values, cs.points, cs.levels):
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError):
+            frozen[0] = 0
+    p[0], q[0] = 9.0, 9.0  # the caller's edits do not reach the objects
+    assert df.points[0, 0] != 9.0 and cs.points[0, 0] != 9.0
+
+
 def test_dimension_mismatch():
     cs = CenterSet([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):

@@ -250,6 +250,65 @@ def test_dyadic_unknown_key_before_reading_density(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def study_block(**overrides):
+    block = {"d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
+             "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},
+             "box": {"lo": [-2.5], "hi": [2.5]},
+             "probe": {"lo": [-1.2], "hi": [1.2], "count": 41}}
+    block.update(overrides)
+    return block
+
+
+def dyadic_block(tmp_path, **overrides):
+    block = {"density_file": str(tmp_path / "missing.csv"), "gamma": 1.5, "sigma": 1.0,
+             "two_k": 2.0, "r": 1.0, "levels": [0, 2], "box": {"lo": [-1.0], "hi": [1.0]}}
+    block.update(overrides)
+    return block
+
+
+#: Wrongly typed config values: (command, overrides, key the error must name).
+BAD_VALUES = [
+    ("place", {"d": [1]}, "d"),
+    ("place", {"j": "x"}, "j"),
+    ("place", {"d": 2.5}, "d"),
+    ("place", {"degree": "7"}, "degree"),
+    ("place", {"defect": [["a"]]}, "defect"),
+    ("density", {"r": "x"}, "r"),
+    ("density", {"degree": 4.5}, "degree"),
+    ("density", {"stability_cap": True}, "stability_cap"),
+    ("density", {"centers_file": None}, "centers_file"),
+    ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": "17"}}, "probe.count"),
+    ("study", {"quadrature": {"cells_per_rho": None, "rule": "gauss2"}},
+     "quadrature.cells_per_rho"),
+    ("study", {"d": [1]}, "d"),
+    ("study", {"js": 5}, "js"),
+    ("study", {"js": [3, 4, "5"]}, "js"),
+    ("study", {"epsilon": float("nan")}, "epsilon"),
+    ("study", {"bump": {"exponent": 5.5, "scale": 1.0}}, "bump.exponent"),
+    ("study", {"box": {"lo": {"a": 1}, "hi": [2.5]}}, "box.lo"),
+    ("dyadic", {"levels": [0, "x"]}, "levels"),
+    ("dyadic", {"overlap_points": 2.5}, "overlap_points"),
+    ("dyadic", {"gamma": None}, "gamma"),
+    ("dyadic", {"density_file": 3}, "density_file"),
+    ("dyadic", {"box": {"lo": [-1.0], "hi": ["1"]}}, "box.hi"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,key", BAD_VALUES,
+                         ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(BAD_VALUES)])
+def test_wrongly_typed_config_value(tmp_path, capsys, command, overrides, key):
+    block = {"place": lambda: json.loads(Path(place_config(tmp_path)).read_text())["place"],
+             "density": lambda: json.loads(Path(density_config(
+                 tmp_path, str(tmp_path / "missing.csv"))).read_text())["density"],
+             "study": study_block,
+             "dyadic": lambda: dyadic_block(tmp_path)}[command]()
+    block.update(overrides)
+    cfg = write_config(tmp_path, "bad.json", {command: block})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and "missing.csv" not in err
+
+
 def test_round_trip_centers(tmp_path):
     out = run_place(tmp_path)
     cs = read_centers(out / "centers.csv")

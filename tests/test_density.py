@@ -1,9 +1,12 @@
 """Density fields: minimal density, majorant, certificates, lemma transfers."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from surfspline import (
     CenterSet,
@@ -344,6 +347,162 @@ def test_majorant_of_majorant_constant():
     ratio = hh / h
     assert np.all(ratio >= 1 - 1e-12)
     assert np.max(ratio) < 10.0  # finite constant multiple
+
+
+# -- the pair engine against an exhaustive cdist scan ----------------------
+
+
+def brute_self_majorization(df, r):
+    vx, d = df.values[:, None], cdist(df.points, df.points)
+    return float(np.min(df.values / (vx * (1.0 + d / vx) ** (-r))))
+
+
+def brute_slow_growth(df, epsilon):
+    vx, d = df.values[:, None], cdist(df.points, df.points)
+    return float(np.max(df.values / (vx * (1.0 + d / vx) ** (1.0 - epsilon))))
+
+
+def brute_majorant(df, x, r):
+    vy, d = df.values[None, :], cdist(np.atleast_2d(x), df.points)
+    return np.max(vy * (1.0 + d / vy) ** (-r), axis=1)
+
+
+@contextmanager
+def engine(forced, counts=None, chunk=3):
+    """With ``forced``, prune even the smallest inputs, in blocks of ``chunk``
+    rows; ``counts`` collects the number of pairs each distance call evaluates."""
+    import surfspline.density as density
+
+    distances = density._pair_distances
+
+    def counted(x, y):
+        out = distances(x, y)
+        counts.append(out.size)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if forced:
+            mp.setattr(density, "_SCAN_PAIRS", 0)
+            mp.setattr(density, "_PAIR_CHUNK", chunk)
+        if counts is not None:
+            mp.setattr(density, "_pair_distances", counted)
+        yield
+
+
+def assert_matches_brute_force(df, r, epsilon, probes):
+    for forced in (False, True):
+        with engine(forced):
+            assert certify_self_majorization(df, r) == brute_self_majorization(df, r)
+            assert certify_slow_growth(df, epsilon) == brute_slow_growth(df, epsilon)
+            assert np.array_equal(majorant(df, probes, r), brute_majorant(df, probes, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 120),
+       st.floats(0.0, 4.0), st.floats(0.05, 5.0), st.floats(0.01, 0.99))
+def test_pair_engine_matches_brute_force(seed, d, n, spread, r, epsilon):
+    # log-normal fields at any scale: off-diagonal extrema once spread > 0,
+    # probes near the samples and far outside their hull
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    df = DensityField(rng.uniform(-5, 5, size=(n, d)) * scale,
+                      np.exp(rng.normal(size=n) * spread) * scale * rng.uniform(0.01, 1))
+    probes = rng.uniform(-5, 5, size=(7, d)) * scale * 10.0 ** rng.uniform(0, 6, size=(7, 1))
+    assert_matches_brute_force(df, r, epsilon, probes)
+
+
+def test_pair_engine_criterion_2_fields():
+    rng = np.random.default_rng(101)  # the fields of acceptance criterion 2
+    for _ in range(100):
+        n, d = int(rng.integers(20, 201)), int(rng.integers(1, 3))
+        df = DensityField(rng.uniform(-5, 5, size=(n, d)), np.exp(rng.normal(size=n) * 0.8))
+        for forced in (False, True):
+            with engine(forced, chunk=64):
+                for r in (1.0, 2.0, 3.0):
+                    assert certify_self_majorization(df, r) == brute_self_majorization(df, r)
+                    eps = 1.0 / (r + 1.0)
+                    assert certify_slow_growth(df, eps) == brute_slow_growth(df, eps)
+
+
+def test_pair_engine_one_sample():
+    df = DensityField([[0.5, -1.0]], [0.3])
+    probes = np.array([[0.5, -1.0], [2.0, 7.0], [1e8, -1e8]])
+    assert certify_self_majorization(df, 2.0) == 1.0
+    assert certify_slow_growth(df, 0.5) == 1.0
+    assert_matches_brute_force(df, 2.0, 0.5, probes)
+
+
+def test_pair_engine_prunes_smooth_field():
+    # the bench's analytic Remark-1 profile: the diagonal decides both certificates
+    xs = np.linspace(-0.5, 0.5, 33)
+    pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    rho0 = 5 * np.sqrt(2.0) * 2.0**-6
+    df = DensityField(pts, np.minimum(rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0)
+                                      ** (2.0 / 3.0), 2.0**-3))
+    counts = []
+    with engine(False, counts):
+        assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
+        assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
+    assert sum(counts) < 0.05 * 2 * len(df) ** 2
+
+
+def test_pair_engine_without_pruning():
+    rng = np.random.default_rng(23)
+    n = 300
+    df = DensityField(rng.uniform(-1, 1, size=(n, 2)), np.exp(rng.normal(size=n)))
+    # far probes: every ball holds every sample, so every pair is scanned
+    probes = rng.uniform(-1, 1, size=(40, 2)) + 1e6
+    counts = []
+    with engine(True, counts):
+        assert np.array_equal(majorant(df, probes, 0.5), brute_majorant(df, probes, 0.5))
+    assert sum(counts) >= len(probes) * n
+    # samples closer together than the cutoff pad: no pair can be pruned
+    tight = DensityField(rng.uniform(size=(60, 2)) * 1e-12, np.exp(rng.normal(size=60)))
+    assert_matches_brute_force(tight, 1.5, 0.3, tight.points[:5] + 1.0)
+
+
+#: Fields in which the decisive pair (x, y) lies exactly at the cutoff
+#: distance D of the nearest-sample bound (best = 1), or ``offset`` from it,
+#: out of reach of x's nearest samples; 40 samples far away keep every block's
+#: balls small, so the kept pairs are listed from the tree, not scanned.
+def cutoff_field(kind, offset):
+    far = list(-1000.0 - 50.0 * np.arange(40))
+    if kind == "self_majorization":  # rho_min at 0, x at D = 2, r = 1: C = (2 + D) / 4
+        D = 2.0 + offset
+        return DensityField([0.0, D, D + 0.25, D + 0.5, D + 0.75] + far, [1.0] + [2.0] * 44)
+    # x at 0 and rho_max at D: slow growth with epsilon = 1/2 at D = 15,
+    # C = 4 / sqrt(1 + D); the majorant at 0 with r = 1 at D = 12, H = 16 / (4 + D)
+    D = (15.0 if kind == "slow_growth" else 12.0) + offset
+    return DensityField([0.0, -0.25, -0.5, D] + far, [1.0, 1.0, 1.0, 4.0] + [1.0] * 40)
+
+
+@pytest.mark.parametrize("offset", [0.0, -2.0**-40, 2.0**-40, -2.0**-20])
+@pytest.mark.parametrize("kind", ["self_majorization", "slow_growth", "majorant"])
+def test_pair_engine_pair_at_cutoff(kind, offset):
+    df = cutoff_field(kind, offset)
+    with engine(True):
+        if kind == "self_majorization":
+            got, want = certify_self_majorization(df, 1.0), brute_self_majorization(df, 1.0)
+        elif kind == "slow_growth":
+            got, want = certify_slow_growth(df, 0.5), brute_slow_growth(df, 0.5)
+        else:
+            got, want = majorant(df, [0.0], 1.0), float(brute_majorant(df, [0.0], 1.0)[0])
+    assert got == want
+    if offset < 0:  # the pair beats the nearest-sample bound 1
+        assert got != 1.0
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_pair_distances_match_cdist(d):
+    from surfspline.density import _pair_distances
+
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(30, d)) * 10.0 ** rng.uniform(-4, 4, size=(30, 1))
+    y = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-4, 4, size=(40, 1))
+    ref = cdist(x, y)
+    assert np.array_equal(_pair_distances(x[:, None, :], y[None, :, :]), ref)
+    i, j = rng.integers(30, size=200), rng.integers(40, size=200)
+    assert np.array_equal(_pair_distances(x[i], y[j]), ref[i, j])
 
 
 def test_slow_growth_constant_field():

@@ -209,3 +209,17 @@ def test_convergence_study_checks_theorem_params_before_placing_centers():
     with pytest.raises(ValueError, match="epsilon 0.2 must exceed 2k/degree"):
         convergence_study([1, 2, 3], factory, bump(6, [0.0, 0.0], 1.0), params,
                           epsilon=0.2, probes=np.zeros(2))
+
+
+@pytest.mark.parametrize("quadrature,message", [({"rule": "simpson"}, "rule must be"),
+                                                ({"cells_per_rho": 1}, "cells_per_rho")])
+def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, message):
+    from surfspline import convergence_study
+
+    def factory(j):
+        pytest.fail("center_factory ran before the quadrature check")
+
+    params = KernelParams(d=1, k=1, degree=4)
+    with pytest.raises(ValueError, match=message):
+        convergence_study([3, 4, 5], factory, bump(5, [0.0], 1.0), params, epsilon=0.6,
+                          probes=np.zeros(1), **quadrature)
