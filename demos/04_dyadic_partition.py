@@ -39,7 +39,7 @@ print(f"certified self-majorization: C_sm = {c_sm:.4f} at r = {r}")
 params = DyadicParams(gamma=2.0, sigma=1.5, two_k=4.0)
 box = (np.full(2, -0.5), np.full(2, 0.5))
 cubes = enumerate_cubes(box, range(0, 7), 2)
-good = classify(cubes, df, params)
+good, rho_min = classify(cubes, df, params)
 print(f"\nclassified {len(cubes)} gendered cubes over levels 0..6:")
 for lv in np.unique(cubes.level):
     at = cubes.level == lv
@@ -47,7 +47,7 @@ for lv in np.unique(cubes.level):
     b = np.count_nonzero(at) - g
     print(f"  level {lv}: {g:5d} good  {b:6d} bad   (side 2^-{lv})")
 
-ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
+ratio = bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r)
 print(f"\nbad-cube sidelength bound: max ratio {ratio:.4f} (must be <= 1)")
 
 rng = np.random.default_rng(0)

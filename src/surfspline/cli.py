@@ -2,13 +2,14 @@
 
 Four subcommands (``place``, ``density``, ``study``, ``dyadic``), each taking
 ``--config <path>`` and ``--out <dir>`` plus an optional ``--seed``.  Configs
-are strict JSON: unknown keys are rejected so a typo in an exponent name can
-never silently fall back to a default, and every value is checked for its
-type (:func:`_as`) before any input file is read.  All outputs are
-deterministic given (config, seed); floats are serialized with 17
-significant digits.
+are strict JSON, checked whole against :data:`SCHEMAS` before a command
+runs: an unknown or missing key at any depth, or a value of the wrong type,
+is rejected naming its dotted key.  Value ranges are checked before any
+input file is read.  All outputs are deterministic given (config, seed);
+floats are serialized with 17 significant digits.
 
-Exit codes: 0 success, 1 numerical failure, 2 input/config error.
+Exit codes: 0 success, 1 numerical failure, 2 input/config error (running
+out of memory too: the config alone sets the array sizes).
 """
 
 from __future__ import annotations
@@ -157,49 +158,76 @@ def read_density(path: Path) -> DensityField:
 # strict config handling
 
 
+_BOX = {"lo": np.ndarray, "hi": np.ndarray}
+_PROBE = {"lo": np.ndarray, "hi": np.ndarray, "count": int}
+
+#: Each command's config block: ``key: kind`` for a required key and
+#: ``key: (kind, default)`` for an optional one.  A kind is ``int``,
+#: ``float``, ``str``, ``Path`` (a file name), ``np.ndarray`` (a number or
+#: nested lists of numbers, as floats), ``[kind]`` (a list) or a dict of
+#: this form (a nested block).
+SCHEMAS = {
+    "place": {"j": int, "k": int, "d": int, "defect": np.ndarray, "box": _BOX,
+              "epsilon": (float, 1.0 / 3.0), "degree": (int, None)},
+    "density": {"centers_file": Path, "degree": int, "epsilon": float, "r": float,
+                "stability_cap": (float, None), "probe": _PROBE},
+    "study": {"d": int, "k": int, "degree": int, "epsilon": float, "js": [int],
+              "placement": str, "bump": {"exponent": int, "scale": float},
+              "quadrature": ({"cells_per_rho": int, "rule": str},
+                             {"cells_per_rho": 4, "rule": "gauss2"}),
+              "box": _BOX, "probe": _PROBE, "defect": (np.ndarray, None)},
+    "dyadic": {"density_file": Path, "gamma": float, "sigma": float, "two_k": float,
+               "r": float, "levels": [int], "overlap_points": (int, 20), "box": _BOX},
+}
+
+
 def load_config(path: str, command: str) -> dict:
+    """The ``command`` block of the JSON config at ``path``, checked against
+    ``SCHEMAS[command]`` and converted by :func:`_as`, defaults filled in."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - {command}
-    if unknown:
-        raise ConfigError(f"unexpected top-level keys {sorted(unknown)}; expected only {command!r}")
-    if command not in raw:
-        raise ConfigError(f"config missing the {command!r} block")
-    block = raw[command]
-    if not isinstance(block, dict):
-        raise ConfigError(f"{command!r} block must be a JSON object")
-    return block
-
-
-def take(block: dict, key: str, required: bool = True, default=None):
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    return block.pop(key)
-
-
-def ensure_consumed(block: dict) -> None:
-    if block:
-        raise ConfigError(f"unknown config keys {sorted(block)}")
+    if not (isinstance(raw, dict) and set(raw) == {command} and isinstance(raw[command], dict)):
+        raise ConfigError(f"config must be a JSON object holding only a {command!r} object")
+    return _as(SCHEMAS[command], raw[command], "")
 
 
 def _as(kind, value, key: str):
-    """The value of config key ``key`` as ``kind``: ``int``, ``float``, a float
-    ``np.ndarray`` (a number or nested lists of numbers) or a ``Path`` (a string).
+    """The value of the dotted config key ``key`` (``""`` for a command's
+    block) as ``kind``, a kind of :data:`SCHEMAS`.
 
-    Only finite JSON numbers qualify, and an ``int`` must be whole: a string,
-    a bool, null, a list where a number belongs or 2.5 for an ``int`` is a
+    A block must hold every required key of its dict and no other.  Only
+    finite JSON numbers qualify, and an ``int`` must be whole: a string, a
+    bool, null, a list where a number belongs or 2.5 for an ``int`` is a
     ConfigError naming the key, never a silent cast or an uncaught TypeError.
     """
-    if kind is Path:
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r} must be a JSON object, got {json.dumps(value)}")
+        prefix = key + "." if key else ""
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(prefix + k for k in unknown)}")
+        out = {}
+        for name, spec in kind.items():
+            if name in value:
+                out[name] = _as(spec[0] if isinstance(spec, tuple) else spec, value[name],
+                                prefix + name)
+            elif isinstance(spec, tuple):
+                out[name] = spec[1]
+            else:
+                raise ConfigError(f"missing config key {prefix + name!r}")
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, got {json.dumps(value)}")
+        return [_as(kind[0], v, key) for v in value]
+    if kind in (str, Path):
         if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a file name, got {json.dumps(value)}")
-        return Path(value)
+            what = "a file name" if kind is Path else "a string"
+            raise ConfigError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+        return kind(value)
     if kind is np.ndarray:
         def walk(v):
             return [walk(u) for u in v] if isinstance(v, list) else _as(float, v, key)
@@ -218,53 +246,33 @@ def _as(kind, value, key: str):
     return kind(value)
 
 
-def _box(obj, d: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The box's corners, vectors of length d (of one common length if d is None)."""
-    if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
-        raise ConfigError("box must be {'lo': [...], 'hi': [...]}")
-    lo, hi = _as(np.ndarray, obj["lo"], "box.lo"), _as(np.ndarray, obj["hi"], "box.hi")
-    if lo.ndim != 1 or hi.shape != lo.shape or (d is not None and lo.shape != (d,)):
-        raise ConfigError(f"box vectors must have length {d if d is not None else 'd'}")
+def _check(*rules) -> None:
+    """Raise a ConfigError for the first ``(key, ok, rule)`` whose ``ok`` is false."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {rule}")
+
+
+def _corners(cfg: dict, block: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lo`` and ``hi`` vectors of a checked box or probe block, of length d."""
+    lo, hi = cfg[block]["lo"], cfg[block]["hi"]
+    if lo.shape != (d,) or hi.shape != (d,):
+        raise ConfigError(f"{block}.lo and {block}.hi must be vectors of length {d}")
     return lo, hi
 
 
-def _probe(obj) -> tuple[np.ndarray, np.ndarray, int]:
-    """Corners and points per axis of a probe grid, checked but for their
-    dimension, which :func:`_probe_grid` checks."""
-    if not isinstance(obj, dict) or set(obj) != {"lo", "hi", "count"}:
-        raise ConfigError("probe must be {'lo': [...], 'hi': [...], 'count': n}")
-    lo, hi = _as(np.ndarray, obj["lo"], "probe.lo"), _as(np.ndarray, obj["hi"], "probe.hi")
-    n = _as(int, obj["count"], "probe.count")
-    if n < 2:
-        raise ConfigError("bad probe grid")
-    return lo, hi, n
-
-
-def _probe_grid(probe, d: int) -> np.ndarray:
-    lo, hi, n = probe
-    if lo.shape != (d,) or hi.shape != (d,):
-        raise ConfigError("bad probe grid")
-    return _grid_points([np.linspace(lo[a], hi[a], n) for a in range(d)])
+def _probe_grid(cfg: dict, d: int) -> np.ndarray:
+    """The probe block's grid: ``count`` points per axis between its corners."""
+    lo, hi = _corners(cfg, "probe", d)
+    return _grid_points([np.linspace(lo[a], hi[a], cfg["probe"]["count"]) for a in range(d)])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each given its checked config block
 
 
-def cmd_place(block: dict, out: Path, seed: int) -> None:
-    d = _as(int, take(block, "d"), "d")
-    degree = take(block, "degree", required=False)
-    spec = MultiresSpec(
-        j=_as(int, take(block, "j"), "j"),
-        k=_as(int, take(block, "k"), "k"),
-        d=d,
-        defect=_as(np.ndarray, take(block, "defect"), "defect"),
-        box=_box(take(block, "box"), d),
-        epsilon=_as(float, take(block, "epsilon", required=False, default=1.0 / 3.0),
-                    "epsilon"),
-        degree=_as(int, degree, "degree") if degree is not None else None,
-    )
-    ensure_consumed(block)
+def cmd_place(cfg: dict, out: Path, seed: int) -> None:
+    spec = MultiresSpec(**{**cfg, "box": _corners(cfg, "box", cfg["d"])})
     plan = build_ring_plan(spec)
     cs = generate_centers(spec)
     card = cardinality_report(spec, cs)
@@ -288,23 +296,15 @@ def cmd_place(block: dict, out: Path, seed: int) -> None:
     })
 
 
-def cmd_density(block: dict, out: Path, seed: int) -> None:
-    centers_file = _as(Path, take(block, "centers_file"), "centers_file")
-    degree = _as(int, take(block, "degree"), "degree")
-    epsilon = _as(float, take(block, "epsilon"), "epsilon")
-    r = _as(float, take(block, "r"), "r")
-    cap = take(block, "stability_cap", required=False)
-    cap = _as(float, cap, "stability_cap") if cap is not None else None
-    probe = _probe(take(block, "probe"))
-    ensure_consumed(block)
-    for key, ok, rule in (("degree", degree >= 0, ">= 0"), ("r", r > 0, "> 0"),
-                          ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
-                          ("stability_cap", cap is None or cap > 1, "> 1")):
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be {rule}")
-    cs = read_centers(centers_file)
+def cmd_density(cfg: dict, out: Path, seed: int) -> None:
+    degree, epsilon, r, cap = cfg["degree"], cfg["epsilon"], cfg["r"], cfg["stability_cap"]
+    _check(("degree", degree >= 0, ">= 0"), ("r", r > 0, "> 0"),
+           ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
+           ("stability_cap", cap is None or cap > 1, "> 1"),
+           ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
+    cs = read_centers(cfg["centers_file"])
     cap = cap if cap is not None else default_stability_cap(cs.dim, degree)
-    probes = _probe_grid(probe, cs.dim)
+    probes = _probe_grid(cfg, cs.dim)
     rho = np.empty(probes.shape[0])
     for i, p in enumerate(probes):
         rho[i], _ = minimal_density(cs, p, degree, cap)
@@ -325,38 +325,16 @@ def cmd_density(block: dict, out: Path, seed: int) -> None:
     })
 
 
-def cmd_study(block: dict, out: Path, seed: int) -> None:
-    d = _as(int, take(block, "d"), "d")
-    k = _as(int, take(block, "k"), "k")
-    degree = _as(int, take(block, "degree"), "degree")
-    epsilon = _as(float, take(block, "epsilon"), "epsilon")
-    js = take(block, "js")
-    if not isinstance(js, list):
-        raise ConfigError(f"config key 'js' must be a list of levels, got {json.dumps(js)}")
-    js = [_as(int, j, "js") for j in js]
-    if len(js) < 3:
-        raise ConfigError("js sweep must have length >= 3")
-    placement = take(block, "placement")
-    if placement not in ("uniform", "multires"):
-        raise ConfigError("placement must be 'uniform' or 'multires'")
-    bump_cfg = take(block, "bump")
-    if not isinstance(bump_cfg, dict) or set(bump_cfg) != {"exponent", "scale"}:
-        raise ConfigError("bump must be {'exponent': p, 'scale': s}")
-    quad = take(block, "quadrature", required=False,
-                default={"cells_per_rho": 4, "rule": "gauss2"})
-    if not isinstance(quad, dict) or set(quad) != {"cells_per_rho", "rule"}:
-        raise ConfigError("quadrature must be {'cells_per_rho': m, 'rule': ...}")
-    cells_per_rho = _as(int, quad["cells_per_rho"], "quadrature.cells_per_rho")
-    box = _box(take(block, "box"), d)
-    probes = _probe_grid(_probe(take(block, "probe")), d)
-    defect = take(block, "defect", required=False)
-    if defect is not None:
-        defect = _as(np.ndarray, defect, "defect")
-    ensure_consumed(block)
-
+def cmd_study(cfg: dict, out: Path, seed: int) -> None:
+    d, k, degree, epsilon = cfg["d"], cfg["k"], cfg["degree"], cfg["epsilon"]
+    placement, defect = cfg["placement"], cfg["defect"]
+    _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
+           ("defect", placement == "uniform" or defect is not None, "given for multires"),
+           ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
+    box = _corners(cfg, "box", d)
+    probes = _probe_grid(cfg, d)
     params = KernelParams(d=d, k=k, degree=degree)
-    f = bump(_as(int, bump_cfg["exponent"], "bump.exponent"), np.zeros(d),
-             _as(float, bump_cfg["scale"], "bump.scale"))
+    f = bump(cfg["bump"]["exponent"], np.zeros(d), cfg["bump"]["scale"])
 
     def factory(j):
         if placement == "uniform":
@@ -368,11 +346,9 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
                             degree=degree)
         return generate_centers(spec)
 
-    if placement == "multires" and defect is None:
-        raise ConfigError("multires placement requires a defect")
     res = convergence_study(
-        js, factory, f, params, epsilon=epsilon, probes=probes,
-        cells_per_rho=cells_per_rho, rule=str(quad["rule"]),
+        cfg["js"], factory, f, params, epsilon=epsilon, probes=probes,
+        cells_per_rho=cfg["quadrature"]["cells_per_rho"], rule=cfg["quadrature"]["rule"],
         defect=defect.reshape(-1) if defect is not None else None,
     )
     columns = [list(res.js), res.global_errors.tolist()]
@@ -387,41 +363,29 @@ def cmd_study(block: dict, out: Path, seed: int) -> None:
     write_json(out / "slopes.json", report)
 
 
-def cmd_dyadic(block: dict, out: Path, seed: int) -> None:
-    density_file = _as(Path, take(block, "density_file"), "density_file")
-    gamma = _as(float, take(block, "gamma"), "gamma")
-    sigma = _as(float, take(block, "sigma"), "sigma")
-    two_k = _as(float, take(block, "two_k"), "two_k")
-    r = _as(float, take(block, "r"), "r")
-    levels = take(block, "levels")
-    if not (isinstance(levels, list) and len(levels) == 2):
-        raise ConfigError("levels must be [lo, hi]")
-    levels = [_as(int, lv, "levels") for lv in levels]
-    overlap_points = _as(int, take(block, "overlap_points", required=False, default=20),
-                         "overlap_points")
-    box = take(block, "box")
-    _box(box, None)  # its length is checked against the density file's
-    ensure_consumed(block)
+def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
+    gamma, sigma, two_k, r = cfg["gamma"], cfg["sigma"], cfg["two_k"], cfg["r"]
+    levels, overlap_points = cfg["levels"], cfg["overlap_points"]
+    _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"))
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
-    df = read_density(density_file)
-    box = _box(box, df.dim)
+    df = read_density(cfg["density_file"])
     d = df.dim
+    box = _corners(cfg, "box", d)
     cubes = enumerate_cubes(box, range(levels[0], levels[1] + 1), d)
-    good = classify(cubes, df, params)
+    good, rho_min = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
-    ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
+    ratio = bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r)
     columns = [cubes.level.tolist(), *cubes.index.T.tolist(), *cubes.gender.T.tolist(),
                np.where(good, "good", "bad").tolist()]
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
     write_csv(out / "partition.csv", header, columns)
     rng = np.random.default_rng(seed)
-    lo, hi = box
     bound = max_overlap(d, gamma)
     worst = 0
     per_level = [cubes[cubes.level == lv] for lv in np.unique(cubes.level)]
     for _ in range(overlap_points):
-        x = rng.uniform(lo, hi)
+        x = rng.uniform(*box)
         for level_cubes in per_level:
             worst = max(worst, overlap_count(level_cubes, x, params))
     n_good = int(np.count_nonzero(good))
@@ -457,10 +421,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
-        block = load_config(args.config, args.command)
+        cfg = load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](block, out, args.seed)
+        COMMANDS[args.command](cfg, out, args.seed)
     # LinAlgError subclasses ValueError, so it must be caught first
     except (NoAdmissibleRadius, AssemblyError, ReproductionError, UndersampledDensity,
             np.linalg.LinAlgError) as exc:
@@ -468,6 +432,9 @@ def main(argv=None) -> int:
         return 1
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array sized by the config, such as a huge grid
+        print(f"config error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

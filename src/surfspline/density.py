@@ -345,14 +345,17 @@ def lemma_transfer_sg_to_sm(c_sg: float, epsilon: float) -> tuple[float, float]:
 def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> list[str]:
     """Check the parameter constraints of the pointwise convergence theorem.
 
-    Requires degree > 2k - d + 1 and epsilon > 2k / degree.  Returns the
-    list of violated conditions (empty = ok).
+    Requires degree > 2k - d + 1, 0 < epsilon < 1 and, for such a degree,
+    epsilon > 2k / degree.  Returns the list of violated conditions (empty =
+    ok).
     """
     if k < 1 or d < 1 or 2 * k <= d:
         raise ValueError("need k >= 1, d >= 1 and 2k > d")
     violations = []
     if not degree > 2 * k - d + 1:
         violations.append(f"degree {degree} must exceed 2k-d+1 = {2 * k - d + 1}")
-    if not epsilon > 2 * k / degree:
+    elif not epsilon > 2 * k / degree:
         violations.append(f"epsilon {epsilon:g} must exceed 2k/degree = {2 * k / degree:g}")
+    if not 0 < epsilon < 1:
+        violations.append(f"epsilon {epsilon:g} must lie in (0, 1)")
     return violations

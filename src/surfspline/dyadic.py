@@ -5,9 +5,11 @@ A gendered cube is a pair (gender, dyadic cube): the gender is a nonzero
 ``2^-j * corner_index`` and sidelength ``2^-j``.  Cubes are held as arrays,
 one row per gendered cube, in a :class:`DyadicCubes` record; every function
 here works on whole records, and the support extrema come from one batched
-ball query over the distinct corners.  No wavelets are ever constructed; the inflated support is
-modeled as the ball ``B(corner, Gamma * sidelength)``, which is all the
-partition machinery depends on.  A cube is *good* when its sidelength
+ball query over the distinct corners, made once by :func:`classify` for
+both the partition and the bad-cube bound.  No wavelets are ever
+constructed; the inflated support is modeled as the ball
+``B(corner, Gamma * sidelength)``, which is all the partition machinery
+depends on.  A cube is *good* when its sidelength
 dominates the density over its inflated support, *bad* otherwise; bad cubes
 have their sidelength bounded by a multiple of the density anywhere in their
 support, which is the step that tames the rough part of a smoothness split.
@@ -126,31 +128,38 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
             np.minimum.reduceat(vals, starts)[run_of_row])
 
 
-def classify(cubes: DyadicCubes, density: DensityField, params: DyadicParams) -> np.ndarray:
-    """Boolean mask of the good cubes, aligned with ``cubes``.
+def classify(cubes: DyadicCubes, density: DensityField,
+             params: DyadicParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(good, rho_min)``: the mask of the good cubes and the smallest density
+    sample in each cube's inflated support, both aligned with ``cubes``.
 
     A cube is good iff its sidelength is at least the max density sample in
-    ``B(corner, gamma * sidelength)``; ``cubes[~good]`` are the bad cubes.
+    ``B(corner, gamma * sidelength)``; ``cubes[~good]`` are the bad cubes and
+    ``rho_min[~good]`` what :func:`bad_cube_bound_check` takes for them.
     Raises :class:`UndersampledDensity` for cubes whose support holds no
     sample.
     """
-    rho_max, _ = _support_extrema(cubes, density, params.gamma)
-    return cubes.side >= rho_max
+    rho_max, rho_min = _support_extrema(cubes, density, params.gamma)
+    return cubes.side >= rho_max, rho_min
 
 
-def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: DyadicParams,
+def bad_cube_bound_check(bad: DyadicCubes, rho_min, params: DyadicParams,
                          c_sm: float, r: float) -> float:
     """Worst ratio of ell(nu) against C * rho(x) over bad cubes and samples x.
 
+    ``rho_min`` holds each bad cube's smallest density sample in its inflated
+    support, as :func:`classify` returns it (``rho_min[~good]``).
     ``C = [c_sm (1 + 2 Gamma)^(-r)]^(-1)``; with (c_sm, r) certified on the
     density's samples the ratio never exceeds 1 (the pointwise argument of
     the rough-part estimate, restated at sample level).  Returns 0.0 when
     there are no bad cubes.
     """
+    rho_min = np.asarray(rho_min, dtype=float)
+    if rho_min.shape != (len(bad),):
+        raise ValueError(f"need one rho_min per bad cube ({len(bad)}), got {rho_min.shape}")
     if not len(bad):
         return 0.0
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
-    _, rho_min = _support_extrema(bad, density, params.gamma)
     return float(np.max(bad.side / (cap * rho_min)))
 
 

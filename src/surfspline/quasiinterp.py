@@ -199,8 +199,8 @@ def convergence_study(
     fits of log2(error) against -j.
     """
     js = tuple(int(j) for j in js)
-    if len(js) < 3:
-        raise ValueError("need a sweep of at least 3 levels")
+    if len(set(js)) < 3:
+        raise ValueError(f"need a sweep of at least 3 distinct levels, got js = {list(js)}")
     violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
     if violations:
         raise ValueError("; ".join(violations))

@@ -302,8 +302,8 @@ def test_criterion_9_dyadic_checks():
     params = DyadicParams(gamma=2.0, sigma=1.5, two_k=4.0)
     box = (np.full(2, -0.5), np.full(2, 0.5))
     cubes = enumerate_cubes(box, range(0, 9), 2)
-    good = classify(cubes, df, params)
-    ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
+    good, rho_min = classify(cubes, df, params)
+    ratio = bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r)
     rng = np.random.default_rng(9)
     level5 = cubes[cubes.level == 5]
     bound = max_overlap(2, params.gamma)

@@ -1,6 +1,7 @@
 """CLI harness: subcommands, file formats, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from surfspline.cli import ConfigError, main, read_centers, read_density, write_centers
 from surfspline import CenterSet
+from surfspline import cli
+from surfspline.cli import SCHEMAS, load_config
 
 
 def write_config(tmp_path, name, payload):
@@ -329,3 +332,138 @@ def test_determinism_all_commands(tmp_path):
     assert main(["density", "--config", cfg, "--out", str(b)]) == 0
     for name in ("density.csv", "majorant.csv", "certificates.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def full_block(tmp_path, command):
+    """A valid block of ``command`` holding every key of its schema, optional
+    ones too; a command that reads a file is pointed at a missing one."""
+    return {
+        "place": {"j": 2, "k": 1, "d": 1, "defect": [[0.0]],
+                  "box": {"lo": [-4.0], "hi": [4.0]}, "epsilon": 0.5, "degree": 5},
+        "density": json.loads(Path(density_config(
+            tmp_path, str(tmp_path / "missing.csv"), stability_cap=1e6)).read_text())["density"],
+        "study": study_block(quadrature={"cells_per_rho": 4, "rule": "gauss2"},
+                             defect=[[0.0]]),
+        "dyadic": dyadic_block(tmp_path, overlap_points=5),
+    }[command]
+
+
+def schema_keys(schema, prefix=""):
+    """(dotted key, kind, optional in its block) for every key, nested ones too."""
+    for name, spec in schema.items():
+        kind = spec[0] if isinstance(spec, tuple) else spec
+        yield prefix + name, kind, isinstance(spec, tuple)
+        if isinstance(kind, dict):
+            yield from schema_keys(kind, prefix + name + ".")
+
+
+def without(block, dotted):
+    """A copy of ``block`` without the dotted key."""
+    block = json.loads(json.dumps(block))
+    *path, last = dotted.split(".")
+    inner = block
+    for name in path:
+        inner = inner[name]
+    del inner[last]
+    return block
+
+
+REQUIRED = [(c, key) for c in SCHEMAS for key, _, optional in schema_keys(SCHEMAS[c])
+            if not optional]
+BLOCKS = [(c, key) for c in SCHEMAS for key in [""] + [
+    key for key, kind, _ in schema_keys(SCHEMAS[c]) if isinstance(kind, dict)]]
+
+
+def run_block(tmp_path, command, block):
+    cfg = write_config(tmp_path, "schema.json", {command: block})
+    return main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("command", list(SCHEMAS))
+def test_full_block_passes_schema(tmp_path, command):
+    path = write_config(tmp_path, "full.json", {command: full_block(tmp_path, command)})
+    cfg = load_config(path, command)
+    assert list(cfg) == list(SCHEMAS[command])
+
+
+@pytest.mark.parametrize("command,key", REQUIRED, ids=[f"{c}-{k}" for c, k in REQUIRED])
+def test_missing_required_key_named(tmp_path, capsys, command, key):
+    block = without(full_block(tmp_path, command), key)
+    assert run_block(tmp_path, command, block) == 2
+    err = capsys.readouterr().err
+    assert f"missing config key {key!r}" in err and "missing.csv" not in err
+
+
+@pytest.mark.parametrize("command,key", BLOCKS, ids=[f"{c}-{k or 'top'}" for c, k in BLOCKS])
+def test_unknown_key_in_any_block_named(tmp_path, capsys, command, key):
+    block = full_block(tmp_path, command)
+    inner = block
+    for name in filter(None, key.split(".")):
+        inner = inner[name]
+    inner["bogus"] = 1
+    assert run_block(tmp_path, command, block) == 2
+    bogus = f"{key}.bogus" if key else "bogus"
+    err = capsys.readouterr().err
+    assert f"unknown config keys [{bogus!r}]" in err and "missing.csv" not in err
+
+
+def readme_keys(command):
+    """(required, optional) keys the README's CLI section lists for ``command``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [line] = [ln for ln in text.splitlines() if ln.startswith(f"- `{command}`:")]
+    required, _, optional = line.split(":", 1)[1].partition("; optional")
+    return (re.findall(r"`([\w.]+)`", required), re.findall(r"`([\w.]+)`", optional))
+
+
+@pytest.mark.parametrize("command", list(SCHEMAS))
+def test_readme_lists_schema_keys(command):
+    def leaves(schema, prefix="", optional=False):
+        for name, spec in schema.items():
+            kind = spec[0] if isinstance(spec, tuple) else spec
+            opt = optional or isinstance(spec, tuple)
+            if isinstance(kind, dict):
+                yield from leaves(kind, prefix + name + ".", opt)
+            else:
+                yield prefix + name, opt
+
+    keys = list(leaves(SCHEMAS[command]))
+    assert readme_keys(command) == ([k for k, opt in keys if not opt],
+                                    [k for k, opt in keys if opt])
+
+
+#: Values of the right type that a command must reject before it runs:
+#: (command, overrides, text the error must hold).
+BAD_RANGES = [
+    ("place", {"epsilon": 1.5}, "epsilon 1.5 must lie in (0, 1)"),
+    ("place", {"epsilon": 1.0}, "epsilon 1 must lie in (0, 1)"),
+    ("place", {"degree": 0}, "degree 0 must exceed"),
+    ("study", {"epsilon": 1.0}, "epsilon 1 must lie in (0, 1)"),
+    ("study", {"epsilon": 1.5}, "epsilon 1.5 must lie in (0, 1)"),
+    ("study", {"js": [3, 3, 3]}, "at least 3 distinct levels"),
+    ("study", {"js": [3, 4, 3, 4]}, "at least 3 distinct levels"),
+    ("dyadic", {"levels": [3, 1]}, "config key 'levels'"),
+    ("dyadic", {"levels": [0, 1, 2]}, "config key 'levels'"),
+    ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": 1}}, "config key 'probe.count'"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,text", BAD_RANGES,
+                         ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(BAD_RANGES)])
+def test_value_out_of_range_rejected(tmp_path, capsys, command, overrides, text):
+    block = {**full_block(tmp_path, command), **overrides}
+    assert run_block(tmp_path, command, block) == 2
+    err = capsys.readouterr().err
+    assert text in err and "missing.csv" not in err
+
+
+def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape "
+                          "(137438953473,) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_centers", no_memory)
+    cfg = place_config(tmp_path)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: place") and "1.00 TiB" in err
+    assert err.count("\n") == 1

@@ -590,5 +590,10 @@ def test_theorem1_params():
     assert any("2k-d+1" in v for v in bad)  # 3 > 2k-d+1 = 3 fails
     bad = validate_theorem1_params(2, 2, 14, 0.2)
     assert len(bad) == 1 and "2k/degree" in bad[0]
+    for epsilon in (1.0, 1.5):
+        bad = validate_theorem1_params(2, 2, 14, epsilon)
+        assert len(bad) == 1 and "epsilon" in bad[0] and "(0, 1)" in bad[0]
+    bad = validate_theorem1_params(2, 2, 0, 0.5)  # no division by a zero degree
+    assert len(bad) == 1 and "2k-d+1" in bad[0]
     with pytest.raises(ValueError):
         validate_theorem1_params(1, 3, 10, 0.5)  # 2k <= d

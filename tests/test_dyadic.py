@@ -56,7 +56,7 @@ def test_classify_constant_density_threshold():
     df = DensityField(np.linspace(0, 1, 9), np.full(9, 0.3))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3], 1)
-    good = classify(cubes, df, params)
+    good, _ = classify(cubes, df, params)
     assert good.shape == (len(cubes),)
     assert np.all(cubes.side[good] >= 0.3)
     assert np.all(cubes.side[~good] < 0.3)
@@ -70,7 +70,7 @@ def test_classify_spike():
     df = DensityField(pts, vals)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.array([-1.0]), np.array([1.0])), [1, 4], 1)
-    good = classify(cubes, df, params)
+    good, _ = classify(cubes, df, params)
     sees_spike = np.abs(cubes.corner[:, 0]) <= params.gamma * cubes.side
     small = sees_spike & (cubes.side < 1.0)
     assert small.any()
@@ -83,8 +83,8 @@ def test_classify_monotone_in_density():
     vals = np.exp(rng.normal(size=20) * 0.5) * 0.1
     params = DyadicParams(gamma=1.5, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3, 4], 1)
-    good_lo = classify(cubes, DensityField(pts, vals), params)
-    good_hi = classify(cubes, DensityField(pts, vals * 3.0), params)
+    good_lo, _ = classify(cubes, DensityField(pts, vals), params)
+    good_hi, _ = classify(cubes, DensityField(pts, vals * 3.0), params)
     # increasing the density never moves a cube from bad to good
     assert not np.any(good_hi & ~good_lo)
 
@@ -111,7 +111,7 @@ def test_conditional_parent_goodness():
     children = cubes[cubes.level == 3]
     parents = DyadicCubes(children.level - 1, children.index // 2, children.gender)
     rho_parent, _ = _support_extrema(parents, df, params.gamma)
-    good_parents = classify(parents, df, params)
+    good_parents, _ = classify(parents, df, params)
     assert np.all(good_parents[children.side >= rho_parent])
 
 
@@ -134,18 +134,18 @@ def test_bad_cube_bound_with_certified_constants():
     c_sm = certify_self_majorization(df, r)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 7), 1)
-    good = classify(cubes, df, params)
+    good, rho_min = classify(cubes, df, params)
     assert not good.all()  # the field exceeds every sidelength somewhere
-    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) <= 1.0
+    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r) <= 1.0
 
 
 def test_bad_cube_bound_no_bad_cubes():
     df = DensityField(np.linspace(0, 1, 5), np.full(5, 1e-6))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 3), 1)
-    good = classify(cubes, df, params)
+    good, rho_min = classify(cubes, df, params)
     assert good.all()
-    assert bad_cube_bound_check(cubes[~good], df, params, 1.0, 1.0) == 0.0
+    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, 1.0, 1.0) == 0.0
 
 
 def test_overlap_count_d1():
@@ -233,7 +233,7 @@ def test_classify_and_bound_match_brute_force(seed, d):
         with pytest.raises(UndersampledDensity):
             classify(cubes, df, params)
         return
-    good = classify(cubes, df, params)
+    good, rho_min = classify(cubes, df, params)
     sides = cubes.side.tolist()
     assert good.tolist() == [s >= v.max() for s, v in zip(sides, vals)]
     r = float(rng.uniform(0.5, 3.0))
@@ -241,7 +241,7 @@ def test_classify_and_bound_match_brute_force(seed, d):
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
     ratios = [s / (cap * v.min()) for s, v, g in zip(sides, vals, good) if not g]
     expected = max(ratios) if ratios else 0.0
-    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) == expected
+    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r) == expected
 
 
 @settings(max_examples=40, deadline=None)
