@@ -110,26 +110,36 @@ class CenterSet:
         # the tree compares squared distances, which can drop a center at
         # exactly ``radius``: pad far above that rounding, then cut exactly
         idx = self._tree.query_ball_point(center, radius * (1.0 + 1e-9))
-        idx, dist = _by_distance(self, center, np.sort(np.asarray(idx, dtype=np.intp)))
+        idx = np.sort(np.asarray(idx, dtype=np.intp))
+        idx, dist = _by_distance(idx, np.linalg.norm(self.points[idx] - center, axis=1))
         n = int(np.searchsorted(dist, radius, side="right"))
         return idx[:n], dist[:n]
 
 
-def _by_distance(cs: CenterSet, center, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending indices ``idx`` and their distances to ``center``, ordered
-    by distance with ties kept in index order: the one distance sort."""
-    dist = np.linalg.norm(cs.points[idx] - center, axis=1)
+def _by_distance(idx, dist) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending indices ``idx`` and their distances ``dist`` to a point,
+    ordered by distance with ties kept in index order: the one distance sort."""
     order = np.argsort(dist, kind="stable")
     return idx[order], dist[order]
 
 
-def _tie_groups(cs: CenterSet, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All centers in :meth:`CenterSet.neighbor_arrays` order, the
-    :func:`sorted_candidate_radii` and the number of centers each radius
-    captures, so ``order[:counts[i]]`` is the ball of radius ``radii[i]``."""
-    center = _as_point(center, cs.dim)
-    order, dist = _by_distance(cs, center, np.arange(len(cs)))
+def _tie_groups(dist: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whole tie groups among the ``size`` centers nearest a point, from
+    ``dist``, the distances of all centers to it: the window's centers in
+    :meth:`CenterSet.neighbor_arrays` order, its candidate radii and the number
+    of centers each captures, so ``order[:counts[i]]`` is the ball of radius
+    ``radii[i]``.  Groups chain through ``DUPLICATE_TOL``, so the window's last
+    group is kept only if the nearest center outside lies more than that beyond
+    it; the kept groups are a prefix of the whole set's, bit for bit."""
+    if size < dist.size:
+        part = np.argpartition(dist, size)
+        idx, beyond = np.sort(part[:size]), dist[part[size]]
+    else:
+        idx, beyond = np.arange(dist.size), np.inf
+    order, dist = _by_distance(idx, dist[idx])
     counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
+    if not beyond - dist[-1] > DUPLICATE_TOL:
+        counts = counts[:-1]
     return order, dist[counts - 1], counts
 
 
@@ -141,4 +151,5 @@ def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
     The result enumerates every radius at which the neighbor set of
     ``center`` can change, which drives the minimal-density search.
     """
-    return _tie_groups(cs, center)[1]
+    center = _as_point(center, cs.dim)
+    return _tie_groups(np.linalg.norm(cs.points - center, axis=1), len(cs))[1]

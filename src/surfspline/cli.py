@@ -91,6 +91,7 @@ def _json_text(obj, indent: int = 0) -> str:
 
 def write_json(path: Path, obj: dict) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_json_text(obj) + "\n")
 
 
@@ -99,6 +100,7 @@ def write_csv(path: Path, header: str, columns) -> None:
     floats is written with :data:`FLOAT_FORMAT`, any other with ``str``."""
     fmt = ",".join(FLOAT_FORMAT if col and isinstance(col[0], float) else "%s"
                    for col in columns)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([header] + [fmt % row for row in zip(*columns)]) + "\n")
 
 
@@ -422,9 +424,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, out, args.seed)
+        # the writers create --out with the first output: a failure before it leaves none
+        COMMANDS[args.command](cfg, Path(args.out), args.seed)
     # LinAlgError subclasses ValueError, so it must be caught first
     except (NoAdmissibleRadius, AssemblyError, ReproductionError, UndersampledDensity,
             np.linalg.LinAlgError) as exc:

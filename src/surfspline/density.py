@@ -19,6 +19,10 @@ from scipy.spatial import cKDTree
 from .centers import CenterSet, _as_point, _as_points, _tie_groups
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
+#: First window of a density query's distance order, in multiples of
+#: ``dim Pi_degree`` centers; doubled while the search needs more groups.
+_WINDOW = 4
+
 #: Effective radius substituted when the minimal candidate radius is zero
 #: (base point coincident with a center); anything below the duplicate
 #: tolerance captures only that center.
@@ -86,12 +90,14 @@ def minimal_density(
     """Smallest candidate radius admitting a K-stable reproduction at alpha.
 
     The candidate radii are :func:`~surfspline.centers.sorted_candidate_radii`.
-    Distances are sorted once per query; the neighbor set at each candidate
-    radius is a prefix of that order (whole tie groups), the same set in the
-    same order as the ball query of ``build_reproduction``, and each solve
-    goes through the center set's solve memo.  Unisolvency is monotone in
-    the radius, so the smallest unisolvent candidate is located by
-    exponential search plus bisection; the stability cap need not be
+    Distances to all centers are taken once per query, but only a window of
+    the nearest ``_WINDOW * dim Pi_degree`` is sorted, doubled whenever the
+    search needs a tie group past its edge.  The neighbor set at each
+    candidate radius is a prefix of the window (whole tie groups), the same
+    set in the same order as the ball query of ``build_reproduction``, and
+    each solve goes through the center set's solve memo.  Unisolvency is
+    monotone in the radius, so the smallest unisolvent candidate is located
+    by exponential search plus bisection; the stability cap need not be
     monotone, so from there the candidates are scanned linearly until the
     cap is met.
 
@@ -107,8 +113,17 @@ def minimal_density(
     if len(cs) < m:
         raise NoAdmissibleRadius(
             f"at alpha {alpha.tolist()}: only {len(cs)} centers, need {m} for degree {degree}")
-    order, radii, counts = _tie_groups(cs, alpha)
-    first = int(np.searchsorted(counts, m, side="left"))
+    dist = np.linalg.norm(cs.points - alpha, axis=1)
+    size = _WINDOW * m
+    order, radii, counts = _tie_groups(dist, size)
+
+    def held(i: int) -> bool:
+        """Grow the window until it holds group i; False if i is past the last."""
+        nonlocal size, order, radii, counts
+        while i >= radii.size and size < dist.size:
+            size *= 2
+            order, radii, counts = _tie_groups(dist, size)
+        return i < radii.size
 
     def attempt(i: int) -> PolyRep | None:
         r = max(float(radii[i]), _ZERO_RADIUS)
@@ -117,17 +132,19 @@ def minimal_density(
         except ReproductionError:
             return None
 
+    while not (radii.size and counts[-1] >= m):  # grow to m centers; the set has them
+        held(radii.size)
+    first = int(np.searchsorted(counts, m, side="left"))
     # exponential ascent to the first success
-    last = radii.size - 1
     lo, hi, pr_hi = first - 1, first, attempt(first)
     step = 1
     while pr_hi is None:
-        if hi == last:
+        if not held(hi + 1):
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: no unisolvent neighbor set at any radius")
         lo = hi
         step *= 2
-        hi = min(hi + step, last)
+        hi = hi + step if held(hi + step) else radii.size - 1
         pr_hi = attempt(hi)
     # bisection: success is monotone in the radius for unisolvency
     while hi - lo > 1:
@@ -141,7 +158,7 @@ def minimal_density(
     i, pr = hi, pr_hi
     while pr is None or not pr.stability < stability_cap:
         i += 1
-        if i > last:
+        if not held(i):
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
                 f"(best Sum|a| = {pr.stability if pr else float('nan'):g})"

@@ -151,6 +151,9 @@ def generate_centers(spec: MultiresSpec) -> CenterSet:
             chunks.append(pts)
             tags.append(np.full(pts.shape[0], level, dtype=int))
 
+    # the global grid first: its size follows from the box and j alone, so a
+    # grid too large to allocate fails before any region grid is built
+    global_grid = _region_grid(spec, plan.global_spacing, None)
     core = _region_grid(spec, plan.core_spacing, plan.core_radius)
     dist = _defect_distance(spec, core)
     add(core[dist <= plan.core_radius], 0)
@@ -158,7 +161,7 @@ def generate_centers(spec: MultiresSpec) -> CenterSet:
         grid = _region_grid(spec, ring.spacing, ring.outer)
         dist = _defect_distance(spec, grid)
         add(grid[(dist > ring.inner) & (dist <= ring.outer)], ring.index)
-    add(_region_grid(spec, plan.global_spacing, None), spec.j + 1)
+    add(global_grid, spec.j + 1)
 
     pts = np.concatenate(chunks, axis=0)
     levels = np.concatenate(tags)

@@ -79,8 +79,13 @@ def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
     the base point in that basis (1 for the constant, 0 otherwise)."""
     expo = monomial_exponents(offsets.shape[1], degree)
     scaled = offsets / radius
-    # (M, n, d) -> (M, n); exponent 0 must yield 1 even at 0.
-    bmat = np.prod(scaled[None, :, :] ** expo[:, None, :], axis=2)
+    # per-axis power tables (d, degree + 1, n) gathered by exponent and
+    # multiplied left to right: the pows and products of np.prod(scaled **
+    # expo) over (M, n, d), bit for bit.  Exponent 0 yields 1 even at 0.
+    table = scaled.T[:, None, :] ** np.arange(degree + 1)[:, None]
+    bmat = table[0][expo[:, 0]]
+    for a in range(1, offsets.shape[1]):
+        bmat *= table[a][expo[:, a]]
     rhs = np.zeros(expo.shape[0])
     rhs[0] = 1.0
     return bmat, rhs

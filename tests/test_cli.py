@@ -72,6 +72,15 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["place", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
+    # epsilon passes the schema but not the range check inside the command
+    cfg = place_config(tmp_path, epsilon=1.5)
+    out = tmp_path / "never" / "made"
+    assert main(["place", "--config", cfg, "--out", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_missing_key_rejected(tmp_path):
     cfg = write_config(tmp_path, "m.json", {"place": {"j": 2}})
     assert main(["place", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -15,6 +15,7 @@ from surfspline import (
     build_reproduction,
     certify_self_majorization,
     certify_slow_growth,
+    default_stability_cap,
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
@@ -131,6 +132,26 @@ def test_no_admissible_radius():
         minimal_density(cs, [0.25], 1, 0.5)
 
 
+@pytest.mark.parametrize("window", [1, 4, 10**9])
+def test_no_admissible_radius_messages(monkeypatch, window):
+    # the messages do not depend on how far the distance order is sorted
+    import surfspline.density
+
+    monkeypatch.setattr(surfspline.density, "_WINDOW", window)
+    cases = [
+        (CenterSet([0.0, 1.0]), [0.5], 3, 100.0,
+         "at alpha [0.5]: only 2 centers, need 4 for degree 3"),
+        (CenterSet([[float(i), 0.0] for i in range(6)]), [0.5, 0.0], 1, None,
+         "at alpha [0.5, 0.0]: no unisolvent neighbor set at any radius"),
+        (CenterSet([0.0, 1.0, 2.0, 3.0]), [0.25], 1, 0.5,
+         "at alpha [0.25]: stability cap 0.5 never met (best Sum|a| = 1.25)"),
+    ]
+    for cs, alpha, degree, cap, message in cases:
+        with pytest.raises(NoAdmissibleRadius) as err:
+            minimal_density(cs, alpha, degree, cap)
+        assert str(err.value) == message
+
+
 def fresh_witness(cs, alpha, rho, degree):
     """build_reproduction at rho on a copy of cs, whose solve memo is empty."""
     return build_reproduction(CenterSet(cs.points), alpha, rho, degree)
@@ -151,13 +172,25 @@ def count_solves(monkeypatch):
     return calls
 
 
-def consistency_cloud(seed, d, dyadic):
+#: Center clouds of :func:`consistency_cloud`.
+CLOUDS = ["uniform", "dyadic", "decimal", "clustered"]
+
+
+def consistency_cloud(seed, d, kind):
+    """Centers and a base point: a uniform or a clustered cloud, a 2^-j
+    lattice (exact ties; offsets repeat from point to point) or a 0.1 lattice
+    (ties equal only up to rounding, chained through DUPLICATE_TOL)."""
     rng = np.random.default_rng(seed)
-    if dyadic:  # 2^-j lattice: many exact ties, offsets repeat from point to point
-        h = 2.0 ** -int(rng.integers(1, 4))
+    if kind in ("dyadic", "decimal"):
+        h = 0.1 if kind == "decimal" else 2.0 ** -int(rng.integers(1, 4))
         xs = np.arange(-6, 7) * h if d < 3 else np.arange(-3, 4) * h
         cs = CenterSet(np.stack([m.ravel() for m in np.meshgrid(*[xs] * d, indexing="ij")], 1))
         alpha = h * (rng.integers(-2, 3, size=d) + rng.choice([0.0, 0.5], size=d))
+    elif kind == "clustered":
+        n = int(rng.integers(10, 120))
+        hubs = rng.uniform(-1, 1, size=(3, d))
+        cs = CenterSet(hubs[rng.integers(3, size=n)] + 0.05 * rng.normal(size=(n, d)))
+        alpha = rng.uniform(-0.5, 0.5, size=d)
     else:
         cs = CenterSet(rng.uniform(-1, 1, size=(60, d)))
         alpha = rng.uniform(-0.5, 0.5, size=d)
@@ -165,22 +198,32 @@ def consistency_cloud(seed, d, dyadic):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans())
-def test_prefix_windows_match_ball_queries(seed, d, dyadic):
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CLOUDS))
+def test_prefix_windows_match_ball_queries(seed, d, kind):
     from surfspline.centers import _tie_groups
     from surfspline.density import _ZERO_RADIUS
 
-    cs, alpha = consistency_cloud(seed, d, dyadic)
-    order, radii, counts = _tie_groups(cs, alpha)
+    cs, alpha = consistency_cloud(seed, d, kind)
+    dist = np.linalg.norm(cs.points - alpha, axis=1)
+    order, radii, counts = _tie_groups(dist, len(cs))
     for r, n in zip(radii, counts):
         idx, _ = cs.neighbor_arrays(alpha, max(r, _ZERO_RADIUS))
         assert np.array_equal(idx, order[:n])  # same set, same order
+    # every window keeps whole groups only: a prefix of the whole set's, bit
+    # for bit, and every group it holds but the one cut by its edge
+    for size in range(1, len(cs)):
+        w_order, w_radii, w_counts = _tie_groups(dist, size)
+        g = w_radii.size
+        assert np.array_equal(w_radii, radii[:g]) and np.array_equal(w_counts, counts[:g])
+        if g:
+            assert np.array_equal(w_order[:w_counts[-1]], order[:counts[g - 1]])
+        assert counts[g] > size
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 4), st.booleans())
-def test_witness_equals_build_reproduction(seed, d, degree, dyadic):
-    cs, alpha = consistency_cloud(seed, d, dyadic)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 4), st.sampled_from(CLOUDS))
+def test_witness_equals_build_reproduction(seed, d, degree, kind):
+    cs, alpha = consistency_cloud(seed, d, kind)
     try:
         rho, pr = minimal_density(cs, alpha, degree)
     except NoAdmissibleRadius:
@@ -189,6 +232,38 @@ def test_witness_equals_build_reproduction(seed, d, degree, dyadic):
     assert ref.radius == rho
     assert np.array_equal(pr.indices, ref.indices)
     assert np.array_equal(pr.weights, ref.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 4),
+       st.sampled_from(CLOUDS[1:]))
+def test_smallest_window_matches_full_sort(seed, d, degree, kind):
+    # the first window at its minimum, dim Pi_degree centers, so the search
+    # grows it again and again and tie groups straddle its edge; a window of
+    # the whole set is the full sort
+    import surfspline.density
+
+    cs, alpha = consistency_cloud(seed, d, kind)
+    cap = default_stability_cap(d, degree) if seed % 2 else 1.5
+    results = []
+    for window in (1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surfspline.density, "_WINDOW", window)
+            try:
+                results.append(minimal_density(CenterSet(cs.points), alpha, degree, cap))
+            except NoAdmissibleRadius as exc:
+                results.append(str(exc))
+    small, full = results
+    if isinstance(full, str):
+        assert small == full
+        with pytest.raises(NoAdmissibleRadius):
+            brute_force_minimal(cs, alpha, degree, cap)
+        return
+    assert small[0] == full[0] == brute_force_minimal(cs, alpha, degree, cap)
+    for pr in (small[1], full[1], fresh_witness(cs, alpha, full[0], degree)):
+        assert pr.radius == full[0]
+        assert np.array_equal(pr.indices, full[1].indices)
+        assert pr.weights.tobytes() == full[1].weights.tobytes()
 
 
 def test_solve_memo_is_exact(monkeypatch):

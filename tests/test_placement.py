@@ -102,6 +102,27 @@ def test_generate_centers_box_too_small():
         generate_centers(spec)
 
 
+def test_global_grid_built_before_region_grids(monkeypatch):
+    # the global grid's size follows from the box and j alone: at j = 34 it
+    # would hold 2^37 points, so it must be the first grid asked for, before
+    # the core and ring grids (millions of points) are built
+    import surfspline.placement as placement
+
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def spy(spec, spacing, reach):  # records the request, allocates nothing
+        calls.append((spacing, reach))
+        raise Stop
+
+    monkeypatch.setattr(placement, "_region_grid", spy)
+    with pytest.raises(Stop):
+        generate_centers(spec_1d(j=34, box_half=4.0))
+    assert calls == [(2.0**-34, None)]
+
+
 def test_density_at_defect():
     # rho(0) <= 14 * 2^-6 for j=3, k=2, d=2 with the degree-14 reproduction
     spec = spec_2d()

@@ -167,3 +167,29 @@ def test_precision_and_stability_property(seed, d, degree):
     pr = build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), radius, degree)
     assert verify_reproduction(pr, cs) <= 1e-9
     assert pr.stability >= 1 - 1e-9
+
+
+def moment_matrix_by_prod(offsets, radius, degree):
+    """The moment matrix as one np.prod over an (M, n, d) array of powers:
+    the oracle for the per-axis power tables of ``_moment_system``."""
+    expo = monomial_exponents(offsets.shape[1], degree)
+    scaled = offsets / radius
+    return np.prod(scaled[None, :, :] ** expo[:, None, :], axis=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 200),
+       st.floats(-3.0, 3.0))
+def test_moment_system_bitwise_equals_prod(seed, d, n, log_scale):
+    from surfspline.polyrep import _moment_system
+
+    rng = np.random.default_rng(seed)
+    offsets = rng.normal(size=(n, d)) * 10.0**log_scale
+    offsets[rng.random(size=(n, d)) < 0.1] = 0.0  # exponent 0 must give 1 at 0
+    radius = float(np.max(np.abs(offsets), initial=1e-3)) * rng.uniform(0.5, 2.0)
+    for degree in range(16):
+        bmat, rhs = _moment_system(offsets, radius, degree)
+        ref = moment_matrix_by_prod(offsets, radius, degree)
+        assert bmat.shape == ref.shape and bmat.dtype == ref.dtype
+        assert bmat.tobytes() == ref.tobytes()
+        assert rhs.tolist() == [1.0] + [0.0] * (polynomial_dim(d, degree) - 1)
