@@ -189,9 +189,9 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     profile ``rho^(2k-d) (1 + |x-alpha|/rho)^(-nu)``, both computed in
     ``dps``-digit arithmetic.  A direct float64 difference bottoms out near
     ``eps * |phi|`` long before the true far-field error does, so decay
-    studies past a few support radii need both refined weights (see
-    :func:`surfspline.polyrep.refine_weights`) and high-precision kernel
-    sums.  ``weights`` accepts a pre-refined mpmath weight list; ``x`` is one point.
+    studies past a few support radii need high-precision kernel sums and the
+    weights of :func:`surfspline.polyrep.refine_weights` (moment residual at
+    most ``10^(10 - dps)``), passed as ``weights``; ``x`` is one point.
     """
     import mpmath as mp
 

@@ -175,35 +175,35 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
 
 
 def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
-    """Recompute the minimum-norm weights in extended precision.
-
-    Double-precision weights satisfy the moment constraints only to roughly
-    ``1e-14``; far-field decay measurements of the kernel error need
-    residuals far below that (the true error is astronomically small at
-    large distances).  This solves the min-norm system exactly via the
-    normal equations in mpmath arithmetic and returns a list of
-    ``mpmath.mpf`` weights aligned with ``pr.indices``.
+    """The minimum-norm weights of ``pr`` to ``dps`` digits, as ``mpmath.mpf``
+    aligned with ``pr.indices``, for far-field studies that need moment
+    residuals far below float64's ``1e-14``.  With ``w = B^T y``, y solves
+    ``B B^T y = e_0`` by mixed-precision refinement (Bjorck, *BIT* 7, 1967;
+    Carson & Higham, *SIAM J. Sci. Comput.* 40(2), 2018): residuals in ``dps``
+    digits from B built in mpmath, corrections from ``R^T R dy = r`` with R
+    of a float64 QR of ``B^T``.  Refining y, not w, keeps w in B's row space,
+    so minimum-norm.  Stops once the residual no longer halves, and raises
+    :class:`ReproductionError` if it is then above ``10^(10 - dps)``.
     """
     import mpmath as mp
 
-    expo = monomial_exponents(cs.dim, pr.degree)
     pts = cs.points[pr.indices]
+    rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
     with mp.workdps(dps):
-        # assemble the basis matrix in extended precision: float64 rounding
-        # of the monomial entries alone would cap the achievable constraint
-        # residual near 1e-16 and pollute far-field error measurements
-        scaled = [[(mp.mpf(pts[i, a]) - mp.mpf(pr.alpha[a])) / mp.mpf(pr.radius)
-                   for a in range(cs.dim)] for i in range(pts.shape[0])]
-        bm = mp.matrix(expo.shape[0], pts.shape[0])
-        for row, e in enumerate(expo):
-            for col in range(pts.shape[0]):
-                v = mp.mpf(1)
-                for a in range(cs.dim):
-                    if e[a]:
-                        v *= scaled[col][a] ** int(e[a])
-                bm[row, col] = v
-        gram = bm * bm.T
-        rhs = mp.matrix([mp.mpf(0)] * expo.shape[0])
-        rhs[0] = mp.mpf(1)
-        sol = bm.T * mp.lu_solve(gram, rhs)
-        return [sol[i] for i in range(sol.rows)]
+        mpf = np.frompyfunc(mp.mpf, 1, 1)  # offsets in float64 would cap residuals at 1e-16
+        bmat = _moment_system(mpf(pts) - mpf(pr.alpha), mp.mpf(pr.radius), pr.degree)[0]
+        rows, cols = bmat.tolist(), bmat.T.tolist()
+        y, prev = [mp.mpf(0)] * len(rows), mp.inf
+        for it in range(1, 4 * dps + 1):  # 4 dps halvings end below 10^(10 - dps)
+            w = [mp.fdot(c, y) for c in cols]
+            r = [(i == 0) - mp.fdot(row, w) for i, row in enumerate(rows)]
+            res = max(abs(v) for v in r)
+            if not 0 < res < prev / 2:
+                break
+            prev = res
+            dy = scipy.linalg.cho_solve((rfac, False), [float(v / res) for v in r])
+            y = [a + res * mp.mpf(b) for a, b in zip(y, dy)]
+        if res > mp.mpf(10) ** (10 - dps):
+            raise ReproductionError(f"refine_weights: residual {mp.nstr(res, 3)} after {it} "
+                                    f"iterations, alpha {pr.alpha}, degree {pr.degree}, dps {dps}")
+        return w

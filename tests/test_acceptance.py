@@ -218,7 +218,16 @@ def test_criterion_6_transition_planner():
     assert ok
 
 
-def test_criterion_7_kernel_decay():
+def test_criterion_7_kernel_decay(monkeypatch):
+    from unittest import mock
+
+    import mpmath as mp
+    import scipy.linalg
+
+    from surfspline.polyrep import _moment_system
+
+    corrections = mock.Mock(wraps=scipy.linalg.cho_solve)  # one call per float64 correction
+    monkeypatch.setattr(scipy.linalg, "cho_solve", corrections)
     t0 = time.perf_counter()
     xs = np.arange(-7.0, 8.0)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -240,15 +249,22 @@ def test_criterion_7_kernel_decay():
     ])
     slope = float(np.polyfit(np.log(1 + dists / rho), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
+    with mp.workdps(60):
+        mpf = np.frompyfunc(mp.mpf, 1, 1)
+        bmat, _ = _moment_system(mpf(cs.points[pr.indices]) - mpf(alpha), mp.mpf(pr.radius),
+                                 degree)
+        residual = max(abs(mp.fdot(row, weights) - (i == 0))
+                       for i, row in enumerate(bmat.tolist()))
     # pinned at -14 + 0.5; the formula nu = degree + d - 2k gives 12 for
     # this configuration and the measured slope ~ -14.4 clears both
     threshold = -13.5
-    ok = slope <= threshold
+    ok = slope <= threshold and residual <= mp.mpf("1e-50")
     report(7, ok, f"kernel error decay slope {slope:.2f} <= {threshold:.1f} "
                   f"(formula nu = {params.nu:.0f}, rho = {rho:.3f}, distances "
-                  f"2rho..64rho, {elapsed:.1f}s)")
+                  f"2rho..64rho; moment residual {mp.nstr(residual, 2)} <= 1e-50 after "
+                  f"{corrections.call_count} corrections; {elapsed:.1f}s)")
     assert ok
-    budget(7, elapsed, 60.0)
+    budget(7, elapsed, 5.0)
 
 
 def test_criterion_8_convergence_rates():

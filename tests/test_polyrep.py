@@ -9,9 +9,11 @@ from surfspline import (
     CenterSet,
     InsufficientPoints,
     RankDeficient,
+    ReproductionError,
     build_reproduction,
     monomial_exponents,
     polynomial_dim,
+    refine_weights,
     verify_reproduction,
 )
 
@@ -193,3 +195,95 @@ def test_moment_system_bitwise_equals_prod(seed, d, n, log_scale):
         assert bmat.shape == ref.shape and bmat.dtype == ref.dtype
         assert bmat.tobytes() == ref.tobytes()
         assert rhs.tolist() == [1.0] + [0.0] * (polynomial_dim(d, degree) - 1)
+
+
+def moment_matrix_mp(pr, cs):
+    """The moment matrix in the current mpmath precision, entry by entry:
+    offsets subtracted in mpmath, each monomial a product of powers."""
+    import mpmath as mp
+
+    expo = monomial_exponents(cs.dim, pr.degree)
+    pts = cs.points[pr.indices]
+    scaled = [[(mp.mpf(pts[i, a]) - mp.mpf(pr.alpha[a])) / mp.mpf(pr.radius)
+               for a in range(cs.dim)] for i in range(pts.shape[0])]
+    bm = mp.matrix(expo.shape[0], pts.shape[0])
+    for row, e in enumerate(expo):
+        for col in range(pts.shape[0]):
+            v = mp.mpf(1)
+            for a in range(cs.dim):
+                if e[a]:
+                    v *= scaled[col][a] ** int(e[a])
+            bm[row, col] = v
+    return bm
+
+
+def refine_by_normal_equations(pr, cs, dps):
+    """The minimum-norm weights from the normal equations ``B B^T y = e_0``,
+    solved by LU in ``dps``-digit mpmath: the oracle for ``refine_weights``.
+    It loses cond(B)^2, so it is run with digits to spare."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        bm = moment_matrix_mp(pr, cs)
+        rhs = mp.matrix([mp.mpf(0)] * bm.rows)
+        rhs[0] = mp.mpf(1)
+        sol = bm.T * mp.lu_solve(bm * bm.T, rhs)
+        return [sol[i] for i in range(sol.rows)]
+
+
+def oracle_cloud(rng, kind, d, degree):
+    """A unisolvent cloud in [-1, 1]^d: a lattice, the jittered lattice of
+    ``random_unisolvent``, or 2 dim Pi_degree + 4 uniform random points."""
+    if kind == "jittered":
+        return random_unisolvent(rng, d, degree)
+    if kind == "random":
+        return CenterSet(rng.uniform(-1, 1, size=(2 * polynomial_dim(d, degree) + 4, d)))
+    axes = [np.linspace(-1, 1, degree + 2)] * d
+    return CenterSet(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
+
+
+# d = 3 stops at degree 4: the oracle's mpmath Gram matrix costs M^2 n
+# products, several seconds per case at degree 6 and more beyond
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(1, 8), (2, 8), (3, 4)]), st.data(),
+       st.sampled_from(["lattice", "jittered", "random"]), st.sampled_from([20, 60, 100]))
+def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, dps):
+    import mpmath as mp
+
+    from surfspline.polyrep import _moment_system
+
+    d, top = dim_and_top
+    degree = data.draw(st.integers(0, top))
+    rng = np.random.default_rng(seed)
+    cs = oracle_cloud(rng, kind, d, degree)
+    pr = build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), 1.5 * np.sqrt(d), degree)
+    cond = np.linalg.cond(_moment_system(cs.points[pr.indices] - pr.alpha, pr.radius,
+                                         degree)[0])
+    weights = refine_weights(pr, cs, dps=dps)
+    assert len(weights) == pr.indices.size
+    with mp.workdps(dps):  # the object-array builder gives the loop's entries exactly
+        mpf = np.frompyfunc(mp.mpf, 1, 1)
+        bmat = _moment_system(mpf(cs.points[pr.indices]) - mpf(pr.alpha), mp.mpf(pr.radius),
+                              degree)[0]
+        assert bmat.tolist() == moment_matrix_mp(pr, cs).tolist()
+    with mp.workdps(dps + 40):
+        bm = moment_matrix_mp(pr, cs)
+        residual = max(abs(mp.fsum(bm[i, j] * weights[j] for j in range(bm.cols)) - (i == 0))
+                       for i in range(bm.rows))
+        assert residual <= mp.mpf(10) ** (10 - dps)
+        oracle = refine_by_normal_equations(pr, cs, dps + 40)
+        gap = max(abs(w - o) for w, o in zip(weights, oracle))
+        assert gap <= cond * mp.mpf(10) ** (5 - dps) * max(abs(o) for o in oracle)
+
+
+def test_refine_weights_raises_when_refinement_stalls(monkeypatch):
+    import scipy.linalg
+
+    cs = random_unisolvent(np.random.default_rng(3), 2, 3)
+    pr = build_reproduction(cs, [0.1, -0.2], 1.5, 3)
+    # a float64 correction of zeros leaves the residual at 1
+    monkeypatch.setattr(scipy.linalg, "cho_solve", lambda factor, rhs: np.zeros(len(rhs)))
+    with pytest.raises(ReproductionError, match=r"refine_weights: residual 1\.0 after 2 "
+                                                r"iterations, alpha \[ 0\.1 -0\.2\], degree 3, "
+                                                r"dps 60"):
+        refine_weights(pr, cs)
