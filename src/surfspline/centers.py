@@ -123,6 +123,17 @@ def _by_distance(idx, dist) -> tuple[np.ndarray, np.ndarray]:
     return idx[order], dist[order]
 
 
+def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| over the last axis of two broadcasting arrays, bit for bit
+    ``cdist``'s value: squared differences summed over the axes in order,
+    then one sqrt."""
+    sq = np.square(x[..., 0] - y[..., 0])
+    for a in range(1, x.shape[-1]):
+        diff = x[..., a] - y[..., a]
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
+
+
 def _tie_groups(dist: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The whole tie groups among the ``size`` centers nearest a point, from
     ``dist``, the distances of all centers to it: the window's centers in

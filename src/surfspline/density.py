@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _as_point, _as_points, _tie_groups
+from .centers import CenterSet, _as_point, _as_points, _pair_distances, _tie_groups
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
@@ -199,17 +199,6 @@ _SCAN_PAIRS = 32768
 #: cutoff radius: far above the rounding of a ratio, of a radius and of the
 #: kd-tree's squared distances, so pruning keeps extra pairs, never drops one.
 _CUTOFF_PAD = 1e-9
-
-
-def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x - y| over the last axis of two broadcasting arrays, bit for bit
-    ``cdist``'s value: squared differences summed over the axes in order,
-    then one sqrt."""
-    sq = np.square(x[..., 0] - y[..., 0])
-    for a in range(1, x.shape[-1]):
-        diff = x[..., a] - y[..., a]
-        sq += np.square(diff, out=diff)
-    return np.sqrt(sq, out=sq)
 
 
 def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: bool,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _as_points
+from .centers import CenterSet, _as_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, build_reproduction
@@ -26,6 +26,10 @@ _SQRT3 = np.sqrt(3.0)
 #: Support radius of an assembly reproduction, in units of the nearest
 #: density sample.
 _RADIUS_FACTOR = 1.5
+
+#: Probe-center pairs per block of :func:`evaluate`: small enough for a
+#: block's distances and kernel values to stay in cache.
+_PAIR_CHUNK = 2**14
 
 
 class AssemblyError(Exception):
@@ -69,7 +73,10 @@ def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray
     """Deterministic dyadic subdivision of the domain into density-sized cells.
 
     Returns (centers, sides) with sides[i] a d-vector; a cell is split while
-    its longest side exceeds ``rho(center) / cells_per_rho``.
+    its longest side exceeds ``rho(center) / cells_per_rho``.  ``rho_at`` is
+    called once per level, on the (n, d) centers of that level's new cells; a
+    cell that splits is replaced in place by its 2^d children in reversed
+    ``ndindex`` order, so the cells come out in depth-first order.
     """
     lo, hi = qs.domain
     d = lo.shape[0]
@@ -77,31 +84,32 @@ def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray
     # near-cubic root cells
     n0 = np.maximum(1, np.round(extent / np.min(extent)).astype(int))
     side0 = extent / n0
-    stack = []
-    for idx in np.ndindex(*n0):
-        stack.append((lo + (np.array(idx) + 0.5) * side0, side0.copy()))
-    stack.reverse()
-    centers, sides = [], []
-    while stack:
-        c, s = stack.pop()
-        if np.max(s) <= rho_at(c) / qs.cells_per_rho:
-            centers.append(c)
-            sides.append(s)
-            continue
-        half = s / 2.0
-        for idx in np.ndindex(*(2,) * d):
-            stack.append((c + (np.array(idx) - 0.5) * half, half.copy()))
-    return np.array(centers), np.array(sides)
+    centers = lo + (np.array(list(np.ndindex(*n0))) + 0.5) * side0
+    sides = np.tile(side0, (len(centers), 1))
+    kids = np.array(list(np.ndindex(*(2,) * d))[::-1]) - 0.5
+    fresh = np.ones(len(centers), dtype=bool)
+    while fresh.any():
+        split = np.zeros(len(centers), dtype=bool)
+        split[fresh] = ~(np.max(sides[fresh], axis=1) <= rho_at(centers[fresh]) / qs.cells_per_rho)
+        reps = np.where(split, 2**d, 1)
+        centers, sides = np.repeat(centers, reps, axis=0), np.repeat(sides, reps, axis=0)
+        fresh = np.repeat(split, reps)
+        half = sides[fresh] / 2.0
+        centers[fresh] += np.tile(kids, (int(split.sum()), 1)) * half
+        sides[fresh] = half
+    return centers, sides
 
 
-def _cell_nodes(c: np.ndarray, s: np.ndarray, rule: str) -> tuple[np.ndarray, float]:
-    vol = float(np.prod(s))
+def _cell_nodes(c: np.ndarray, s: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the composite rule on cells with (n, d) centers c and sides s,
+    cell-major and in ``ndindex`` order within a cell, and one weight per node."""
+    vol = np.prod(s, axis=1)
     if rule == "midpoint":
-        return c[None, :], vol
-    d = c.shape[0]
+        return c, vol
+    d = c.shape[1]
     offsets = np.array(list(np.ndindex(*(2,) * d))) - 0.5
-    nodes = c + offsets * (s / _SQRT3)
-    return nodes, vol / 2**d
+    nodes = c[:, None, :] + offsets * (s / _SQRT3)[:, None, :]
+    return nodes.reshape(-1, d), np.repeat(vol / 2**d, 2**d)
 
 
 def assemble(
@@ -113,10 +121,12 @@ def assemble(
 ) -> ApproximantDump:
     """Aggregate kernel coefficients for the quasi-interpolant of f.
 
-    At each quadrature node a reproduction of degree ``params.degree`` is
-    built with support radius 1.5 times the nearest density sample (the
-    inflation absorbs the sampling error of the density field; any
-    admissible radius preserves the rates).  Nodes whose neighbor
+    The nodes of all cells, their values of ``Delta^k f`` and their nearest
+    density samples are taken at once, and nodes where the value is 0 dropped.
+    At each other node, in cell order, a reproduction of degree
+    ``params.degree`` is built with support radius 1.5 times the nearest
+    density sample (the inflation absorbs the sampling error of the density
+    field; any admissible radius preserves the rates).  Nodes whose neighbor
     offsets, radius and degree match an earlier solve exactly (lattice
     geometry recurs at many nodes) reuse its weights from the center set's
     solve memo, bit for bit what a fresh solve would return.  The theorem's
@@ -124,31 +134,33 @@ def assemble(
     """
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
-    centers_arr, sides_arr = quadrature_cells(qs, density.nearest)
-    for c, s in zip(centers_arr, sides_arr):
-        nodes, w = _cell_nodes(c, s, qs.rule)
-        vals = dkf(nodes)
-        for node, v in zip(nodes, vals):
-            if v == 0.0:
-                continue
-            radius = _RADIUS_FACTOR * density.nearest(node)
-            try:
-                pr = build_reproduction(cs, node, radius, params.degree)
-            except ReproductionError as exc:
-                raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
-            coeffs[pr.indices] += (w * v) * pr.weights
+    nodes, w = _cell_nodes(*quadrature_cells(qs, density.nearest), qs.rule)
+    vals = dkf(nodes)
+    nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
+    radii = _RADIUS_FACTOR * density.nearest(nodes)
+    for node, radius, x in zip(nodes, radii, wv):
+        try:
+            pr = build_reproduction(cs, node, radius, params.degree)
+        except ReproductionError as exc:
+            raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
+        coeffs[pr.indices] += x * pr.weights
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 
 
 def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray:
-    """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch."""
+    """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch.
+
+    Kernel values come in blocks of at most ``_PAIR_CHUNK`` probe-center pairs;
+    each probe's sum is one ``coefficients @ row`` product."""
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
     centers = ad.centers.points
-    for i, p in enumerate(pts):
-        r = np.linalg.norm(centers - p, axis=1)
-        out[i] = float(ad.coefficients @ phi_radial(r, params.d, params.k))
+    rows = max(1, _PAIR_CHUNK // len(centers))
+    for s in range(0, len(pts), rows):
+        block = phi_radial(_pair_distances(pts[s:s + rows, None, :], centers), params.d, params.k)
+        for i, row in enumerate(block, s):
+            out[i] = ad.coefficients @ row
     return float(out[0]) if single else out
 
 

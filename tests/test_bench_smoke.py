@@ -26,9 +26,9 @@ def load_workloads():
 WORKLOADS = load_workloads()
 
 
-def run_and_check(tmp_path, name, seed):
+def run_and_check(tmp_path, name, seed, quick=True):
     wl = WORKLOADS[name]
-    inputs = wl.make_inputs(np.random.default_rng(seed), True, tmp_path)
+    inputs = wl.make_inputs(np.random.default_rng(seed), quick, tmp_path)
     out = tmp_path / "out"  # the place workload names its centers file under it
     out.mkdir()
     wl.repeat(inputs, out)
@@ -44,3 +44,9 @@ def test_farfield_decay_passes_at_second_seed(tmp_path):
     # the seed picks one of the grid's eight symmetries, so seed 2027 refines
     # and probes another image of the base point and direction
     run_and_check(tmp_path, "farfield_decay", 2027)
+
+
+def test_study2d_uniform_passes_at_full_size(tmp_path):
+    # the reduced study is 1-D; the full-size one is the only 2-D run of
+    # quadrature assembly and block evaluation through the CLI
+    run_and_check(tmp_path, "study2d_uniform", 1, quick=False)

@@ -569,7 +569,7 @@ def test_pair_engine_pair_at_cutoff(kind, offset):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_pair_distances_match_cdist(d):
-    from surfspline.density import _pair_distances
+    from surfspline.centers import _pair_distances
 
     rng = np.random.default_rng(d)
     x = rng.normal(size=(30, d)) * 10.0 ** rng.uniform(-4, 4, size=(30, 1))

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfspline import (
     ApproximantDump,
@@ -61,12 +63,8 @@ def test_quadrature_integral_of_laplacian_vanishes():
     totals = []
     for cpr in (8, 16):
         qs = QuadratureSpec(cells_per_rho=cpr, rule="gauss2", domain=([-1.0], [1.0]))
-        centers, sides = quadrature_cells(qs, lambda c: 0.5)
-        total = 0.0
-        for c, s in zip(centers, sides):
-            nodes, w = _cell_nodes(c, s, "gauss2")
-            total += w * float(np.sum(df(nodes)))
-        totals.append(abs(total))
+        nodes, w = _cell_nodes(*quadrature_cells(qs, lambda c: 0.5), "gauss2")
+        totals.append(abs(float(np.sum(w * df(nodes)))))
     assert totals[0] <= 1e-3
     assert totals[1] <= totals[0] / 8.0
 
@@ -223,3 +221,200 @@ def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, 
     with pytest.raises(ValueError, match=message):
         convergence_study([3, 4, 5], factory, bump(5, [0.0], 1.0), params, epsilon=0.6,
                           probes=np.zeros(1), **quadrature)
+
+
+# The per-probe, per-node and stack versions of evaluate, assemble and
+# quadrature_cells, kept as oracles: the array-at-a-time routines must return
+# their bytes.
+
+
+def evaluate_by_probe(ad, x, params):
+    from surfspline.centers import _as_points
+    from surfspline.kernels import phi_radial
+
+    pts, single = _as_points(x, params.d)
+    out = np.empty(pts.shape[0])
+    centers = ad.centers.points
+    for i, p in enumerate(pts):
+        r = np.linalg.norm(centers - p, axis=1)
+        out[i] = float(ad.coefficients @ phi_radial(r, params.d, params.k))
+    return float(out[0]) if single else out
+
+
+def cells_by_stack(qs, rho_at):
+    lo, hi = qs.domain
+    d = lo.shape[0]
+    extent = hi - lo
+    n0 = np.maximum(1, np.round(extent / np.min(extent)).astype(int))
+    side0 = extent / n0
+    stack = []
+    for idx in np.ndindex(*n0):
+        stack.append((lo + (np.array(idx) + 0.5) * side0, side0.copy()))
+    stack.reverse()
+    centers, sides = [], []
+    while stack:
+        c, s = stack.pop()
+        if np.max(s) <= rho_at(c) / qs.cells_per_rho:
+            centers.append(c)
+            sides.append(s)
+            continue
+        half = s / 2.0
+        for idx in np.ndindex(*(2,) * d):
+            stack.append((c + (np.array(idx) - 0.5) * half, half.copy()))
+    return np.array(centers), np.array(sides)
+
+
+def assemble_by_node(cs, f, params, qs, density):
+    from surfspline import quasiinterp
+    from surfspline.polyrep import ReproductionError
+
+    dkf = laplacian_power(f, params.k)
+    coeffs = np.zeros(len(cs))
+    for c, s in zip(*cells_by_stack(qs, density.nearest)):
+        vol = float(np.prod(s))
+        if qs.rule == "midpoint":
+            nodes, w = c[None, :], vol
+        else:
+            offsets = np.array(list(np.ndindex(*(2,) * len(c)))) - 0.5
+            nodes, w = c + offsets * (s / np.sqrt(3.0)), vol / 2**len(c)
+        for node, v in zip(nodes, dkf(nodes)):
+            if v == 0.0:
+                continue
+            radius = quasiinterp._RADIUS_FACTOR * density.nearest(node)
+            try:
+                pr = quasiinterp.build_reproduction(cs, node, radius, params.degree)
+            except ReproductionError as exc:
+                raise quasiinterp.AssemblyError(
+                    f"reproduction failed at node {node.tolist()}: {exc}") from exc
+            coeffs[pr.indices] += (w * v) * pr.weights
+    coeffs *= params.normalization
+    return ApproximantDump(centers=cs, coefficients=coeffs)
+
+
+#: (k, degree) per dimension: the smallest order with 2k > d, a low degree.
+ORDERS = {1: (1, 3), 2: (2, 3), 3: (2, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 300),
+       st.sampled_from(["one", "rows-1", "rows", "rows+1"]))
+def test_evaluate_bitwise_equals_by_probe(seed, d, n, count):
+    from surfspline.quasiinterp import _PAIR_CHUNK
+
+    rng = np.random.default_rng(seed)
+    params = KernelParams(d=d, k=ORDERS[d][0], degree=ORDERS[d][1])
+    dump = ApproximantDump(CenterSet(rng.uniform(-1, 1, size=(n, d))), rng.normal(size=n))
+    rows = _PAIR_CHUNK // n
+    m = {"one": 1, "rows-1": max(1, rows - 1), "rows": rows, "rows+1": rows + 1}[count]
+    probes = rng.uniform(-1.5, 1.5, size=(m, d))
+    probes[0] = dump.centers.points[0]  # r = 0, where phi is 0 by continuity
+    assert evaluate(dump, probes, params).tobytes() == \
+        evaluate_by_probe(dump, probes, params).tobytes()
+    assert evaluate(dump, probes[-1], params) == evaluate_by_probe(dump, probes[-1], params)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluate_bitwise_one_row_per_block(d):
+    # more centers than pairs in a block: every block holds one probe
+    from surfspline.quasiinterp import _PAIR_CHUNK
+
+    rng = np.random.default_rng(d)
+    n = _PAIR_CHUNK + 7
+    params = KernelParams(d=d, k=ORDERS[d][0], degree=ORDERS[d][1])
+    dump = ApproximantDump(CenterSet(rng.uniform(-1, 1, size=(n, d))), rng.normal(size=n))
+    probes = rng.uniform(-1.5, 1.5, size=(3, d))
+    assert evaluate(dump, probes, params).tobytes() == \
+        evaluate_by_probe(dump, probes, params).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 4), st.booleans())
+def test_quadrature_cells_bitwise_equals_stack(seed, d, cells_per_rho, batch):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 0.0, size=d)
+    hi = lo + rng.uniform(0.5, 2.0, size=d)  # root grids up to 4 cells an axis
+    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule="midpoint", domain=(lo, hi))
+    scale = float(np.max(hi - lo))
+    if batch:
+        field = DensityField(rng.uniform(lo, hi, size=(20, d)), rng.uniform(0.2, 0.4, 20) * scale)
+        rho_at = field.nearest
+    else:
+        rho = rng.uniform(0.2, 1.0) * scale
+
+        def rho_at(c):
+            return rho
+    centers, sides = quadrature_cells(qs, rho_at)
+    ref_centers, ref_sides = cells_by_stack(qs, rho_at)
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert sides.tobytes() == ref_sides.tobytes()
+    assert centers.shape == ref_centers.shape == sides.shape
+
+
+def test_quadrature_cells_calls_rho_once_per_level():
+    seen = []
+
+    def rho_at(c):
+        seen.append(np.shape(c))
+        return 0.9 * np.linalg.norm(c, axis=1) + 0.05
+
+    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0, -1.0], [1.0, 1.0]))
+    centers, sides = quadrature_cells(qs, rho_at)
+    levels = np.unique(np.log2(2.0 / sides[:, 0]))  # one root cell of side 2
+    assert len(seen) == levels.max() + 1 and len(levels) > 2
+    assert seen[0] == (1, 2) and all(len(s) == 2 and s[1] == 2 for s in seen)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(["midpoint", "gauss2"]))
+def test_assemble_bitwise_equals_by_node(seed, d, rule):
+    rng = np.random.default_rng(seed)
+    k, degree = ORDERS[d]
+    params = KernelParams(d=d, k=k, degree=degree)
+    h = 0.25 if d < 3 else 0.5
+    ax = np.arange(-2.0, 2.0 + h / 2, h)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[ax] * d, indexing="ij")], axis=1)
+    cs = CenterSet(grid + rng.uniform(-0.2, 0.2, size=grid.shape) * h)
+    f = bump(2 * k + 2, rng.uniform(-0.2, 0.2, size=d), 1.0)
+    density = DensityField(rng.uniform(-1.2, 1.2, size=(30, d)),
+                           rng.uniform(2.5, 4.0, size=30) * h)
+    qs = QuadratureSpec(cells_per_rho=2, rule=rule, domain=(f.center - 1.0, f.center + 1.0))
+    got = assemble(cs, f, params, qs, density).coefficients
+    assert got.tobytes() == assemble_by_node(cs, f, params, qs, density).coefficients.tobytes()
+
+
+def test_assemble_fails_at_the_same_node(monkeypatch):
+    # a hole in the centers under the domain, in the quadrant the depth-first
+    # cell order visits last: assemble fails at the same node as the per-node
+    # loop, after the same solves, and never solves a node where Delta^k f is
+    # 0 (the corners of the square domain)
+    from surfspline import quasiinterp
+    from surfspline.quasiinterp import AssemblyError
+
+    ax = np.arange(-2.0, 2.01, 0.25)
+    grid = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=1)
+    cs = CenterSet(grid[np.linalg.norm(grid - [-0.5, -0.3], axis=1) > 0.5])
+    f = bump(6, [0.0, 0.0], 1.0)
+    params = KernelParams(d=2, k=2, degree=2)
+    density = DensityField(np.zeros((1, 2)), np.array([0.3]))
+    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0, -1.0], [1.0, 1.0]))
+    solved = {}
+    build = quasiinterp.build_reproduction
+    dkf = laplacian_power(f, params.k)
+
+    def spy(cs_, node, radius, degree):
+        assert dkf(node) != 0.0
+        solved[name].append(node.tobytes())
+        return build(cs_, node, radius, degree)
+
+    monkeypatch.setattr(quasiinterp, "build_reproduction", spy)
+    messages = {}
+    for name, run in (("array", assemble), ("by_node", assemble_by_node)):
+        solved[name] = []
+        with pytest.raises(AssemblyError) as info:
+            run(cs, f, params, qs, density)
+        messages[name] = str(info.value)
+    assert messages["array"] == messages["by_node"]
+    assert "reproduction failed at node" in messages["array"]
+    assert solved["array"] == solved["by_node"] and len(solved["array"]) > 1
+    nodes, _ = quasiinterp._cell_nodes(*quadrature_cells(qs, density.nearest), "gauss2")
+    assert np.any(dkf(nodes) == 0.0)
