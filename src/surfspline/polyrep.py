@@ -8,11 +8,14 @@ degree, we look for weights ``a(xi, alpha)`` supported on the centers inside
     sum_xi a(xi, alpha) p(xi) = p(alpha).
 
 Among all weight vectors satisfying these moment constraints we return the
-one of minimum Euclidean norm, computed with a rank-revealing least-squares
-factorization on a shifted-and-scaled monomial basis (shifting to ``alpha``
-and scaling by the radius keeps the conditioning independent of location and
-scale).  The sum of absolute weights is the stability norm of the
-reproduction.
+one of minimum Euclidean norm, computed on a shifted-and-scaled monomial
+basis (shifting to ``alpha`` and scaling by the radius keeps the
+conditioning independent of location and scale) from one column-pivoted QR
+of the transposed moment matrix ``B^T``.  Its R gives the rank: a smallest
+ratio ``|R_kk| / |R_00|`` at most ``RANK_RTOL`` proves the system deficient,
+one above a guard band over ``RANK_RTOL`` is taken as full rank, and inside
+the band the singular values of R decide.  The sum of absolute weights is the
+stability norm of the reproduction.
 """
 
 from __future__ import annotations
@@ -23,12 +26,20 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import svdvals
+from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
 from .centers import _SOLVE_MEMO_CAP, CenterSet, _as_point
 
-#: Relative rank tolerance (w.r.t. the largest singular value) separating
-#: genuine unisolvency failures from round-off.
+#: Relative rank tolerance separating genuine unisolvency failures from
+#: round-off: full rank means sigma_min > RANK_RTOL * sigma_max.  A deficient
+#: rank is reported as pivoted QR's count of |R_kk| > RANK_RTOL * |R_00| (of
+#: singular values, inside the guard band).
 RANK_RTOL = 1e-10
+
+#: Pivoted QR can overrate a rank, so a smallest ratio ``|R_kk| / |R_00|`` up
+#: to ``_GUARD * RANK_RTOL`` is checked against the singular values of R.
+_GUARD = 1e3
 
 
 class ReproductionError(Exception):
@@ -123,7 +134,8 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         If the ball holds fewer centers than ``dim Pi_degree``.
     RankDeficient
         If the local Vandermonde has numerical rank below ``dim Pi_degree``
-        at relative tolerance ``RANK_RTOL``.
+        at relative tolerance ``RANK_RTOL``; the rank it reports is pivoted
+        QR's count of ``|R_kk| > RANK_RTOL * |R_00|`` (see ``RANK_RTOL``).
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -150,10 +162,7 @@ def _reproduce(cs: CenterSet, alpha: np.ndarray, radius: float, idx: np.ndarray,
     memo = cs._solves
     hit = memo.get(key)
     if hit is None:
-        bmat, rhs = _moment_system(offsets, radius, degree)
-        sol, _, rank, _ = scipy.linalg.lstsq(bmat, rhs, cond=RANK_RTOL, lapack_driver="gelsd")
-        sol.setflags(write=False)
-        hit = (sol, int(rank))
+        hit = _min_norm(_moment_system(offsets, radius, degree)[0])
         if len(memo) >= _SOLVE_MEMO_CAP:
             memo.clear()
         memo[key] = hit
@@ -161,6 +170,46 @@ def _reproduce(cs: CenterSet, alpha: np.ndarray, radius: float, idx: np.ndarray,
     if rank < m:
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
     return PolyRep(alpha=alpha, radius=radius, indices=idx, weights=sol, degree=degree)
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a LAPACK wrapper call but its trailing ``info``; a
+    nonzero ``info`` raises ``LinAlgError``, a numerical failure."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed with info {info}")
+    return out
+
+
+def _min_norm(bmat: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Minimum-norm ``w`` with ``bmat @ w = e_0``, and the rank of ``bmat``
+    (M, n), M <= n, at ``RANK_RTOL``; ``w`` is read-only, and None for a
+    deficient system.
+
+    One column-pivoted QR ``bmat^T P = Q R`` (Businger & Golub, *Numer.
+    Math.* 7, 1965) gives both: the rank from R's diagonal, with the singular
+    values of R deciding inside the guard band, and for full rank
+    ``w = Q R^-T P^T e_0``, one triangular solve and one application of Q.
+    ``bmat`` is overwritten.
+    """
+    m = bmat.shape[0]
+    qr, jpvt, tau, _ = _lapack(dgeqp3, bmat.T, overwrite_a=1)
+    diag = np.abs(np.diagonal(qr))
+    # R's diagonal lies between its extreme singular values, which are B's
+    ratio = diag.min() / diag[0]  # >= sigma_min / sigma_max
+    if ratio <= RANK_RTOL:
+        return None, int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
+    if ratio <= _GUARD * RANK_RTOL:
+        sv = svdvals(np.triu(qr[:m]))
+        if sv[-1] <= RANK_RTOL * sv[0]:
+            return None, int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    pivoted = (jpvt == 1).astype(float)[:, None]  # P^T e_0; jpvt counts from 1
+    z, = _lapack(dtrtrs, qr, pivoted, trans=1)
+    w = np.zeros((qr.shape[0], 1))
+    w[:m] = z
+    w, _ = _lapack(dormqr, "L", "N", qr, tau, w, 1, overwrite_c=1)  # Q [z; 0]
+    w.setflags(write=False)
+    return w[:, 0], m
 
 
 def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:

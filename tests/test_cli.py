@@ -210,18 +210,33 @@ def test_study_short_sweep_rejected(tmp_path):
 
 def test_study_svd_failure_is_numerical(tmp_path, monkeypatch):
     # numpy.linalg.LinAlgError subclasses ValueError, the config-error class
-    import scipy.linalg
+    import surfspline.polyrep
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "lstsq", no_convergence)
+    monkeypatch.setattr(surfspline.polyrep, "_min_norm", no_convergence)
     cfg = write_config(tmp_path, "s.json", {"study": {
         "d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
         "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},
         "box": {"lo": [-2.5], "hi": [2.5]},
         "probe": {"lo": [-1.2], "hi": [1.2], "count": 41}}})
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("routine", ["dgeqp3", "dtrtrs", "dormqr"])
+def test_study_lapack_failure_is_numerical(tmp_path, capsys, monkeypatch, routine):
+    # a LAPACK wrapper that reports info = 1 from the local solve's QR, its
+    # triangular solve or its application of Q
+    import surfspline.polyrep
+
+    wrapper = getattr(surfspline.polyrep, routine)
+    monkeypatch.setattr(surfspline.polyrep, routine,
+                        lambda *args, **kwargs: (*wrapper(*args, **kwargs)[:-1], 1))
+    cfg = write_config(tmp_path, "s.json", {"study": study_block()})
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: LAPACK") and "failed with info 1" in err
 
 
 def test_dyadic_pipeline(tmp_path):

@@ -157,21 +157,6 @@ def fresh_witness(cs, alpha, rho, degree):
     return build_reproduction(CenterSet(cs.points), alpha, rho, degree)
 
 
-def count_solves(monkeypatch):
-    """Count the least-squares solves made from here on."""
-    import scipy.linalg
-
-    calls = []
-    lstsq = scipy.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
-    return calls
-
-
 #: Center clouds of :func:`consistency_cloud`.
 CLOUDS = ["uniform", "dyadic", "decimal", "clustered"]
 
@@ -266,14 +251,14 @@ def test_smallest_window_matches_full_sort(seed, d, degree, kind):
         assert pr.weights.tobytes() == full[1].weights.tobytes()
 
 
-def test_solve_memo_is_exact(monkeypatch):
+def test_solve_memo_is_exact(count_solves):
     # a dyadic grid: base points one spacing apart see the same offsets
     h = 0.25
     xs = np.arange(-8, 9) * h
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
     alphas = [h * np.array([i + 0.5 * (j % 2), j]) for i in range(-2, 3) for j in range(-2, 3)]
-    shared = count_solves(monkeypatch)
+    shared = count_solves
     results = [minimal_density(cs, a, 5) for a in alphas]
     n_shared = len(shared)
     shared.clear()
@@ -301,11 +286,12 @@ def test_solve_memo_misses_near_matches():
         assert np.array_equal(build_reproduction(cs, a, r, 3).weights, ref)
 
 
-def test_solve_memo_scope(monkeypatch):
+def test_solve_memo_scope(count_solves):
     cs = CenterSet(np.random.default_rng(20).uniform(-1, 1, size=(40, 2)))
     alpha = np.zeros(2)
     minimal_density(cs, alpha, 2)
-    calls = count_solves(monkeypatch)
+    calls = count_solves
+    calls.clear()  # count from here on
     minimal_density(cs, alpha, 2)
     assert calls == []  # every attempt repeats an earlier solve
     minimal_density(CenterSet(cs.points), alpha, 2)

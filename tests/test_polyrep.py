@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from surfspline import (
     CenterSet,
     InsufficientPoints,
+    NoAdmissibleRadius,
     RankDeficient,
     ReproductionError,
     build_reproduction,
+    minimal_density,
     monomial_exponents,
     polynomial_dim,
     refine_weights,
     verify_reproduction,
 )
+from surfspline.polyrep import _GUARD, RANK_RTOL, _min_norm, _moment_system
+from test_density import CLOUDS, consistency_cloud
 
 
 def random_unisolvent(rng, d, degree, n_extra=6):
@@ -287,3 +291,132 @@ def test_refine_weights_raises_when_refinement_stalls(monkeypatch):
                                                 r"iterations, alpha \[ 0\.1 -0\.2\], degree 3, "
                                                 r"dps 60"):
         refine_weights(pr, cs)
+
+
+def solve_by_gelsd(bmat):
+    """The SVD-based solve the pivoted QR replaced: minimum-norm ``w`` with
+    ``bmat @ w = e_0``, the rank at ``RANK_RTOL`` and the singular values."""
+    import scipy.linalg
+
+    rhs = np.zeros(bmat.shape[0])
+    rhs[0] = 1.0
+    sol, _, rank, sv = scipy.linalg.lstsq(bmat, rhs, cond=RANK_RTOL, lapack_driver="gelsd")
+    return sol, int(rank), sv
+
+
+def min_norm_by_gelsd(bmat):
+    """:func:`solve_by_gelsd` in the shape of ``_min_norm``."""
+    sol, rank, _ = solve_by_gelsd(bmat)
+    return (sol if rank == bmat.shape[0] else None), rank
+
+
+def prefix_systems(cs, alpha, degree):
+    """The moment matrix of every prefix of the distance order about alpha
+    that holds dim Pi_degree centers, at the distance of its last center."""
+    from surfspline.density import _ZERO_RADIUS
+
+    dist = np.linalg.norm(cs.points - alpha, axis=1)
+    order = np.argsort(dist, kind="stable")
+    for n in range(polynomial_dim(cs.dim, degree), len(cs) + 1):
+        idx = order[:n]
+        yield _moment_system(cs.points[idx] - alpha, max(dist[idx[-1]], _ZERO_RADIUS), degree)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data(), st.sampled_from(CLOUDS))
+def test_min_norm_matches_gelsd_on_every_prefix(seed, d, data, kind):
+    degree = data.draw(st.integers(0, 3 if d == 3 else 6))
+    cs, alpha = consistency_cloud(seed, d, kind)
+    m = polynomial_dim(d, degree)
+    for bmat in prefix_systems(cs, alpha, degree):
+        ref, rank, sv = solve_by_gelsd(bmat)
+        weights, qr_rank = _min_norm(bmat.copy())
+        assert (qr_rank < m) == (rank < m)
+        if rank < m:
+            assert weights is None
+        else:
+            err = np.linalg.norm(weights - ref)
+            assert err <= sv[0] / sv[-1] * 1e-14 * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data(), st.sampled_from(CLOUDS))
+def test_minimal_density_matches_gelsd_oracle(seed, d, data, kind):
+    import surfspline.polyrep
+
+    degree = data.draw(st.integers(0, 3 if d == 3 else 6))
+    cs, alpha = consistency_cloud(seed, d, kind)
+    results = []
+    for min_norm in (_min_norm, min_norm_by_gelsd):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surfspline.polyrep, "_min_norm", min_norm)
+            try:
+                rho, pr = minimal_density(CenterSet(cs.points), alpha, degree)
+                results.append((rho, pr.indices.tolist()))
+            except NoAdmissibleRadius as exc:
+                results.append(str(exc))
+    assert results[0] == results[1]
+
+
+def near_deficient(d, degree, gap):
+    """The square moment matrix of dim Pi_degree fixed centers in [-1, 1]^d,
+    the last one ``gap`` away from the first."""
+    m = polynomial_dim(d, degree)
+    pts = np.random.default_rng(degree).uniform(-1, 1, size=(m, d))
+    pts[-1] = pts[0] + gap / np.sqrt(d)
+    return _moment_system(pts, 2.0, degree)[0]
+
+
+def tuned_gap(d, degree, ratio):
+    """The gap at which ``near_deficient`` has sigma_min / sigma_max = ratio."""
+    import scipy.linalg
+
+    gap = 1e-6
+    for _ in range(6):  # sigma_min is about proportional to the gap
+        sv = scipy.linalg.svdvals(near_deficient(d, degree, gap))
+        gap *= ratio / (sv[-1] / sv[0])
+    return gap
+
+
+@pytest.mark.parametrize("d, degree", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 1)])
+def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
+    import scipy.linalg
+
+    import surfspline.polyrep
+
+    calls = {"svdvals": 0, "dormqr": 0}
+
+    def spy(name):
+        routine = getattr(surfspline.polyrep, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(surfspline.polyrep, name, counted)
+
+    spy("svdvals")
+    spy("dormqr")
+    m = polynomial_dim(d, degree)
+    # (gap, inside the band, deficient): sigma_min / sigma_max just below and
+    # just above RANK_RTOL; a repeated center; a well-spread set
+    cases = [(tuned_gap(d, degree, 0.99 * RANK_RTOL), True, True),
+             (tuned_gap(d, degree, 1.01 * RANK_RTOL), True, False),
+             (0.0, False, True), (0.5, False, False)]
+    for gap, in_band, deficient in cases:
+        bmat = near_deficient(d, degree, gap)
+        rdiag = np.abs(np.diag(scipy.linalg.qr(bmat.T, mode="r", pivoting=True)[0]))
+        ratio = rdiag.min() / rdiag[0]
+        assert (RANK_RTOL < ratio <= _GUARD * RANK_RTOL) == in_band
+        ref, rank, sv = solve_by_gelsd(bmat)
+        calls.update(svdvals=0, dormqr=0)
+        weights, qr_rank = _min_norm(bmat.copy())
+        assert (rank < m) == (qr_rank < m) == deficient
+        assert calls["svdvals"] == in_band  # the singular values only inside the band
+        if deficient:
+            assert weights is None
+            assert calls["dormqr"] == 0  # a deficient attempt never applies Q
+        else:
+            assert calls["dormqr"] == 1
+            err = np.linalg.norm(weights - ref)
+            assert err <= sv[0] / sv[-1] * 1e-14 * np.linalg.norm(ref)
