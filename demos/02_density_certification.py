@@ -31,17 +31,14 @@ rho0, _ = minimal_density(cs, np.zeros(1), spec.degree)
 print(f"\nminimal density at the defect: rho(0) = {rho0:.5f}")
 
 radii = np.geomspace(0.05, 2.0, 12)
+samples = radii[:, None]
+values, _ = minimal_density(cs, samples, spec.degree)  # one call for the whole batch
+models = rho0 * (1 + radii / rho0) ** (2 / 3)
 print("\n  |x|       rho(x)    model     ratio")
-samples, values = [], []
-for rx in radii:
-    x = np.array([rx])
-    rho, _ = minimal_density(cs, x, spec.degree)
-    model = rho0 * (1 + rx / rho0) ** (2 / 3)
+for rx, rho, model in zip(radii, values, models):
     print(f"  {rx:7.4f}  {rho:8.5f}  {model:8.5f}  {rho / model:6.3f}")
-    samples.append(x)
-    values.append(rho)
 
-df = DensityField(np.array(samples), np.array(values))
+df = DensityField(samples, values)
 r = 2.0
 eps = 1 / 3
 c_sg = certify_slow_growth(df, eps)

@@ -16,6 +16,12 @@ DUPLICATE_TOL = 1e-12
 #: Entries of a center set's solve memo (a few KB each).
 _SOLVE_MEMO_CAP = 4096
 
+#: Relative slack, and relative and absolute pad, on a bound or radius that
+#: meets the kd-tree: far above the rounding of a ratio, of a radius and of the
+#: tree's squared distances, so a padded query keeps extra centers, never
+#: drops one.
+_CUTOFF_PAD = 1e-9
+
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Point/batch contract in R^dim: ``(dim,)`` is one point, ``(n, dim)`` a batch.
@@ -109,7 +115,7 @@ class CenterSet:
             raise ValueError("radius must be positive")
         # the tree compares squared distances, which can drop a center at
         # exactly ``radius``: pad far above that rounding, then cut exactly
-        idx = self._tree.query_ball_point(center, radius * (1.0 + 1e-9))
+        idx = self._tree.query_ball_point(center, radius * (1.0 + _CUTOFF_PAD))
         idx = np.sort(np.asarray(idx, dtype=np.intp))
         idx, dist = _by_distance(idx, np.linalg.norm(self.points[idx] - center, axis=1))
         n = int(np.searchsorted(dist, radius, side="right"))
@@ -134,24 +140,44 @@ def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _tie_groups(dist: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whole tie groups among the ``size`` centers nearest a point, from
-    ``dist``, the distances of all centers to it: the window's centers in
-    :meth:`CenterSet.neighbor_arrays` order, its candidate radii and the number
-    of centers each captures, so ``order[:counts[i]]`` is the ball of radius
-    ``radii[i]``.  Groups chain through ``DUPLICATE_TOL``, so the window's last
-    group is kept only if the nearest center outside lies more than that beyond
-    it; the kept groups are a prefix of the whole set's, bit for bit."""
-    if size < dist.size:
-        part = np.argpartition(dist, size)
-        idx, beyond = np.sort(part[:size]), dist[part[size]]
-    else:
-        idx, beyond = np.arange(dist.size), np.inf
-    order, dist = _by_distance(idx, dist[idx])
+def _tie_groups(idx: np.ndarray, dist: np.ndarray,
+                beyond: float = np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whole tie groups among the centers ``idx`` (ascending) at distances
+    ``dist`` from a point, every other center lying at least ``beyond`` from
+    it: the centers in :meth:`CenterSet.neighbor_arrays` order, the candidate
+    radii and the number of centers each captures, so ``order[:counts[i]]`` is
+    the ball of radius ``radii[i]``.  Groups chain through ``DUPLICATE_TOL``, so
+    a group is kept only if ``beyond`` lies more than that past its radius; the
+    kept groups are a prefix of the whole set's, bit for bit."""
+    order, dist = _by_distance(idx, dist)
     counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
-    if not beyond - dist[-1] > DUPLICATE_TOL:
-        counts = counts[:-1]
+    counts = counts[beyond - dist[counts - 1] > DUPLICATE_TOL]
     return order, dist[counts - 1], counts
+
+
+def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
+    """The tie groups (:func:`_tie_groups`) among the ``size`` centers nearest
+    each of the (b, d) points ``pts``, yielded point by point.
+
+    One kd-tree query takes the ``size + 1`` nearest centers of every point.
+    The first ``size`` are the window: their distances are the
+    ``np.linalg.norm`` of a full scan, bit for bit, row by row.  The tree's
+    last distance, shrunk by ``_CUTOFF_PAD`` relative and absolute (far above
+    the rounding of its squared distances), bounds every center outside the
+    window from below, even where rounding made the tree swap near-ties across
+    the window's edge.  A window of the whole set (``size >= len(cs)``) is the
+    full scan, one point at a time."""
+    if size >= len(cs):
+        everyone = np.arange(len(cs))
+        for p in pts:
+            yield _tie_groups(everyone, np.linalg.norm(cs.points - p, axis=1))
+        return
+    near_dist, near = cs._tree.query(pts, k=size + 1)
+    idx = np.sort(near[:, :size], axis=1)
+    dist = np.linalg.norm(cs.points[idx] - pts[:, None, :], axis=2)
+    beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+    for i in range(len(pts)):
+        yield _tie_groups(idx[i], dist[i], beyond[i])
 
 
 def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
@@ -163,4 +189,4 @@ def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:
     ``center`` can change, which drives the minimal-density search.
     """
     center = _as_point(center, cs.dim)
-    return _tie_groups(np.linalg.norm(cs.points - center, axis=1), len(cs))[1]
+    return next(_nearest_groups(cs, center[None], len(cs)))[1]

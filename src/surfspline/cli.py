@@ -96,12 +96,21 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def write_csv(path: Path, header: str, columns) -> None:
-    """One row per entry of the equally long ``columns`` (lists); a column of
-    floats is written with :data:`FLOAT_FORMAT`, any other with ``str``."""
-    fmt = ",".join(FLOAT_FORMAT if col and isinstance(col[0], float) else "%s"
-                   for col in columns)
+    """One row per entry of the equally long ``columns`` (lists or arrays); a
+    column of floats is written with :data:`FLOAT_FORMAT`, any other with ``str``."""
+    columns = [_float_text(col) if len(col) and isinstance(col[0], float) else col
+               for col in columns]
+    fmt = ",".join(["%s"] * len(columns))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([header] + [fmt % row for row in zip(*columns)]) + "\n")
+
+
+def _float_text(col) -> list[str]:
+    """``col`` in :data:`FLOAT_FORMAT`, each distinct float64 bit pattern (so
+    -0.0 apart from 0.0) formatted once: lattice coordinates repeat a lot."""
+    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([FLOAT_FORMAT % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +146,7 @@ def _read_rows(path: Path, kind: str, prefix: str, dim_of, last: tuple) -> np.nd
 
 def write_centers(path: Path, cs: CenterSet) -> None:
     levels = cs.levels if cs.levels is not None else np.zeros(len(cs), dtype=int)
-    write_csv(path, f"dim,{cs.dim}", [*cs.points.T.tolist(), levels.tolist()])
+    write_csv(path, f"dim,{cs.dim}", [*cs.points.T, levels.tolist()])
 
 
 def read_centers(path: Path) -> CenterSet:
@@ -147,7 +156,7 @@ def read_centers(path: Path) -> CenterSet:
 
 def write_density(path: Path, pts: np.ndarray, values: np.ndarray) -> None:
     header = ",".join(f"x{a + 1}" for a in range(pts.shape[1])) + ",rho"
-    write_csv(path, header, [*pts.T.tolist(), values.tolist()])
+    write_csv(path, header, [*pts.T, values])
 
 
 def read_density(path: Path) -> DensityField:
@@ -307,9 +316,7 @@ def cmd_density(cfg: dict, out: Path, seed: int) -> None:
     cs = read_centers(cfg["centers_file"])
     cap = cap if cap is not None else default_stability_cap(cs.dim, degree)
     probes = _probe_grid(cfg, cs.dim)
-    rho = np.empty(probes.shape[0])
-    for i, p in enumerate(probes):
-        rho[i], _ = minimal_density(cs, p, degree, cap)
+    rho, _ = minimal_density(cs, probes, degree, cap)
     df = DensityField(probes, rho)
     write_density(out / "density.csv", probes, rho)
     write_density(out / "majorant.csv", probes, majorant(df, probes, r))

@@ -16,12 +16,16 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _as_point, _as_points, _pair_distances, _tie_groups
+from .centers import CenterSet, _CUTOFF_PAD, _as_points, _nearest_groups, _pair_distances
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
 _WINDOW = 4
+
+#: Query points per block of :func:`minimal_density`: one kd-tree query takes
+#: the windows of a block, which live only while its points are searched.
+_BLOCK = 64
 
 #: Effective radius substituted when the minimal candidate radius is zero
 #: (base point coincident with a center); anything below the duplicate
@@ -86,49 +90,65 @@ def minimal_density(
     alpha,
     degree: int,
     stability_cap: float | None = None,
-) -> tuple[float, PolyRep]:
+) -> tuple[float, PolyRep] | tuple[np.ndarray, list[PolyRep]]:
     """Smallest candidate radius admitting a K-stable reproduction at alpha.
 
     The candidate radii are :func:`~surfspline.centers.sorted_candidate_radii`.
-    Distances to all centers are taken once per query, but only a window of
-    the nearest ``_WINDOW * dim Pi_degree`` is sorted, doubled whenever the
-    search needs a tie group past its edge.  The neighbor set at each
-    candidate radius is a prefix of the window (whole tie groups), the same
-    set in the same order as the ball query of ``build_reproduction``, and
-    each solve goes through the center set's solve memo.  Unisolvency is
+    ``alpha`` is one point (d,) or a batch (n, d), searched in blocks of
+    ``_BLOCK`` points.  Each block takes the windows of its points, their
+    nearest ``_WINDOW * dim Pi_degree`` centers, from one kd-tree query; a
+    search that needs a tie group past its window's edge queries its point
+    again with the window doubled, up to the whole set.  The neighbor set at
+    each candidate radius is a prefix of the window (whole tie groups), the
+    same set in the same order as the ball query of ``build_reproduction``,
+    and each solve goes through the center set's solve memo.  Unisolvency is
     monotone in the radius, so the smallest unisolvent candidate is located
     by exponential search plus bisection; the stability cap need not be
     monotone, so from there the candidates are scanned linearly until the
     cap is met.
 
-    Returns ``(rho, witness)`` where ``witness`` is the reproduction built at
-    radius ``rho`` on its whole tie group, equal bit for bit to
-    ``build_reproduction(cs, alpha, rho, degree)``.  Raises
-    :class:`NoAdmissibleRadius`, naming alpha, if even the full set fails.
+    Returns ``(rho, witness)`` for one point, where ``witness`` is the
+    reproduction built at radius ``rho`` on its whole tie group, equal bit for
+    bit to ``build_reproduction(cs, alpha, rho, degree)``; for a batch, the
+    (n,) rho and the list of witnesses.  Raises :class:`NoAdmissibleRadius`,
+    naming the first point in input order whose full set fails.
     """
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
-    alpha = _as_point(alpha, cs.dim)
+    pts, single = _as_points(alpha, cs.dim)
+    size = _WINDOW * polynomial_dim(cs.dim, degree)
+    witnesses = []
+    for s in range(0, len(pts), _BLOCK):
+        block = pts[s:s + _BLOCK]
+        for p, window in zip(block, _nearest_groups(cs, block, size)):
+            witnesses.append(_search(cs, p, degree, stability_cap, size, window))
+    if single:
+        return witnesses[0].radius, witnesses[0]
+    return np.array([pr.radius for pr in witnesses]), witnesses
+
+
+def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
+            size: int, window) -> PolyRep:
+    """The witness of :func:`minimal_density` at the point alpha, starting from
+    ``window``, the tie groups of its ``size`` nearest centers."""
     m = polynomial_dim(cs.dim, degree)
     if len(cs) < m:
         raise NoAdmissibleRadius(
             f"at alpha {alpha.tolist()}: only {len(cs)} centers, need {m} for degree {degree}")
-    dist = np.linalg.norm(cs.points - alpha, axis=1)
-    size = _WINDOW * m
-    order, radii, counts = _tie_groups(dist, size)
+    order, radii, counts = window
 
     def held(i: int) -> bool:
         """Grow the window until it holds group i; False if i is past the last."""
         nonlocal size, order, radii, counts
-        while i >= radii.size and size < dist.size:
+        while i >= radii.size and size < len(cs):
             size *= 2
-            order, radii, counts = _tie_groups(dist, size)
+            order, radii, counts = next(_nearest_groups(cs, alpha[None], size))
         return i < radii.size
 
     def attempt(i: int) -> PolyRep | None:
         r = max(float(radii[i]), _ZERO_RADIUS)
-        try:
-            return _reproduce(cs, alpha, r, order[:counts[i]], degree)
+        try:  # a copy: a witness must not hold its whole window
+            return _reproduce(cs, alpha, r, order[:counts[i]].copy(), degree)
         except ReproductionError:
             return None
 
@@ -164,7 +184,7 @@ def minimal_density(
                 f"(best Sum|a| = {pr.stability if pr else float('nan'):g})"
             )
         pr = attempt(i)
-    return pr.radius, pr
+    return pr
 
 
 def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
@@ -194,11 +214,6 @@ _PAIR_CHUNK = 512
 #: Inputs of at most this many pairs are scanned whole: below it the pruning
 #: costs more than it saves.
 _SCAN_PAIRS = 32768
-
-#: Relative slack on the pruning bound, and relative and absolute pad on each
-#: cutoff radius: far above the rounding of a ratio, of a radius and of the
-#: kd-tree's squared distances, so pruning keeps extra pairs, never drops one.
-_CUTOFF_PAD = 1e-9
 
 
 def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: bool,

@@ -256,13 +256,9 @@ def density_profile_check(cs: CenterSet, spec: MultiresSpec, sample_points,
     """
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     rho0, _ = minimal_density(cs, spec.anchor, spec.degree, stability_cap)
-    expo = 1.0 - spec.epsilon
-    ratios = np.empty(sample_points.shape[0])
-    for i, x in enumerate(sample_points):
-        rho_x, _ = minimal_density(cs, x, spec.degree, stability_cap)
-        dist = float(_defect_distance(spec, x[None, :])[0])
-        model = rho0 * (1.0 + dist / rho0) ** expo
-        ratios[i] = rho_x / model
+    rho, _ = minimal_density(cs, sample_points, spec.degree, stability_cap)
+    model = rho0 * (1.0 + _defect_distance(spec, sample_points) / rho0) ** (1.0 - spec.epsilon)
+    ratios = rho / model
     return ProfileCheck(
         rho_origin=rho0,
         max_ratio=float(np.max(ratios)),

@@ -228,9 +228,7 @@ def convergence_study(
             margin = 0.5 * f.scale
             inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
             sample_pts = cs.points[inside]
-        rho = np.empty(sample_pts.shape[0])
-        for i, p in enumerate(sample_pts):
-            rho[i], _ = minimal_density(cs, p, params.degree)
+        rho, _ = minimal_density(cs, sample_pts, params.degree)
         density = DensityField(sample_pts, rho)
         dump = assemble(cs, f, params, qs, density)
         approx = evaluate(dump, probes, params)

@@ -50,3 +50,9 @@ def test_study2d_uniform_passes_at_full_size(tmp_path):
     # the reduced study is 1-D; the full-size one is the only 2-D run of
     # quadrature assembly and block evaluation through the CLI
     run_and_check(tmp_path, "study2d_uniform", 1, quick=False)
+
+
+def test_remark1_place_density_passes_at_full_size(tmp_path):
+    # the only full-size run of the 35,273-center place -> CSV -> density
+    # path: batched degree-14 density queries on the Remark-1 placement
+    run_and_check(tmp_path, "remark1_place_density", 2027, quick=False)

@@ -147,7 +147,8 @@ def contract_targets(d):
     """The functions under the point/batch contract, each as x -> value."""
     from surfspline import (ApproximantDump, DensityField, DyadicParams, KernelParams,
                             build_reproduction, bump, enumerate_cubes, evaluate,
-                            local_kernel_error_precise, majorant, overlap_count, phi)
+                            local_kernel_error_precise, majorant, minimal_density,
+                            overlap_count, phi)
 
     rng = np.random.default_rng(4)
     cs = CenterSet(rng.uniform(-1, 1, size=(12, d)))
@@ -165,6 +166,7 @@ def contract_targets(d):
         "majorant": lambda x: majorant(df, x, 2.0),
         "DensityField.nearest": df.nearest,
         "CenterSet.neighbor_arrays": lambda x: cs.neighbor_arrays(x, 0.7),
+        "minimal_density": lambda x: minimal_density(cs, x, 1)[0],
     }
 
 

@@ -163,8 +163,11 @@ CLOUDS = ["uniform", "dyadic", "decimal", "clustered"]
 
 def consistency_cloud(seed, d, kind):
     """Centers and a base point: a uniform or a clustered cloud, a 2^-j
-    lattice (exact ties; offsets repeat from point to point) or a 0.1 lattice
-    (ties equal only up to rounding, chained through DUPLICATE_TOL)."""
+    lattice (exact ties; offsets repeat from point to point), a 0.1 lattice
+    (ties equal only up to rounding, chained through DUPLICATE_TOL) or, as
+    ``"chain"``, shells about the base point whose centers' distances step by
+    just under DUPLICATE_TOL (one tie group, chained link by link) or just
+    over it (a new group)."""
     rng = np.random.default_rng(seed)
     if kind in ("dyadic", "decimal"):
         h = 0.1 if kind == "decimal" else 2.0 ** -int(rng.integers(1, 4))
@@ -176,33 +179,93 @@ def consistency_cloud(seed, d, kind):
         hubs = rng.uniform(-1, 1, size=(3, d))
         cs = CenterSet(hubs[rng.integers(3, size=n)] + 0.05 * rng.normal(size=(n, d)))
         alpha = rng.uniform(-0.5, 0.5, size=d)
+    elif kind == "chain":
+        alpha = rng.uniform(-0.5, 0.5, size=d)
+        per = 2 if d == 1 else 8  # a 1-D shell has one center on each side
+        shells = np.sort(rng.uniform(0.05, 1.0, size=int(rng.integers(4, 12))))
+        steps = rng.choice([0.9, 1.1], size=(shells.size, per)) * DUPLICATE_TOL
+        links = (shells[:, None] + np.cumsum(steps, axis=1)).ravel()
+        if d > 1:
+            dirs = rng.normal(size=(links.size, d))
+        else:
+            dirs = np.tile([[1.0], [-1.0]], (shells.size, 1))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        cs = CenterSet(alpha + links[:, None] * dirs)
     else:
         cs = CenterSet(rng.uniform(-1, 1, size=(60, d)))
         alpha = rng.uniform(-0.5, 0.5, size=d)
     return cs, alpha
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CLOUDS))
-def test_prefix_windows_match_ball_queries(seed, d, kind):
+def full_groups(cs, alpha):
+    """The tie groups of the whole set about alpha, from a full scan."""
     from surfspline.centers import _tie_groups
+
+    return _tie_groups(np.arange(len(cs)), np.linalg.norm(cs.points - alpha, axis=1))
+
+
+def query_block(rng, cs, alpha, n):
+    """n query points: alpha among points near the centers, or on the lattice's
+    points and midpoints, where tie groups straddle every window's edge."""
+    pts = cs.points[rng.integers(len(cs), size=n)]
+    steps = np.diff(np.unique(cs.points[:, 0]))
+    pts = pts + 0.5 * np.min(steps) * rng.choice([-1.0, 0.0, 1.0], size=pts.shape)
+    pts[rng.integers(n)] = alpha
+    return pts
+
+
+class NoisyTree:
+    """A kd-tree stand-in whose distances carry relative errors up to 1e-11:
+    far above float rounding, far below ``_CUTOFF_PAD``, so it orders
+    near-ties, across groups just over DUPLICATE_TOL apart too, as it likes."""
+
+    def __init__(self, points, rng):
+        self.points, self.rng = points, rng
+
+    def query(self, x, k):
+        dist = cdist(x, self.points)
+        dist *= 1.0 + 1e-11 * self.rng.uniform(-1, 1, size=dist.shape)
+        near = np.argsort(dist, axis=1)[:, :k]
+        return np.take_along_axis(dist, near, axis=1), near
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CLOUDS + ["chain"]),
+       st.integers(1, 70), st.booleans())
+def test_prefix_windows_match_ball_queries(seed, d, kind, n, noisy):
+    from surfspline.centers import _CUTOFF_PAD, _nearest_groups
     from surfspline.density import _ZERO_RADIUS
 
     cs, alpha = consistency_cloud(seed, d, kind)
-    dist = np.linalg.norm(cs.points - alpha, axis=1)
-    order, radii, counts = _tie_groups(dist, len(cs))
-    for r, n in zip(radii, counts):
+    order, radii, counts = full_groups(cs, alpha)
+    for r, c in zip(radii, counts):
         idx, _ = cs.neighbor_arrays(alpha, max(r, _ZERO_RADIUS))
-        assert np.array_equal(idx, order[:n])  # same set, same order
-    # every window keeps whole groups only: a prefix of the whole set's, bit
-    # for bit, and every group it holds but the one cut by its edge
-    for size in range(1, len(cs)):
-        w_order, w_radii, w_counts = _tie_groups(dist, size)
-        g = w_radii.size
-        assert np.array_equal(w_radii, radii[:g]) and np.array_equal(w_counts, counts[:g])
-        if g:
-            assert np.array_equal(w_order[:w_counts[-1]], order[:counts[g - 1]])
-        assert counts[g] > size
+        assert np.array_equal(idx, order[:c])  # same set, same order
+    # every window of a block keeps whole groups only: a prefix of the whole
+    # set's, bit for bit, holding every group that lies clear of its edge;
+    # windows of each point's first groups cut a group whenever it has ties
+    rng = np.random.default_rng(seed)
+    pts = query_block(rng, cs, alpha, n)
+    if noisy:
+        cs = CenterSet(cs.points)
+        cs._tree = NoisyTree(cs.points, rng)
+    fulls = [full_groups(cs, p) for p in pts]
+    edges = {int(c[g]) - 1 for _, _, c in fulls[:3] for g in range(min(c.size, 6))}
+    sizes = sorted((edges | set(rng.integers(1, len(cs) + 2, size=4).tolist())) - {0})
+    for size in sizes:
+        for p, window, (order, radii, counts) in zip(pts, _nearest_groups(cs, pts, size), fulls):
+            w_order, w_radii, w_counts = window
+            g = w_radii.size
+            assert w_radii.tobytes() == radii[:g].tobytes()
+            assert np.array_equal(w_counts, counts[:g])
+            if g:
+                assert np.array_equal(w_order[:w_counts[-1]], order[:counts[g - 1]])
+            if size >= len(cs):
+                assert g == radii.size
+                continue
+            edge = np.sort(np.linalg.norm(cs.points - p, axis=1))[size]
+            clear = edge * (1 - 3 * _CUTOFF_PAD) - 3 * _CUTOFF_PAD - DUPLICATE_TOL
+            assert g >= np.count_nonzero(radii < clear)
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,6 +312,76 @@ def test_smallest_window_matches_full_sort(seed, d, degree, kind):
         assert pr.radius == full[0]
         assert np.array_equal(pr.indices, full[1].indices)
         assert pr.weights.tobytes() == full[1].weights.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(CLOUDS + ["chain"]), st.integers(1, 70), st.sampled_from([1, 7, None]),
+       st.sampled_from([1, 4]))
+def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
+    # blocks of 1, 7 and the default size (None), from the smallest window
+    # (grown again and again) and the default; a cap of 1.5 makes some
+    # points fail
+    import surfspline.density
+
+    cs, alpha = consistency_cloud(seed, d, kind)
+    pts = query_block(np.random.default_rng(seed), cs, alpha, n)
+    cap = default_stability_cap(d, degree) if seed % 3 else 1.5
+    with pytest.MonkeyPatch.context() as mp:
+        if block:
+            mp.setattr(surfspline.density, "_BLOCK", block)
+        mp.setattr(surfspline.density, "_WINDOW", window)
+        loop, failure = [], None
+        for p in pts:
+            try:
+                loop.append(minimal_density(CenterSet(cs.points), p, degree, cap))
+            except NoAdmissibleRadius as exc:
+                failure = str(exc)
+                break
+        if failure is not None:
+            with pytest.raises(NoAdmissibleRadius) as err:
+                minimal_density(cs, pts, degree, cap)
+            assert str(err.value) == failure
+            return
+        rho, witnesses = minimal_density(cs, pts, degree, cap)
+    assert rho.shape == (n,) and len(witnesses) == n
+    assert rho.tobytes() == np.array([r for r, _ in loop]).tobytes()
+    for pr, (r, ref) in zip(witnesses, loop):
+        assert pr.radius == r
+        assert np.array_equal(pr.indices, ref.indices)
+        assert pr.weights.tobytes() == ref.weights.tobytes()
+
+
+def test_batch_takes_one_tree_query_per_block(monkeypatch):
+    # on a lattice every window holds the search, so a batch of n points
+    # makes ceil(n / _BLOCK) tree queries and never takes a distance to
+    # every center
+    import surfspline.centers
+    from surfspline.density import _BLOCK
+
+    xs = np.arange(-20, 21) * 0.125
+    cs = CenterSet(np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], 1))
+    pts = np.random.default_rng(3).uniform(-2, 2, size=(_BLOCK + 9, 2))
+    tree, queries, lengths = cs._tree, [], []
+
+    class Spy:
+        def query(self, x, k):
+            queries.append(len(x))
+            return tree.query(x, k=k)
+
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        lengths.append(np.shape(x)[0])
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(cs, "_tree", Spy())
+    monkeypatch.setattr(surfspline.centers.np.linalg, "norm", counted)
+    rho, _ = minimal_density(cs, pts, 2)
+    assert queries == [_BLOCK, 9]
+    assert lengths and len(cs) not in lengths
+    monkeypatch.undo()
+    assert rho.tobytes() == np.array([minimal_density(cs, p, 2)[0] for p in pts]).tobytes()
 
 
 def test_solve_memo_is_exact(count_solves):
