@@ -22,6 +22,9 @@ _SOLVE_MEMO_CAP = 4096
 #: drops one.
 _CUTOFF_PAD = 1e-9
 
+#: Query points per kd-tree query of :func:`_nearest_groups`.
+_BLOCK = 64
+
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Point/batch contract in R^dim: ``(dim,)`` is one point, ``(n, dim)`` a batch.
@@ -44,6 +47,18 @@ def _as_point(x, dim: int) -> np.ndarray:
     if not single:
         raise ValueError(f"expected one query point of shape ({dim},), got shape {pts.shape}")
     return pts[0]
+
+
+def _as_cloud(points) -> np.ndarray:
+    """A float copy of ``points`` as a nonempty (n, d) array with d >= 1;
+    ``(n,)`` is n points in R^1.  Any other shape raises."""
+    pts = np.array(points, dtype=float)
+    shape = pts.shape
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError(f"points have shape {shape}; expected nonempty (n, d), d >= 1")
+    return pts
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -76,11 +91,7 @@ class CenterSet:
     """
 
     def __init__(self, points, levels=None):
-        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, d) array")
+        pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
         if not np.all(np.isfinite(pts)):
             raise ValueError("center coordinates must be finite")
         pts = np.ascontiguousarray(pts)
@@ -159,25 +170,25 @@ def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
     """The tie groups (:func:`_tie_groups`) among the ``size`` centers nearest
     each of the (b, d) points ``pts``, yielded point by point.
 
-    One kd-tree query takes the ``size + 1`` nearest centers of every point.
-    The first ``size`` are the window: their distances are the
-    ``np.linalg.norm`` of a full scan, bit for bit, row by row.  The tree's
-    last distance, shrunk by ``_CUTOFF_PAD`` relative and absolute (far above
-    the rounding of its squared distances), bounds every center outside the
-    window from below, even where rounding made the tree swap near-ties across
-    the window's edge.  A window of the whole set (``size >= len(cs)``) is the
-    full scan, one point at a time."""
-    if size >= len(cs):
-        everyone = np.arange(len(cs))
-        for p in pts:
-            yield _tie_groups(everyone, np.linalg.norm(cs.points - p, axis=1))
-        return
-    near_dist, near = cs._tree.query(pts, k=size + 1)
-    idx = np.sort(near[:, :size], axis=1)
-    dist = np.linalg.norm(cs.points[idx] - pts[:, None, :], axis=2)
-    beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
-    for i in range(len(pts)):
-        yield _tie_groups(idx[i], dist[i], beyond[i])
+    The points go in blocks of ``_BLOCK``, and one kd-tree query takes the
+    ``size + 1`` nearest centers of each block's points; a block's windows
+    live only while its points are consumed.  The first ``size`` are the
+    window: their distances are the ``np.linalg.norm`` of a full scan, bit for
+    bit, row by row.  The tree's last distance, shrunk by ``_CUTOFF_PAD``
+    relative and absolute (far above the rounding of its squared distances),
+    bounds every center outside the window from below, even where rounding
+    made the tree swap near-ties across the window's edge.  ``size`` is capped
+    at the whole set, whose missing last neighbor the tree reports at
+    distance ``inf``: that window keeps every group, the full scan's."""
+    size = min(size, len(cs))
+    for s in range(0, len(pts), _BLOCK):
+        block = pts[s:s + _BLOCK]
+        near_dist, near = cs._tree.query(block, k=size + 1)
+        idx = np.sort(near[:, :size], axis=1)
+        dist = np.linalg.norm(cs.points[idx] - block[:, None, :], axis=2)
+        beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+        for i in range(len(block)):
+            yield _tie_groups(idx[i], dist[i], beyond[i])
 
 
 def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:

@@ -16,16 +16,13 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _CUTOFF_PAD, _as_points, _nearest_groups, _pair_distances
+from .centers import (CenterSet, _CUTOFF_PAD, _as_cloud, _as_points, _nearest_groups,
+                      _pair_distances)
 from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
 _WINDOW = 4
-
-#: Query points per block of :func:`minimal_density`: one kd-tree query takes
-#: the windows of a block, which live only while its points are searched.
-_BLOCK = 64
 
 #: Effective radius substituted when the minimal candidate radius is zero
 #: (base point coincident with a center); anything below the duplicate
@@ -55,12 +52,10 @@ class DensityField:
     """
 
     def __init__(self, points, values):
-        pts = np.array(points, dtype=float)  # copies: freezing them leaves the caller's
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_cloud(points)  # copies: freezing them leaves the caller's
         vals = np.array(values, dtype=float).reshape(-1)
-        if pts.shape[0] != vals.shape[0] or pts.shape[0] == 0:
-            raise ValueError("need one value per sample point, at least one sample")
+        if pts.shape[0] != vals.shape[0]:
+            raise ValueError("need one value per sample point")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ValueError("samples must be finite")
         if not np.all(vals > 0):
@@ -94,18 +89,18 @@ def minimal_density(
     """Smallest candidate radius admitting a K-stable reproduction at alpha.
 
     The candidate radii are :func:`~surfspline.centers.sorted_candidate_radii`.
-    ``alpha`` is one point (d,) or a batch (n, d), searched in blocks of
-    ``_BLOCK`` points.  Each block takes the windows of its points, their
-    nearest ``_WINDOW * dim Pi_degree`` centers, from one kd-tree query; a
-    search that needs a tie group past its window's edge queries its point
-    again with the window doubled, up to the whole set.  The neighbor set at
-    each candidate radius is a prefix of the window (whole tie groups), the
-    same set in the same order as the ball query of ``build_reproduction``,
-    and each solve goes through the center set's solve memo.  Unisolvency is
-    monotone in the radius, so the smallest unisolvent candidate is located
-    by exponential search plus bisection; the stability cap need not be
-    monotone, so from there the candidates are scanned linearly until the
-    cap is met.
+    ``alpha`` is one point (d,) or a batch (n, d).  Each point's search starts
+    from its window, its nearest ``_WINDOW * dim Pi_degree`` centers, which
+    :func:`~surfspline.centers._nearest_groups` takes for a block of points at
+    a time; a search that needs a tie group past its window's edge queries
+    its point again with the window doubled, up to the whole set.  The
+    neighbor set at each candidate radius is a prefix of the window (whole
+    tie groups), the same set in the same order as the ball query of
+    ``build_reproduction``, and each solve goes through the center set's
+    solve memo.  Unisolvency is monotone in the radius, so the smallest
+    unisolvent candidate is located by exponential search plus bisection;
+    the stability cap need not be monotone, so from there the candidates are
+    scanned linearly until the cap is met.
 
     Returns ``(rho, witness)`` for one point, where ``witness`` is the
     reproduction built at radius ``rho`` on its whole tie group, equal bit for
@@ -117,11 +112,8 @@ def minimal_density(
         stability_cap = default_stability_cap(cs.dim, degree)
     pts, single = _as_points(alpha, cs.dim)
     size = _WINDOW * polynomial_dim(cs.dim, degree)
-    witnesses = []
-    for s in range(0, len(pts), _BLOCK):
-        block = pts[s:s + _BLOCK]
-        for p, window in zip(block, _nearest_groups(cs, block, size)):
-            witnesses.append(_search(cs, p, degree, stability_cap, size, window))
+    witnesses = [_search(cs, p, degree, stability_cap, size, window)
+                 for p, window in zip(pts, _nearest_groups(cs, pts, size))]
     if single:
         return witnesses[0].radius, witnesses[0]
     return np.array([pr.radius for pr in witnesses]), witnesses
@@ -211,10 +203,6 @@ def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
 #: ``_PAIR_CHUNK * len(df)`` pairs.
 _PAIR_CHUNK = 512
 
-#: Inputs of at most this many pairs are scanned whole: below it the pruning
-#: costs more than it saves.
-_SCAN_PAIRS = 32768
-
 
 def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: bool,
                    shared: bool) -> np.ndarray:
@@ -234,28 +222,18 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     R_i is padded by ``_CUTOFF_PAD`` relative and absolute, which covers the
     rounding of R_i and of the tree's squared distances.  So every pair
     whose computed ratio beats ``best`` lies in the kd-tree ball of radius
-    R_i; a non-finite R_i becomes the farthest any sample lies from x_i, and
-    rows with R_i < 0 have no such pair.  Each kept pair's distance equals
-    ``cdist``'s bit for bit (:func:`_pair_distances`) and goes through the
-    same ratio expression, and max/min are exact in any order, so pruning
-    changes no bit.
+    R_i; a non-finite R_i becomes ``inf``, and rows with R_i < 0 have no such
+    pair.  Each kept pair's distance equals ``cdist``'s bit for bit
+    (:func:`_pair_distances`) and goes through the same ratio expression, and
+    max/min are exact in any order, so pruning changes no bit.
 
-    Inputs of at most ``_SCAN_PAIRS`` pairs, and blocks whose balls hold
-    more than an eighth of their pairs, are scanned against every sample
-    instead: that is cheaper than pruning them (or listing their hits), and
-    a superset of the kept pairs.
+    Blocks whose balls hold more than an eighth of their pairs are scanned
+    against every sample instead: that is cheaper than listing their hits,
+    and a superset of the kept pairs.
     """
     extremum = np.maximum if maximize else np.minimum
-    everyone = np.arange(len(df))
-
-    def scan(b):  # rows b against every sample
-        dist = _pair_distances(x[b, None, :], df.points[None, :, :])
-        return extremum.reduce(ratio(b[:, None], everyone, dist), axis=1)
-
     n = len(x)
     rows = np.arange(n)
-    if n * len(df) <= _SCAN_PAIRS:
-        return scan(rows)
     blocks = [rows[s:s + _PAIR_CHUNK] for s in range(0, n, _PAIR_CHUNK)]
     k = min(2**df.dim + 1, len(df))
     best = np.empty(n)
@@ -267,22 +245,19 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     if shared:
         best[:] = extremum.reduce(best)
     loose = best * (1.0 - _CUTOFF_PAD if maximize else 1.0 + _CUTOFF_PAD)
-    lo, hi = df.points.min(axis=0), df.points.max(axis=0)
     for b in blocks:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             radius = cutoff(loose[b], b)
-        reach = np.linalg.norm(x[b] - (lo + hi) / 2, axis=1) + np.linalg.norm(hi - lo) / 2
-        radius = np.where(np.isfinite(radius), np.minimum(radius, reach), reach)
+        radius = np.where(np.isfinite(radius), radius, np.inf)
         keep = radius >= 0
         if not keep.any():
             continue
-        dense = bool(np.all(radius == reach))
         b, radius = b[keep], radius[keep] * (1.0 + _CUTOFF_PAD) + _CUTOFF_PAD
-        if not dense:
-            counts = df._tree.query_ball_point(x[b], radius, return_length=True)
-            dense = 8 * int(counts.sum()) > b.size * len(df)
-        if dense:
-            best[b] = extremum(best[b], scan(b))
+        counts = df._tree.query_ball_point(x[b], radius, return_length=True)
+        if 8 * int(counts.sum()) > b.size * len(df):  # the block against every sample
+            dist = _pair_distances(x[b, None, :], df.points[None, :, :])
+            vals = ratio(b[:, None], np.arange(len(df)), dist)
+            best[b] = extremum(best[b], extremum.reduce(vals, axis=1))
             continue
         hits = df._tree.query_ball_point(x[b], radius, return_sorted=False)
         i = np.repeat(b, counts)

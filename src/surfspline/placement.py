@@ -247,16 +247,15 @@ class ProfileCheck:
     ratios: np.ndarray
 
 
-def density_profile_check(cs: CenterSet, spec: MultiresSpec, sample_points,
-                          stability_cap: float | None = None) -> ProfileCheck:
+def density_profile_check(cs: CenterSet, spec: MultiresSpec, sample_points) -> ProfileCheck:
     """Measured density in the transition annulus against the model profile.
 
     The model is ``rho(0) (1 + |x|/rho(0))^(1-epsilon)`` with ``rho(0)``
     measured at the defect; returns the worst ratio in both directions.
     """
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    rho0, _ = minimal_density(cs, spec.anchor, spec.degree, stability_cap)
-    rho, _ = minimal_density(cs, sample_points, spec.degree, stability_cap)
+    rho, _ = minimal_density(cs, np.vstack([spec.anchor, sample_points]), spec.degree)
+    rho0, rho = float(rho[0]), rho[1:]
     model = rho0 * (1.0 + _defect_distance(spec, sample_points) / rho0) ** (1.0 - spec.epsilon)
     ratios = rho / model
     return ProfileCheck(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -68,18 +69,8 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     """
     if degree < 0 or dim < 1:
         raise ValueError("need degree >= 0 and dim >= 1")
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            out.append(prefix + (budget,))
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), remaining - 1, budget - e)
-
-    for total in range(degree + 1):
-        rec((), dim, total)
-    expo = np.array(out, dtype=int)
+    grid = [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree]
+    expo = np.array(sorted(grid, key=sum), dtype=int)  # stable: lexicographic per degree
     expo.setflags(write=False)
     return expo
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _as_points, _pair_distances
+from .centers import CenterSet, _as_points, _grid_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, build_reproduction
@@ -84,9 +84,9 @@ def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray
     # near-cubic root cells
     n0 = np.maximum(1, np.round(extent / np.min(extent)).astype(int))
     side0 = extent / n0
-    centers = lo + (np.array(list(np.ndindex(*n0))) + 0.5) * side0
+    centers = lo + (_grid_points([np.arange(n) for n in n0]) + 0.5) * side0
     sides = np.tile(side0, (len(centers), 1))
-    kids = np.array(list(np.ndindex(*(2,) * d))[::-1]) - 0.5
+    kids = _grid_points([[0.5, -0.5]] * d)
     fresh = np.ones(len(centers), dtype=bool)
     while fresh.any():
         split = np.zeros(len(centers), dtype=bool)
@@ -107,7 +107,7 @@ def _cell_nodes(c: np.ndarray, s: np.ndarray, rule: str) -> tuple[np.ndarray, np
     if rule == "midpoint":
         return c, vol
     d = c.shape[1]
-    offsets = np.array(list(np.ndindex(*(2,) * d))) - 0.5
+    offsets = _grid_points([[-0.5, 0.5]] * d)
     nodes = c[:, None, :] + offsets * (s / _SQRT3)[:, None, :]
     return nodes.reshape(-1, d), np.repeat(vol / 2**d, 2**d)
 

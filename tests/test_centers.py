@@ -1,11 +1,13 @@
 """Geometry-core: neighbor queries and candidate radii."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfspline import CenterSet, sorted_candidate_radii
+from surfspline import CenterSet, DensityField, sorted_candidate_radii
 
 
 def test_duplicate_rejection():
@@ -33,6 +35,17 @@ def test_constructors_copy_before_freezing():
             frozen[0] = 0
     p[0], q[0] = 9.0, 9.0  # the caller's edits do not reach the objects
     assert df.points[0, 0] != 9.0 and cs.points[0, 0] != 9.0
+
+
+@pytest.mark.parametrize("make,shape", [
+    (lambda: CenterSet(np.zeros((3, 0))), "(3, 0)"),
+    (lambda: DensityField(np.zeros((3, 0)), [1, 1, 1]), "(3, 0)"),
+    (lambda: DensityField(np.zeros((3, 2, 2)), [1, 1, 1]), "(3, 2, 2)"),
+], ids=["centers-0d", "density-0d", "density-3d"])
+def test_constructors_reject_pointless_shapes(make, shape):
+    # zero-dimensional points and deeper arrays are not (n, d) point clouds
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        make()
 
 
 def test_dimension_mismatch():

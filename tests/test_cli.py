@@ -199,6 +199,26 @@ def test_study_uniform(tmp_path):
     assert len(table) == 4
 
 
+def test_study_multires(tmp_path):
+    cfg = write_config(tmp_path, "study.json", {"study": {
+        "d": 1, "k": 1, "degree": 7, "epsilon": 1 / 3, "js": [3, 4, 5],
+        "placement": "multires", "bump": {"exponent": 5, "scale": 1.0},
+        "box": {"lo": [-2.5], "hi": [2.5]},
+        "probe": {"lo": [-1.2], "hi": [1.2], "count": 121}, "defect": [0.0]}})
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in ("study.csv", "slopes.json")})
+    assert runs[0] == runs[1]
+    table = runs[0]["study.csv"].decode().strip().splitlines()
+    assert table[0] == "j,sup_error,defect_error"
+    defect_errors = [float(row.split(",")[2]) for row in table[1:]]
+    assert len(defect_errors) == 3
+    assert all(a > b for a, b in zip(defect_errors, defect_errors[1:]))
+    slopes = json.loads(runs[0]["slopes.json"])
+    assert slopes["defect_slope"] > slopes["global_slope"]
+
+
 def test_study_short_sweep_rejected(tmp_path):
     cfg = write_config(tmp_path, "s2.json", {"study": {
         "d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4],

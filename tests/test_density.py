@@ -217,7 +217,8 @@ def query_block(rng, cs, alpha, n):
 class NoisyTree:
     """A kd-tree stand-in whose distances carry relative errors up to 1e-11:
     far above float rounding, far below ``_CUTOFF_PAD``, so it orders
-    near-ties, across groups just over DUPLICATE_TOL apart too, as it likes."""
+    near-ties, across groups just over DUPLICATE_TOL apart too, as it likes.
+    Like cKDTree, it reports neighbors past the set at distance inf, index n."""
 
     def __init__(self, points, rng):
         self.points, self.rng = points, rng
@@ -226,7 +227,10 @@ class NoisyTree:
         dist = cdist(x, self.points)
         dist *= 1.0 + 1e-11 * self.rng.uniform(-1, 1, size=dist.shape)
         near = np.argsort(dist, axis=1)[:, :k]
-        return np.take_along_axis(dist, near, axis=1), near
+        dist = np.take_along_axis(dist, near, axis=1)
+        pad = ((0, 0), (0, k - near.shape[1]))
+        return (np.pad(dist, pad, constant_values=np.inf),
+                np.pad(near, pad, constant_values=len(self.points)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,6 +326,7 @@ def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
     # blocks of 1, 7 and the default size (None), from the smallest window
     # (grown again and again) and the default; a cap of 1.5 makes some
     # points fail
+    import surfspline.centers
     import surfspline.density
 
     cs, alpha = consistency_cloud(seed, d, kind)
@@ -329,7 +334,7 @@ def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
     cap = default_stability_cap(d, degree) if seed % 3 else 1.5
     with pytest.MonkeyPatch.context() as mp:
         if block:
-            mp.setattr(surfspline.density, "_BLOCK", block)
+            mp.setattr(surfspline.centers, "_BLOCK", block)
         mp.setattr(surfspline.density, "_WINDOW", window)
         loop, failure = [], None
         for p in pts:
@@ -357,7 +362,7 @@ def test_batch_takes_one_tree_query_per_block(monkeypatch):
     # makes ceil(n / _BLOCK) tree queries and never takes a distance to
     # every center
     import surfspline.centers
-    from surfspline.density import _BLOCK
+    from surfspline.centers import _BLOCK
 
     xs = np.arange(-20, 21) * 0.125
     cs = CenterSet(np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], 1))
@@ -563,8 +568,8 @@ def brute_majorant(df, x, r):
 
 @contextmanager
 def engine(forced, counts=None, chunk=3):
-    """With ``forced``, prune even the smallest inputs, in blocks of ``chunk``
-    rows; ``counts`` collects the number of pairs each distance call evaluates."""
+    """With ``forced``, prune in blocks of ``chunk`` rows; ``counts`` collects
+    the number of pairs each distance call evaluates."""
     import surfspline.density as density
 
     distances = density._pair_distances
@@ -576,7 +581,6 @@ def engine(forced, counts=None, chunk=3):
 
     with pytest.MonkeyPatch.context() as mp:
         if forced:
-            mp.setattr(density, "_SCAN_PAIRS", 0)
             mp.setattr(density, "_PAIR_CHUNK", chunk)
         if counts is not None:
             mp.setattr(density, "_pair_distances", counted)
@@ -624,6 +628,33 @@ def test_pair_engine_one_sample():
     assert certify_self_majorization(df, 2.0) == 1.0
     assert certify_slow_growth(df, 0.5) == 1.0
     assert_matches_brute_force(df, 2.0, 0.5, probes)
+
+
+def test_pair_engine_non_finite_cutoffs():
+    # densities near 1e-300 beside one of 1 overflow every probe's majorant
+    # cutoff and every tiny sample's slow-growth cutoff to inf: those rows
+    # search every sample
+    import surfspline.density as density
+
+    rng = np.random.default_rng(5)
+    df = DensityField(np.append(np.linspace(0.0, 1.0, 300), 50.0)[:, None],
+                      np.append(1e-300 * np.exp(0.1 * rng.normal(size=300)), 1.0))
+    probes = rng.uniform(0.0, 1.0, size=(200, 1))
+    pair_extremum, infinite = density._pair_extremum, []
+
+    def spied(df, x, ratio, cutoff, **kwargs):
+        def counted(best, i):
+            radius = cutoff(best, i)
+            infinite.append(np.count_nonzero(np.isinf(radius)))
+            return radius
+        return pair_extremum(df, x, ratio, counted, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_pair_extremum", spied)
+        assert np.array_equal(majorant(df, probes, 0.05), brute_majorant(df, probes, 0.05))
+        assert infinite == [200]
+        assert certify_slow_growth(df, 0.05) == brute_slow_growth(df, 0.05)
+        assert infinite[1] == 300
 
 
 def test_pair_engine_prunes_smooth_field():
