@@ -22,7 +22,7 @@ _SOLVE_MEMO_CAP = 4096
 #: drops one.
 _CUTOFF_PAD = 1e-9
 
-#: Query points per kd-tree query of :func:`_nearest_groups`.
+#: Query points per kd-tree query of :func:`_balls` and :func:`_nearest_groups`.
 _BLOCK = 64
 
 
@@ -79,12 +79,13 @@ class CenterSet:
         Resolution-region index for each center (used by the
         multiresolution placement; plain clouds leave this ``None``).
 
-    Local solves on the set (``build_reproduction`` and the attempts of
-    ``minimal_density``) share one memo owned by the set, keyed by the exact
-    bytes of a solve's only inputs: the ordered neighbor offsets from the
-    base point, the radius and the degree.  A hit is bit for bit a fresh
-    solve, rank failures included; lattice placements repeat one neighbor
-    geometry at many base points.  The memo holds at most
+    Local solves on the set (``build_reproduction``, ``assemble`` and the
+    attempts of ``minimal_density``) share one memo owned by the set, keyed by
+    the exact bytes of a solve's only inputs: the ordered neighbor offsets
+    from the base point, the radius and the degree.  An entry holds the
+    solve's ``(weights, rank, stability)``, bit for bit a fresh solve's, rank
+    failures included; lattice placements repeat one neighbor geometry at
+    many base points.  The memo holds at most
     ``_SOLVE_MEMO_CAP`` entries (cleared when full) and dies with the set.
     Concurrent use stays safe: each value is a pure function of its key, so
     a race can only repeat a solve or overshoot the cap by one entry a thread.
@@ -119,25 +120,31 @@ class CenterSet:
         """Indices and distances of centers with |xi - center| <= radius.
 
         Sorted by ascending distance, ties broken by index; boundary points
-        (distance exactly ``radius``) are included.
+        (distance exactly ``radius``) are included.  One row of :func:`_balls`.
         """
         center = _as_point(center, self.dim)
         if not radius > 0:
             raise ValueError("radius must be positive")
-        # the tree compares squared distances, which can drop a center at
-        # exactly ``radius``: pad far above that rounding, then cut exactly
-        idx = self._tree.query_ball_point(center, radius * (1.0 + _CUTOFF_PAD))
-        idx = np.sort(np.asarray(idx, dtype=np.intp))
-        idx, dist = _by_distance(idx, np.linalg.norm(self.points[idx] - center, axis=1))
-        n = int(np.searchsorted(dist, radius, side="right"))
-        return idx[:n], dist[:n]
+        idx, dist, _ = next(_balls(self, center[None], np.array([radius], dtype=float)))
+        return idx, dist
 
 
-def _by_distance(idx, dist) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending indices ``idx`` and their distances ``dist`` to a point,
-    ordered by distance with ties kept in index order: the one distance sort."""
-    order = np.argsort(dist, kind="stable")
-    return idx[order], dist[order]
+def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
+    """Per block of ``_BLOCK`` of the (n, d) points ``pts``, their balls of
+    ``radii`` as ``(idx, dist, counts)``: :meth:`CenterSet.neighbor_arrays`
+    of each point concatenated, and the (b,) ball sizes.  One padded
+    ``query_ball_point`` (see ``_CUTOFF_PAD``) and one ``lexsort`` by point,
+    distance and index; the exact cut is on the norms, bit for bit."""
+    for s in range(0, len(pts), _BLOCK):
+        block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
+        hits = cs._tree.query_ball_point(block, r * (1.0 + _CUTOFF_PAD))
+        owner = np.repeat(np.arange(len(block)), [len(h) for h in hits])
+        idx = np.concatenate([np.asarray(h, dtype=np.intp) for h in hits])
+        dist = np.linalg.norm(cs.points[idx] - block[owner], axis=1)
+        order = np.lexsort((idx, dist, owner))
+        idx, dist, owner = idx[order], dist[order], owner[order]
+        inside = dist <= r[owner]
+        yield idx[inside], dist[inside], np.bincount(owner[inside], minlength=len(block))
 
 
 def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,33 +158,23 @@ def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _tie_groups(idx: np.ndarray, dist: np.ndarray,
-                beyond: float = np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whole tie groups among the centers ``idx`` (ascending) at distances
-    ``dist`` from a point, every other center lying at least ``beyond`` from
-    it: the centers in :meth:`CenterSet.neighbor_arrays` order, the candidate
-    radii and the number of centers each captures, so ``order[:counts[i]]`` is
-    the ball of radius ``radii[i]``.  Groups chain through ``DUPLICATE_TOL``, so
-    a group is kept only if ``beyond`` lies more than that past its radius; the
-    kept groups are a prefix of the whole set's, bit for bit."""
-    order, dist = _by_distance(idx, dist)
-    counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
-    counts = counts[beyond - dist[counts - 1] > DUPLICATE_TOL]
-    return order, dist[counts - 1], counts
-
-
 def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
-    """The tie groups (:func:`_tie_groups`) among the ``size`` centers nearest
-    each of the (b, d) points ``pts``, yielded point by point.
+    """The tie groups among the ``size`` centers nearest each of the (b, d)
+    points ``pts``, yielded point by point as ``(order, radii, counts)``: the
+    window's centers in :meth:`CenterSet.neighbor_arrays` order, the candidate
+    radii and the number of centers each captures, so ``order[:counts[i]]`` is
+    the ball of radius ``radii[i]``.
 
-    The points go in blocks of ``_BLOCK``, and one kd-tree query takes the
-    ``size + 1`` nearest centers of each block's points; a block's windows
-    live only while its points are consumed.  The first ``size`` are the
-    window: their distances are the ``np.linalg.norm`` of a full scan, bit for
-    bit, row by row.  The tree's last distance, shrunk by ``_CUTOFF_PAD``
-    relative and absolute (far above the rounding of its squared distances),
-    bounds every center outside the window from below, even where rounding
-    made the tree swap near-ties across the window's edge.  ``size`` is capped
+    Per block of ``_BLOCK`` points, one kd-tree query takes the ``size + 1``
+    nearest centers; a block's windows live only while its points are
+    consumed.  The first ``size`` are the window, sorted by one row-wise
+    stable ``argsort`` of ascending indices on the norms of a full scan, bit
+    for bit.  The tree's last distance, shrunk by ``_CUTOFF_PAD`` relative and
+    absolute, bounds every center outside the window from below, even where
+    rounding made the tree swap near-ties across its edge.  Groups chain
+    through ``DUPLICATE_TOL``, so one is kept only if that bound lies more
+    than it past its radius: the kept groups are a prefix of the whole set's,
+    bit for bit.  ``size`` is capped
     at the whole set, whose missing last neighbor the tree reports at
     distance ``inf``: that window keeps every group, the full scan's."""
     size = min(size, len(cs))
@@ -186,9 +183,14 @@ def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
         near_dist, near = cs._tree.query(block, k=size + 1)
         idx = np.sort(near[:, :size], axis=1)
         dist = np.linalg.norm(cs.points[idx] - block[:, None, :], axis=2)
+        order = np.argsort(dist, axis=1, kind="stable")
+        idx, dist = np.take_along_axis(idx, order, 1), np.take_along_axis(dist, order, 1)
         beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+        ends = ((np.diff(dist, axis=1, append=np.inf) > DUPLICATE_TOL)
+                & (beyond[:, None] - dist > DUPLICATE_TOL))
         for i in range(len(block)):
-            yield _tie_groups(idx[i], dist[i], beyond[i])
+            counts = np.flatnonzero(ends[i]) + 1
+            yield idx[i], dist[i, counts - 1], counts
 
 
 def sorted_candidate_radii(cs: CenterSet, center) -> np.ndarray:

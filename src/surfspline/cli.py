@@ -339,6 +339,8 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     placement, defect = cfg["placement"], cfg["defect"]
     _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
            ("defect", placement == "uniform" or defect is not None, "given for multires"),
+           ("defect", defect is None or defect.shape == (d,)
+            or (defect.ndim == 2 and defect.shape[1] == d), f"one point ({d},) or a set (n, {d})"),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
     box = _corners(cfg, "box", d)
     probes = _probe_grid(cfg, d)
@@ -358,7 +360,7 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     res = convergence_study(
         cfg["js"], factory, f, params, epsilon=epsilon, probes=probes,
         cells_per_rho=cfg["quadrature"]["cells_per_rho"], rule=cfg["quadrature"]["rule"],
-        defect=defect.reshape(-1) if defect is not None else None,
+        defect=defect,
     )
     columns = [list(res.js), res.global_errors.tolist()]
     header = "j,sup_error"

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .centers import (CenterSet, _CUTOFF_PAD, _as_cloud, _as_points, _nearest_groups,
                       _pair_distances)
-from .polyrep import PolyRep, ReproductionError, _reproduce, polynomial_dim
+from .polyrep import PolyRep, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -96,11 +96,11 @@ def minimal_density(
     its point again with the window doubled, up to the whole set.  The
     neighbor set at each candidate radius is a prefix of the window (whole
     tie groups), the same set in the same order as the ball query of
-    ``build_reproduction``, and each solve goes through the center set's
-    solve memo.  Unisolvency is monotone in the radius, so the smallest
-    unisolvent candidate is located by exponential search plus bisection;
-    the stability cap need not be monotone, so from there the candidates are
-    scanned linearly until the cap is met.
+    ``build_reproduction``.  Each attempt is one memo lookup or solve on
+    offsets taken once per window; only the witness is built.  Unisolvency is
+    monotone in the radius, so the smallest unisolvent candidate is located
+    by exponential search plus bisection; the stability cap need not be
+    monotone, so from there the candidates are scanned linearly.
 
     Returns ``(rho, witness)`` for one point, where ``witness`` is the
     reproduction built at radius ``rho`` on its whole tie group, equal bit for
@@ -128,55 +128,59 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
         raise NoAdmissibleRadius(
             f"at alpha {alpha.tolist()}: only {len(cs)} centers, need {m} for degree {degree}")
     order, radii, counts = window
+    offsets = cs.points[order] - alpha
 
     def held(i: int) -> bool:
         """Grow the window until it holds group i; False if i is past the last."""
-        nonlocal size, order, radii, counts
+        nonlocal size, order, radii, counts, offsets
         while i >= radii.size and size < len(cs):
             size *= 2
             order, radii, counts = next(_nearest_groups(cs, alpha[None], size))
+            offsets = cs.points[order] - alpha
         return i < radii.size
 
-    def attempt(i: int) -> PolyRep | None:
-        r = max(float(radii[i]), _ZERO_RADIUS)
-        try:  # a copy: a witness must not hold its whole window
-            return _reproduce(cs, alpha, r, order[:counts[i]].copy(), degree)
-        except ReproductionError:
-            return None
+    def radius(i: int) -> float:
+        return max(float(radii[i]), _ZERO_RADIUS)
+
+    def attempt(i: int) -> float | None:
+        """The stability norm at group i's radius, None if rank-deficient."""
+        return _solve(cs, offsets[:counts[i]], radius(i), degree)[2]
 
     while not (radii.size and counts[-1] >= m):  # grow to m centers; the set has them
         held(radii.size)
     first = int(np.searchsorted(counts, m, side="left"))
     # exponential ascent to the first success
-    lo, hi, pr_hi = first - 1, first, attempt(first)
+    lo, hi, st_hi = first - 1, first, attempt(first)
     step = 1
-    while pr_hi is None:
+    while st_hi is None:
         if not held(hi + 1):
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: no unisolvent neighbor set at any radius")
         lo = hi
         step *= 2
         hi = hi + step if held(hi + step) else radii.size - 1
-        pr_hi = attempt(hi)
+        st_hi = attempt(hi)
     # bisection: success is monotone in the radius for unisolvency
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        pr_mid = attempt(mid)
-        if pr_mid is None:
+        st_mid = attempt(mid)
+        if st_mid is None:
             lo = mid
         else:
-            hi, pr_hi = mid, pr_mid
+            hi, st_hi = mid, st_mid
     # linear scan upward for the stability cap (not monotone in general)
-    i, pr = hi, pr_hi
-    while pr is None or not pr.stability < stability_cap:
+    i, st = hi, st_hi
+    while st is None or not st < stability_cap:
         i += 1
         if not held(i):
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
-                f"(best Sum|a| = {pr.stability if pr else float('nan'):g})"
+                f"(best Sum|a| = {float('nan') if st is None else st:g})"
             )
-        pr = attempt(i)
-    return pr
+        st = attempt(i)
+    # a copy: a witness must not hold its whole window
+    return PolyRep(alpha=alpha, radius=radius(i), indices=order[:counts[i]].copy(),
+                   weights=_solve(cs, offsets[:counts[i]], radius(i), degree)[0], degree=degree)
 
 
 def majorant(df: DensityField, x, r: float) -> float | np.ndarray:

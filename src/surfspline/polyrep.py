@@ -132,35 +132,40 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         raise ValueError("degree must be >= 0")
     alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
-    return _reproduce(cs, alpha, float(radius), idx, degree)
+    w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
+    return PolyRep(alpha=alpha, radius=float(radius), indices=idx, weights=w, degree=degree)
 
 
-def _reproduce(cs: CenterSet, alpha: np.ndarray, radius: float, idx: np.ndarray,
-               degree: int) -> PolyRep:
-    """:func:`build_reproduction` on ``idx``, the ball of ``radius`` about the
-    checked point ``alpha`` in :meth:`CenterSet.neighbor_arrays` order.
-
-    The solve goes through the center set's memo, keyed by the exact bytes
-    of its only inputs, so a hit equals a fresh solve bit for bit.
-    """
+def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> np.ndarray:
+    """The weights of :func:`_solve`, raising :class:`InsufficientPoints` or
+    :class:`RankDeficient` where :func:`build_reproduction` does."""
     m = polynomial_dim(cs.dim, degree)
-    if idx.size < m:
+    if len(offsets) < m:
         raise InsufficientPoints(
-            f"{idx.size} centers in B(alpha, {radius:g}), need {m} for degree {degree}"
+            f"{len(offsets)} centers in B(alpha, {radius:g}), need {m} for degree {degree}"
         )
-    offsets = cs.points[idx] - alpha
+    sol, rank, _ = _solve(cs, offsets, radius, degree)
+    if sol is None:
+        raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
+    return sol
+
+
+def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tuple:
+    """The one local solve: ``(weights, rank, stability)`` on the neighbor
+    ``offsets`` from a base point (at least ``dim Pi_degree`` rows), weights
+    and stability None if deficient.  Through the center set's memo, keyed
+    by the exact bytes of its only inputs: a hit is a fresh solve bit for bit.
+    """
     key = (offsets.tobytes(), radius, degree)
     memo = cs._solves
     hit = memo.get(key)
     if hit is None:
-        hit = _min_norm(_moment_system(offsets, radius, degree)[0])
+        sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
+        hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
         if len(memo) >= _SOLVE_MEMO_CAP:
             memo.clear()
         memo[key] = hit
-    sol, rank = hit
-    if rank < m:
-        raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
-    return PolyRep(alpha=alpha, radius=radius, indices=idx, weights=sol, degree=degree)
+    return hit
 
 
 def _lapack(routine, *args, **kwargs):

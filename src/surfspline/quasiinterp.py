@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _as_points, _grid_points, _pair_distances
+from .centers import _BLOCK, CenterSet, _as_points, _balls, _grid_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
-from .polyrep import ReproductionError, build_reproduction
+from .polyrep import ReproductionError, _weights
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -123,14 +123,15 @@ def assemble(
 
     The nodes of all cells, their values of ``Delta^k f`` and their nearest
     density samples are taken at once, and nodes where the value is 0 dropped.
-    At each other node, in cell order, a reproduction of degree
-    ``params.degree`` is built with support radius 1.5 times the nearest
-    density sample (the inflation absorbs the sampling error of the density
-    field; any admissible radius preserves the rates).  Nodes whose neighbor
-    offsets, radius and degree match an earlier solve exactly (lattice
-    geometry recurs at many nodes) reuse its weights from the center set's
-    solve memo, bit for bit what a fresh solve would return.  The theorem's
-    parameter constraints are checked by :func:`convergence_study`, not here.
+    Each other node gets reproduction weights of degree ``params.degree`` with
+    support radius 1.5 times its nearest density sample (the inflation
+    absorbs the sampling error of the density field; any admissible radius
+    preserves the rates).  Per block of ``_BLOCK`` nodes: one ball query
+    (:func:`~surfspline.centers._balls`), one solve-memo lookup per node in
+    cell order (lattice geometry recurs; a hit is bit for bit a fresh solve),
+    and one ``np.add.at`` in node order, so every coefficient gets the
+    per-node additions in their order.  The theorem's parameter constraints
+    are checked by :func:`convergence_study`, not here.
     """
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
@@ -138,12 +139,17 @@ def assemble(
     vals = dkf(nodes)
     nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
     radii = _RADIUS_FACTOR * density.nearest(nodes)
-    for node, radius, x in zip(nodes, radii, wv):
-        try:
-            pr = build_reproduction(cs, node, radius, params.degree)
-        except ReproductionError as exc:
-            raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
-        coeffs[pr.indices] += x * pr.weights
+    for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
+        block = slice(s, s + _BLOCK)
+        offsets = cs.points[idx] - np.repeat(nodes[block], counts, axis=0)
+        weights = []
+        for node, radius, offs in zip(nodes[block], radii[block],
+                                      np.split(offsets, np.cumsum(counts)[:-1])):
+            try:
+                weights.append(_weights(cs, offs, float(radius), params.degree))
+            except ReproductionError as exc:
+                raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
+        np.add.at(coeffs, idx, np.repeat(wv[block], counts) * np.concatenate(weights))
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 
@@ -203,12 +209,12 @@ def convergence_study(
     ``params.degree`` is the degree of the minimal density and of the
     assembly; a violated constraint of the pointwise theorem or a bad
     quadrature (``cells_per_rho``, ``rule``) raises ``ValueError`` before any
-    level is generated.  For each j: generate
-    centers, measure the minimal density on a sample set (by default the
-    centers inside the inflated quadrature domain), assemble the approximant,
-    and record the sup error over ``probes`` and the error at ``defect``;
-    ``probes`` is one point (d,) or a batch (n, d).  Slopes are least-squares
-    fits of log2(error) against -j.
+    level is generated, as does a ``defect`` that is not one point (d,) or a
+    set (n, d).  For each j: generate centers, measure the minimal density on
+    a sample set (by default the centers inside the inflated quadrature
+    domain), assemble the approximant, and record the sup error over
+    ``probes`` (a point or a batch) and the maximum error over ``defect``.
+    Slopes are least-squares fits of log2(error) against -j.
     """
     js = tuple(int(j) for j in js)
     if len(set(js)) < 3:
@@ -216,6 +222,7 @@ def convergence_study(
     violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
     if violations:
         raise ValueError("; ".join(violations))
+    defect = None if defect is None else _as_points(defect, params.d)[0]
     lo = f.center - f.scale
     hi = f.center + f.scale
     qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule, domain=(lo, hi))
@@ -235,8 +242,7 @@ def convergence_study(
         exact = f(probes)
         g_errors.append(float(np.max(np.abs(approx - exact))))
         if defect is not None:
-            dpt = np.asarray(defect, dtype=float).reshape(-1)
-            d_errors.append(abs(evaluate(dump, dpt, params) - f(dpt)))
+            d_errors.append(float(np.max(np.abs(evaluate(dump, defect, params) - f(defect)))))
     g_errors = np.array(g_errors)
     result_defect = np.array(d_errors) if defect is not None else None
     return StudyResult(

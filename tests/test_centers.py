@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfspline import CenterSet, DensityField, sorted_candidate_radii
+from surfspline.centers import DUPLICATE_TOL
 
 
 def test_duplicate_rejection():
@@ -154,6 +155,118 @@ def test_neighbor_arrays_property(seed, radius, at_center):
     assert np.allclose(dist, brute[idx], rtol=0, atol=1e-12)
     # ascending distance, ties by index
     assert np.array_equal(np.lexsort((idx, dist)), np.arange(idx.size))
+
+
+def tie_groups(idx, dist, beyond=np.inf):
+    """The tie groups among the centers ``idx`` (ascending) at distances
+    ``dist`` from a point, every other center lying at least ``beyond`` from
+    it: the centers in ``neighbor_arrays`` order, the candidate radii and the
+    number of centers each captures.  Groups chain through DUPLICATE_TOL, and
+    a group is kept only if ``beyond`` lies more than that past its radius.
+    The per-point rule that ``_nearest_groups`` applies a block at a time."""
+    order = np.argsort(dist, kind="stable")
+    order, dist = idx[order], dist[order]
+    counts = np.append(np.flatnonzero(np.diff(dist) > DUPLICATE_TOL) + 1, dist.size)
+    counts = counts[beyond - dist[counts - 1] > DUPLICATE_TOL]
+    return order, dist[counts - 1], counts
+
+
+def ball_by_point(cs, center, radius):
+    """One point's ball by its own padded tree query, index sort, stable
+    distance sort and exact cut: ``neighbor_arrays`` before the batched
+    ball routine."""
+    from surfspline.centers import _CUTOFF_PAD
+
+    idx = np.sort(np.asarray(cs._tree.query_ball_point(center, radius * (1.0 + _CUTOFF_PAD)),
+                             dtype=np.intp))
+    dist = np.linalg.norm(cs.points[idx] - center, axis=1)
+    order = np.argsort(dist, kind="stable")
+    idx, dist = idx[order], dist[order]
+    n = int(np.searchsorted(dist, radius, side="right"))
+    return idx[:n], dist[:n]
+
+
+def lattice_or_cloud(rng, d, lattice):
+    """Centers on a lattice of spacing 0.25 or 0.1 (exact ties at many
+    radii), or a random cloud, and query points on centers and midpoints."""
+    if lattice:
+        h = float(rng.choice([0.25, 0.1]))
+        ax = np.arange(-4, 5) * h if d < 3 else np.arange(-3, 4) * h
+        pts = np.stack([m.ravel() for m in np.meshgrid(*[ax] * d, indexing="ij")], axis=1)
+        return CenterSet(pts), h
+    return CenterSet(rng.uniform(-1, 1, size=(60 * d, d))), 0.1
+
+
+class ShuffledTree:
+    """A kd-tree whose ball queries list each ball's hits in random order."""
+
+    def __init__(self, tree, rng):
+        self.tree, self.rng = tree, rng
+
+    def query_ball_point(self, x, r):
+        hits = self.tree.query_ball_point(x, r)
+        if np.ndim(x) == 1:
+            return self.rng.permutation(hits).tolist()
+        return [self.rng.permutation(h).tolist() for h in hits]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(),
+       st.sampled_from(["1", "BLOCK-1", "BLOCK", "BLOCK+1"]), st.booleans())
+def test_balls_match_ball_by_point(seed, d, lattice, count, shuffled):
+    # each radius is the distance to some center, so centers at exactly the
+    # radius occur, on a lattice with exact ties among them; the order in
+    # which the tree lists a ball's hits does not matter
+    from surfspline.centers import _BLOCK, _balls
+
+    rng = np.random.default_rng(seed)
+    cs, h = lattice_or_cloud(rng, d, lattice)
+    if shuffled:
+        cs._tree = ShuffledTree(cs._tree, rng)
+    n = {"1": 1, "BLOCK-1": _BLOCK - 1, "BLOCK": _BLOCK, "BLOCK+1": _BLOCK + 1}[count]
+    pts = cs.points[rng.integers(len(cs), size=n)]
+    pts = pts + 0.5 * h * rng.choice([-1.0, 0.0, 1.0], size=pts.shape)
+    radii = np.linalg.norm(cs.points[rng.integers(len(cs), size=n)] - pts, axis=1)
+    radii = np.where(radii > 0, radii, h)
+    blocks = list(_balls(cs, pts, radii))
+    assert [len(c) for _, _, c in blocks] == [min(_BLOCK, n - s) for s in range(0, n, _BLOCK)]
+    idx = np.concatenate([i for i, _, _ in blocks])
+    dist = np.concatenate([r for _, r, _ in blocks])
+    counts = np.concatenate([c for _, _, c in blocks])
+    ends = np.cumsum(counts)
+    for p, r, a, b in zip(pts, radii, ends - counts, ends):
+        ref_idx, ref_dist = ball_by_point(cs, p, r)
+        assert np.array_equal(idx[a:b], ref_idx)
+        assert dist[a:b].tobytes() == ref_dist.tobytes()
+        got_idx, got_dist = cs.neighbor_arrays(p, r)
+        assert np.array_equal(got_idx, ref_idx)
+        assert got_dist.tobytes() == ref_dist.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.integers(1, 80),
+       st.sampled_from(["1", "BLOCK-1", "BLOCK", "BLOCK+1"]))
+def test_nearest_groups_match_tie_groups(seed, d, lattice, size, count):
+    # the block-sorted windows equal the per-row rule on the same tree query
+    from surfspline.centers import _BLOCK, _CUTOFF_PAD, _nearest_groups
+
+    rng = np.random.default_rng(seed)
+    cs, h = lattice_or_cloud(rng, d, lattice)
+    n = {"1": 1, "BLOCK-1": _BLOCK - 1, "BLOCK": _BLOCK, "BLOCK+1": _BLOCK + 1}[count]
+    pts = cs.points[rng.integers(len(cs), size=n)]
+    pts = pts + 0.5 * h * rng.choice([-1.0, 0.0, 1.0], size=pts.shape)
+    size = min(size, len(cs))
+    near_dist, near = cs._tree.query(pts, k=size + 1)
+    idx = np.sort(near[:, :size], axis=1)
+    dist = np.linalg.norm(cs.points[idx] - pts[:, None, :], axis=2)
+    beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+    windows = list(_nearest_groups(cs, pts, size))
+    assert len(windows) == n
+    for i, (order, radii, counts) in enumerate(windows):
+        ref_order, ref_radii, ref_counts = tie_groups(idx[i], dist[i], beyond[i])
+        assert np.array_equal(order, ref_order)
+        assert radii.tobytes() == ref_radii.tobytes()
+        assert np.array_equal(counts, ref_counts)
 
 
 def contract_targets(d):

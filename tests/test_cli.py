@@ -219,6 +219,35 @@ def test_study_multires(tmp_path):
     assert slopes["defect_slope"] > slopes["global_slope"]
 
 
+def study_defect_config(tmp_path, defect):
+    return write_config(tmp_path, "study.json", {"study": {
+        "d": 1, "k": 1, "degree": 7, "epsilon": 1 / 3, "js": [3, 4, 5],
+        "placement": "multires", "bump": {"exponent": 5, "scale": 1.0},
+        "box": {"lo": [-4.0], "hi": [4.0]},
+        "probe": {"lo": [-1.2], "hi": [1.2], "count": 121}, "defect": defect}})
+
+
+def test_study_defect_set(tmp_path):
+    # a set of defect points runs every level and writes the defect column
+    out = tmp_path / "out"
+    assert main(["study", "--config", study_defect_config(tmp_path, [[-0.25], [0.25]]),
+                 "--out", str(out)]) == 0
+    table = (out / "study.csv").read_text().strip().splitlines()
+    assert table[0] == "j,sup_error,defect_error"
+    defect_errors = [float(row.split(",")[2]) for row in table[1:]]
+    assert len(defect_errors) == 3 and all(e > 0 for e in defect_errors)
+    assert "defect_slope" in json.loads((out / "slopes.json").read_text())
+
+
+@pytest.mark.parametrize("defect", [[[0.0, 1.0]], [[[0.0]]], []])
+def test_study_malformed_defect_rejected_before_work(tmp_path, capsys, count_solves, defect):
+    out = tmp_path / "out"
+    assert main(["study", "--config", study_defect_config(tmp_path, defect),
+                 "--out", str(out)]) == 2
+    assert "'defect'" in capsys.readouterr().err
+    assert count_solves == []
+
+
 def test_study_short_sweep_rejected(tmp_path):
     cfg = write_config(tmp_path, "s2.json", {"study": {
         "d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4],

@@ -24,6 +24,7 @@ from surfspline import (
     validate_theorem1_params,
 )
 from surfspline.centers import DUPLICATE_TOL
+from test_centers import tie_groups
 
 
 def brute_force_minimal(cs, alpha, degree, cap):
@@ -199,9 +200,7 @@ def consistency_cloud(seed, d, kind):
 
 def full_groups(cs, alpha):
     """The tie groups of the whole set about alpha, from a full scan."""
-    from surfspline.centers import _tie_groups
-
-    return _tie_groups(np.arange(len(cs)), np.linalg.norm(cs.points - alpha, axis=1))
+    return tie_groups(np.arange(len(cs)), np.linalg.norm(cs.points - alpha, axis=1))
 
 
 def query_block(rng, cs, alpha, n):

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfspline import (
@@ -223,6 +223,29 @@ def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, 
                           probes=np.zeros(1), **quadrature)
 
 
+def test_study_defect_set_takes_worst_point():
+    # the error at a defect set is the max over its points; one point as
+    # (d,) or (1, d) gives the same bits
+    from surfspline import convergence_study
+
+    params = KernelParams(d=1, k=1, degree=4)
+    f = bump(5, [0.0], 1.0)
+    probes = np.linspace(-1.2, 1.2, 41)[:, None]
+
+    def factory(j):
+        return CenterSet(np.arange(-2.5, 2.5 + 2.0**-j / 2, 2.0**-j))
+
+    def errors(defect):
+        res = convergence_study([3, 4, 5], factory, f, params, 0.6, probes, defect=defect)
+        return res.defect_errors
+
+    one, other = errors([0.1]), errors([[0.3]])
+    assert one.tobytes() == errors([[0.1]]).tobytes()
+    assert errors([[0.1], [0.3]]).tobytes() == np.maximum(one, other).tobytes()
+    with pytest.raises(ValueError, match=r"points have shape \(1, 2\)"):
+        convergence_study([3, 4, 5], factory, f, params, 0.6, probes, defect=[[0.0, 1.0]])
+
+
 # The per-probe, per-node and stack versions of evaluate, assemble and
 # quadrature_cells, kept as oracles: the array-at-a-time routines must return
 # their bytes.
@@ -265,7 +288,7 @@ def cells_by_stack(qs, rho_at):
 
 
 def assemble_by_node(cs, f, params, qs, density):
-    from surfspline import quasiinterp
+    from surfspline import polyrep, quasiinterp
     from surfspline.polyrep import ReproductionError
 
     dkf = laplacian_power(f, params.k)
@@ -282,7 +305,7 @@ def assemble_by_node(cs, f, params, qs, density):
                 continue
             radius = quasiinterp._RADIUS_FACTOR * density.nearest(node)
             try:
-                pr = quasiinterp.build_reproduction(cs, node, radius, params.degree)
+                pr = polyrep.build_reproduction(cs, node, radius, params.degree)
             except ReproductionError as exc:
                 raise quasiinterp.AssemblyError(
                     f"reproduction failed at node {node.tolist()}: {exc}") from exc
@@ -364,9 +387,10 @@ def test_quadrature_cells_calls_rho_once_per_level():
     assert seen[0] == (1, 2) and all(len(s) == 2 and s[1] == 2 for s in seen)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(["midpoint", "gauss2"]))
-def test_assemble_bitwise_equals_by_node(seed, d, rule):
+def test_assemble_bitwise_equals_by_node(count_solves, seed, d, rule):
     rng = np.random.default_rng(seed)
     k, degree = ORDERS[d]
     params = KernelParams(d=d, k=k, degree=degree)
@@ -380,14 +404,22 @@ def test_assemble_bitwise_equals_by_node(seed, d, rule):
     qs = QuadratureSpec(cells_per_rho=2, rule=rule, domain=(f.center - 1.0, f.center + 1.0))
     got = assemble(cs, f, params, qs, density).coefficients
     assert got.tobytes() == assemble_by_node(cs, f, params, qs, density).coefficients.tobytes()
+    # on fresh sets the memo absorbs the same repeats: as many solves
+    solves = []
+    for run in (assemble, assemble_by_node):
+        count_solves.clear()
+        run(CenterSet(cs.points), f, params, qs, density)
+        solves.append(len(count_solves))
+    assert solves[0] == solves[1] > 0
 
 
 def test_assemble_fails_at_the_same_node(monkeypatch):
     # a hole in the centers under the domain, in the quadrant the depth-first
     # cell order visits last: assemble fails at the same node as the per-node
-    # loop, after the same solves, and never solves a node where Delta^k f is
-    # 0 (the corners of the square domain)
-    from surfspline import quasiinterp
+    # loop, after the same solves, and never takes the ball of (so never
+    # solves) a node where Delta^k f is 0 (the corners of the square domain)
+    import surfspline.centers
+    from surfspline import polyrep, quasiinterp
     from surfspline.quasiinterp import AssemblyError
 
     ax = np.arange(-2.0, 2.01, 0.25)
@@ -398,15 +430,20 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     density = DensityField(np.zeros((1, 2)), np.array([0.3]))
     qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0, -1.0], [1.0, 1.0]))
     solved = {}
-    build = quasiinterp.build_reproduction
+    solve, balls = polyrep._solve, surfspline.centers._balls
     dkf = laplacian_power(f, params.k)
 
-    def spy(cs_, node, radius, degree):
-        assert dkf(node) != 0.0
-        solved[name].append(node.tobytes())
-        return build(cs_, node, radius, degree)
+    def spy(cs_, offsets, radius, degree):
+        solved[name].append((offsets.tobytes(), radius))
+        return solve(cs_, offsets, radius, degree)
 
-    monkeypatch.setattr(quasiinterp, "build_reproduction", spy)
+    def balls_spy(cs_, pts, radii):
+        assert np.all(dkf(pts) != 0.0)
+        return balls(cs_, pts, radii)
+
+    monkeypatch.setattr(polyrep, "_solve", spy)
+    monkeypatch.setattr(surfspline.centers, "_balls", balls_spy)
+    monkeypatch.setattr(quasiinterp, "_balls", balls_spy)
     messages = {}
     for name, run in (("array", assemble), ("by_node", assemble_by_node)):
         solved[name] = []
