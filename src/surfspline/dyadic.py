@@ -112,7 +112,7 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
     new[1:] = np.any(key[1:] != key[:-1], axis=1)
     runs = cubes[new]
     radius = gamma * runs.side
-    hits = density._tree.query_ball_point(runs.corner, radius)
+    hits = density._tree.query_ball_point(runs.corner, radius, return_sorted=False)
     counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     if not counts.all():
         i = np.flatnonzero(counts == 0)[0]

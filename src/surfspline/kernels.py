@@ -57,8 +57,8 @@ def phi_radial(r, d: int, k: int):
     if d % 2 == 1:
         out = r**p
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(r > 0, r**p * np.log(np.where(r > 0, r, 1.0)), 0.0)
+        out = np.log(r, out=np.zeros_like(r), where=r > 0)
+        out *= r**p
     return out if out.ndim else float(out)
 
 

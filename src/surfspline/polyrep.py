@@ -81,10 +81,14 @@ def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
     the base point in that basis (1 for the constant, 0 otherwise)."""
     expo = monomial_exponents(offsets.shape[1], degree)
     scaled = offsets / radius
-    # per-axis power tables (d, degree + 1, n) gathered by exponent and
-    # multiplied left to right: the pows and products of np.prod(scaled **
-    # expo) over (M, n, d), bit for bit.  Exponent 0 yields 1 even at 0.
-    table = scaled.T[:, None, :] ** np.arange(degree + 1)[:, None]
+    # per-axis power tables (d, degree + 1, n) by running products (a vector
+    # pow falls back to scalar libm on negative bases), gathered by exponent
+    # and multiplied left to right: elementwise, so a column's bits depend on
+    # its own offset only.  One path for float64 and mpmath object arrays.
+    table = np.empty((offsets.shape[1], degree + 1, len(offsets)), dtype=scaled.dtype)
+    table[:, 0] = 1
+    for e in range(1, degree + 1):
+        table[:, e] = table[:, e - 1] * scaled.T
     bmat = table[0][expo[:, 0]]
     for a in range(1, offsets.shape[1]):
         bmat *= table[a][expo[:, a]]

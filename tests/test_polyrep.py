@@ -175,30 +175,88 @@ def test_precision_and_stability_property(seed, d, degree):
     assert pr.stability >= 1 - 1e-9
 
 
-def moment_matrix_by_prod(offsets, radius, degree):
-    """The moment matrix as one np.prod over an (M, n, d) array of powers:
-    the oracle for the per-axis power tables of ``_moment_system``."""
+def moment_system_by_pow(offsets, radius, degree):
+    """The moment system with per-axis power tables from one vector pow, each
+    power one libm ``pow``: the oracle for the rank decisions of the running
+    products in ``_moment_system``."""
     expo = monomial_exponents(offsets.shape[1], degree)
     scaled = offsets / radius
-    return np.prod(scaled[None, :, :] ** expo[:, None, :], axis=2)
+    table = scaled.T[:, None, :] ** np.arange(degree + 1)[:, None]
+    bmat = table[0][expo[:, 0]]
+    for a in range(1, offsets.shape[1]):
+        bmat *= table[a][expo[:, a]]
+    rhs = np.zeros(expo.shape[0])
+    rhs[0] = 1.0
+    return bmat, rhs
+
+
+def moment_matrix_by_running_products(offsets, radius, degree):
+    """The moment matrix entry by entry over (M, n): each axis' power a
+    running product of its scaled offset from 1, the axes' powers multiplied
+    left to right."""
+    expo = monomial_exponents(offsets.shape[1], degree)
+    scaled = offsets / radius
+    bmat = None
+    for a in range(offsets.shape[1]):
+        power = np.ones((expo.shape[0], len(offsets)))
+        for e in range(1, degree + 1):
+            power = np.where(expo[:, a, None] >= e, power * scaled[None, :, a], power)
+        bmat = power if bmat is None else bmat * power
+    return bmat
+
+
+def random_offsets(seed, d, n, log_scale):
+    """n offsets in R^d at scale 10^log_scale, about a tenth of the
+    coordinates exactly 0, and a radius around their largest coordinate."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.normal(size=(n, d)) * 10.0**log_scale
+    offsets[rng.random(size=(n, d)) < 0.1] = 0.0  # exponent 0 must give 1 at 0
+    radius = float(np.max(np.abs(offsets), initial=1e-3)) * rng.uniform(0.5, 2.0)
+    return offsets, radius
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 200),
        st.floats(-3.0, 3.0))
-def test_moment_system_bitwise_equals_prod(seed, d, n, log_scale):
-    from surfspline.polyrep import _moment_system
-
-    rng = np.random.default_rng(seed)
-    offsets = rng.normal(size=(n, d)) * 10.0**log_scale
-    offsets[rng.random(size=(n, d)) < 0.1] = 0.0  # exponent 0 must give 1 at 0
-    radius = float(np.max(np.abs(offsets), initial=1e-3)) * rng.uniform(0.5, 2.0)
+def test_moment_system_bitwise_equals_running_products(seed, d, n, log_scale):
+    offsets, radius = random_offsets(seed, d, n, log_scale)
     for degree in range(16):
         bmat, rhs = _moment_system(offsets, radius, degree)
-        ref = moment_matrix_by_prod(offsets, radius, degree)
+        ref = moment_matrix_by_running_products(offsets, radius, degree)
         assert bmat.shape == ref.shape and bmat.dtype == ref.dtype
         assert bmat.tobytes() == ref.tobytes()
         assert rhs.tolist() == [1.0] + [0.0] * (polynomial_dim(d, degree) - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(1, 15), (2, 14), (3, 7)]), st.data(),
+       st.integers(1, 30), st.floats(-3.0, 3.0))
+def test_moment_system_within_gamma_of_exact(seed, dim_and_top, data, n, log_scale):
+    import mpmath as mp
+
+    d, top = dim_and_top
+    degree = data.draw(st.integers(0, top))
+    offsets, radius = random_offsets(seed, d, n, log_scale)
+    bmat = _moment_system(offsets, radius, degree)[0]
+    expo = monomial_exponents(d, degree)
+    u = mp.mpf(2) ** -53
+    gamma = (degree + d) * u / (1 - (degree + d) * u)
+    with mp.workprec(200):  # exact powers of the float64 scaled offsets, to 2^-200
+        scaled = [[mp.mpf(v) for v in row] for row in offsets / radius]
+        for row, e in enumerate(expo):
+            for col in range(n):
+                exact = mp.fprod(scaled[col][a] ** int(e[a]) for a in range(d))
+                assert abs(mp.mpf(bmat[row, col]) - exact) <= gamma * abs(exact)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 120),
+       st.floats(-3.0, 3.0), st.integers(0, 15), st.data())
+def test_moment_system_prefix_columns(seed, d, n, log_scale, degree, data):
+    offsets, radius = random_offsets(seed, d, n, log_scale)
+    k = data.draw(st.integers(1, n))
+    full = _moment_system(offsets, radius, degree)[0]
+    assert _moment_system(offsets[:k], radius, degree)[0].tobytes() == full[:, :k].tobytes()
 
 
 def moment_matrix_mp(pr, cs):
@@ -254,8 +312,6 @@ def oracle_cloud(rng, kind, d, degree):
 def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, dps):
     import mpmath as mp
 
-    from surfspline.polyrep import _moment_system
-
     d, top = dim_and_top
     degree = data.draw(st.integers(0, top))
     rng = np.random.default_rng(seed)
@@ -265,11 +321,13 @@ def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, 
                                          degree)[0])
     weights = refine_weights(pr, cs, dps=dps)
     assert len(weights) == pr.indices.size
-    with mp.workdps(dps):  # the object-array builder gives the loop's entries exactly
+    with mp.workdps(dps):  # running products and pows differ by at most degree + 2d roundings
         mpf = np.frompyfunc(mp.mpf, 1, 1)
         bmat = _moment_system(mpf(cs.points[pr.indices]) - mpf(pr.alpha), mp.mpf(pr.radius),
                               degree)[0]
-        assert bmat.tolist() == moment_matrix_mp(pr, cs).tolist()
+        ref = moment_matrix_mp(pr, cs)
+        assert all(abs(bmat[i, j] - ref[i, j]) <= (degree + d) * mp.eps * abs(ref[i, j])
+                   for i in range(ref.rows) for j in range(ref.cols))
     with mp.workdps(dps + 40):
         bm = moment_matrix_mp(pr, cs)
         residual = max(abs(mp.fsum(bm[i, j] * weights[j] for j in range(bm.cols)) - (i == 0))
@@ -339,23 +397,36 @@ def test_min_norm_matches_gelsd_on_every_prefix(seed, d, data, kind):
             assert err <= sv[0] / sv[-1] * 1e-14 * np.linalg.norm(ref)
 
 
+def minimal_density_with(name, routine, cs, alpha, degree):
+    """``minimal_density``'s rho and witness indices, or its error text, on a
+    fresh copy of ``cs`` with ``surfspline.polyrep.<name>`` replaced."""
+    import surfspline.polyrep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surfspline.polyrep, name, routine)
+        try:
+            rho, pr = minimal_density(CenterSet(cs.points), alpha, degree)
+            return rho, pr.indices.tolist()
+        except NoAdmissibleRadius as exc:
+            return str(exc)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.data(), st.sampled_from(CLOUDS))
 def test_minimal_density_matches_gelsd_oracle(seed, d, data, kind):
-    import surfspline.polyrep
-
     degree = data.draw(st.integers(0, 3 if d == 3 else 6))
     cs, alpha = consistency_cloud(seed, d, kind)
-    results = []
-    for min_norm in (_min_norm, min_norm_by_gelsd):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(surfspline.polyrep, "_min_norm", min_norm)
-            try:
-                rho, pr = minimal_density(CenterSet(cs.points), alpha, degree)
-                results.append((rho, pr.indices.tolist()))
-            except NoAdmissibleRadius as exc:
-                results.append(str(exc))
-    assert results[0] == results[1]
+    assert (minimal_density_with("_min_norm", _min_norm, cs, alpha, degree)
+            == minimal_density_with("_min_norm", min_norm_by_gelsd, cs, alpha, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.data(), st.sampled_from(CLOUDS))
+def test_minimal_density_matches_pow_oracle(seed, d, data, kind):
+    degree = data.draw(st.integers(0, 7))
+    cs, alpha = consistency_cloud(seed, d, kind)
+    assert (minimal_density_with("_moment_system", _moment_system, cs, alpha, degree)
+            == minimal_density_with("_moment_system", moment_system_by_pow, cs, alpha, degree))
 
 
 def near_deficient(d, degree, gap):
