@@ -6,15 +6,14 @@ after construction, so queries are safe to issue concurrently.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 #: Two centers closer than this are considered duplicates and rejected;
 #: duplicates make the downstream Vandermonde systems rank-deficient.
 DUPLICATE_TOL = 1e-12
-
-#: Entries of a center set's solve memo (a few KB each).
-_SOLVE_MEMO_CAP = 4096
 
 #: Relative slack, and relative and absolute pad, on a bound or radius that
 #: meets the kd-tree: far above the rounding of a ratio, of a radius and of the
@@ -67,7 +66,41 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-class CenterSet:
+def _lattice(lo, hi, spacing: float, anchor) -> np.ndarray:
+    """The points of ``anchor + spacing * Z^d`` in the box ``[lo, hi]`` as
+    :func:`_grid_points` rows; a point within 1e-9 spacings outside a face
+    counts as on it, so rounding cannot drop a face's row."""
+    return _grid_points([a + np.arange(int(np.ceil((lo_a - a) / spacing - 1e-9)),
+                                       int(np.floor((hi_a - a) / spacing + 1e-9)) + 1) * spacing
+                         for lo_a, hi_a, a in zip(lo.tolist(), hi.tolist(), anchor.tolist())])
+
+
+class _Cloud:
+    """A frozen cloud: ``points``, a read-only (n, d) copy, its ``dim`` and kd-tree ``_tree``."""
+
+    def __init__(self, points):
+        pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
+        pts = np.ascontiguousarray(pts)
+        pts.setflags(write=False)
+        self.points = pts
+        self.dim = pts.shape[1]
+        self._tree = cKDTree(pts)
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
+def _ball_hits(cloud: _Cloud, pts: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) hit counts of the kd-tree balls of ``radii`` around the (n, d)
+    ``pts``, and the hits' indices ball after ball, each ball's unsorted."""
+    hits = cloud._tree.query_ball_point(pts, radii, return_sorted=False)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    return counts, np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
+
+
+class CenterSet(_Cloud):
     """A finite point cloud in R^d with optional per-point resolution tags.
 
     Parameters
@@ -79,39 +112,20 @@ class CenterSet:
         Resolution-region index for each center (used by the
         multiresolution placement; plain clouds leave this ``None``).
 
-    Local solves on the set (``build_reproduction``, ``assemble`` and the
-    attempts of ``minimal_density``) share one memo owned by the set, keyed by
-    the exact bytes of a solve's only inputs: the ordered neighbor offsets
-    from the base point, the radius and the degree.  An entry holds the
-    solve's ``(weights, rank, stability)``, bit for bit a fresh solve's, rank
-    failures included; lattice placements repeat one neighbor geometry at
-    many base points.  The memo holds at most
-    ``_SOLVE_MEMO_CAP`` entries (cleared when full) and dies with the set.
-    Concurrent use stays safe: each value is a pure function of its key, so
-    a race can only repeat a solve or overshoot the cap by one entry a thread.
+    Local solves on the set share its memo ``_solves`` (see :func:`~surfspline.polyrep._solve`).
     """
 
     def __init__(self, points, levels=None):
-        pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("center coordinates must be finite")
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        self.points = pts
-        self.dim = pts.shape[1]
+        super().__init__(points)
         if levels is not None:
             levels = np.array(levels, dtype=int)
-            if levels.shape != (pts.shape[0],):
+            if levels.shape != (len(self),):
                 raise ValueError("levels must have one entry per point")
             levels.setflags(write=False)
         self.levels = levels
-        self._tree = cKDTree(pts)
         self._solves: dict = {}
-        if len(pts) > 1 and self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray").size:
+        if len(self) > 1 and self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray").size:
             raise ValueError(f"duplicate centers within {DUPLICATE_TOL}")
-
-    def __len__(self):
-        return self.points.shape[0]
 
     def __repr__(self):
         return f"CenterSet(n={len(self)}, dim={self.dim})"
@@ -133,13 +147,12 @@ def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
     """Per block of ``_BLOCK`` of the (n, d) points ``pts``, their balls of
     ``radii`` as ``(idx, dist, counts)``: :meth:`CenterSet.neighbor_arrays`
     of each point concatenated, and the (b,) ball sizes.  One padded
-    ``query_ball_point`` (see ``_CUTOFF_PAD``) and one ``lexsort`` by point,
+    :func:`_ball_hits` (see ``_CUTOFF_PAD``) and one ``lexsort`` by point,
     distance and index; the exact cut is on the norms, bit for bit."""
     for s in range(0, len(pts), _BLOCK):
         block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
-        hits = cs._tree.query_ball_point(block, r * (1.0 + _CUTOFF_PAD))
-        owner = np.repeat(np.arange(len(block)), [len(h) for h in hits])
-        idx = np.concatenate([np.asarray(h, dtype=np.intp) for h in hits])
+        counts, idx = _ball_hits(cs, block, r * (1.0 + _CUTOFF_PAD))
+        owner = np.repeat(np.arange(len(block)), counts)
         dist = np.linalg.norm(cs.points[idx] - block[owner], axis=1)
         order = np.lexsort((idx, dist, owner))
         idx, dist, owner = idx[order], dist[order], owner[order]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centers import CenterSet, _grid_points
+from .centers import CenterSet, _grid_points, _lattice
 from .density import (
     DensityField,
     NoAdmissibleRadius,
@@ -65,28 +65,19 @@ FLOAT_FORMAT = "%.17g"
 
 
 def _json_text(obj, indent: int = 0) -> str:
+    """Indented JSON of dicts (in insertion order), lists, tuples, ints and floats."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in obj:  # preserve insertion order: configs are built deterministically
-            items.append(f'{pad}  "{k}": {_json_text(obj[k], indent + 1)}')
+        items = [f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return FLOAT_FORMAT % float(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -349,10 +340,7 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
 
     def factory(j):
         if placement == "uniform":
-            h = 2.0**-j
-            axes = [np.arange(int(np.ceil(lo / h)), int(np.floor(hi / h)) + 1) * h
-                    for lo, hi in zip(*box)]
-            return CenterSet(_grid_points(axes))
+            return CenterSet(_lattice(*box, 2.0**-j, np.zeros(d)))
         spec = MultiresSpec(j=j, k=k, d=d, defect=defect, box=box, epsilon=epsilon,
                             degree=degree)
         return generate_centers(spec)
@@ -377,7 +365,8 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
 def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     gamma, sigma, two_k, r = cfg["gamma"], cfg["sigma"], cfg["two_k"], cfg["r"]
     levels, overlap_points = cfg["levels"], cfg["overlap_points"]
-    _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"))
+    _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"),
+           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"))
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(cfg["density_file"])
     d = df.dim

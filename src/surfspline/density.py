@@ -11,12 +11,9 @@ scan) and heuristic off them.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .centers import (CenterSet, _CUTOFF_PAD, _as_cloud, _as_points, _nearest_groups,
+from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest_groups,
                       _pair_distances)
 from .polyrep import PolyRep, _solve, polynomial_dim
 
@@ -43,7 +40,7 @@ def default_stability_cap(dim: int, degree: int) -> float:
     return 4.0 * polynomial_dim(dim, degree)
 
 
-class DensityField:
+class DensityField(_Cloud):
     """A sampled density: points (n, d) with strictly positive values.
 
     The field holds samples only; the reproduction degree that produced them
@@ -52,26 +49,16 @@ class DensityField:
     """
 
     def __init__(self, points, values):
-        pts = _as_cloud(points)  # copies: freezing them leaves the caller's
-        vals = np.array(values, dtype=float).reshape(-1)
-        if pts.shape[0] != vals.shape[0]:
+        super().__init__(points)
+        vals = np.array(values, dtype=float).reshape(-1)  # a copy: freezing it leaves the caller's
+        if vals.shape != (len(self),):
             raise ValueError("need one value per sample point")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
         if not np.all(vals > 0):
             raise ValueError("density values must be strictly positive")
-        pts.setflags(write=False)
         vals.setflags(write=False)
-        self.points = pts
         self.values = vals
-        self._tree = cKDTree(pts)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
     def nearest(self, x) -> float | np.ndarray:
         """Value at the sample nearest to x: float at a point, (n,) for a batch."""
@@ -263,10 +250,8 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
             vals = ratio(b[:, None], np.arange(len(df)), dist)
             best[b] = extremum(best[b], extremum.reduce(vals, axis=1))
             continue
-        hits = df._tree.query_ball_point(x[b], radius, return_sorted=False)
+        counts, j = _ball_hits(df, x[b], radius)
         i = np.repeat(b, counts)
-        j = np.fromiter(chain.from_iterable(hits), np.intp, i.size)
-        del hits
         vals = ratio(i, j, _pair_distances(x[i], df.points[j]))
         some = counts > 0
         best[b[some]] = extremum(best[b[some]],

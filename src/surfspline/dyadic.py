@@ -18,11 +18,11 @@ support, which is the step that tames the rough part of a smoothness split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
-from .centers import _as_point, _grid_points
+from .centers import _as_point, _ball_hits, _grid_points
 from .density import DensityField
 
 
@@ -112,16 +112,14 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
     new[1:] = np.any(key[1:] != key[:-1], axis=1)
     runs = cubes[new]
     radius = gamma * runs.side
-    hits = density._tree.query_ball_point(runs.corner, radius, return_sorted=False)
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    counts, hits = _ball_hits(density, runs.corner, radius)
     if not counts.all():
         i = np.flatnonzero(counts == 0)[0]
         raise UndersampledDensity(
             f"no density sample within {radius[i]:g} of the corner of the level "
             f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
         )
-    vals = density.values[np.fromiter(chain.from_iterable(hits), dtype=np.intp,
-                                      count=int(counts.sum()))]
+    vals = density.values[hits]
     starts = np.cumsum(counts) - counts
     run_of_row = np.cumsum(new) - 1
     return (np.maximum.reduceat(vals, starts)[run_of_row],

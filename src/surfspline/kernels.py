@@ -11,7 +11,7 @@ error from rate studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
+from math import comb, factorial, pi
 
 import numpy as np
 
@@ -79,22 +79,13 @@ def fundamental_normalization(d: int, k: int) -> float:
     _check_dk(d, k)
     if d == 1:
         # Delta^{k-1} |x|^{2k-1} = (2k-1)! |x|;  (|x|/2)'' = delta
-        prod = 1.0
-        for m in range(2, k + 1):
-            prod *= (2 * m - 1) * (2 * m - 2)
-        return 1.0 / (2.0 * prod)
+        return 1.0 / (2.0 * factorial(2 * k - 1))
     if d == 3:
-        # Delta^{k-1} |x|^{2k-3} -> |x|^{-1};  -1/(4 pi |x|) is fundamental
-        prod = 1.0
-        for m in range(2, k + 1):
-            prod *= (2 * m - 3) * (2 * m - 2)
-        return -1.0 / (4.0 * pi * prod)
+        # Delta^{k-1} |x|^{2k-3} -> (2k-2)! |x|^{-1};  -1/(4 pi |x|) is fundamental
+        return -1.0 / (4.0 * pi * factorial(2 * k - 2))
     # d == 2:  Delta^{k-1} (|x|^{2k-2} log|x|) = (2^{k-1} (k-1)!)^2 log|x| + poly,
     # and (1/2pi) log|x| is fundamental for the Laplacian.
-    prod = 1.0
-    for m in range(1, k):
-        prod *= (2 * m) * (2 * m)
-    return 1.0 / (2.0 * pi * prod)
+    return 1.0 / (2.0 * pi * (2 ** (k - 1) * factorial(k - 1)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -152,8 +143,6 @@ def bump(p: int, center, scale: float) -> RadialBump:
     center = np.asarray(center, dtype=float).reshape(-1)
     # binomial expansion in t = r^2
     m = np.arange(p + 1)
-    from math import comb
-
     coeffs = np.array([comb(p, int(mm)) * (-1.0) ** mm * scale ** (-2.0 * mm) for mm in m])
     return RadialBump(exponent=p, center=center, scale=float(scale), coeffs=coeffs)
 

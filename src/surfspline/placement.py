@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, DUPLICATE_TOL, _grid_points
+from .centers import CenterSet, DUPLICATE_TOL, _as_points, _lattice
 from .density import minimal_density, validate_theorem1_params
 
 
@@ -115,18 +115,10 @@ def _defect_distance(spec: MultiresSpec, pts: np.ndarray) -> np.ndarray:
 def _region_grid(spec: MultiresSpec, spacing: float, reach: float | None) -> np.ndarray:
     """Axis-aligned grid of the given spacing, anchored at the defect centroid,
     clipped to the bounding box and (optionally) to |offset| <= reach per axis."""
-    lo, hi = spec.box
-    anchor = spec.anchor
-    axes = []
-    for a in range(spec.d):
-        lo_a, hi_a = lo[a], hi[a]
-        if reach is not None:
-            lo_a = max(lo_a, anchor[a] - reach)
-            hi_a = min(hi_a, anchor[a] + reach)
-        i0 = int(np.ceil((lo_a - anchor[a]) / spacing - 1e-9))
-        i1 = int(np.floor((hi_a - anchor[a]) / spacing + 1e-9))
-        axes.append(anchor[a] + np.arange(i0, i1 + 1) * spacing)
-    return _grid_points(axes)
+    (lo, hi), anchor = spec.box, spec.anchor
+    if reach is not None:
+        lo, hi = np.maximum(lo, anchor - reach), np.minimum(hi, anchor + reach)
+    return _lattice(lo, hi, spacing, anchor)
 
 
 def generate_centers(spec: MultiresSpec) -> CenterSet:
@@ -253,7 +245,7 @@ def density_profile_check(cs: CenterSet, spec: MultiresSpec, sample_points) -> P
     The model is ``rho(0) (1 + |x|/rho(0))^(1-epsilon)`` with ``rho(0)``
     measured at the defect; returns the worst ratio in both directions.
     """
-    sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    sample_points = _as_points(sample_points, spec.d)[0]
     rho, _ = minimal_density(cs, np.vstack([spec.anchor, sample_points]), spec.degree)
     rho0, rho = float(rho[0]), rho[1:]
     model = rho0 * (1.0 + _defect_distance(spec, sample_points) / rho0) ** (1.0 - spec.epsilon)

@@ -30,7 +30,7 @@ import scipy.linalg
 from scipy.linalg import svdvals
 from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
-from .centers import _SOLVE_MEMO_CAP, CenterSet, _as_point
+from .centers import CenterSet, _as_point
 
 #: Relative rank tolerance separating genuine unisolvency failures from
 #: round-off: full rank means sigma_min > RANK_RTOL * sigma_max.  A deficient
@@ -41,6 +41,9 @@ RANK_RTOL = 1e-10
 #: Pivoted QR can overrate a rank, so a smallest ratio ``|R_kk| / |R_00|`` up
 #: to ``_GUARD * RANK_RTOL`` is checked against the singular values of R.
 _GUARD = 1e3
+
+#: Entries of a center set's solve memo (a few KB each).
+_SOLVE_MEMO_CAP = 4096
 
 
 class ReproductionError(Exception):
@@ -157,8 +160,17 @@ def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> 
 def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tuple:
     """The one local solve: ``(weights, rank, stability)`` on the neighbor
     ``offsets`` from a base point (at least ``dim Pi_degree`` rows), weights
-    and stability None if deficient.  Through the center set's memo, keyed
-    by the exact bytes of its only inputs: a hit is a fresh solve bit for bit.
+    and stability None if deficient.
+
+    Every local solve on a center set (``build_reproduction``, ``assemble``
+    and the attempts of ``minimal_density``) goes through the set's memo
+    ``cs._solves``, keyed by the exact bytes of the solve's only inputs: the
+    ordered offsets, the radius and the degree.  A hit is a fresh solve bit
+    for bit, rank failures included; lattice placements repeat one neighbor
+    geometry at many base points.  The memo holds at most
+    ``_SOLVE_MEMO_CAP`` entries (cleared when full) and dies with the set.
+    Concurrent use stays safe: each value is a pure function of its key, so
+    a race can only repeat a solve or overshoot the cap by one entry a thread.
     """
     key = (offsets.tobytes(), radius, degree)
     memo = cs._solves

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import _BLOCK, CenterSet, _as_points, _balls, _grid_points, _pair_distances
+from .centers import CenterSet, _as_points, _balls, _grid_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _weights
@@ -126,8 +126,8 @@ def assemble(
     Each other node gets reproduction weights of degree ``params.degree`` with
     support radius 1.5 times its nearest density sample (the inflation
     absorbs the sampling error of the density field; any admissible radius
-    preserves the rates).  Per block of ``_BLOCK`` nodes: one ball query
-    (:func:`~surfspline.centers._balls`), one solve-memo lookup per node in
+    preserves the rates).  Per block of nodes of one ball query
+    (:func:`~surfspline.centers._balls`): one solve-memo lookup per node in
     cell order (lattice geometry recurs; a hit is bit for bit a fresh solve),
     and one ``np.add.at`` in node order, so every coefficient gets the
     per-node additions in their order.  The theorem's parameter constraints
@@ -139,8 +139,10 @@ def assemble(
     vals = dkf(nodes)
     nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
     radii = _RADIUS_FACTOR * density.nearest(nodes)
-    for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
-        block = slice(s, s + _BLOCK)
+    end = 0
+    for idx, _, counts in _balls(cs, nodes, radii):
+        block = slice(end, end + len(counts))
+        end = block.stop
         offsets = cs.points[idx] - np.repeat(nodes[block], counts, axis=0)
         weights = []
         for node, radius, offs in zip(nodes[block], radii[block],
@@ -207,14 +209,15 @@ def convergence_study(
     """Sup-error versus refinement level, with optional defect-point tracking.
 
     ``params.degree`` is the degree of the minimal density and of the
-    assembly; a violated constraint of the pointwise theorem or a bad
-    quadrature (``cells_per_rho``, ``rule``) raises ``ValueError`` before any
-    level is generated, as does a ``defect`` that is not one point (d,) or a
-    set (n, d).  For each j: generate centers, measure the minimal density on
-    a sample set (by default the centers inside the inflated quadrature
-    domain), assemble the approximant, and record the sup error over
-    ``probes`` (a point or a batch) and the maximum error over ``defect``.
-    Slopes are least-squares fits of log2(error) against -j.
+    assembly; a violated constraint of the pointwise theorem, a bump too
+    rough for ``Delta^k`` or a bad quadrature (``cells_per_rho``, ``rule``)
+    raises ``ValueError`` before any level is generated, as does a ``defect``
+    that is not one point (d,) or a set (n, d).  For each j: generate
+    centers, measure the minimal density on a sample set (the point or batch
+    ``density_points_factory(j)``, by default the centers inside the inflated
+    quadrature domain), assemble the approximant, and record the sup error
+    over ``probes`` (a point or a batch) and the maximum error over
+    ``defect``.  Slopes are least-squares fits of log2(error) against -j.
     """
     js = tuple(int(j) for j in js)
     if len(set(js)) < 3:
@@ -222,6 +225,7 @@ def convergence_study(
     violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
     if violations:
         raise ValueError("; ".join(violations))
+    laplacian_power(f, params.k)  # raises for a boundary order below 2k + 2
     defect = None if defect is None else _as_points(defect, params.d)[0]
     lo = f.center - f.scale
     hi = f.center + f.scale
@@ -230,7 +234,7 @@ def convergence_study(
     for j in js:
         cs = center_factory(j)
         if density_points_factory is not None:
-            sample_pts = np.atleast_2d(np.asarray(density_points_factory(j), dtype=float))
+            sample_pts = _as_points(density_points_factory(j), params.d)[0]
         else:
             margin = 0.5 * f.scale
             inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)

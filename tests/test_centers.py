@@ -203,7 +203,7 @@ class ShuffledTree:
     def __init__(self, tree, rng):
         self.tree, self.rng = tree, rng
 
-    def query_ball_point(self, x, r):
+    def query_ball_point(self, x, r, return_sorted=None):
         hits = self.tree.query_ball_point(x, r)
         if np.ndim(x) == 1:
             return self.rng.permutation(hits).tolist()

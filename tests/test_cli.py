@@ -326,6 +326,14 @@ def test_dyadic_unknown_key_before_reading_density(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("r", 0.0), ("r", -1.0), ("overlap_points", -1)])
+def test_dyadic_bad_value_before_reading_density(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "v.json", {"dyadic": dyadic_block(tmp_path, **{key: value})})
+    assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "missing.csv" not in err
+
+
 def study_block(**overrides):
     block = {"d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
              "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},

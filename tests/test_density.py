@@ -436,7 +436,7 @@ def test_solve_memo_scope(count_solves):
 
 
 def test_solve_memo_bound():
-    from surfspline.centers import _SOLVE_MEMO_CAP
+    from surfspline.polyrep import _SOLVE_MEMO_CAP
 
     rng = np.random.default_rng(21)
     cs = CenterSet(rng.uniform(-1, 1, size=(200, 1)))

@@ -1,0 +1,91 @@
+"""Argument checks of the library and the JSON writer: each rejects with its message."""
+
+import numpy as np
+import pytest
+
+from surfspline import (
+    CenterSet,
+    DensityField,
+    DyadicParams,
+    MultiresSpec,
+    bad_cube_bound_check,
+    build_reproduction,
+    bump,
+    certify_self_majorization,
+    certify_slow_growth,
+    enumerate_cubes,
+    laplacian_power,
+    lemma_transfer_sg_to_sm,
+    lemma_transfer_sm_to_sg,
+    majorant,
+    plan_transition,
+)
+from surfspline.cli import _json_text
+
+CLOUD = np.arange(6.0).reshape(3, 2)
+FIELD = DensityField(CLOUD, [1.0, 2.0, 3.0])
+BOX = ([-8.0, -8.0], [8.0, 8.0])
+
+
+def spec(**overrides):
+    return MultiresSpec(**{"j": 1, "k": 2, "d": 2, "defect": [[0.0, 0.0]], "box": BOX,
+                           **overrides})
+
+
+#: (id, call, exception, text its message must hold)
+CHECKS = [
+    ("levels length", lambda: CenterSet(CLOUD, levels=[0, 1]), ValueError,
+     "levels must have one entry per point"),
+    ("value count", lambda: DensityField(CLOUD, [1.0, 2.0]), ValueError,
+     "need one value per sample point"),
+    ("non-finite value", lambda: DensityField(CLOUD, [1.0, np.nan, 3.0]), ValueError,
+     "samples must be finite"),
+    ("non-positive value", lambda: DensityField(CLOUD, [1.0, 0.0, 3.0]), ValueError,
+     "density values must be strictly positive"),
+    ("non-finite coordinate", lambda: DensityField([[0.0, np.inf]], [1.0]), ValueError,
+     "point coordinates must be finite"),
+    ("neighbor radius", lambda: CenterSet(CLOUD).neighbor_arrays([0.0, 0.0], 0.0), ValueError,
+     "radius must be positive"),
+    ("majorant r", lambda: majorant(FIELD, [0.0, 0.0], 0.0), ValueError,
+     "r must be positive"),
+    ("slow growth epsilon", lambda: certify_slow_growth(FIELD, 1.0), ValueError,
+     "epsilon must lie in (0, 1)"),
+    ("self-majorization r", lambda: certify_self_majorization(FIELD, -1.0), ValueError,
+     "r must be positive"),
+    ("sm to sg c_sm", lambda: lemma_transfer_sm_to_sg(0.0, 1.0), ValueError,
+     "c_sm must be positive"),
+    ("sm to sg r", lambda: lemma_transfer_sm_to_sg(0.5, 0.0), ValueError,
+     "r must be positive"),
+    ("sg to sm c_sg", lambda: lemma_transfer_sg_to_sm(0.5, 0.5), ValueError,
+     "c_sg must be >= 1"),
+    ("sg to sm epsilon", lambda: lemma_transfer_sg_to_sm(2.0, 0.0), ValueError,
+     "epsilon must lie in (0, 1)"),
+    ("spec j", lambda: spec(j=0), ValueError, "j must be >= 1"),
+    ("spec defect dimension", lambda: spec(defect=[[0.0, 0.0, 0.0]]), ValueError,
+     "defect points must live in R^d"),
+    ("spec box", lambda: spec(box=([8.0, -8.0], [-8.0, 8.0])), ValueError,
+     "box must be a (lo, hi) pair of d-vectors with hi > lo"),
+    ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),
+    ("bump scale", lambda: bump(4, [0.0], 0.0), ValueError, "scale must be positive"),
+    ("laplacian power k", lambda: laplacian_power(bump(4, [0.0], 1.0), -1), ValueError,
+     "k must be >= 0"),
+    ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
+     ValueError, "degree must be >= 0"),
+    ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, "s must be positive"),
+    ("transition epsilon", lambda: plan_transition(1.0, 1.0, 1), ValueError,
+     "epsilon must lie in (0, 1)"),
+    ("transition k", lambda: plan_transition(1.0, 0.5, 0), ValueError, "k must be >= 1"),
+    ("rho_min shape", lambda: bad_cube_bound_check(
+        enumerate_cubes(([0.0], [1.0]), [0], 1), [1.0, 2.0], DyadicParams(1.5, 1.0, 2.0),
+        0.5, 1.0), ValueError, "need one rho_min per bad cube (1), got (2,)"),
+    ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
+    ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
+    ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),
+]
+
+
+@pytest.mark.parametrize("call,exc,text", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
+def test_input_check(call, exc, text):
+    with pytest.raises(exc) as err:
+        call()
+    assert text in str(err.value)

@@ -210,17 +210,59 @@ def test_convergence_study_checks_theorem_params_before_placing_centers():
 
 
 @pytest.mark.parametrize("quadrature,message", [({"rule": "simpson"}, "rule must be"),
-                                                ({"cells_per_rho": 1}, "cells_per_rho")])
+                                                ({"cells_per_rho": 1}, "cells_per_rho"),
+                                                ({"f": bump(3, [0.0], 1.0)},
+                                                 "bump boundary order 3 too small")])
 def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, message):
+    # a bump too rough for Delta^k (order 3 < 2k + 2 = 4) is rejected up front too
     from surfspline import convergence_study
 
     def factory(j):
         pytest.fail("center_factory ran before the quadrature check")
 
     params = KernelParams(d=1, k=1, degree=4)
+    kwargs = {"f": bump(5, [0.0], 1.0), **quadrature}
     with pytest.raises(ValueError, match=message):
-        convergence_study([3, 4, 5], factory, bump(5, [0.0], 1.0), params, epsilon=0.6,
-                          probes=np.zeros(1), **quadrature)
+        convergence_study([3, 4, 5], factory, params=params, epsilon=0.6, probes=np.zeros(1),
+                          **kwargs)
+
+
+def uniform_1d(j):
+    h = 2.0**-j
+    return CenterSet(np.arange(-2.5, 2.5 + h / 2, h))
+
+
+def test_study_density_points_factory():
+    # the density sampled at every other center instead of the default set
+    from surfspline import convergence_study
+
+    params = KernelParams(d=1, k=1, degree=4)
+    probes = np.linspace(-1.2, 1.2, 41)[:, None]
+    asked = []
+
+    def samples(j):
+        asked.append(j)
+        return uniform_1d(j).points[::2]
+
+    res = convergence_study([3, 4, 5], uniform_1d, bump(5, [0.0], 1.0), params, 0.6, probes,
+                            density_points_factory=samples)
+    assert asked == [3, 4, 5]
+    assert np.all(np.isfinite(res.global_errors))
+    assert np.all(np.diff(res.global_errors) < 0)
+
+
+def test_flat_sample_set_rejected_in_1d():
+    # (n,) in R^1 is neither one point (1,) nor a batch (n, 1)
+    from surfspline import MultiresSpec, convergence_study, density_profile_check
+
+    params = KernelParams(d=1, k=1, degree=4)
+    with pytest.raises(ValueError, match=r"points have shape \(21,\)"):
+        convergence_study([3, 4, 5], uniform_1d, bump(5, [0.0], 1.0), params, 0.6,
+                          np.zeros((1, 1)),
+                          density_points_factory=lambda j: uniform_1d(j).points[::2, 0])
+    spec = MultiresSpec(j=1, k=1, d=1, defect=[[0.0]], box=([-8.0], [8.0]))
+    with pytest.raises(ValueError, match=r"points have shape \(3,\)"):
+        density_profile_check(uniform_1d(2), spec, np.array([0.5, 1.0, 1.5]))
 
 
 def test_study_defect_set_takes_worst_point():
