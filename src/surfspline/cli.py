@@ -255,6 +255,19 @@ def _check(*rules) -> None:
             raise ConfigError(f"config key {key!r} must be {rule}")
 
 
+def _defect_rule(defect, d: int) -> tuple:
+    """The :func:`_check` rule of a defect: none, one point (d,) or a set (n, d)."""
+    return ("defect", defect is None or defect.shape == (d,)
+            or (defect.ndim == 2 and defect.shape[1] == d), f"one point ({d},) or a set (n, {d})")
+
+
+def _box_rule(cfg: dict) -> tuple:
+    """The :func:`_check` rule of the box block; :func:`_corners` checks its length."""
+    lo, hi = cfg["box"]["lo"], cfg["box"]["hi"]
+    return ("box", lo.ndim == 1 and lo.shape == hi.shape and bool(np.all(hi > lo)),
+            "vectors lo and hi of one length with hi > lo on every axis")
+
+
 def _corners(cfg: dict, block: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``lo`` and ``hi`` vectors of a checked box or probe block, of length d."""
     lo, hi = cfg[block]["lo"], cfg[block]["hi"]
@@ -274,6 +287,7 @@ def _probe_grid(cfg: dict, d: int) -> np.ndarray:
 
 
 def cmd_place(cfg: dict, out: Path, seed: int) -> None:
+    _check(_defect_rule(cfg["defect"], cfg["d"]), _box_rule(cfg))
     spec = MultiresSpec(**{**cfg, "box": _corners(cfg, "box", cfg["d"])})
     plan = build_ring_plan(spec)
     cs = generate_centers(spec)
@@ -330,8 +344,7 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     placement, defect = cfg["placement"], cfg["defect"]
     _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
            ("defect", placement == "uniform" or defect is not None, "given for multires"),
-           ("defect", defect is None or defect.shape == (d,)
-            or (defect.ndim == 2 and defect.shape[1] == d), f"one point ({d},) or a set (n, {d})"),
+           _defect_rule(defect, d), _box_rule(cfg),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
     box = _corners(cfg, "box", d)
     probes = _probe_grid(cfg, d)
@@ -366,7 +379,7 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     gamma, sigma, two_k, r = cfg["gamma"], cfg["sigma"], cfg["two_k"], cfg["r"]
     levels, overlap_points = cfg["levels"], cfg["overlap_points"]
     _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"),
-           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"))
+           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"), _box_rule(cfg))
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(cfg["density_file"])
     d = df.dim

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, DUPLICATE_TOL, _as_points, _lattice
+from .centers import CenterSet, _as_points, _lattice
 from .density import minimal_density, validate_theorem1_params
 
 
@@ -29,7 +29,7 @@ class MultiresSpec:
     d        -- ambient dimension
     epsilon  -- slow-growth exponent, default 1/3
     degree   -- reproduction precision, default 7k
-    defect   -- (m, d) array of defect points (a single point or a sampled set)
+    defect   -- one defect point (d,) or a sampled set (m, d), finite
     box      -- (lo, hi) arrays bounding the global grid
     """
 
@@ -44,10 +44,7 @@ class MultiresSpec:
     def __post_init__(self):
         if self.j < 1:
             raise ValueError("j must be >= 1")
-        defect = np.atleast_2d(np.asarray(self.defect, dtype=float))
-        if defect.shape[1] != self.d:
-            raise ValueError("defect points must live in R^d")
-        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
         lo = np.asarray(self.box[0], dtype=float).reshape(-1)
         hi = np.asarray(self.box[1], dtype=float).reshape(-1)
         if lo.shape != (self.d,) or hi.shape != (self.d,) or not np.all(hi > lo):
@@ -112,56 +109,45 @@ def _defect_distance(spec: MultiresSpec, pts: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _region_grid(spec: MultiresSpec, spacing: float, reach: float | None) -> np.ndarray:
+def _region_grid(spec: MultiresSpec, spacing: float, reach: float) -> np.ndarray:
     """Axis-aligned grid of the given spacing, anchored at the defect centroid,
-    clipped to the bounding box and (optionally) to |offset| <= reach per axis."""
-    (lo, hi), anchor = spec.box, spec.anchor
-    if reach is not None:
-        lo, hi = np.maximum(lo, anchor - reach), np.minimum(hi, anchor + reach)
-    return _lattice(lo, hi, spacing, anchor)
+    clipped to the bounding box and to the defect set's bounding box grown by
+    ``reach`` per axis (an infinite reach clips to the box alone)."""
+    (lo, hi), defect = spec.box, spec.defect
+    lo = np.maximum(lo, defect.min(axis=0) - reach)
+    hi = np.minimum(hi, defect.max(axis=0) + reach)
+    return _lattice(lo, hi, spacing, spec.anchor)
 
 
 def generate_centers(spec: MultiresSpec) -> CenterSet:
-    """Union of the global grid and the per-region refined grids.
+    """Centers of every region, each built once by the region that owns it.
 
-    Region membership is by distance to the defect set, boundary ties going
-    inward; duplicate points across grids (the grids nest dyadically) are
-    removed keeping the finest region's tag.  Centers are tagged with their
-    region index J; the global grid is level j + 1.
+    A center belongs to the region whose interval of distance to the defect
+    set holds it: ``[0, core_radius]`` for the core (level 0), ``(inner,
+    outer]`` for ring J (level J) and ``(outermost, inf)`` for the global
+    grid (level j + 1).  The intervals are disjoint, and every region
+    lattice ``anchor + s Z^d`` holds the coarser ones with the same bits
+    (the spacings are powers of two), so no center is built twice or lost.
     """
     plan = build_ring_plan(spec)
     lo, hi = spec.box
     outermost = plan.rings[-1].outer
-    if np.any(spec.anchor - outermost < lo - 1e-12) or np.any(spec.anchor + outermost > hi + 1e-12):
+    if (np.any(spec.defect.min(axis=0) - outermost < lo - 1e-12)
+            or np.any(spec.defect.max(axis=0) + outermost > hi + 1e-12)):
         raise ValueError("bounding box must contain the outermost ring")
-
-    chunks: list[np.ndarray] = []
-    tags: list[np.ndarray] = []
-
-    def add(pts: np.ndarray, level: int):
-        if pts.size:
-            chunks.append(pts)
-            tags.append(np.full(pts.shape[0], level, dtype=int))
-
-    # the global grid first: its size follows from the box and j alone, so a
-    # grid too large to allocate fails before any region grid is built
-    global_grid = _region_grid(spec, plan.global_spacing, None)
-    core = _region_grid(spec, plan.core_spacing, plan.core_radius)
-    dist = _defect_distance(spec, core)
-    add(core[dist <= plan.core_radius], 0)
-    for ring in plan.rings:
-        grid = _region_grid(spec, ring.spacing, ring.outer)
+    # (level, spacing, inner, outer), the global grid first: its size follows
+    # from the box and j alone, so a grid too large to allocate fails before
+    # any region grid is built
+    regions = [(spec.j + 1, plan.global_spacing, outermost, np.inf)]
+    regions += [(r.index, r.spacing, r.inner, r.outer) for r in reversed(plan.rings)]
+    regions.append((0, plan.core_spacing, -np.inf, plan.core_radius))
+    chunks, tags = [], []
+    for level, spacing, inner, outer in regions:
+        grid = _region_grid(spec, spacing, outer)
         dist = _defect_distance(spec, grid)
-        add(grid[(dist > ring.inner) & (dist <= ring.outer)], ring.index)
-    add(global_grid, spec.j + 1)
-
-    pts = np.concatenate(chunks, axis=0)
-    levels = np.concatenate(tags)
-    # exact-grid duplicates: quantize at the duplicate tolerance, keep first
-    keys = np.round(pts / DUPLICATE_TOL).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    first.sort()
-    pts, levels = pts[first], levels[first]
+        chunks.append(grid[(dist > inner) & (dist <= outer)])
+        tags.append(np.full(chunks[-1].shape[0], level, dtype=int))
+    pts, levels = np.concatenate(chunks, axis=0), np.concatenate(tags)
     order = np.lexsort(tuple(pts[:, a] for a in range(spec.d - 1, -1, -1)) + (levels,))
     return CenterSet(pts[order], levels=levels[order])
 

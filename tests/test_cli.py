@@ -67,6 +67,21 @@ def test_place_figure_configuration(tmp_path):
     assert report["global_spacing"] == 2**-3
 
 
+@pytest.mark.parametrize("defect,code", [
+    ([0.0], 0), ([[0.0]], 0), ([[-0.25], [0.25]], 0),
+    (0.0, 2), ([], 2), ([[0.0, 1.0]], 2), ([[[0.0]]], 2)],
+    ids=["point", "one-point set", "set", "scalar", "empty", "wrong width", "nested"])
+def test_place_defect_shape(tmp_path, capsys, defect, code):
+    # one point (d,) or a set (n, d), checked before any grid is built
+    out = tmp_path / "out"
+    assert main(["place", "--config", place_config(tmp_path, defect=defect),
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "config key 'defect' must be one point (1,) or a set (n, 1)" in (
+            capsys.readouterr().err)
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = place_config(tmp_path, bogus=1)
     assert main(["place", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -228,15 +243,20 @@ def study_defect_config(tmp_path, defect):
 
 
 def test_study_defect_set(tmp_path):
-    # a set of defect points runs every level and writes the defect column
-    out = tmp_path / "out"
-    assert main(["study", "--config", study_defect_config(tmp_path, [[-0.25], [0.25]]),
-                 "--out", str(out)]) == 0
-    table = (out / "study.csv").read_text().strip().splitlines()
-    assert table[0] == "j,sup_error,defect_error"
-    defect_errors = [float(row.split(",")[2]) for row in table[1:]]
-    assert len(defect_errors) == 3 and all(e > 0 for e in defect_errors)
-    assert "defect_slope" in json.loads((out / "slopes.json").read_text())
+    # a set of defect points runs every level and writes the defect column;
+    # the rings follow the whole set, so the refinement pays off at each point,
+    # the one-sided set included
+    for i, defect in enumerate([[[-0.25], [0.25]], [[0.0], [0.25]]]):
+        out = tmp_path / f"out{i}"
+        assert main(["study", "--config", study_defect_config(tmp_path, defect),
+                     "--out", str(out)]) == 0
+        table = (out / "study.csv").read_text().strip().splitlines()
+        assert table[0] == "j,sup_error,defect_error"
+        defect_errors = [float(row.split(",")[2]) for row in table[1:]]
+        assert len(defect_errors) == 3 and all(e > 0 for e in defect_errors)
+        assert all(a > b for a, b in zip(defect_errors, defect_errors[1:]))
+        slopes = json.loads((out / "slopes.json").read_text())
+        assert slopes["defect_slope"] > slopes["global_slope"]
 
 
 @pytest.mark.parametrize("defect", [[[0.0, 1.0]], [[[0.0]]], []])
@@ -378,19 +398,41 @@ BAD_VALUES = [
 ]
 
 
+def command_block(tmp_path, command):
+    """A valid block of ``command``; one that reads a file names a missing one."""
+    return {"place": lambda: json.loads(Path(place_config(tmp_path)).read_text())["place"],
+            "density": lambda: json.loads(Path(density_config(
+                tmp_path, str(tmp_path / "missing.csv"))).read_text())["density"],
+            "study": study_block,
+            "dyadic": lambda: dyadic_block(tmp_path)}[command]()
+
+
 @pytest.mark.parametrize("command,overrides,key", BAD_VALUES,
                          ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(BAD_VALUES)])
 def test_wrongly_typed_config_value(tmp_path, capsys, command, overrides, key):
-    block = {"place": lambda: json.loads(Path(place_config(tmp_path)).read_text())["place"],
-             "density": lambda: json.loads(Path(density_config(
-                 tmp_path, str(tmp_path / "missing.csv"))).read_text())["density"],
-             "study": study_block,
-             "dyadic": lambda: dyadic_block(tmp_path)}[command]()
+    block = command_block(tmp_path, command)
     block.update(overrides)
     cfg = write_config(tmp_path, "bad.json", {command: block})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert f"config key {key!r}" in err and "missing.csv" not in err
+
+
+@pytest.mark.parametrize("box", [{"lo": [1.0], "hi": [1.0]}, {"lo": [1.0], "hi": [-1.0]},
+                                 {"lo": [-1.0], "hi": [1.0, 2.0]}],
+                         ids=["zero width", "inverted", "unequal lengths"])
+@pytest.mark.parametrize("command", ["place", "study", "dyadic"])
+def test_empty_or_inverted_box_rejected_before_work(tmp_path, capsys, count_solves, command,
+                                                   box):
+    cfg = write_config(tmp_path, "box.json", {command: {**command_block(tmp_path, command),
+                                                       "box": box}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'box' must be vectors lo and hi of one length" in err
+    assert "missing.csv" not in err
+    assert not out.exists()
+    assert count_solves == []
 
 
 def test_round_trip_centers(tmp_path):

@@ -62,7 +62,11 @@ CHECKS = [
      "epsilon must lie in (0, 1)"),
     ("spec j", lambda: spec(j=0), ValueError, "j must be >= 1"),
     ("spec defect dimension", lambda: spec(defect=[[0.0, 0.0, 0.0]]), ValueError,
-     "defect points must live in R^d"),
+     "points have shape (1, 3); expected (2,) for one point or (n, 2) for a batch"),
+    ("spec defect nan", lambda: spec(defect=[[0.0, 0.0], [np.nan, 0.0]]), ValueError,
+     "point coordinates must be finite"),
+    ("spec defect inf", lambda: spec(defect=[0.0, np.inf]), ValueError,
+     "point coordinates must be finite"),
     ("spec box", lambda: spec(box=([8.0, -8.0], [-8.0, 8.0])), ValueError,
      "box must be a (lo, hi) pair of d-vectors with hi > lo"),
     ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),

@@ -12,7 +12,9 @@ from surfspline import (
     minimal_density,
     plan_transition,
 )
+from surfspline.centers import DUPLICATE_TOL, _lattice
 from surfspline.density import DensityField
+from surfspline.placement import _defect_distance
 
 
 def spec_2d(j=3, k=2, box_half=6.0):
@@ -96,10 +98,13 @@ def test_generate_centers_sign_symmetry():
 
 
 def test_generate_centers_box_too_small():
-    spec = MultiresSpec(j=3, k=2, d=2, defect=np.zeros((1, 2)),
-                        box=(np.full(2, -1.0), np.full(2, 1.0)))
-    with pytest.raises(ValueError, match="bounding box"):
-        generate_centers(spec)
+    # the box must hold the defect set's bounding box +- the outermost radius
+    # (4.95 at j = 3, k = 2): +-5.45 for the segment, so +-5.3 is too small
+    for defect, half in [(np.zeros((1, 2)), 1.0), ([[-0.5, 0.0], [0.5, 0.0]], 5.3)]:
+        spec = MultiresSpec(j=3, k=2, d=2, defect=defect,
+                            box=(np.full(2, -half), np.full(2, half)))
+        with pytest.raises(ValueError, match="bounding box"):
+            generate_centers(spec)
 
 
 def test_global_grid_built_before_region_grids(monkeypatch):
@@ -120,7 +125,7 @@ def test_global_grid_built_before_region_grids(monkeypatch):
     monkeypatch.setattr(placement, "_region_grid", spy)
     with pytest.raises(Stop):
         generate_centers(spec_1d(j=34, box_half=4.0))
-    assert calls == [(2.0**-34, None)]
+    assert calls == [(2.0**-34, np.inf)]
 
 
 def test_density_at_defect():
@@ -174,7 +179,75 @@ def test_curve_defect_tubular_rings():
     dist, _ = cKDTree(defect).query(cs.points)
     core = cs.levels == 0
     assert core.any()
-    assert np.all(dist[core] <= plan.core_radius + 1e-12)
+    # each center's level is the region whose distance interval holds it,
+    # along the whole segment and not only near its midpoint
+    bounds = np.array([plan.core_radius] + [r.outer for r in plan.rings])
+    assert np.array_equal(cs.levels, np.searchsorted(bounds, dist, side="left"))
+    assert np.all(dist[cs.levels == spec.j + 1] > plan.rings[-1].outer)
+    # the core covers the segment's whole tube at the core spacing
+    assert np.count_nonzero(core) == 1053
+
+
+def dedupe_centers(spec):
+    """The construction by union and dedupe, kept as an oracle: each region
+    grid clipped to the defect set's bounding box +- its outer radius, the
+    global grid over the whole box, and a quantize-and-unique pass keeping
+    the first (finest) copy of each point."""
+    plan = build_ring_plan(spec)
+    (lo, hi), defect = spec.box, spec.defect
+
+    def grid(spacing, reach):
+        return _lattice(np.maximum(lo, defect.min(axis=0) - reach),
+                        np.minimum(hi, defect.max(axis=0) + reach), spacing, spec.anchor)
+
+    chunks, tags = [], []
+    regions = [(0, plan.core_spacing, -np.inf, plan.core_radius)]
+    regions += [(r.index, r.spacing, r.inner, r.outer) for r in plan.rings]
+    for level, spacing, inner, outer in regions:
+        pts = grid(spacing, outer)
+        dist = _defect_distance(spec, pts)
+        chunks.append(pts[(dist > inner) & (dist <= outer)])
+        tags.append(np.full(len(chunks[-1]), level))
+    chunks.append(grid(plan.global_spacing, np.inf))
+    tags.append(np.full(len(chunks[-1]), spec.j + 1))
+    pts, levels = np.concatenate(chunks), np.concatenate(tags)
+    _, first = np.unique(np.round(pts / DUPLICATE_TOL).astype(np.int64), axis=0,
+                         return_index=True)
+    first.sort()
+    pts, levels = pts[first], levels[first]
+    order = np.lexsort(tuple(pts[:, a] for a in range(spec.d - 1, -1, -1)) + (levels,))
+    return pts[order], levels[order]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generate_centers_equals_dedupe_oracle(seed):
+    # d = 1 and 2, defect sets of 1-4 points (dyadic or arbitrary offsets), box
+    # faces on the global lattice or off it: every center is built once, with
+    # the bits and the level the union-and-dedupe construction gives it
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        d = int(rng.integers(1, 3))
+        k, j = d, int(rng.integers(1, 5 if d == 1 else 3))
+        m = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            defect = rng.integers(-16, 17, (m, d)) / 16.0
+        else:
+            defect = rng.uniform(-0.6, 0.6, (m, d))
+        anchor = defect.mean(axis=0)
+        outer = build_ring_plan(MultiresSpec(j=j, k=k, d=d, defect=defect,
+                                             box=(anchor - 1, anchor + 1))).rings[-1].outer
+        lo, hi = defect.min(axis=0) - outer, defect.max(axis=0) + outer
+        if rng.random() < 0.5:  # faces on the lattice anchor + 2^-j Z^d
+            h = 2.0**-j
+            lo = anchor + (np.floor((lo - anchor) / h) - rng.integers(0, 3, d)) * h
+            hi = anchor + (np.ceil((hi - anchor) / h) + rng.integers(0, 3, d)) * h
+        else:
+            lo, hi = lo - rng.uniform(0, 1, d), hi + rng.uniform(0, 1, d)
+        spec = MultiresSpec(j=j, k=k, d=d, defect=defect, box=(lo, hi))
+        cs = generate_centers(spec)
+        pts, levels = dedupe_centers(spec)
+        assert cs.points.tobytes() == pts.tobytes()
+        assert np.array_equal(cs.levels, levels)
 
 
 def test_plan_transition_reference():
