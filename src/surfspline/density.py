@@ -214,7 +214,12 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     rounding of R_i and of the tree's squared distances.  So every pair
     whose computed ratio beats ``best`` lies in the kd-tree ball of radius
     R_i; a non-finite R_i becomes ``inf``, and rows with R_i < 0 have no such
-    pair.  Each kept pair's distance equals ``cdist``'s bit for bit
+    pair.  A row is settled, and makes no ball query, when its padded R_i lies
+    below the tree's distance to the last of its nearest samples shrunk by
+    ``_CUTOFF_PAD`` relative and absolute, which bounds every other sample's
+    (as in :func:`~surfspline.centers._nearest_groups`): its ball holds only
+    pairs already evaluated; so is every row when those are all samples.
+    Each kept pair's distance equals ``cdist``'s bit for bit
     (:func:`_pair_distances`) and goes through the same ratio expression, and
     max/min are exact in any order, so pruning changes no bit.
 
@@ -227,23 +232,28 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     rows = np.arange(n)
     blocks = [rows[s:s + _PAIR_CHUNK] for s in range(0, n, _PAIR_CHUNK)]
     k = min(2**df.dim + 1, len(df))
-    best = np.empty(n)
+    best, beyond = np.empty(n), np.empty(n)
     for b in blocks:
-        _, near = df._tree.query(x[b], k=k)
+        near_dist, near = df._tree.query(x[b], k=k)
         near = near.reshape(len(b), k)
+        beyond[b] = near_dist.reshape(len(b), k)[:, -1] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
         dist = _pair_distances(x[b, None, :], df.points[near])
         best[b] = extremum.reduce(ratio(b[:, None], near, dist), axis=1)
     if shared:
         best[:] = extremum.reduce(best)
+    if k == len(df):  # every pair is evaluated
+        return best
     loose = best * (1.0 - _CUTOFF_PAD if maximize else 1.0 + _CUTOFF_PAD)
     for b in blocks:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             radius = cutoff(loose[b], b)
         radius = np.where(np.isfinite(radius), radius, np.inf)
         keep = radius >= 0
+        radius = radius * (1.0 + _CUTOFF_PAD) + _CUTOFF_PAD
+        keep &= radius >= beyond[b]  # a settled row's ball holds only its nearest samples
         if not keep.any():
             continue
-        b, radius = b[keep], radius[keep] * (1.0 + _CUTOFF_PAD) + _CUTOFF_PAD
+        b, radius = b[keep], radius[keep]
         counts = df._tree.query_ball_point(x[b], radius, return_length=True)
         if 8 * int(counts.sum()) > b.size * len(df):  # the block against every sample
             dist = _pair_distances(x[b, None, :], df.points[None, :, :])

@@ -4,10 +4,10 @@ A gendered cube is a pair (gender, dyadic cube): the gender is a nonzero
 0/1 vector (2^d - 1 per cube) and the cube at level j has corner
 ``2^-j * corner_index`` and sidelength ``2^-j``.  Cubes are held as arrays,
 one row per gendered cube, in a :class:`DyadicCubes` record; every function
-here works on whole records, and the support extrema come from one batched
-ball query over the distinct corners, made once by :func:`classify` for
-both the partition and the bad-cube bound.  No wavelets are ever
-constructed; the inflated support is modeled as the ball
+here works on whole records, and the support extrema come from one kd-tree
+pair join per level between its distinct corners and the samples, made once
+by :func:`classify` for both the partition and the bad-cube bound.  No
+wavelets are ever constructed; the inflated support is modeled as the ball
 ``B(corner, Gamma * sidelength)``, which is all the partition machinery
 depends on.  A cube is *good* when its sidelength
 dominates the density over its inflated support, *bad* otherwise; bad cubes
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .centers import _as_point, _ball_hits, _grid_points
+from .centers import _as_point, _grid_points
 from .density import DensityField
 
 
@@ -104,26 +105,31 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
 
     Adjacent rows with the same level and corner share one support (the
     genders of a corner are adjacent in :func:`enumerate_cubes` order), so
-    one batched ball query covers each such run once, and the hits are
-    reduced per run.
+    each such run is searched once.  The runs of one level share the radius
+    ``gamma * 2^-level``: one kd-tree pair join of their corners against the
+    samples lists every pair within it, boundary and distance zero (a corner
+    on a sample) included, and the pairs are reduced per run.
     """
     key = np.column_stack([cubes.level, cubes.index])
     new = np.ones(len(cubes), dtype=bool)
     new[1:] = np.any(key[1:] != key[:-1], axis=1)
     runs = cubes[new]
-    radius = gamma * runs.side
-    counts, hits = _ball_hits(density, runs.corner, radius)
-    if not counts.all():
-        i = np.flatnonzero(counts == 0)[0]
+    rho_max, rho_min = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
+    for lv in np.unique(runs.level):
+        rows = np.flatnonzero(runs.level == lv)
+        pairs = cKDTree(runs[rows].corner).sparse_distance_matrix(
+            density._tree, gamma * 2.0**-lv, output_type="ndarray")
+        i, vals = rows[pairs["i"]], density.values[pairs["j"]]
+        np.maximum.at(rho_max, i, vals)
+        np.minimum.at(rho_min, i, vals)
+    if np.isinf(rho_min).any():  # a run without a pair keeps its +inf
+        i = np.flatnonzero(np.isinf(rho_min))[0]
         raise UndersampledDensity(
-            f"no density sample within {radius[i]:g} of the corner of the level "
+            f"no density sample within {gamma * runs.side[i]:g} of the corner of the level "
             f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
         )
-    vals = density.values[hits]
-    starts = np.cumsum(counts) - counts
     run_of_row = np.cumsum(new) - 1
-    return (np.maximum.reduceat(vals, starts)[run_of_row],
-            np.minimum.reduceat(vals, starts)[run_of_row])
+    return rho_max[run_of_row], rho_min[run_of_row]
 
 
 def classify(cubes: DyadicCubes, density: DensityField,

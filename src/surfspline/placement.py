@@ -175,9 +175,14 @@ def cardinality_report(spec: MultiresSpec, cs: CenterSet) -> CardinalityReport:
     volume ``omega_d`` and the factor ``2^d`` that the spacing
     ``2^(J-1-2j)`` of ``build_ring_plan`` adds (ring J's outer radius over
     its spacing is ``2 * 7k 2^(J/2)``).  Ring J is an annulus whose inner
-    radius is ``2^(-3/2)`` times its outer one, so ``ratio_to_bound`` rises
-    with j toward ``2^d omega_d (1 - 2^(-3d/2))``, about 11.0 (3.5 pi) in
-    d = 2; a ratio near that limit is the pinned geometry, not a defect.
+    radius is ``2^(-3/2)`` times its outer one, so for a one-point defect
+    ``ratio_to_bound`` rises with j toward ``2^d omega_d (1 - 2^(-3d/2))``,
+    about 11.0 (3.5 pi) in d = 2; a ratio near that limit is the pinned
+    geometry, not a defect.  The ball and the rings are measured from the
+    whole defect set while the bound stays the one-point series, so a wider
+    set holds more centers in the ball and can pass that limit: the 21-point
+    segment [-0.5, 0.5] x {0} at j = 2, k = 2, box +-10 reads 15,389 / 1,372
+    = 11.2.
     """
     seven_k = 7 * spec.k
     radius = seven_k * 2.0 ** (-spec.j / 2.0)

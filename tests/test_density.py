@@ -656,18 +656,87 @@ def test_pair_engine_non_finite_cutoffs():
         assert infinite[1] == 300
 
 
-def test_pair_engine_prunes_smooth_field():
-    # the bench's analytic Remark-1 profile: the diagonal decides both certificates
+def smooth_field(dips=0.0, seed=0):
+    """The bench's analytic Remark-1 profile on 33x33 samples; with ``dips``,
+    that share of the samples, drawn at random, falls to a fifth."""
     xs = np.linspace(-0.5, 0.5, 33)
     pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
     rho0 = 5 * np.sqrt(2.0) * 2.0**-6
-    df = DensityField(pts, np.minimum(rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0)
-                                      ** (2.0 / 3.0), 2.0**-3))
+    vals = np.minimum(rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2.0 / 3.0), 2.0**-3)
+    dipped = np.random.default_rng(seed).uniform(size=len(vals)) < dips
+    return DensityField(pts, np.where(dipped, 0.2 * vals, vals))
+
+
+@contextmanager
+def ball_queries(df):
+    """The number of rows of each kd-tree ball query on ``df``'s samples that
+    counts its hits, one per block the pair engine searches."""
+    tree, rows = df._tree, []
+
+    class Spy:
+        def query(self, *args, **kwargs):
+            return tree.query(*args, **kwargs)
+
+        def query_ball_point(self, x, *args, **kwargs):
+            if kwargs.get("return_length"):
+                rows.append(len(x))
+            return tree.query_ball_point(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(df, "_tree", Spy())
+        yield rows
+
+
+def test_pair_engine_prunes_smooth_field():
+    # the diagonal decides both certificates, and every row's cutoff lies
+    # inside its nearest samples: no ball query at all
+    df = smooth_field()
     counts = []
-    with engine(False, counts):
+    with engine(False, counts), ball_queries(df) as rows:
         assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
         assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
     assert sum(counts) < 0.05 * 2 * len(df) ** 2
+    assert rows == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_engine_mixes_settled_rows(seed):
+    # dips unsettle the rows near them: blocks of three rows query their
+    # unsettled rows only, and the values stay the exhaustive scan's
+    df = smooth_field(dips=0.01, seed=seed)
+    with engine(True), ball_queries(df) as rows:
+        assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
+        assert rows and min(rows) < 3 and sum(rows) < len(df)
+        rows.clear()
+        assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
+        assert rows and min(rows) < 3 and sum(rows) < len(df)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_engine_few_samples(d):
+    # n <= 2^d + 1: the nearest samples are all samples, so every row is settled
+    rng = np.random.default_rng(d)
+    for n in range(1, 2**d + 2):
+        df = DensityField(rng.uniform(-1, 1, size=(n, d)), np.exp(2.0 * rng.normal(size=n)))
+        probes = rng.uniform(-3, 3, size=(7, d))
+        with ball_queries(df) as rows:
+            assert_matches_brute_force(df, 1.5, 0.3, probes)
+        assert rows == []
+
+
+def test_pair_engine_settle_test_is_padded():
+    # a cutoff radius that errs low by far less than the pad, below the last
+    # of x's nearest samples: the pair just past them still counts
+    from surfspline.density import _pair_extremum
+
+    reach = 1.0
+    df = DensityField([0.0, -reach * (1 - 5e-11), reach * (1 - 5e-11), reach],
+                      [1.0, 1.0, 1.0, 10.0])
+    v = df.values
+    got = _pair_extremum(df, np.zeros((1, 1)), lambda i, j, dist: v[j] * (dist <= reach),
+                         lambda best, i: np.full(len(i), reach * (1 - 1e-10)),
+                         maximize=True, shared=False)
+    assert got.tolist() == [10.0]
 
 
 def test_pair_engine_without_pruning():

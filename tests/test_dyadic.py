@@ -244,6 +244,95 @@ def test_classify_and_bound_match_brute_force(seed, d):
     assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r) == expected
 
 
+def support_extrema_by_listing(cubes, density, gamma):
+    """The per-ball listing the per-level pair join replaced: one batched
+    ``query_ball_point`` over the corners of the runs of adjacent rows with
+    one level and corner, each run's hits reduced in one slice."""
+    from surfspline.centers import _ball_hits
+
+    key = np.column_stack([cubes.level, cubes.index])
+    new = np.ones(len(cubes), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    runs = cubes[new]
+    radius = gamma * runs.side
+    counts, hits = _ball_hits(density, runs.corner, radius)
+    if not counts.all():
+        i = np.flatnonzero(counts == 0)[0]
+        raise UndersampledDensity(
+            f"no density sample within {radius[i]:g} of the corner of the level "
+            f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
+        )
+    vals = density.values[hits]
+    starts = np.cumsum(counts) - counts
+    run_of_row = np.cumsum(new) - 1
+    return (np.maximum.reduceat(vals, starts)[run_of_row],
+            np.minimum.reduceat(vals, starts)[run_of_row])
+
+
+def extrema_by_scan(cubes, df, gamma, within=np.less_equal):
+    """(rho_max, rho_min) over the samples whose distance to each cube's corner
+    is ``within`` ``gamma * side``, from a full distance scan (-inf, inf if none)."""
+    from scipy.spatial.distance import cdist
+
+    hi, lo = [], []
+    for s in range(0, len(cubes), 512):
+        rows = cubes[s:s + 512]
+        inside = within(cdist(rows.corner, df.points), gamma * rows.side[:, None])
+        hi.append(np.max(np.where(inside, df.values, -np.inf), axis=1))
+        lo.append(np.min(np.where(inside, df.values, np.inf), axis=1))
+    return np.concatenate(hi), np.concatenate(lo)
+
+
+def lattice_field(seed, x_min=0.0):
+    """Random positive values on the spacing-2^-6 lattice of [0, 1]^2, where
+    every corner of a cube of level <= 6 sits on a sample, right of ``x_min``."""
+    xs = np.arange(65) * 2.0**-6
+    pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    pts = pts[pts[:, 0] >= x_min]
+    return DensityField(pts, np.exp(np.random.default_rng(seed).normal(size=len(pts))))
+
+
+@pytest.mark.parametrize("gamma", [1.25, 1.5, 5.0])
+def test_support_extrema_on_lattice(gamma):
+    # gamma 1.25 at level 4 and gamma 5 at level 6 give the radius 5 * 2^-6,
+    # which the samples (3, 4) * 2^-6 from a corner meet exactly (and their
+    # multiples at coarser levels); at level 0 the supports for 1.5 and 5
+    # hold every sample; every corner is a sample at distance 0
+    from surfspline.dyadic import _support_extrema
+
+    df = lattice_field(int(4 * gamma))
+    cubes = enumerate_cubes((np.zeros(2), np.ones(2)), range(7), 2)
+    rho_max, rho_min = _support_extrema(cubes, df, gamma)
+    want = support_extrema_by_listing(cubes, df, gamma)
+    assert rho_max.tobytes() == want[0].tobytes() and rho_min.tobytes() == want[1].tobytes()
+    corners = cubes[::3]  # the three genders of a corner are adjacent rows
+    rho_max, rho_min = rho_max[::3], rho_min[::3]
+    want = extrema_by_scan(corners, df, gamma)
+    assert rho_max.tobytes() == want[0].tobytes() and rho_min.tobytes() == want[1].tobytes()
+    # the boundary and the zero distance each decide some extrema
+    for within in (np.less, lambda dist, r: (dist > 0) & (dist <= r)):
+        other = extrema_by_scan(corners, df, gamma, within)
+        assert not np.array_equal(rho_max, other[0]) or not np.array_equal(rho_min, other[1])
+    if gamma > 2**0.5:
+        level0 = corners.level == 0
+        assert np.all(rho_max[level0] == df.values.max())
+        assert np.all(rho_min[level0] == df.values.min())
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_support_extrema_undersampled_names_first_empty_run(order):
+    # samples on the right half only: runs near the left edge hold none
+    from surfspline.dyadic import _support_extrema
+
+    df = lattice_field(3, x_min=0.5)
+    cubes = enumerate_cubes((np.zeros(2), np.ones(2)), [1, 2, 3], 2)[::order]
+    with pytest.raises(UndersampledDensity) as want:
+        support_extrema_by_listing(cubes, df, 1.25)
+    with pytest.raises(UndersampledDensity) as got:
+        _support_extrema(cubes, df, 1.25)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 2))
 def test_overlap_count_matches_loop(seed, d):

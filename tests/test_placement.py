@@ -146,6 +146,20 @@ def test_cardinality_report_values():
     assert rep.actual == int(np.sum(np.linalg.norm(cs.points, axis=1) <= rep.ball_radius))
 
 
+def test_cardinality_ratio_limit_holds_for_a_point_only():
+    # the bound is the one-point series and the ball is measured from the
+    # whole defect set: a point stays below 3.5 pi, a segment passes it
+    t = np.linspace(-0.5, 0.5, 21)
+    limit = 4 * np.pi * (1 - 2.0**-3)
+    for defect, actual in ((np.zeros((1, 2)), 13_541), (np.stack([t, 0 * t], axis=1), 15_389)):
+        spec = MultiresSpec(j=2, k=2, d=2, defect=defect,
+                            box=(np.full(2, -10.0), np.full(2, 10.0)))
+        rep = cardinality_report(spec, generate_centers(spec))
+        assert (rep.actual, rep.bound) == (actual, 1372.0)
+        assert (rep.ratio_to_bound < limit) == (len(defect) == 1)
+    assert round(rep.ratio_to_bound, 1) == 11.2
+
+
 def test_cardinality_bound_j0_term():
     # single-term instance of the geometric sum
     spec = spec_1d(j=1)
