@@ -171,6 +171,21 @@ def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _nearest(cloud: _Cloud, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The windows of the (b, d) points ``pts``: the (b, k) indices of each
+    point's ``k`` nearest cloud points, ascending along the row, and the (b,)
+    lower bound ``beyond`` on the distance of every point outside the window:
+    the kd-tree's (k+1)-th distance shrunk by ``_CUTOFF_PAD`` relative and
+    absolute, which holds even where rounding made the tree swap near-ties
+    across the window's edge.  A window of ``k >= len(cloud)`` is the whole
+    cloud in index order, taken without the tree; its ``beyond`` is ``inf``."""
+    n = len(cloud)
+    if k >= n:
+        return np.broadcast_to(np.arange(n), (len(pts), n)), np.full(len(pts), np.inf)
+    near_dist, near = cloud._tree.query(pts, k=k + 1)
+    return np.sort(near[:, :k], axis=1), near_dist[:, k] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+
+
 def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
     """The tie groups among the ``size`` centers nearest each of the (b, d)
     points ``pts``, yielded point by point as ``(order, radii, counts)``: the
@@ -178,27 +193,19 @@ def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
     radii and the number of centers each captures, so ``order[:counts[i]]`` is
     the ball of radius ``radii[i]``.
 
-    Per block of ``_BLOCK`` points, one kd-tree query takes the ``size + 1``
-    nearest centers; a block's windows live only while its points are
-    consumed.  The first ``size`` are the window, sorted by one row-wise
-    stable ``argsort`` of ascending indices on the norms of a full scan, bit
-    for bit.  The tree's last distance, shrunk by ``_CUTOFF_PAD`` relative and
-    absolute, bounds every center outside the window from below, even where
-    rounding made the tree swap near-ties across its edge.  Groups chain
-    through ``DUPLICATE_TOL``, so one is kept only if that bound lies more
-    than it past its radius: the kept groups are a prefix of the whole set's,
-    bit for bit.  ``size`` is capped
-    at the whole set, whose missing last neighbor the tree reports at
-    distance ``inf``: that window keeps every group, the full scan's."""
-    size = min(size, len(cs))
+    Per block of ``_BLOCK`` points, one :func:`_nearest` window of ``size``;
+    a block's windows live only while its points are consumed.  Each is sorted
+    by one row-wise stable ``argsort`` of its ascending indices on the norms
+    of a full scan, bit for bit.  Groups chain through ``DUPLICATE_TOL``, so
+    one is kept only if the window's ``beyond`` lies more than it past its
+    radius: the kept groups are a prefix of the whole set's, bit for bit, and
+    a whole-set window keeps them all."""
     for s in range(0, len(pts), _BLOCK):
         block = pts[s:s + _BLOCK]
-        near_dist, near = cs._tree.query(block, k=size + 1)
-        idx = np.sort(near[:, :size], axis=1)
+        idx, beyond = _nearest(cs, block, size)
         dist = np.linalg.norm(cs.points[idx] - block[:, None, :], axis=2)
         order = np.argsort(dist, axis=1, kind="stable")
         idx, dist = np.take_along_axis(idx, order, 1), np.take_along_axis(dist, order, 1)
-        beyond = near_dist[:, size] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
         ends = ((np.diff(dist, axis=1, append=np.inf) > DUPLICATE_TOL)
                 & (beyond[:, None] - dist > DUPLICATE_TOL))
         for i in range(len(block)):

@@ -393,14 +393,10 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
     write_csv(out / "partition.csv", header, columns)
-    rng = np.random.default_rng(seed)
     bound = max_overlap(d, gamma)
-    worst = 0
-    per_level = [cubes[cubes.level == lv] for lv in np.unique(cubes.level)]
-    for _ in range(overlap_points):
-        x = rng.uniform(*box)
-        for level_cubes in per_level:
-            worst = max(worst, overlap_count(level_cubes, x, params))
+    xs = np.random.default_rng(seed).uniform(*box, size=(overlap_points, d))
+    worst = max(int(overlap_count(cubes[cubes.level == lv], xs, params).max(initial=0))
+                for lv in np.unique(cubes.level))
     n_good = int(np.count_nonzero(good))
     write_json(out / "bound_check.json", {
         "gamma": gamma, "sigma": sigma, "two_k": two_k, "r": r,

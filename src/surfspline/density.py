@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest_groups,
-                      _pair_distances)
+from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest,
+                      _nearest_groups, _pair_distances)
 from .polyrep import PolyRep, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
@@ -205,9 +205,10 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     samples, bit for bit what an exhaustive ``cdist`` scan gives.
 
     Exactness.  A first bound ``best`` comes from the exact ratios of each
-    row's ``2^d + 1`` nearest samples: per row, or with ``shared`` one value
-    for all rows (whose extremum the caller takes).  ``cutoff(b, i)`` gives,
-    for rows i, a radius R_i beyond which no pair's ratio can reach b in
+    row's window, its ``2^d + 1`` nearest samples
+    (:func:`~surfspline.centers._nearest`): per row, or with ``shared`` one
+    value for all rows (whose extremum the caller takes).  ``cutoff(b, i)``
+    gives, for rows i, a radius R_i beyond which no pair's ratio can reach b in
     exact arithmetic; it is called with ``best`` loosened by the relative
     slack ``_CUTOFF_PAD``, which covers the rounding of the ratio, and each
     R_i is padded by ``_CUTOFF_PAD`` relative and absolute, which covers the
@@ -215,13 +216,11 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     whose computed ratio beats ``best`` lies in the kd-tree ball of radius
     R_i; a non-finite R_i becomes ``inf``, and rows with R_i < 0 have no such
     pair.  A row is settled, and makes no ball query, when its padded R_i lies
-    below the tree's distance to the last of its nearest samples shrunk by
-    ``_CUTOFF_PAD`` relative and absolute, which bounds every other sample's
-    (as in :func:`~surfspline.centers._nearest_groups`): its ball holds only
-    pairs already evaluated; so is every row when those are all samples.
-    Each kept pair's distance equals ``cdist``'s bit for bit
-    (:func:`_pair_distances`) and goes through the same ratio expression, and
-    max/min are exact in any order, so pruning changes no bit.
+    below its window's ``beyond``, or when its window is every sample: its
+    ball holds only pairs already evaluated.  Each kept pair's distance equals
+    ``cdist``'s bit for bit (:func:`_pair_distances`) and goes through the
+    same ratio expression, and max/min are exact in any order, so pruning
+    changes no bit.
 
     Blocks whose balls hold more than an eighth of their pairs are scanned
     against every sample instead: that is cheaper than listing their hits,
@@ -231,26 +230,21 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     n = len(x)
     rows = np.arange(n)
     blocks = [rows[s:s + _PAIR_CHUNK] for s in range(0, n, _PAIR_CHUNK)]
-    k = min(2**df.dim + 1, len(df))
     best, beyond = np.empty(n), np.empty(n)
     for b in blocks:
-        near_dist, near = df._tree.query(x[b], k=k)
-        near = near.reshape(len(b), k)
-        beyond[b] = near_dist.reshape(len(b), k)[:, -1] * (1.0 - _CUTOFF_PAD) - _CUTOFF_PAD
+        near, beyond[b] = _nearest(df, x[b], 2**df.dim + 1)
         dist = _pair_distances(x[b, None, :], df.points[near])
         best[b] = extremum.reduce(ratio(b[:, None], near, dist), axis=1)
     if shared:
         best[:] = extremum.reduce(best)
-    if k == len(df):  # every pair is evaluated
-        return best
     loose = best * (1.0 - _CUTOFF_PAD if maximize else 1.0 + _CUTOFF_PAD)
     for b in blocks:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             radius = cutoff(loose[b], b)
         radius = np.where(np.isfinite(radius), radius, np.inf)
-        keep = radius >= 0
+        keep = (radius >= 0) & (beyond[b] < np.inf)
         radius = radius * (1.0 + _CUTOFF_PAD) + _CUTOFF_PAD
-        keep &= radius >= beyond[b]  # a settled row's ball holds only its nearest samples
+        keep &= radius >= beyond[b]  # a settled row's ball holds only its window
         if not keep.any():
             continue
         b, radius = b[keep], radius[keep]

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import _as_point, _grid_points
+from .centers import _as_points, _grid_points
 from .density import DensityField
 
 
@@ -167,15 +167,15 @@ def bad_cube_bound_check(bad: DyadicCubes, rho_min, params: DyadicParams,
     return float(np.max(bad.side / (cap * rho_min)))
 
 
-def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int:
-    """Number of cubes whose inflated support contains the one point x, shape (d,).
-
-    For cubes of a fixed level this is bounded by
-    ``(2^d - 1) (2 ceil(Gamma) + 1)^d`` independently of x and the level.
-    """
-    x = _as_point(x, cubes.index.shape[1])
-    dist = np.linalg.norm(x - cubes.corner, axis=1)
-    return int(np.count_nonzero(dist <= params.gamma * cubes.side))
+def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarray:
+    """Number of cubes whose inflated support contains x: an int at one point
+    (d,), an (n,) array for a batch (n, d).  For cubes of a fixed level it is
+    at most ``(2^d - 1) (2 ceil(Gamma) + 1)^d``, whatever x and the level."""
+    pts, single = _as_points(x, cubes.index.shape[1])
+    corner, reach = cubes.corner, params.gamma * cubes.side
+    counts = np.array([np.count_nonzero(np.linalg.norm(p - corner, axis=1) <= reach)
+                       for p in pts], dtype=int)
+    return int(counts[0]) if single else counts
 
 
 def max_overlap(d: int, gamma: float) -> int:

@@ -56,3 +56,9 @@ def test_remark1_place_density_passes_at_full_size(tmp_path):
     # the only full-size run of the 35,273-center place -> CSV -> density
     # path: batched degree-14 density queries on the Remark-1 placement
     run_and_check(tmp_path, "remark1_place_density", 2027, quick=False)
+
+
+def test_dyadic_certify_passes_at_full_size(tmp_path):
+    # the only full-size run of `surfspline dyadic`: the self-majorization
+    # certificate on 5,329 samples and the batched overlap count per level
+    run_and_check(tmp_path, "dyadic_certify", 2027, quick=False)

@@ -395,6 +395,9 @@ BAD_VALUES = [
     ("dyadic", {"gamma": None}, "gamma"),
     ("dyadic", {"density_file": 3}, "density_file"),
     ("dyadic", {"box": {"lo": [-1.0], "hi": ["1"]}}, "box.hi"),
+    ("place", {"box": 5}, "box"),
+    ("place", {"defect": [[0, 1], [0]]}, "defect"),
+    ("place", {"degree": 10**400}, "degree"),
 ]
 
 
@@ -567,6 +570,9 @@ BAD_RANGES = [
     ("dyadic", {"levels": [3, 1]}, "config key 'levels'"),
     ("dyadic", {"levels": [0, 1, 2]}, "config key 'levels'"),
     ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": 1}}, "config key 'probe.count'"),
+    ("study", {"d": 2, "defect": [[0.0, 0.0]]}, "box.lo and box.hi must be vectors of length 2"),
+    ("study", {"d": 2, "defect": [[0.0, 0.0]], "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5]}},
+     "probe.lo and probe.hi must be vectors of length 2"),
 ]
 
 

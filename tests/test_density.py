@@ -1,6 +1,7 @@
 """Density fields: minimal density, majorant, certificates, lemma transfers."""
 
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -356,6 +357,34 @@ def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
         assert pr.weights.tobytes() == ref.weights.tobytes()
 
 
+@pytest.mark.parametrize("kind", CLOUDS + ["chain"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_whole_set_windows_take_no_tree_query(monkeypatch, d, kind):
+    # a window of every center is the whole set in index order, taken without
+    # the kd-tree: the tie groups of a full scan, bit for bit
+    from surfspline.centers import _BLOCK, _nearest_groups, sorted_candidate_radii
+
+    cs, alpha = consistency_cloud(d, d, kind)
+    pts = query_block(np.random.default_rng(d), cs, alpha, _BLOCK + 3)
+    fulls = [full_groups(cs, p) for p in pts]
+    queries = []
+
+    class Spy:
+        def query(self, *args, **kwargs):
+            queries.append(args)
+
+    monkeypatch.setattr(cs, "_tree", Spy())
+    assert sorted_candidate_radii(cs, alpha).tobytes() == full_groups(cs, alpha)[1].tobytes()
+    for size in (len(cs), len(cs) + 1):
+        windows = list(_nearest_groups(cs, pts, size))
+        assert len(windows) == len(pts)
+        for (order, radii, counts), (ref_order, ref_radii, ref_counts) in zip(windows, fulls):
+            assert np.array_equal(order, ref_order)
+            assert radii.tobytes() == ref_radii.tobytes()
+            assert np.array_equal(counts, ref_counts)
+    assert queries == []
+
+
 def test_batch_takes_one_tree_query_per_block(monkeypatch):
     # on a lattice every window holds the search, so a batch of n points
     # makes ceil(n / _BLOCK) tree queries and never takes a distance to
@@ -608,11 +637,16 @@ def test_pair_engine_matches_brute_force(seed, d, n, spread, r, epsilon):
     assert_matches_brute_force(df, r, epsilon, probes)
 
 
-def test_pair_engine_criterion_2_fields():
-    rng = np.random.default_rng(101)  # the fields of acceptance criterion 2
+def criterion_2_fields():
+    """The 100 random fields of acceptance criterion 2, in its order."""
+    rng = np.random.default_rng(101)
     for _ in range(100):
         n, d = int(rng.integers(20, 201)), int(rng.integers(1, 3))
-        df = DensityField(rng.uniform(-5, 5, size=(n, d)), np.exp(rng.normal(size=n) * 0.8))
+        yield DensityField(rng.uniform(-5, 5, size=(n, d)), np.exp(rng.normal(size=n) * 0.8))
+
+
+def test_pair_engine_criterion_2_fields():
+    for df in criterion_2_fields():
         for forced in (False, True):
             with engine(forced, chunk=64):
                 for r in (1.0, 2.0, 3.0):
@@ -656,21 +690,20 @@ def test_pair_engine_non_finite_cutoffs():
         assert infinite[1] == 300
 
 
-def smooth_field(dips=0.0, seed=0):
-    """The bench's analytic Remark-1 profile on 33x33 samples; with ``dips``,
-    that share of the samples, drawn at random, falls to a fifth."""
+def smooth_field():
+    """The bench's analytic Remark-1 profile on 33x33 samples."""
     xs = np.linspace(-0.5, 0.5, 33)
     pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
     rho0 = 5 * np.sqrt(2.0) * 2.0**-6
-    vals = np.minimum(rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2.0 / 3.0), 2.0**-3)
-    dipped = np.random.default_rng(seed).uniform(size=len(vals)) < dips
-    return DensityField(pts, np.where(dipped, 0.2 * vals, vals))
+    return DensityField(pts, np.minimum(
+        rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2.0 / 3.0), 2.0**-3))
 
 
 @contextmanager
-def ball_queries(df):
+def ball_queries(df, hits=None):
     """The number of rows of each kd-tree ball query on ``df``'s samples that
-    counts its hits, one per block the pair engine searches."""
+    counts its hits, one per block the pair engine searches; ``hits``
+    collects each of those rows' hit counts."""
     tree, rows = df._tree, []
 
     class Spy:
@@ -678,9 +711,12 @@ def ball_queries(df):
             return tree.query(*args, **kwargs)
 
         def query_ball_point(self, x, *args, **kwargs):
+            out = tree.query_ball_point(x, *args, **kwargs)
             if kwargs.get("return_length"):
                 rows.append(len(x))
-            return tree.query_ball_point(x, *args, **kwargs)
+                if hits is not None:
+                    hits.extend(out.tolist())
+            return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(df, "_tree", Spy())
@@ -699,17 +735,38 @@ def test_pair_engine_prunes_smooth_field():
     assert rows == []
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pair_engine_mixes_settled_rows(seed):
-    # dips unsettle the rows near them: blocks of three rows query their
-    # unsettled rows only, and the values stay the exhaustive scan's
-    df = smooth_field(dips=0.01, seed=seed)
+@pytest.mark.parametrize("pick", range(3))
+def test_pair_engine_mixes_settled_rows(pick):
+    # criterion 2's fields 2, 3 and 4 (d = 1, 2, 1): samples far above or
+    # below their neighbors unsettle the rows near them; blocks of three rows
+    # query their unsettled rows only, and the values stay the exhaustive scan's
+    df = next(islice(criterion_2_fields(), 2 + pick, None))
     with engine(True), ball_queries(df) as rows:
         assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
         assert rows and min(rows) < 3 and sum(rows) < len(df)
         rows.clear()
         assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
         assert rows and min(rows) < 3 and sum(rows) < len(df)
+
+
+def test_pair_engine_settles_lattice_ties():
+    # criterion 9's profile on a 33 x 33 piece of its lattice of spacing h:
+    # the self-majorization cutoff of each capped row lies just past its four
+    # neighbors at h, the last of its 2^d + 1 nearest samples, and short of the
+    # next ring at h sqrt 2.  Its ball holds only samples it has evaluated, so
+    # it makes no ball query; the slow-growth rows at the density's minimum
+    # reach past that ring and query it
+    xs = np.arange(-16, 17) * 2.0**-7
+    pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    rho0 = 5 * np.sqrt(2.0) * 2.0**-6
+    df = DensityField(pts, np.minimum(
+        rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2.0 / 3.0), 2.0**-3))
+    hits = []
+    with ball_queries(df, hits):
+        assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
+        assert hits == []
+        assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
+        assert hits and min(hits) > 5
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -725,8 +782,8 @@ def test_pair_engine_few_samples(d):
 
 
 def test_pair_engine_settle_test_is_padded():
-    # a cutoff radius that errs low by far less than the pad, below the last
-    # of x's nearest samples: the pair just past them still counts
+    # a cutoff radius that errs low by far less than the pad, below the first
+    # sample past x's window: that pair still counts
     from surfspline.density import _pair_extremum
 
     reach = 1.0

@@ -337,12 +337,14 @@ def test_support_extrema_undersampled_names_first_empty_run(order):
 @given(st.integers(0, 10_000), st.integers(1, 2))
 def test_overlap_count_matches_loop(seed, d):
     rng, _, cubes, params = random_case(seed, d)
-    for _ in range(5):
-        x = rng.uniform(-0.2, 1.2, size=d)
-        loop = sum(1 for level, index in zip(cubes.level.tolist(), cubes.index.tolist())
-                   if np.linalg.norm(x - np.array(index, dtype=float) * 2.0**-level)
-                   <= params.gamma * 2.0**-level)
+    xs = rng.uniform(-0.2, 1.2, size=(5, d))
+    loops = [sum(1 for level, index in zip(cubes.level.tolist(), cubes.index.tolist())
+                 if np.linalg.norm(x - np.array(index, dtype=float) * 2.0**-level)
+                 <= params.gamma * 2.0**-level) for x in xs]
+    for x, loop in zip(xs, loops):
         assert overlap_count(cubes, x, params) == loop
+    batch = overlap_count(cubes, xs, params)  # the batch: one count per point
+    assert batch.shape == (5,) and batch.tolist() == loops
 
 
 @settings(max_examples=40, deadline=None)

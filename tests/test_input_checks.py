@@ -18,6 +18,7 @@ from surfspline import (
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
+    monomial_exponents,
     plan_transition,
 )
 from surfspline.cli import _json_text
@@ -75,6 +76,8 @@ CHECKS = [
      "k must be >= 0"),
     ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
      ValueError, "degree must be >= 0"),
+    ("monomial dim", lambda: monomial_exponents(0, 3), ValueError,
+     "need degree >= 0 and dim >= 1"),
     ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, "s must be positive"),
     ("transition epsilon", lambda: plan_transition(1.0, 1.0, 1), ValueError,
      "epsilon must lie in (0, 1)"),

@@ -150,6 +150,21 @@ def test_local_kernel_error_affine_exact():
     assert err <= 1e-12
 
 
+def test_local_kernel_error_at_a_center():
+    # x on a center of the reproduction: that center's term is phi(0) = 0,
+    # not the log's limit, and the error is the float sum's to rounding
+    xs = np.arange(-3, 4, 1.0)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    params = KernelParams(d=2, k=2, degree=5)
+    pr = build_reproduction(cs, [0.3, 0.2], 2.0, 2)
+    x = cs.points[pr.indices[0]]
+    err, _ = local_kernel_error_precise(pr, cs, x, params)
+    terms = phi(x - cs.points[pr.indices], params)
+    assert terms[0] == 0.0
+    assert err == pytest.approx(abs(phi(x - pr.alpha, params) - pr.weights @ terms), rel=1e-9)
+
+
 def test_normalized_error_bounded():
     # interior grid reproduction: normalized error stays bounded as x recedes
     xs = np.arange(-6, 7, 1.0)
