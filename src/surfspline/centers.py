@@ -60,6 +60,15 @@ def _as_cloud(points) -> np.ndarray:
     return pts
 
 
+def _as_box(box, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The finite float corners ``(lo, hi)`` of ``box``, length ``dim`` (lo's if None), hi > lo."""
+    lo, hi = (np.asarray(c, dtype=float).reshape(-1) for c in box)
+    if not (0 < lo.size == hi.size == (lo.size if dim is None else dim)
+            and np.isfinite([lo, hi]).all() and np.all(hi > lo)):
+        raise ValueError("box must be a (lo, hi) pair of d-vectors with hi > lo, all finite")
+    return lo, hi
+
+
 def _grid_points(axes) -> np.ndarray:
     """Tensor-product grid of the 1-D ``axes`` as (n, d) rows, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")

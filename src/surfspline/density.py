@@ -11,6 +11,8 @@ scan) and heuristic off them.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest,
@@ -83,11 +85,11 @@ def minimal_density(
     its point again with the window doubled, up to the whole set.  The
     neighbor set at each candidate radius is a prefix of the window (whole
     tie groups), the same set in the same order as the ball query of
-    ``build_reproduction``.  Each attempt is one memo lookup or solve on
-    offsets taken once per window; only the witness is built.  Unisolvency is
-    monotone in the radius, so the smallest unisolvent candidate is located
-    by exponential search plus bisection; the stability cap need not be
-    monotone, so from there the candidates are scanned linearly.
+    ``build_reproduction``.  Each group takes at most one memo lookup or solve,
+    on offsets taken once per window, and the witness reuses its group's solve.
+    Unisolvency is monotone in the radius, so the smallest unisolvent candidate
+    is located by exponential search plus bisection; the stability cap need
+    not be monotone, so from there the candidates are scanned linearly.
 
     Returns ``(rho, witness)`` for one point, where ``witness`` is the
     reproduction built at radius ``rho`` on its whole tie group, equal bit for
@@ -129,34 +131,32 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
     def radius(i: int) -> float:
         return max(float(radii[i]), _ZERO_RADIUS)
 
-    def attempt(i: int) -> float | None:
-        """The stability norm at group i's radius, None if rank-deficient."""
-        return _solve(cs, offsets[:counts[i]], radius(i), degree)[2]
+    @cache
+    def attempt(i: int) -> tuple:
+        """The solve ``(weights, rank, stability)`` at group i's radius."""
+        return _solve(cs, offsets[:counts[i]], radius(i), degree)
 
     while not (radii.size and counts[-1] >= m):  # grow to m centers; the set has them
         held(radii.size)
     first = int(np.searchsorted(counts, m, side="left"))
     # exponential ascent to the first success
-    lo, hi, st_hi = first - 1, first, attempt(first)
-    step = 1
-    while st_hi is None:
+    lo, hi, step = first - 1, first, 1
+    while attempt(hi)[0] is None:
         if not held(hi + 1):
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: no unisolvent neighbor set at any radius")
         lo = hi
         step *= 2
         hi = hi + step if held(hi + step) else radii.size - 1
-        st_hi = attempt(hi)
     # bisection: success is monotone in the radius for unisolvency
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        st_mid = attempt(mid)
-        if st_mid is None:
+        if attempt(mid)[0] is None:
             lo = mid
         else:
-            hi, st_hi = mid, st_mid
+            hi = mid
     # linear scan upward for the stability cap (not monotone in general)
-    i, st = hi, st_hi
+    i, (weights, _, st) = hi, attempt(hi)
     while st is None or not st < stability_cap:
         i += 1
         if not held(i):
@@ -164,10 +164,10 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
                 f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
                 f"(best Sum|a| = {float('nan') if st is None else st:g})"
             )
-        st = attempt(i)
+        weights, _, st = attempt(i)
     # a copy: a witness must not hold its whole window
     return PolyRep(alpha=alpha, radius=radius(i), indices=order[:counts[i]].copy(),
-                   weights=_solve(cs, offsets[:counts[i]], radius(i), degree)[0], degree=degree)
+                   weights=weights, degree=degree)
 
 
 def majorant(df: DensityField, x, r: float) -> float | np.ndarray:

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import _as_points, _grid_points
+from .centers import _as_box, _as_points, _grid_points
 from .density import DensityField
 
 
@@ -65,8 +65,8 @@ class DyadicParams:
     two_k: float
 
     def __post_init__(self):
-        if not self.gamma >= 1:
-            raise ValueError("gamma must be >= 1")
+        if not 1 <= self.gamma < np.inf:
+            raise ValueError("gamma must be >= 1 and finite")
         if not 0 < self.sigma < self.two_k:
             raise ValueError("need 0 < sigma < 2k")
 
@@ -85,8 +85,7 @@ def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
 
     Deterministic row order: (level, corner index, gender).
     """
-    lo = np.asarray(box[0], dtype=float).reshape(-1)
-    hi = np.asarray(box[1], dtype=float).reshape(-1)
+    lo, hi = _as_box(box, d)
     level, index = [np.empty(0, dtype=int)], [np.empty((0, d), dtype=int)]
     for lv in levels:
         side = 2.0**-lv

@@ -138,9 +138,9 @@ def bump(p: int, center, scale: float) -> RadialBump:
     """The bump (1 - (r/scale)^2)^p around ``center``; C^(p-1) at the boundary."""
     if p < 2:
         raise ValueError("exponent must be >= 2")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
     center = np.asarray(center, dtype=float).reshape(-1)
+    if not (0 < scale < np.inf and np.all(np.isfinite(center))):
+        raise ValueError("scale must be positive and finite, and center finite")
     # binomial expansion in t = r^2
     m = np.arange(p + 1)
     coeffs = np.array([comb(p, int(mm)) * (-1.0) ** mm * scale ** (-2.0 * mm) for mm in m])

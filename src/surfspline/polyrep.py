@@ -20,7 +20,7 @@ stability norm of the reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -105,7 +105,7 @@ class PolyRep:
     """A local polynomial reproduction at a single base point.
 
     ``weights[i]`` is the coefficient attached to center ``indices[i]``; all
-    weighted centers lie inside ``B(alpha, radius)``.
+    weighted centers lie inside ``B(alpha, radius)``.  The property
     ``stability`` is the sum of absolute weights, >= 1 for any reproduction.
     """
 
@@ -114,10 +114,10 @@ class PolyRep:
     indices: np.ndarray
     weights: np.ndarray
     degree: int
-    stability: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stability", float(np.sum(np.abs(self.weights))))
+    @property
+    def stability(self) -> float:
+        return float(np.sum(np.abs(self.weights)))
 
 
 def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> PolyRep:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _as_points, _balls, _grid_points, _pair_distances
+from .centers import CenterSet, _as_box, _as_points, _balls, _grid_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _weights
@@ -54,11 +54,7 @@ class QuadratureSpec:
             raise ValueError("cells_per_rho must be >= 2")
         if self.rule not in ("midpoint", "gauss2"):
             raise ValueError("rule must be 'midpoint' or 'gauss2'")
-        lo = np.asarray(self.domain[0], dtype=float).reshape(-1)
-        hi = np.asarray(self.domain[1], dtype=float).reshape(-1)
-        if not np.all(hi > lo):
-            raise ValueError("domain must satisfy hi > lo")
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", _as_box(self.domain))
 
 
 @dataclass(frozen=True)

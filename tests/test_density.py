@@ -351,10 +351,41 @@ def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
         rho, witnesses = minimal_density(cs, pts, degree, cap)
     assert rho.shape == (n,) and len(witnesses) == n
     assert rho.tobytes() == np.array([r for r, _ in loop]).tobytes()
-    for pr, (r, ref) in zip(witnesses, loop):
+    for p, pr, (r, ref) in zip(pts, witnesses, loop):
         assert pr.radius == r
-        assert np.array_equal(pr.indices, ref.indices)
-        assert pr.weights.tobytes() == ref.weights.tobytes()
+        assert pr.stability == float(np.sum(np.abs(pr.weights)))
+        for other in (ref, fresh_witness(cs, p, r, degree)):
+            assert np.array_equal(pr.indices, other.indices)
+            assert pr.weights.tobytes() == other.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", CLOUDS + ["chain"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_solves_each_radius_once(monkeypatch, d, kind):
+    # the witness takes its weights from the search's own solve, and a cap
+    # scan past an earlier success reuses it: no query solves a radius twice
+    import surfspline.density
+
+    solve, radii = surfspline.density._solve, []
+
+    def spy(cs, offsets, radius, degree):
+        radii.append(radius)
+        return solve(cs, offsets, radius, degree)
+
+    monkeypatch.setattr(surfspline.density, "_solve", spy)
+    queries = 0
+    for seed in range(12):
+        cs, alpha = consistency_cloud(seed, d, kind)
+        for degree in range(4):
+            for cap in (default_stability_cap(d, degree), 1.5):
+                radii.clear()
+                try:
+                    rho, _ = minimal_density(cs, alpha, degree, cap)
+                except NoAdmissibleRadius:
+                    continue
+                queries += 1
+                assert rho in radii and len(set(radii)) == len(radii)
+    assert queries
 
 
 @pytest.mark.parametrize("kind", CLOUDS + ["chain"])

@@ -8,6 +8,7 @@ from surfspline import (
     DensityField,
     DyadicParams,
     MultiresSpec,
+    QuadratureSpec,
     bad_cube_bound_check,
     build_reproduction,
     bump,
@@ -26,6 +27,7 @@ from surfspline.cli import _json_text
 CLOUD = np.arange(6.0).reshape(3, 2)
 FIELD = DensityField(CLOUD, [1.0, 2.0, 3.0])
 BOX = ([-8.0, -8.0], [8.0, 8.0])
+BAD_BOX = "box must be a (lo, hi) pair of d-vectors with hi > lo"
 
 
 def spec(**overrides):
@@ -70,8 +72,22 @@ CHECKS = [
      "point coordinates must be finite"),
     ("spec box", lambda: spec(box=([8.0, -8.0], [-8.0, 8.0])), ValueError,
      "box must be a (lo, hi) pair of d-vectors with hi > lo"),
+    ("spec box inf", lambda: spec(box=([-8.0, -np.inf], [8.0, 8.0])), ValueError, BAD_BOX),
+    ("cubes box inverted", lambda: enumerate_cubes(([1, 1], [0, 0]), [0, 1], 2), ValueError,
+     BAD_BOX),
+    ("cubes box length", lambda: enumerate_cubes(([0, 0, 5], [1, 1, -5]), [0, 1], 2),
+     ValueError, BAD_BOX),
+    ("cubes box short", lambda: enumerate_cubes(([0], [1]), [0, 1], 2), ValueError, BAD_BOX),
+    ("quadrature box ragged", lambda: QuadratureSpec(4, "gauss2", ([0, 0], [1])), ValueError,
+     BAD_BOX),
+    ("quadrature box inf", lambda: QuadratureSpec(4, "gauss2", ([0, 0], [1, np.inf])),
+     ValueError, BAD_BOX),
     ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),
     ("bump scale", lambda: bump(4, [0.0], 0.0), ValueError, "scale must be positive"),
+    ("bump scale inf", lambda: bump(4, [0.0], np.inf), ValueError,
+     "scale must be positive and finite"),
+    ("bump center", lambda: bump(4, [0.0, np.nan], 1.0), ValueError,
+     "scale must be positive and finite, and center finite"),
     ("laplacian power k", lambda: laplacian_power(bump(4, [0.0], 1.0), -1), ValueError,
      "k must be >= 0"),
     ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
@@ -85,6 +101,8 @@ CHECKS = [
     ("rho_min shape", lambda: bad_cube_bound_check(
         enumerate_cubes(([0.0], [1.0]), [0], 1), [1.0, 2.0], DyadicParams(1.5, 1.0, 2.0),
         0.5, 1.0), ValueError, "need one rho_min per bad cube (1), got (2,)"),
+    ("dyadic gamma inf", lambda: DyadicParams(np.inf, 1.0, 2.0), ValueError,
+     "gamma must be >= 1 and finite"),
     ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
     ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
     ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),

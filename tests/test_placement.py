@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from surfspline import (
     MultiresSpec,
@@ -144,6 +145,10 @@ def test_cardinality_report_values():
     assert rep.ball_radius == pytest.approx(14 * 2**-1.5)
     assert rep.uniform_count == pytest.approx(196 * 2**3)
     assert rep.actual == int(np.sum(np.linalg.norm(cs.points, axis=1) <= rep.ball_radius))
+    # a one-point defect's norms are a fast path: the kd-tree query that a
+    # defect set takes gives the same bits
+    kd_tree = cKDTree(spec.defect).query(cs.points)[0]
+    assert _defect_distance(spec, cs.points).tobytes() == kd_tree.tobytes()
 
 
 def test_cardinality_ratio_limit_holds_for_a_point_only():
