@@ -17,7 +17,7 @@ import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest,
                       _nearest_groups, _pair_distances)
-from .polyrep import PolyRep, _solve, polynomial_dim
+from .polyrep import PolyRep, _serial_blas, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -101,8 +101,9 @@ def minimal_density(
         stability_cap = default_stability_cap(cs.dim, degree)
     pts, single = _as_points(alpha, cs.dim)
     size = _WINDOW * polynomial_dim(cs.dim, degree)
-    witnesses = [_search(cs, p, degree, stability_cap, size, window)
-                 for p, window in zip(pts, _nearest_groups(cs, pts, size))]
+    with _serial_blas():
+        witnesses = [_search(cs, p, degree, stability_cap, size, window)
+                     for p, window in zip(pts, _nearest_groups(cs, pts, size))]
     if single:
         return witnesses[0].radius, witnesses[0]
     return np.array([pr.radius for pr in witnesses]), witnesses
@@ -159,10 +160,11 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
     i, (weights, _, st) = hi, attempt(hi)
     while st is None or not st < stability_cap:
         i += 1
-        if not held(i):
+        if not held(i):  # the scan's attempts hi .. i - 1 are cached; hi's is unisolvent
+            best = min(s for s in (attempt(j)[2] for j in range(hi, i)) if s is not None)
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
-                f"(best Sum|a| = {float('nan') if st is None else st:g})"
+                f"(best Sum|a| = {best:g})"
             )
         weights, _, st = attempt(i)
     # a copy: a witness must not hold its whole window

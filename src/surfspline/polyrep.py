@@ -16,10 +16,17 @@ ratio ``|R_kk| / |R_00|`` at most ``RANK_RTOL`` proves the system deficient,
 one above a guard band over ``RANK_RTOL`` is taken as full rank, and inside
 the band the singular values of R decide.  The sum of absolute weights is the
 stability norm of the reproduction.
+
+Local solves run on one BLAS thread (:func:`_serial_blas`): at degree 14 a
+QR's level-2 calls cross OpenBLAS's threading threshold, and a second thread
+costs more than it saves on so small a problem.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -44,6 +51,59 @@ _GUARD = 1e3
 
 #: Entries of a center set's solve memo (a few KB each).
 _SOLVE_MEMO_CAP = 4096
+
+
+def _blas_thread_control() -> tuple:
+    """The thread-count getter and setter of the OpenBLAS behind scipy's
+    BLAS wrappers, or ``(None, None)`` where it exposes none (MKL, Accelerate,
+    other builds)."""
+    try:
+        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+    except (AttributeError, OSError):
+        return None, None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None, None
+
+
+_get_blas_threads, _set_blas_threads = _blas_thread_control()
+_blas_lock = threading.Lock()
+_blas_depth = 0  # entries of _serial_blas not yet left, over all threads
+_blas_saved = 0  # the thread count when the outermost entry began
+
+
+@contextmanager
+def _serial_blas():
+    """Run the body with scipy's OpenBLAS on one thread, then restore the
+    count found at entry; a no-op where the count cannot be set.
+
+    Enter it once per batch of solves: an entry costs a few microseconds.
+    Nested and concurrent entries share one depth count, so the count is
+    saved by the first entry and restored by the last exit.  While any
+    thread is inside, every scipy BLAS call of the process runs on one
+    thread, since the count is global to the library.
+    """
+    global _blas_depth, _blas_saved
+    get, put = _get_blas_threads, _set_blas_threads
+    if get is None or put is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                put(_blas_saved)
 
 
 class ReproductionError(Exception):
@@ -139,7 +199,8 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         raise ValueError("degree must be >= 0")
     alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
-    w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
+    with _serial_blas():
+        w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
     return PolyRep(alpha=alpha, radius=float(radius), indices=idx, weights=w, degree=degree)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .centers import CenterSet, _as_box, _as_points, _balls, _grid_points, _pair_distances
 from .density import DensityField, minimal_density, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
-from .polyrep import ReproductionError, _weights
+from .polyrep import ReproductionError, _serial_blas, _weights
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -136,18 +136,20 @@ def assemble(
     nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
     radii = _RADIUS_FACTOR * density.nearest(nodes)
     end = 0
-    for idx, _, counts in _balls(cs, nodes, radii):
-        block = slice(end, end + len(counts))
-        end = block.stop
-        offsets = cs.points[idx] - np.repeat(nodes[block], counts, axis=0)
-        weights = []
-        for node, radius, offs in zip(nodes[block], radii[block],
-                                      np.split(offsets, np.cumsum(counts)[:-1])):
-            try:
-                weights.append(_weights(cs, offs, float(radius), params.degree))
-            except ReproductionError as exc:
-                raise AssemblyError(f"reproduction failed at node {node.tolist()}: {exc}") from exc
-        np.add.at(coeffs, idx, np.repeat(wv[block], counts) * np.concatenate(weights))
+    with _serial_blas():
+        for idx, _, counts in _balls(cs, nodes, radii):
+            block = slice(end, end + len(counts))
+            end = block.stop
+            offsets = cs.points[idx] - np.repeat(nodes[block], counts, axis=0)
+            weights = []
+            for node, radius, offs in zip(nodes[block], radii[block],
+                                          np.split(offsets, np.cumsum(counts)[:-1])):
+                try:
+                    weights.append(_weights(cs, offs, float(radius), params.degree))
+                except ReproductionError as exc:
+                    raise AssemblyError(
+                        f"reproduction failed at node {node.tolist()}: {exc}") from exc
+            np.add.at(coeffs, idx, np.repeat(wv[block], counts) * np.concatenate(weights))
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 

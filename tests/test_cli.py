@@ -460,6 +460,33 @@ def test_determinism_all_commands(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_density_outputs_independent_of_blas_threads(tmp_path):
+    # `surfspline density` at degree 14 on a Remark-1 placement writes the
+    # same bytes on one BLAS thread and on two
+    import os
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, "place.json", {"place": {
+        "j": 2, "k": 2, "d": 2, "defect": [[0.0, 0.0]],
+        "box": {"lo": [-7.5, -7.5], "hi": [7.5, 7.5]}}})
+    assert main(["place", "--config", cfg, "--out", str(tmp_path / "place")]) == 0
+    cfg = write_config(tmp_path, "density.json", {"density": {
+        "centers_file": str(tmp_path / "place" / "centers.csv"), "degree": 14,
+        "epsilon": 1.0 / 3.0, "r": 2.0, "probe": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0],
+                                                  "count": 3}}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "surfspline.cli", "density", "--config", cfg,
+                               "--out", str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("density.csv", "majorant.csv", "certificates.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def full_block(tmp_path, command):
     """A valid block of ``command`` holding every key of its schema, optional
     ones too; a command that reads a file is pointed at a missing one."""

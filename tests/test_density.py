@@ -146,12 +146,21 @@ def test_no_admissible_radius_messages(monkeypatch, window):
         (CenterSet([[float(i), 0.0] for i in range(6)]), [0.5, 0.0], 1, None,
          "at alpha [0.5, 0.0]: no unisolvent neighbor set at any radius"),
         (CenterSet([0.0, 1.0, 2.0, 3.0]), [0.25], 1, 0.5,
-         "at alpha [0.25]: stability cap 0.5 never met (best Sum|a| = 1.25)"),
+         "at alpha [0.25]: stability cap 0.5 never met (best Sum|a| = 1)"),
     ]
     for cs, alpha, degree, cap, message in cases:
         with pytest.raises(NoAdmissibleRadius) as err:
             minimal_density(cs, alpha, degree, cap)
         assert str(err.value) == message
+
+
+def test_no_admissible_radius_reports_smallest_stability():
+    # the smallest Sum|a| the cap scan solved, not its last attempt's (the
+    # whole set's)
+    cs, alpha = consistency_cloud(0, 1, "uniform")
+    assert f"{build_reproduction(cs, alpha, 10.0, 2).stability:g}" == "1.31983"
+    with pytest.raises(NoAdmissibleRadius, match=r"never met \(best Sum\|a\| = 1\.07444\)$"):
+        minimal_density(cs, alpha, 2, 1.05)
 
 
 def fresh_witness(cs, alpha, rho, degree):

@@ -18,6 +18,7 @@ from surfspline import (
     refine_weights,
     verify_reproduction,
 )
+from surfspline import polyrep
 from surfspline.polyrep import _GUARD, RANK_RTOL, _min_norm, _moment_system
 from test_density import CLOUDS, consistency_cloud
 
@@ -491,3 +492,156 @@ def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
             assert calls["dormqr"] == 1
             err = np.linalg.norm(weights - ref)
             assert err <= sv[0] / sv[-1] * 1e-14 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# local solves on one BLAS thread
+
+
+@pytest.fixture
+def blas_threads():
+    """The caller's BLAS thread count, set to 2 for the test so that a serial
+    section's restore shows; the count found before comes back afterwards."""
+    get, put = polyrep._get_blas_threads, polyrep._set_blas_threads
+    if get is None or put is None:
+        pytest.skip("scipy's BLAS exposes no thread-count control")
+    before = get()
+    put(2)
+    yield get()
+    put(before)
+
+
+def read_threads_in_qr(monkeypatch, depths=None):
+    """The BLAS thread counts read inside each local QR from here on; with
+    ``depths``, the serial sections' depth at each QR goes there."""
+    reads, qr, get = [], polyrep.dgeqp3, polyrep._get_blas_threads
+
+    def spy(*args, **kwargs):
+        reads.append(get())
+        if depths is not None:
+            depths.append(polyrep._blas_depth)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(polyrep, "dgeqp3", spy)
+    return reads
+
+
+def solving_calls():
+    """One call of each public entry that makes local solves, each on a fresh
+    center set (an empty solve memo), and for each entry a call that raises,
+    with its error."""
+    from surfspline import DensityField, KernelParams, QuadratureSpec, assemble, bump
+    from surfspline.quasiinterp import AssemblyError
+
+    grid = np.arange(-16, 17) / 8.0
+    f, params = bump(5, [0.0], 1.0), KernelParams(d=1, k=1, degree=4)
+    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0], [1.0]))
+
+    def assembled(rho):
+        return lambda: assemble(CenterSet(grid), f, params, qs,
+                                DensityField(np.zeros((1, 1)), [rho]))
+
+    collinear = CenterSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    ok = {
+        "build_reproduction": lambda: build_reproduction(CenterSet(grid), [0.1], 0.7, 4),
+        "minimal_density": lambda: minimal_density(CenterSet(grid), [[0.1], [0.3]], 4),
+        "assemble": assembled(0.5),
+    }
+    failing = {
+        "build_reproduction": (RankDeficient,
+                               lambda: build_reproduction(collinear, [1.0, 0.5], 3.0, 1)),
+        "minimal_density": (NoAdmissibleRadius,
+                            lambda: minimal_density(CenterSet(grid), [0.1], 4, 0.5)),
+        "assemble": (AssemblyError, assembled(0.05)),  # 1 center in each node's ball
+    }
+    return ok, failing
+
+
+def test_local_solves_run_on_one_blas_thread(monkeypatch, blas_threads):
+    reads = read_threads_in_qr(monkeypatch)
+    for name, call in solving_calls()[0].items():
+        del reads[:]
+        call()
+        assert reads and set(reads) == {1}, name
+        assert polyrep._get_blas_threads() == blas_threads, name
+
+
+def test_blas_threads_restored_on_raise(monkeypatch, blas_threads):
+    ok, failing = solving_calls()
+    for name, (error, call) in failing.items():
+        with pytest.raises(error):
+            call()
+        assert polyrep._get_blas_threads() == blas_threads, name
+    # a LAPACK wrapper reporting info 1 from the local QR
+    qr = polyrep.dgeqp3
+    monkeypatch.setattr(polyrep, "dgeqp3", lambda *args, **kwargs: (*qr(*args, **kwargs)[:-1], 1))
+    for name, call in ok.items():
+        with pytest.raises(np.linalg.LinAlgError, match="failed with info 1"):
+            call()
+        assert polyrep._get_blas_threads() == blas_threads, name
+
+
+def test_concurrent_searches_match_serial_runs(monkeypatch, blas_threads):
+    # 4 threads search one center set (and its solve memo) at once, their
+    # serial sections overlapping, switching often: every QR of every thread
+    # runs on one BLAS thread, so no thread's exit restores the count while
+    # another is inside
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1, 1, size=(400, 2))
+    batches = rng.uniform(-0.8, 0.8, size=(4, 40, 2))
+    serial = [minimal_density(CenterSet(pts), batch, 8) for batch in batches]
+    depths = []
+    reads = read_threads_in_qr(monkeypatch, depths)
+    shared, start = CenterSet(pts), threading.Barrier(4, timeout=60)
+
+    def run(batch):
+        start.wait()
+        return minimal_density(shared, batch, 8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, batches, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads and set(reads) == {1} and max(depths) > 1
+    assert polyrep._get_blas_threads() == blas_threads
+    for (rho, witnesses), (rho0, witnesses0) in zip(results, serial):
+        assert rho.tobytes() == rho0.tobytes()
+        for pr, pr0 in zip(witnesses, witnesses0):
+            assert pr.indices.tobytes() == pr0.indices.tobytes()
+            assert pr.weights.tobytes() == pr0.weights.tobytes()
+
+
+def test_degree14_solves_equal_on_one_and_two_blas_threads(monkeypatch, blas_threads):
+    # every local solve of degree-14 searches on a Remark-1 placement, rank
+    # failures included, is bit for bit the same on one BLAS thread and with
+    # the serial section a no-op, where the QRs run on the caller's threads
+    from surfspline import MultiresSpec, generate_centers
+
+    spec = MultiresSpec(j=2, k=2, d=2, defect=[[0.0, 0.0]], box=([-7.5, -7.5], [7.5, 7.5]))
+    probes = [[0.0, 0.0], [0.3, 0.1], [1.5, -0.7], [2.5, 2.5], [6.2, -3.1]]
+    reads = read_threads_in_qr(monkeypatch)
+    min_norm, solves = polyrep._min_norm, []
+
+    def recorded(bmat):
+        w, rank = min_norm(bmat)
+        solves[-1].append((None if w is None else w.tobytes(), rank))
+        return w, rank
+
+    monkeypatch.setattr(polyrep, "_min_norm", recorded)
+    for serial in (True, False):
+        if not serial:
+            monkeypatch.setattr(polyrep, "_get_blas_threads", None)
+            monkeypatch.setattr(polyrep, "_set_blas_threads", None)
+        solves.append([])
+        del reads[:]
+        minimal_density(generate_centers(spec), probes, 14)
+        assert set(reads) == {1 if serial else blas_threads}
+    assert solves[0] == solves[1]
+    assert any(w is None for w, _ in solves[0]) and any(w is not None for w, _ in solves[0])
