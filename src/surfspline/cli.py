@@ -45,7 +45,13 @@ from .dyadic import (
     overlap_count,
 )
 from .kernels import KernelParams, bump
-from .placement import MultiresSpec, build_ring_plan, cardinality_report, generate_centers
+from .placement import (
+    _MAX_LEVEL,
+    MultiresSpec,
+    build_ring_plan,
+    cardinality_report,
+    generate_centers,
+)
 from .polyrep import ReproductionError
 from .quasiinterp import AssemblyError, convergence_study
 
@@ -342,7 +348,10 @@ def cmd_density(cfg: dict, out: Path, seed: int) -> None:
 def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     d, k, degree, epsilon = cfg["d"], cfg["k"], cfg["degree"], cfg["epsilon"]
     placement, defect = cfg["placement"], cfg["defect"]
+    lowest = 1 if placement == "multires" else -_MAX_LEVEL
     _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
+           ("js", all(lowest <= j <= _MAX_LEVEL for j in cfg["js"]),
+            f"levels in [{lowest}, {_MAX_LEVEL}]"),
            ("defect", placement == "uniform" or defect is not None, "given for multires"),
            _defect_rule(defect, d), _box_rule(cfg),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
@@ -378,7 +387,8 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
 def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     gamma, sigma, two_k, r = cfg["gamma"], cfg["sigma"], cfg["two_k"], cfg["r"]
     levels, overlap_points = cfg["levels"], cfg["overlap_points"]
-    _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"),
+    _check(("levels", len(levels) == 2 and -_MAX_LEVEL <= levels[0] <= levels[1] <= _MAX_LEVEL,
+            f"[lo, hi] with -{_MAX_LEVEL} <= lo <= hi <= {_MAX_LEVEL}"),
            ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"), _box_rule(cfg))
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(cfg["density_file"])

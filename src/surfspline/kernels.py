@@ -22,6 +22,13 @@ from .polyrep import PolyRep
 SUPPORTED_DIMS = (1, 2, 3)
 MAX_ORDER = 4
 
+#: Largest rounding error, on a bump of sup 1, that :func:`bump` accepts.
+_BUMP_ROUNDING = 1e-10
+
+#: Largest exponent p whose rounding bound (p + 1) 2^p eps is within it.
+_MAX_BUMP_EXPONENT = max(p for p in range(2, 64)
+                         if (p + 1) * 2.0**p * np.finfo(float).eps <= _BUMP_ROUNDING)
+
 
 def _check_dk(d: int, k: int) -> None:
     if d not in SUPPORTED_DIMS or not (2 * k > d) or k > MAX_ORDER:
@@ -135,15 +142,31 @@ class RadialBump:
 
 
 def bump(p: int, center, scale: float) -> RadialBump:
-    """The bump (1 - (r/scale)^2)^p around ``center``; C^(p-1) at the boundary."""
+    """The bump (1 - (r/scale)^2)^p around ``center``; C^(p-1) at the boundary.
+
+    The values come from the binomial expansion in t = r^2, whose terms
+    alternate in sign: on the support the moduli of the terms sum to 2^p, so
+    Horner's rounding error is about (p + 1) 2^p eps.  An exponent is legal
+    while that bound stays within ``_BUMP_ROUNDING`` = 1e-10 of the bump's
+    sup 1, that is for 2 <= p <= 14.  Every coefficient ``comb(p, m)
+    scale^(-2m)`` must be finite and nonzero, which bounds the scale from
+    both sides (about 1e-11 to 3e11 at p = 14).
+    """
     if p < 2:
         raise ValueError("exponent must be >= 2")
+    if p > _MAX_BUMP_EXPONENT:
+        raise ValueError(f"exponent {p} exceeds {_MAX_BUMP_EXPONENT}: the rounding error of "
+                         f"the bump's expansion could exceed {_BUMP_ROUNDING:g}")
     center = np.asarray(center, dtype=float).reshape(-1)
     if not (0 < scale < np.inf and np.all(np.isfinite(center))):
         raise ValueError("scale must be positive and finite, and center finite")
     # binomial expansion in t = r^2
     m = np.arange(p + 1)
-    coeffs = np.array([comb(p, int(mm)) * (-1.0) ** mm * scale ** (-2.0 * mm) for mm in m])
+    with np.errstate(over="ignore"):
+        coeffs = np.array([comb(p, int(mm)) * (-1.0) ** mm * scale ** (-2.0 * mm) for mm in m])
+    if not np.all(np.isfinite(coeffs) & (coeffs != 0)):
+        raise ValueError(f"scale {scale:g} makes a coefficient scale^(-2m), m <= {p}, "
+                         "overflow or underflow")
     return RadialBump(exponent=p, center=center, scale=float(scale), coeffs=coeffs)
 
 
@@ -153,7 +176,7 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
     Uses ``Delta r^(2m) = 2m (2m + d - 2) r^(2m-2)`` in the ambient dimension
     of the bump's center.  Requires boundary vanishing order >= 2k + 2 so the
     result is still continuously differentiable across the support boundary
-    (each Laplacian costs one order).
+    (each Laplacian costs one order), and every coefficient to stay finite.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -161,12 +184,15 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
         raise ValueError(f"bump boundary order {f.exponent} too small for Delta^{k} (need >= {2 * k + 2})")
     d = f.dim
     coeffs = f.coeffs.copy()
-    for _ in range(k):
-        if coeffs.size <= 1:
-            coeffs = np.zeros(1)
-            break
-        m = np.arange(1, coeffs.size)
-        coeffs = coeffs[1:] * (2 * m) * (2 * m + d - 2)
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            if coeffs.size <= 1:
+                coeffs = np.zeros(1)
+                break
+            m = np.arange(1, coeffs.size)
+            coeffs = coeffs[1:] * (2 * m) * (2 * m + d - 2)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"scale {f.scale:g} makes a coefficient of Delta^{k} f overflow")
     return RadialBump(exponent=f.exponent - k, center=f.center, scale=f.scale, coeffs=coeffs)
 
 

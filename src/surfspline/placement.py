@@ -19,6 +19,10 @@ from scipy.spatial import cKDTree
 from .centers import CenterSet, _as_box, _as_points, _lattice
 from .density import minimal_density, validate_theorem1_params
 
+#: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
+#: side 2^-level and its inverse, stay normal float64s up to level 511.
+_MAX_LEVEL = 511
+
 
 @dataclass(frozen=True)
 class MultiresSpec:
@@ -42,8 +46,8 @@ class MultiresSpec:
     degree: int | None = None
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("j must be >= 1")
+        if not 1 <= self.j <= _MAX_LEVEL:
+            raise ValueError(f"j must be >= 1 and at most {_MAX_LEVEL}")
         object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
         object.__setattr__(self, "box", _as_box(self.box, self.d))
         degree = self.degree if self.degree is not None else 7 * self.k

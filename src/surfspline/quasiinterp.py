@@ -192,6 +192,22 @@ def fit_slope(js, errors) -> float:
     return float(-np.polyfit(js, np.log2(errors), 1)[0])
 
 
+def _level(cs: CenterSet, f: RadialBump, params: KernelParams, qs: QuadratureSpec,
+           points: np.ndarray, samples: np.ndarray | None) -> np.ndarray:
+    """The (n,) absolute errors at the (n, d) ``points`` of the approximant of
+    f on the centers ``cs``, its minimal density measured at ``samples`` (by
+    default the centers inside the quadrature domain grown by half the bump's
+    scale on every side)."""
+    if samples is None:
+        lo, hi = qs.domain
+        margin = 0.5 * f.scale
+        inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
+        samples = cs.points[inside]
+    rho, _ = minimal_density(cs, samples, params.degree)
+    dump = assemble(cs, f, params, qs, DensityField(samples, rho))
+    return np.abs(evaluate(dump, points, params) - f(points))
+
+
 def convergence_study(
     js,
     center_factory,
@@ -207,15 +223,18 @@ def convergence_study(
     """Sup-error versus refinement level, with optional defect-point tracking.
 
     ``params.degree`` is the degree of the minimal density and of the
-    assembly; a violated constraint of the pointwise theorem, a bump too
-    rough for ``Delta^k`` or a bad quadrature (``cells_per_rho``, ``rule``)
-    raises ``ValueError`` before any level is generated, as does a ``defect``
-    that is not one point (d,) or a set (n, d).  For each j: generate
-    centers, measure the minimal density on a sample set (the point or batch
-    ``density_points_factory(j)``, by default the centers inside the inflated
-    quadrature domain), assemble the approximant, and record the sup error
-    over ``probes`` (a point or a batch) and the maximum error over
-    ``defect``.  Slopes are least-squares fits of log2(error) against -j.
+    assembly.  Every input is checked before level 1: a violated constraint
+    of the pointwise theorem, a bump too rough for ``Delta^k``, a bad
+    quadrature (``cells_per_rho``, ``rule``), or ``probes`` or a ``defect``
+    that is not one point (d,) or a nonempty set (n, d) of finite
+    coordinates raises ``ValueError`` before ``center_factory`` is first
+    called.  Each j is one :func:`_level` call: it gets the centers
+    ``center_factory(j)`` and the density samples (the point or batch
+    ``density_points_factory(j)``, by default the centers inside the
+    inflated quadrature domain), and returns the errors at the probes and
+    the defect points, stacked so that one evaluation serves both.  The
+    study records their sup over the probes and their maximum over the
+    defect; slopes are least-squares fits of log2(error) against -j.
     """
     js = tuple(int(j) for j in js)
     if len(set(js)) < 3:
@@ -224,33 +243,20 @@ def convergence_study(
     if violations:
         raise ValueError("; ".join(violations))
     laplacian_power(f, params.k)  # raises for a boundary order below 2k + 2
-    defect = None if defect is None else _as_points(defect, params.d)[0]
-    lo = f.center - f.scale
-    hi = f.center + f.scale
-    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule, domain=(lo, hi))
-    g_errors, d_errors = [], []
-    for j in js:
-        cs = center_factory(j)
-        if density_points_factory is not None:
-            sample_pts = _as_points(density_points_factory(j), params.d)[0]
-        else:
-            margin = 0.5 * f.scale
-            inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
-            sample_pts = cs.points[inside]
-        rho, _ = minimal_density(cs, sample_pts, params.degree)
-        density = DensityField(sample_pts, rho)
-        dump = assemble(cs, f, params, qs, density)
-        approx = evaluate(dump, probes, params)
-        exact = f(probes)
-        g_errors.append(float(np.max(np.abs(approx - exact))))
-        if defect is not None:
-            d_errors.append(float(np.max(np.abs(evaluate(dump, defect, params) - f(defect)))))
-    g_errors = np.array(g_errors)
-    result_defect = np.array(d_errors) if defect is not None else None
-    return StudyResult(
-        js=js,
-        global_errors=g_errors,
-        defect_errors=result_defect,
-        global_slope=fit_slope(js, g_errors),
-        defect_slope=fit_slope(js, result_defect) if defect is not None else None,
-    )
+    sets = [_as_points(s, params.d)[0] for s in ([probes] if defect is None else [probes, defect])]
+    if min(map(len, sets)) == 0:
+        raise ValueError("probes and defect must each hold at least one point")
+    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule,
+                        domain=(f.center - f.scale, f.center + f.scale))
+    points = np.concatenate(sets)
+    errors = np.array([
+        _level(center_factory(j), f, params, qs, points,
+               None if density_points_factory is None
+               else _as_points(density_points_factory(j), params.d)[0])
+        for j in js])
+    n = len(sets[0])
+    g_errors = errors[:, :n].max(axis=1)
+    d_errors = errors[:, n:].max(axis=1) if defect is not None else None
+    return StudyResult(js=js, global_errors=g_errors, defect_errors=d_errors,
+                       global_slope=fit_slope(js, g_errors),
+                       defect_slope=fit_slope(js, d_errors) if defect is not None else None)

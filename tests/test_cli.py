@@ -600,16 +600,28 @@ BAD_RANGES = [
     ("study", {"d": 2, "defect": [[0.0, 0.0]]}, "box.lo and box.hi must be vectors of length 2"),
     ("study", {"d": 2, "defect": [[0.0, 0.0]], "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5]}},
      "probe.lo and probe.hi must be vectors of length 2"),
+    # spacings 2^-j and cube sides 2^-level that underflow or overflow
+    ("place", {"j": 1100}, "j must be >= 1 and at most 511"),
+    ("study", {"js": [3, 4, 2000]}, "config key 'js' must be levels in [-511, 511]"),
+    ("dyadic", {"levels": [-2000, 0]}, "config key 'levels'"),
+    ("dyadic", {"levels": [0, 2000]}, "config key 'levels'"),
+    # bumps whose expansion rounds badly or whose coefficients overflow or underflow
+    ("study", {"bump": {"exponent": 40, "scale": 1.0}}, "exponent 40 exceeds 14"),
+    ("study", {"bump": {"exponent": 5, "scale": 1e-200}}, "scale 1e-200 makes a coefficient"),
+    ("study", {"bump": {"exponent": 5, "scale": 1e200}}, "scale 1e+200 makes a coefficient"),
 ]
 
 
 @pytest.mark.parametrize("command,overrides,text", BAD_RANGES,
                          ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(BAD_RANGES)])
-def test_value_out_of_range_rejected(tmp_path, capsys, command, overrides, text):
+def test_value_out_of_range_rejected(tmp_path, capsys, count_solves, command, overrides, text):
+    # one config error line, before any input file is read or any level runs
     block = {**full_block(tmp_path, command), **overrides}
     assert run_block(tmp_path, command, block) == 2
     err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert text in err and "missing.csv" not in err
+    assert count_solves == []
 
 
 def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):

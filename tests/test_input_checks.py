@@ -64,6 +64,7 @@ CHECKS = [
     ("sg to sm epsilon", lambda: lemma_transfer_sg_to_sm(2.0, 0.0), ValueError,
      "epsilon must lie in (0, 1)"),
     ("spec j", lambda: spec(j=0), ValueError, "j must be >= 1"),
+    ("spec j underflow", lambda: spec(j=512), ValueError, "j must be >= 1 and at most 511"),
     ("spec defect dimension", lambda: spec(defect=[[0.0, 0.0, 0.0]]), ValueError,
      "points have shape (1, 3); expected (2,) for one point or (n, 2) for a batch"),
     ("spec defect nan", lambda: spec(defect=[[0.0, 0.0], [np.nan, 0.0]]), ValueError,
@@ -83,6 +84,12 @@ CHECKS = [
     ("quadrature box inf", lambda: QuadratureSpec(4, "gauss2", ([0, 0], [1, np.inf])),
      ValueError, BAD_BOX),
     ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),
+    ("bump exponent rounding", lambda: bump(15, [0.0], 1.0), ValueError,
+     "exponent 15 exceeds 14: the rounding error of the bump's expansion could exceed 1e-10"),
+    ("bump scale underflow", lambda: bump(14, [0.0], 1e12), ValueError,
+     "scale 1e+12 makes a coefficient scale^(-2m), m <= 14, overflow or underflow"),
+    ("laplacian overflow", lambda: laplacian_power(bump(5, [0.0], 10**-30.8), 1), ValueError,
+     "makes a coefficient of Delta^1 f overflow"),
     ("bump scale", lambda: bump(4, [0.0], 0.0), ValueError, "scale must be positive"),
     ("bump scale inf", lambda: bump(4, [0.0], np.inf), ValueError,
      "scale must be positive and finite"),

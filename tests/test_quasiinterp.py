@@ -212,19 +212,26 @@ def test_convergence_study_checks_theorem_params_before_placing_centers():
 @pytest.mark.parametrize("quadrature,message", [({"rule": "simpson"}, "rule must be"),
                                                 ({"cells_per_rho": 1}, "cells_per_rho"),
                                                 ({"f": bump(3, [0.0], 1.0)},
-                                                 "bump boundary order 3 too small")])
+                                                 "bump boundary order 3 too small"),
+                                                ({"probes": np.zeros((3, 2))},
+                                                 r"points have shape \(3, 2\)"),
+                                                ({"probes": [[np.nan]]}, "must be finite"),
+                                                ({"probes": np.zeros((0, 1))},
+                                                 "must each hold at least one point"),
+                                                ({"defect": np.zeros((0, 1))},
+                                                 "must each hold at least one point")])
 def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, message):
-    # a bump too rough for Delta^k (order 3 < 2k + 2 = 4) is rejected up front too
+    # a bump too rough for Delta^k (order 3 < 2k + 2 = 4), and probes or a
+    # defect set that are not nonempty finite points, are rejected up front too
     from surfspline import convergence_study
 
     def factory(j):
         pytest.fail("center_factory ran before the quadrature check")
 
     params = KernelParams(d=1, k=1, degree=4)
-    kwargs = {"f": bump(5, [0.0], 1.0), **quadrature}
+    kwargs = {"f": bump(5, [0.0], 1.0), "probes": np.zeros(1), **quadrature}
     with pytest.raises(ValueError, match=message):
-        convergence_study([3, 4, 5], factory, params=params, epsilon=0.6, probes=np.zeros(1),
-                          **kwargs)
+        convergence_study([3, 4, 5], factory, params=params, epsilon=0.6, **kwargs)
 
 
 def uniform_1d(j):
@@ -266,8 +273,8 @@ def test_flat_sample_set_rejected_in_1d():
 
 
 def test_study_defect_set_takes_worst_point():
-    # the error at a defect set is the max over its points; one point as
-    # (d,) or (1, d) gives the same bits
+    # the error at a defect set is the max over its points; one defect point,
+    # or one probe, as (d,) or (1, d) gives the same bits
     from surfspline import convergence_study
 
     params = KernelParams(d=1, k=1, degree=4)
@@ -286,6 +293,13 @@ def test_study_defect_set_takes_worst_point():
     assert errors([[0.1], [0.3]]).tobytes() == np.maximum(one, other).tobytes()
     with pytest.raises(ValueError, match=r"points have shape \(1, 2\)"):
         convergence_study([3, 4, 5], factory, f, params, 0.6, probes, defect=[[0.0, 1.0]])
+
+    def result_bits(probe):
+        res = convergence_study([3, 4, 5], factory, f, params, 0.6, probe, defect=[0.1])
+        return res.js, np.hstack([res.global_errors, res.defect_errors, res.global_slope,
+                                  res.defect_slope]).tobytes()
+
+    assert result_bits([0.5]) == result_bits([[0.5]])
 
 
 # The per-probe, per-node and stack versions of evaluate, assemble and
