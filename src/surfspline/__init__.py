@@ -66,7 +66,6 @@ from .polyrep import (
 from .quasiinterp import (
     ApproximantDump,
     AssemblyError,
-    QuadratureSpec,
     StudyResult,
     assemble,
     convergence_study,

@@ -181,8 +181,7 @@ SCHEMAS = {
                 "stability_cap": (float, None), "probe": _PROBE},
     "study": {"d": int, "k": int, "degree": int, "epsilon": float, "js": [int],
               "placement": str, "bump": {"exponent": int, "scale": float},
-              "quadrature": ({"cells_per_rho": int, "rule": str},
-                             {"cells_per_rho": 4, "rule": "gauss2"}),
+              "quadrature": ({"cells_per_rho": int}, {"cells_per_rho": 4}),
               "box": _BOX, "probe": _PROBE, "defect": (np.ndarray, None)},
     "dyadic": {"density_file": Path, "gamma": float, "sigma": float, "two_k": float,
                "r": float, "levels": [int], "overlap_points": (int, 20), "box": _BOX},
@@ -359,6 +358,9 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     probes = _probe_grid(cfg, d)
     params = KernelParams(d=d, k=k, degree=degree)
     f = bump(cfg["bump"]["exponent"], np.zeros(d), cfg["bump"]["scale"])
+    reach = float(np.min(np.minimum(-box[0], box[1])))
+    _check(("bump.scale", f.scale <= reach,
+            f"at most {reach}, so that the bump's support lies inside 'box'"))
 
     def factory(j):
         if placement == "uniform":
@@ -369,8 +371,7 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
 
     res = convergence_study(
         cfg["js"], factory, f, params, epsilon=epsilon, probes=probes,
-        cells_per_rho=cfg["quadrature"]["cells_per_rho"], rule=cfg["quadrature"]["rule"],
-        defect=defect,
+        cells_per_rho=cfg["quadrature"]["cells_per_rho"], defect=defect,
     )
     columns = [list(res.js), res.global_errors.tolist()]
     header = "j,sup_error"

@@ -5,9 +5,10 @@ The approximant is
     T f(x) = sum_xi c_xi phi(x - xi),
     c_xi = c_{d,k} * integral  Delta^k f(alpha) a(xi, alpha) d alpha,
 
-with the integral truncated (exactly) to the support of ``Delta^k f`` and
-evaluated by a composite rule on cells sized proportionally to the local
-density, so the integrand is resolved where the reproductions vary fastest.
+with the integral truncated (exactly) to the support box of the bump f and
+evaluated by the 2-point Gauss rule per axis on cells sized proportionally
+to the local density, so the integrand is resolved where the reproductions
+vary fastest.
 """
 
 from __future__ import annotations
@@ -37,27 +38,6 @@ class AssemblyError(Exception):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite quadrature on density-proportional cells.
-
-    cells_per_rho -- target cell size = local rho / cells_per_rho (>= 2)
-    rule          -- "midpoint" or "gauss2" (2-point Gauss per axis)
-    domain        -- (lo, hi) bounding box of supp Delta^k f
-    """
-
-    cells_per_rho: int
-    rule: str
-    domain: tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        if self.cells_per_rho < 2:
-            raise ValueError("cells_per_rho must be >= 2")
-        if self.rule not in ("midpoint", "gauss2"):
-            raise ValueError("rule must be 'midpoint' or 'gauss2'")
-        object.__setattr__(self, "domain", _as_box(self.domain))
-
-
-@dataclass(frozen=True)
 class ApproximantDump:
     """Aggregated kernel coefficients over a center set."""
 
@@ -65,16 +45,19 @@ class ApproximantDump:
     coefficients: np.ndarray
 
 
-def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic dyadic subdivision of the domain into density-sized cells.
+def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic dyadic subdivision of the ``(lo, hi)`` box into density-sized cells.
 
     Returns (centers, sides) with sides[i] a d-vector; a cell is split while
-    its longest side exceeds ``rho(center) / cells_per_rho``.  ``rho_at`` is
-    called once per level, on the (n, d) centers of that level's new cells; a
-    cell that splits is replaced in place by its 2^d children in reversed
-    ``ndindex`` order, so the cells come out in depth-first order.
+    its longest side exceeds ``rho(center) / cells_per_rho`` (``cells_per_rho``
+    >= 2).  ``rho_at`` is called once per level, on the (n, d) centers of that
+    level's new cells; a cell that splits is replaced in place by its 2^d
+    children in reversed ``ndindex`` order, so the cells come out in
+    depth-first order.
     """
-    lo, hi = qs.domain
+    if cells_per_rho < 2:
+        raise ValueError("cells_per_rho must be >= 2")
+    lo, hi = _as_box(box)
     d = lo.shape[0]
     extent = hi - lo
     # near-cubic root cells
@@ -86,7 +69,7 @@ def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray
     fresh = np.ones(len(centers), dtype=bool)
     while fresh.any():
         split = np.zeros(len(centers), dtype=bool)
-        split[fresh] = ~(np.max(sides[fresh], axis=1) <= rho_at(centers[fresh]) / qs.cells_per_rho)
+        split[fresh] = ~(np.max(sides[fresh], axis=1) <= rho_at(centers[fresh]) / cells_per_rho)
         reps = np.where(split, 2**d, 1)
         centers, sides = np.repeat(centers, reps, axis=0), np.repeat(sides, reps, axis=0)
         fresh = np.repeat(split, reps)
@@ -96,29 +79,28 @@ def quadrature_cells(qs: QuadratureSpec, rho_at) -> tuple[np.ndarray, np.ndarray
     return centers, sides
 
 
-def _cell_nodes(c: np.ndarray, s: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the composite rule on cells with (n, d) centers c and sides s,
-    cell-major and in ``ndindex`` order within a cell, and one weight per node."""
+def _cell_nodes(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the 2-point Gauss rule per axis on cells with (n, d) centers c
+    and sides s, cell-major and in ``ndindex`` order within a cell, and one
+    weight per node."""
     vol = np.prod(s, axis=1)
-    if rule == "midpoint":
-        return c, vol
     d = c.shape[1]
     offsets = _grid_points([[-0.5, 0.5]] * d)
     nodes = c[:, None, :] + offsets * (s / _SQRT3)[:, None, :]
     return nodes.reshape(-1, d), np.repeat(vol / 2**d, 2**d)
 
 
-def assemble(
-    cs: CenterSet,
-    f: RadialBump,
-    params: KernelParams,
-    qs: QuadratureSpec,
-    density: DensityField,
-) -> ApproximantDump:
+def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: DensityField,
+             cells_per_rho: int) -> ApproximantDump:
     """Aggregate kernel coefficients for the quasi-interpolant of f.
 
-    The nodes of all cells, their values of ``Delta^k f`` and their nearest
-    density samples are taken at once, and nodes where the value is 0 dropped.
+    The integral runs over the bump's support box ``f.center -+ f.scale``,
+    which holds ``supp Delta^k f``: the 2-point Gauss rule per axis on the
+    cells of :func:`quadrature_cells`, with rho read off the density's
+    nearest samples.  The centers, f, ``params.d`` and the density must
+    share one dimension (else ``ValueError``).  The nodes of all cells, their
+    values of ``Delta^k f`` and their nearest density samples are taken at
+    once, and nodes where the value is 0 dropped.
     Each other node gets reproduction weights of degree ``params.degree`` with
     support radius 1.5 times its nearest density sample (the inflation
     absorbs the sampling error of the density field; any admissible radius
@@ -129,9 +111,13 @@ def assemble(
     per-node additions in their order.  The theorem's parameter constraints
     are checked by :func:`convergence_study`, not here.
     """
+    if not cs.dim == f.dim == params.d == density.dim:
+        raise ValueError(f"dimensions differ: centers {cs.dim}, bump {f.dim}, "
+                         f"params.d {params.d}, density {density.dim}")
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
-    nodes, w = _cell_nodes(*quadrature_cells(qs, density.nearest), qs.rule)
+    box = (f.center - f.scale, f.center + f.scale)
+    nodes, w = _cell_nodes(*quadrature_cells(box, cells_per_rho, density.nearest))
     vals = dkf(nodes)
     nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
     radii = _RADIUS_FACTOR * density.nearest(nodes)
@@ -157,8 +143,11 @@ def assemble(
 def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray:
     """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch.
 
-    Kernel values come in blocks of at most ``_PAIR_CHUNK`` probe-center pairs;
-    each probe's sum is one ``coefficients @ row`` product."""
+    The centers must lie in R^``params.d`` (else ``ValueError``).  Kernel
+    values come in blocks of at most ``_PAIR_CHUNK`` probe-center pairs; each
+    probe's sum is one ``coefficients @ row`` product."""
+    if ad.centers.dim != params.d:
+        raise ValueError(f"dimensions differ: centers {ad.centers.dim}, params.d {params.d}")
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
     centers = ad.centers.points
@@ -192,19 +181,19 @@ def fit_slope(js, errors) -> float:
     return float(-np.polyfit(js, np.log2(errors), 1)[0])
 
 
-def _level(cs: CenterSet, f: RadialBump, params: KernelParams, qs: QuadratureSpec,
+def _level(cs: CenterSet, f: RadialBump, params: KernelParams, cells_per_rho: int,
            points: np.ndarray, samples: np.ndarray | None) -> np.ndarray:
     """The (n,) absolute errors at the (n, d) ``points`` of the approximant of
     f on the centers ``cs``, its minimal density measured at ``samples`` (by
-    default the centers inside the quadrature domain grown by half the bump's
-    scale on every side)."""
+    default the centers inside the bump's support box grown by half the
+    bump's scale on every side)."""
     if samples is None:
-        lo, hi = qs.domain
+        lo, hi = f.center - f.scale, f.center + f.scale
         margin = 0.5 * f.scale
         inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
         samples = cs.points[inside]
     rho, _ = minimal_density(cs, samples, params.degree)
-    dump = assemble(cs, f, params, qs, DensityField(samples, rho))
+    dump = assemble(cs, f, params, DensityField(samples, rho), cells_per_rho)
     return np.abs(evaluate(dump, points, params) - f(points))
 
 
@@ -216,7 +205,6 @@ def convergence_study(
     epsilon: float,
     probes,
     cells_per_rho: int = 4,
-    rule: str = "gauss2",
     defect=None,
     density_points_factory=None,
 ) -> StudyResult:
@@ -224,14 +212,14 @@ def convergence_study(
 
     ``params.degree`` is the degree of the minimal density and of the
     assembly.  Every input is checked before level 1: a violated constraint
-    of the pointwise theorem, a bump too rough for ``Delta^k``, a bad
-    quadrature (``cells_per_rho``, ``rule``), or ``probes`` or a ``defect``
-    that is not one point (d,) or a nonempty set (n, d) of finite
-    coordinates raises ``ValueError`` before ``center_factory`` is first
-    called.  Each j is one :func:`_level` call: it gets the centers
+    of the pointwise theorem, a bump of another dimension than ``params.d``
+    or too rough for ``Delta^k``, ``cells_per_rho`` below 2, or ``probes``
+    or a ``defect`` that is not one point (d,) or a nonempty set (n, d) of
+    finite coordinates raises ``ValueError`` before ``center_factory`` is
+    first called.  Each j is one :func:`_level` call: it gets the centers
     ``center_factory(j)`` and the density samples (the point or batch
     ``density_points_factory(j)``, by default the centers inside the
-    inflated quadrature domain), and returns the errors at the probes and
+    inflated support box of f), and returns the errors at the probes and
     the defect points, stacked so that one evaluation serves both.  The
     study records their sup over the probes and their maximum over the
     defect; slopes are least-squares fits of log2(error) against -j.
@@ -242,15 +230,17 @@ def convergence_study(
     violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
     if violations:
         raise ValueError("; ".join(violations))
+    if f.dim != params.d:
+        raise ValueError(f"dimensions differ: bump {f.dim}, params.d {params.d}")
     laplacian_power(f, params.k)  # raises for a boundary order below 2k + 2
     sets = [_as_points(s, params.d)[0] for s in ([probes] if defect is None else [probes, defect])]
     if min(map(len, sets)) == 0:
         raise ValueError("probes and defect must each hold at least one point")
-    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule=rule,
-                        domain=(f.center - f.scale, f.center + f.scale))
+    if cells_per_rho < 2:
+        raise ValueError("cells_per_rho must be >= 2")
     points = np.concatenate(sets)
     errors = np.array([
-        _level(center_factory(j), f, params, qs, points,
+        _level(center_factory(j), f, params, cells_per_rho, points,
                None if density_points_factory is None
                else _as_points(density_points_factory(j), params.d)[0])
         for j in js])

@@ -200,18 +200,21 @@ def test_density_empty_centers_file(tmp_path):
 
 
 def test_study_uniform(tmp_path):
-    cfg = write_config(tmp_path, "study.json", {"study": {
-        "d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
-        "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},
-        "box": {"lo": [-2.5], "hi": [2.5]},
-        "probe": {"lo": [-1.2], "hi": [1.2], "count": 121}}})
-    out = tmp_path / "study"
-    assert main(["study", "--config", cfg, "--out", str(out)]) == 0
-    slopes = json.loads((out / "slopes.json").read_text())
-    assert slopes["global_slope"] >= 1.5
-    table = (out / "study.csv").read_text().strip().splitlines()
-    assert table[0] == "j,sup_error"
-    assert len(table) == 4
+    # with the default quadrature and with a quadrature block that sets only
+    # its cell count
+    block = {"d": 1, "k": 1, "degree": 4, "epsilon": 0.6, "js": [3, 4, 5],
+             "placement": "uniform", "bump": {"exponent": 5, "scale": 1.0},
+             "box": {"lo": [-2.5], "hi": [2.5]},
+             "probe": {"lo": [-1.2], "hi": [1.2], "count": 121}}
+    for extra in ({}, {"quadrature": {"cells_per_rho": 8}}):
+        cfg = write_config(tmp_path, "study.json", {"study": {**block, **extra}})
+        out = tmp_path / f"study{len(extra)}"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+        slopes = json.loads((out / "slopes.json").read_text())
+        assert slopes["global_slope"] >= 1.5
+        table = (out / "study.csv").read_text().strip().splitlines()
+        assert table[0] == "j,sup_error"
+        assert len(table) == 4
 
 
 def test_study_multires(tmp_path):
@@ -382,8 +385,7 @@ BAD_VALUES = [
     ("density", {"stability_cap": True}, "stability_cap"),
     ("density", {"centers_file": None}, "centers_file"),
     ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": "17"}}, "probe.count"),
-    ("study", {"quadrature": {"cells_per_rho": None, "rule": "gauss2"}},
-     "quadrature.cells_per_rho"),
+    ("study", {"quadrature": {"cells_per_rho": None}}, "quadrature.cells_per_rho"),
     ("study", {"d": [1]}, "d"),
     ("study", {"js": 5}, "js"),
     ("study", {"js": [3, 4, "5"]}, "js"),
@@ -495,8 +497,7 @@ def full_block(tmp_path, command):
                   "box": {"lo": [-4.0], "hi": [4.0]}, "epsilon": 0.5, "degree": 5},
         "density": json.loads(Path(density_config(
             tmp_path, str(tmp_path / "missing.csv"), stability_cap=1e6)).read_text())["density"],
-        "study": study_block(quadrature={"cells_per_rho": 4, "rule": "gauss2"},
-                             defect=[[0.0]]),
+        "study": study_block(quadrature={"cells_per_rho": 4}, defect=[[0.0]]),
         "dyadic": dyadic_block(tmp_path, overlap_points=5),
     }[command]
 
@@ -609,6 +610,13 @@ BAD_RANGES = [
     ("study", {"bump": {"exponent": 40, "scale": 1.0}}, "exponent 40 exceeds 14"),
     ("study", {"bump": {"exponent": 5, "scale": 1e-200}}, "scale 1e-200 makes a coefficient"),
     ("study", {"bump": {"exponent": 5, "scale": 1e200}}, "scale 1e+200 makes a coefficient"),
+    # the quadrature has one rule, so no key selects it
+    ("study", {"quadrature": {"cells_per_rho": 4, "rule": "gauss2"}},
+     "unknown config keys ['quadrature.rule']"),
+    # bumps whose support leaves the box [-2.5, 2.5]
+    ("study", {"bump": {"exponent": 5, "scale": 2.6}},
+     "config key 'bump.scale' must be at most 2.5, so that the bump's support lies inside 'box'"),
+    ("study", {"bump": {"exponent": 5, "scale": 1e5}}, "config key 'bump.scale' must be at most"),
 ]
 
 

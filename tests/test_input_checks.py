@@ -4,23 +4,27 @@ import numpy as np
 import pytest
 
 from surfspline import (
+    ApproximantDump,
     CenterSet,
     DensityField,
     DyadicParams,
+    KernelParams,
     MultiresSpec,
-    QuadratureSpec,
+    assemble,
     bad_cube_bound_check,
     build_reproduction,
     bump,
     certify_self_majorization,
     certify_slow_growth,
     enumerate_cubes,
+    evaluate,
     laplacian_power,
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
     monomial_exponents,
     plan_transition,
+    quadrature_cells,
 )
 from surfspline.cli import _json_text
 
@@ -79,10 +83,23 @@ CHECKS = [
     ("cubes box length", lambda: enumerate_cubes(([0, 0, 5], [1, 1, -5]), [0, 1], 2),
      ValueError, BAD_BOX),
     ("cubes box short", lambda: enumerate_cubes(([0], [1]), [0, 1], 2), ValueError, BAD_BOX),
-    ("quadrature box ragged", lambda: QuadratureSpec(4, "gauss2", ([0, 0], [1])), ValueError,
+    ("quadrature box ragged", lambda: quadrature_cells(([0, 0], [1]), 4, np.ones), ValueError,
      BAD_BOX),
-    ("quadrature box inf", lambda: QuadratureSpec(4, "gauss2", ([0, 0], [1, np.inf])),
+    ("quadrature box inf", lambda: quadrature_cells(([0, 0], [1, np.inf]), 4, np.ones),
      ValueError, BAD_BOX),
+    # a kernel, bump or density of another dimension than the centers
+    ("assemble params.d", lambda: assemble(CenterSet(CLOUD), bump(6, [0.0, 0.0], 1.0),
+                                           KernelParams(d=3, k=2, degree=2), FIELD, 4),
+     ValueError, "dimensions differ: centers 2, bump 2, params.d 3, density 2"),
+    ("assemble bump", lambda: assemble(CenterSet(CLOUD), bump(4, [0.0], 1.0),
+                                       KernelParams(d=2, k=2, degree=2), FIELD, 4),
+     ValueError, "dimensions differ: centers 2, bump 1, params.d 2, density 2"),
+    ("evaluate params.d 1", lambda: evaluate(ApproximantDump(CenterSet(CLOUD), np.ones(3)),
+                                             [0.3], KernelParams(d=1, k=1, degree=2)),
+     ValueError, "dimensions differ: centers 2, params.d 1"),
+    ("evaluate params.d 3", lambda: evaluate(ApproximantDump(CenterSet(CLOUD), np.ones(3)),
+                                             [0.3, 0.3, 0.3], KernelParams(d=3, k=2, degree=2)),
+     ValueError, "dimensions differ: centers 2, params.d 3"),
     ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),
     ("bump exponent rounding", lambda: bump(15, [0.0], 1.0), ValueError,
      "exponent 15 exceeds 14: the rounding error of the bump's expansion could exceed 1e-10"),

@@ -530,16 +530,15 @@ def solving_calls():
     """One call of each public entry that makes local solves, each on a fresh
     center set (an empty solve memo), and for each entry a call that raises,
     with its error."""
-    from surfspline import DensityField, KernelParams, QuadratureSpec, assemble, bump
+    from surfspline import DensityField, KernelParams, assemble, bump
     from surfspline.quasiinterp import AssemblyError
 
     grid = np.arange(-16, 17) / 8.0
     f, params = bump(5, [0.0], 1.0), KernelParams(d=1, k=1, degree=4)
-    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0], [1.0]))
 
     def assembled(rho):
-        return lambda: assemble(CenterSet(grid), f, params, qs,
-                                DensityField(np.zeros((1, 1)), [rho]))
+        return lambda: assemble(CenterSet(grid), f, params,
+                                DensityField(np.zeros((1, 1)), [rho]), 2)
 
     collinear = CenterSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     ok = {

@@ -12,7 +12,6 @@ from surfspline import (
     CenterSet,
     DensityField,
     KernelParams,
-    QuadratureSpec,
     assemble,
     bump,
     error_bound_map,
@@ -38,17 +37,18 @@ def density_for(cs, degree, lo=-1.6, hi=1.6):
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(cells_per_rho=1, rule="midpoint", domain=([0.0], [1.0]))
-    with pytest.raises(ValueError):
-        QuadratureSpec(cells_per_rho=4, rule="simpson", domain=([0.0], [1.0]))
-    with pytest.raises(ValueError):
-        QuadratureSpec(cells_per_rho=4, rule="gauss2", domain=([1.0], [0.0]))
+    # quadrature_cells checks its cell count and its box before any rho_at call
+    def rho_at(c):
+        pytest.fail("rho_at ran before the check")
+
+    with pytest.raises(ValueError, match="cells_per_rho must be >= 2"):
+        quadrature_cells(([0.0], [1.0]), 1, rho_at)
+    with pytest.raises(ValueError, match="box must be"):
+        quadrature_cells(([1.0], [0.0]), 4, rho_at)
 
 
 def test_quadrature_cells_cover_and_size():
-    qs = QuadratureSpec(cells_per_rho=2, rule="midpoint", domain=([-1.0], [1.0]))
-    centers, sides = quadrature_cells(qs, lambda c: 0.5)
+    centers, sides = quadrature_cells(([-1.0], [1.0]), 2, lambda c: 0.5)
     assert np.sum(sides[:, 0]) == pytest.approx(2.0)  # exact cover
     assert np.all(sides <= 0.25 + 1e-15)
 
@@ -62,8 +62,7 @@ def test_quadrature_integral_of_laplacian_vanishes():
     df = laplacian_power(f, 1)
     totals = []
     for cpr in (8, 16):
-        qs = QuadratureSpec(cells_per_rho=cpr, rule="gauss2", domain=([-1.0], [1.0]))
-        nodes, w = _cell_nodes(*quadrature_cells(qs, lambda c: 0.5), "gauss2")
+        nodes, w = _cell_nodes(*quadrature_cells(([-1.0], [1.0]), cpr, lambda c: 0.5))
         totals.append(abs(float(np.sum(w * df(nodes)))))
     assert totals[0] <= 1e-3
     assert totals[1] <= totals[0] / 8.0
@@ -76,8 +75,7 @@ def test_assemble_zero_function():
     from surfspline.kernels import RadialBump
 
     zero = RadialBump(exponent=5, center=np.zeros(1), scale=1.0, coeffs=np.zeros(6))
-    qs = QuadratureSpec(cells_per_rho=4, rule="gauss2", domain=([-1.0], [1.0]))
-    dump = assemble(cs, zero, params, qs, density)
+    dump = assemble(cs, zero, params, density, 4)
     assert np.all(dump.coefficients == 0.0)
     assert evaluate(dump, [0.3], params) == 0.0
 
@@ -86,16 +84,15 @@ def test_assemble_linearity():
     cs = uniform_1d(3)
     density = density_for(cs, 4)
     params = KernelParams(d=1, k=1, degree=4)
-    qs = QuadratureSpec(cells_per_rho=4, rule="gauss2", domain=([-1.0], [1.0]))
     from surfspline.kernels import RadialBump
 
     f1 = bump(5, [0.0], 1.0)
     f2 = bump(6, [0.0], 1.0)
     fsum = RadialBump(exponent=5, center=np.zeros(1), scale=1.0,
                       coeffs=np.polynomial.polynomial.polyadd(f1.coeffs, f2.coeffs))
-    c1 = assemble(cs, f1, params, qs, density).coefficients
-    c2 = assemble(cs, f2, params, qs, density).coefficients
-    cs_sum = assemble(cs, fsum, params, qs, density).coefficients
+    c1 = assemble(cs, f1, params, density, 4).coefficients
+    c2 = assemble(cs, f2, params, density, 4).coefficients
+    cs_sum = assemble(cs, fsum, params, density, 4).coefficients
     assert np.max(np.abs(cs_sum - (c1 + c2))) <= 1e-12 * max(1.0, np.max(np.abs(c1 + c2)))
 
 
@@ -155,8 +152,7 @@ def test_quadrature_refinement_cauchy():
     probes = np.linspace(-1.2, 1.2, 121)[:, None]
     errs = []
     for cpr in (2, 4, 8):
-        qs = QuadratureSpec(cells_per_rho=cpr, rule="gauss2", domain=([-1.0], [1.0]))
-        dump = assemble(cs, f, params, qs, density)
+        dump = assemble(cs, f, params, density, cpr)
         errs.append(float(np.max(np.abs(evaluate(dump, probes, params) - f(probes)))))
     assert abs(errs[2] - errs[1]) <= abs(errs[1] - errs[0]) + 1e-12
 
@@ -209,8 +205,7 @@ def test_convergence_study_checks_theorem_params_before_placing_centers():
                           epsilon=0.2, probes=np.zeros(2))
 
 
-@pytest.mark.parametrize("quadrature,message", [({"rule": "simpson"}, "rule must be"),
-                                                ({"cells_per_rho": 1}, "cells_per_rho"),
+@pytest.mark.parametrize("quadrature,message", [({"cells_per_rho": 1}, "cells_per_rho"),
                                                 ({"f": bump(3, [0.0], 1.0)},
                                                  "bump boundary order 3 too small"),
                                                 ({"probes": np.zeros((3, 2))},
@@ -219,10 +214,13 @@ def test_convergence_study_checks_theorem_params_before_placing_centers():
                                                 ({"probes": np.zeros((0, 1))},
                                                  "must each hold at least one point"),
                                                 ({"defect": np.zeros((0, 1))},
-                                                 "must each hold at least one point")])
+                                                 "must each hold at least one point"),
+                                                ({"f": bump(5, [0.0, 0.0], 1.0)},
+                                                 "dimensions differ: bump 2, params.d 1")])
 def test_convergence_study_checks_quadrature_before_placing_centers(quadrature, message):
-    # a bump too rough for Delta^k (order 3 < 2k + 2 = 4), and probes or a
-    # defect set that are not nonempty finite points, are rejected up front too
+    # a bump too rough for Delta^k (order 3 < 2k + 2 = 4) or of another
+    # dimension, and probes or a defect set that are not nonempty finite
+    # points, are rejected up front too
     from surfspline import convergence_study
 
     def factory(j):
@@ -320,8 +318,8 @@ def evaluate_by_probe(ad, x, params):
     return float(out[0]) if single else out
 
 
-def cells_by_stack(qs, rho_at):
-    lo, hi = qs.domain
+def cells_by_stack(box, cells_per_rho, rho_at):
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
     d = lo.shape[0]
     extent = hi - lo
     n0 = np.maximum(1, np.round(extent / np.min(extent)).astype(int))
@@ -333,7 +331,7 @@ def cells_by_stack(qs, rho_at):
     centers, sides = [], []
     while stack:
         c, s = stack.pop()
-        if np.max(s) <= rho_at(c) / qs.cells_per_rho:
+        if np.max(s) <= rho_at(c) / cells_per_rho:
             centers.append(c)
             sides.append(s)
             continue
@@ -343,19 +341,16 @@ def cells_by_stack(qs, rho_at):
     return np.array(centers), np.array(sides)
 
 
-def assemble_by_node(cs, f, params, qs, density):
+def assemble_by_node(cs, f, params, density, cells_per_rho):
     from surfspline import polyrep, quasiinterp
     from surfspline.polyrep import ReproductionError
 
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
-    for c, s in zip(*cells_by_stack(qs, density.nearest)):
-        vol = float(np.prod(s))
-        if qs.rule == "midpoint":
-            nodes, w = c[None, :], vol
-        else:
-            offsets = np.array(list(np.ndindex(*(2,) * len(c)))) - 0.5
-            nodes, w = c + offsets * (s / np.sqrt(3.0)), vol / 2**len(c)
+    box = (f.center - f.scale, f.center + f.scale)
+    for c, s in zip(*cells_by_stack(box, cells_per_rho, density.nearest)):
+        offsets = np.array(list(np.ndindex(*(2,) * len(c)))) - 0.5
+        nodes, w = c + offsets * (s / np.sqrt(3.0)), float(np.prod(s)) / 2**len(c)
         for node, v in zip(nodes, dkf(nodes)):
             if v == 0.0:
                 continue
@@ -412,7 +407,6 @@ def test_quadrature_cells_bitwise_equals_stack(seed, d, cells_per_rho, batch):
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-1.0, 0.0, size=d)
     hi = lo + rng.uniform(0.5, 2.0, size=d)  # root grids up to 4 cells an axis
-    qs = QuadratureSpec(cells_per_rho=cells_per_rho, rule="midpoint", domain=(lo, hi))
     scale = float(np.max(hi - lo))
     if batch:
         field = DensityField(rng.uniform(lo, hi, size=(20, d)), rng.uniform(0.2, 0.4, 20) * scale)
@@ -422,8 +416,8 @@ def test_quadrature_cells_bitwise_equals_stack(seed, d, cells_per_rho, batch):
 
         def rho_at(c):
             return rho
-    centers, sides = quadrature_cells(qs, rho_at)
-    ref_centers, ref_sides = cells_by_stack(qs, rho_at)
+    centers, sides = quadrature_cells((lo, hi), cells_per_rho, rho_at)
+    ref_centers, ref_sides = cells_by_stack((lo, hi), cells_per_rho, rho_at)
     assert centers.tobytes() == ref_centers.tobytes()
     assert sides.tobytes() == ref_sides.tobytes()
     assert centers.shape == ref_centers.shape == sides.shape
@@ -436,8 +430,7 @@ def test_quadrature_cells_calls_rho_once_per_level():
         seen.append(np.shape(c))
         return 0.9 * np.linalg.norm(c, axis=1) + 0.05
 
-    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0, -1.0], [1.0, 1.0]))
-    centers, sides = quadrature_cells(qs, rho_at)
+    centers, sides = quadrature_cells(([-1.0, -1.0], [1.0, 1.0]), 2, rho_at)
     levels = np.unique(np.log2(2.0 / sides[:, 0]))  # one root cell of side 2
     assert len(seen) == levels.max() + 1 and len(levels) > 2
     assert seen[0] == (1, 2) and all(len(s) == 2 and s[1] == 2 for s in seen)
@@ -445,8 +438,8 @@ def test_quadrature_cells_calls_rho_once_per_level():
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(["midpoint", "gauss2"]))
-def test_assemble_bitwise_equals_by_node(count_solves, seed, d, rule):
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_assemble_bitwise_equals_by_node(count_solves, seed, d):
     rng = np.random.default_rng(seed)
     k, degree = ORDERS[d]
     params = KernelParams(d=d, k=k, degree=degree)
@@ -457,14 +450,13 @@ def test_assemble_bitwise_equals_by_node(count_solves, seed, d, rule):
     f = bump(2 * k + 2, rng.uniform(-0.2, 0.2, size=d), 1.0)
     density = DensityField(rng.uniform(-1.2, 1.2, size=(30, d)),
                            rng.uniform(2.5, 4.0, size=30) * h)
-    qs = QuadratureSpec(cells_per_rho=2, rule=rule, domain=(f.center - 1.0, f.center + 1.0))
-    got = assemble(cs, f, params, qs, density).coefficients
-    assert got.tobytes() == assemble_by_node(cs, f, params, qs, density).coefficients.tobytes()
+    got = assemble(cs, f, params, density, 2).coefficients
+    assert got.tobytes() == assemble_by_node(cs, f, params, density, 2).coefficients.tobytes()
     # on fresh sets the memo absorbs the same repeats: as many solves
     solves = []
     for run in (assemble, assemble_by_node):
         count_solves.clear()
-        run(CenterSet(cs.points), f, params, qs, density)
+        run(CenterSet(cs.points), f, params, density, 2)
         solves.append(len(count_solves))
     assert solves[0] == solves[1] > 0
 
@@ -484,7 +476,6 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     f = bump(6, [0.0, 0.0], 1.0)
     params = KernelParams(d=2, k=2, degree=2)
     density = DensityField(np.zeros((1, 2)), np.array([0.3]))
-    qs = QuadratureSpec(cells_per_rho=2, rule="gauss2", domain=([-1.0, -1.0], [1.0, 1.0]))
     solved = {}
     solve, balls = polyrep._solve, surfspline.centers._balls
     dkf = laplacian_power(f, params.k)
@@ -504,10 +495,11 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     for name, run in (("array", assemble), ("by_node", assemble_by_node)):
         solved[name] = []
         with pytest.raises(AssemblyError) as info:
-            run(cs, f, params, qs, density)
+            run(cs, f, params, density, 2)
         messages[name] = str(info.value)
     assert messages["array"] == messages["by_node"]
     assert "reproduction failed at node" in messages["array"]
     assert solved["array"] == solved["by_node"] and len(solved["array"]) > 1
-    nodes, _ = quasiinterp._cell_nodes(*quadrature_cells(qs, density.nearest), "gauss2")
+    nodes, _ = quasiinterp._cell_nodes(*quadrature_cells(([-1.0, -1.0], [1.0, 1.0]), 2,
+                                                         density.nearest))
     assert np.any(dkf(nodes) == 0.0)
