@@ -155,18 +155,28 @@ class CenterSet(_Cloud):
 def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
     """Per block of ``_BLOCK`` of the (n, d) points ``pts``, their balls of
     ``radii`` as ``(idx, dist, counts)``: :meth:`CenterSet.neighbor_arrays`
-    of each point concatenated, and the (b,) ball sizes.  One padded
-    :func:`_ball_hits` (see ``_CUTOFF_PAD``) and one ``lexsort`` by point,
-    distance and index; the exact cut is on the norms, bit for bit."""
+    of each point concatenated, and the (b,) ball sizes.  One kd-tree pair
+    join of the centers with the block at the block's largest radius, padded
+    (see ``_CUTOFF_PAD``); the exact cut is on the norms, bit for bit.  The
+    kept hits are sorted by point and index, then each point's row by one
+    row-wise stable sort on the norms, the rule of :func:`_nearest_groups`."""
     for s in range(0, len(pts), _BLOCK):
         block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
-        counts, idx = _ball_hits(cs, block, r * (1.0 + _CUTOFF_PAD))
-        owner = np.repeat(np.arange(len(block)), counts)
+        hits = cs._tree.sparse_distance_matrix(
+            cKDTree(block), float(np.max(r)) * (1.0 + _CUTOFF_PAD), output_type="ndarray")
+        idx, owner = hits["i"], hits["j"]
         dist = np.linalg.norm(cs.points[idx] - block[owner], axis=1)
-        order = np.lexsort((idx, dist, owner))
-        idx, dist, owner = idx[order], dist[order], owner[order]
         inside = dist <= r[owner]
-        yield idx[inside], dist[inside], np.bincount(owner[inside], minlength=len(block))
+        idx, owner, dist = idx[inside], owner[inside], dist[inside]
+        order = np.argsort(owner * len(cs) + idx)
+        idx, owner, dist = idx[order], owner[order], dist[order]
+        counts = np.bincount(owner, minlength=len(block))
+        starts = np.cumsum(counts) - counts
+        table = np.full((len(block), counts.max(initial=0)), np.inf)
+        table[owner, np.arange(len(idx)) - starts[owner]] = dist
+        cols = np.argsort(table, axis=1, kind="stable")
+        order = (starts[:, None] + cols)[cols < counts[:, None]]
+        yield idx[order], dist[order], counts
 
 
 def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,8 +11,6 @@ scan) and heuristic off them.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest,
@@ -21,7 +19,7 @@ from .polyrep import PolyRep, _serial_blas, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
-_WINDOW = 4
+_WINDOW = 2
 
 #: Effective radius substituted when the minimal candidate radius is zero
 #: (base point coincident with a center); anything below the duplicate
@@ -67,6 +65,31 @@ class DensityField(_Cloud):
         pts, single = _as_points(x, self.dim)
         _, i = self._tree.query(pts)
         return float(self.values[i[0]]) if single else self.values[i]
+
+
+class _LazyField(_Cloud):
+    """The minimal density of degree ``degree`` on the centers ``cs``, sampled
+    at ``points`` and measured on read.  Each :meth:`nearest` call measures
+    the samples it returns that no earlier call measured, in one batched
+    :func:`minimal_density` in index order, so a sample that no call returns
+    is never measured and its failure raises nothing.  Read values are bit
+    for bit those of the :class:`DensityField` of every sample's density."""
+
+    def __init__(self, cs: CenterSet, points, degree: int):
+        super().__init__(points)
+        self._cs, self._degree = cs, degree
+        self._rho = np.empty(len(self))
+        self._measured = np.zeros(len(self), dtype=bool)
+
+    def nearest(self, x) -> float | np.ndarray:
+        """Value at the sample nearest to x: float at a point, (n,) for a batch."""
+        pts, single = _as_points(x, self.dim)
+        _, i = self._tree.query(pts)
+        new = np.unique(i[~self._measured[i]])
+        if new.size:
+            self._rho[new] = minimal_density(self._cs, self.points[new], self._degree)[0]
+            self._measured[new] = True
+        return float(self._rho[i[0]]) if single else self._rho[i]
 
 
 def minimal_density(
@@ -132,10 +155,13 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
     def radius(i: int) -> float:
         return max(float(radii[i]), _ZERO_RADIUS)
 
-    @cache
+    solves: dict[int, tuple] = {}
+
     def attempt(i: int) -> tuple:
         """The solve ``(weights, rank, stability)`` at group i's radius."""
-        return _solve(cs, offsets[:counts[i]], radius(i), degree)
+        if i not in solves:
+            solves[i] = _solve(cs, offsets[:counts[i]], radius(i), degree)
+        return solves[i]
 
     while not (radii.size and counts[-1] >= m):  # grow to m centers; the set has them
         held(radii.size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centers import CenterSet, _as_box, _as_points, _balls, _grid_points, _pair_distances
-from .density import DensityField, minimal_density, validate_theorem1_params
+from .density import DensityField, _LazyField, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _serial_blas, _weights
 
@@ -144,17 +144,23 @@ def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray
     """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch.
 
     The centers must lie in R^``params.d`` (else ``ValueError``).  Kernel
-    values come in blocks of at most ``_PAIR_CHUNK`` probe-center pairs; each
-    probe's sum is one ``coefficients @ row`` product."""
+    values are computed only at the live centers, those with a nonzero
+    coefficient, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs;
+    each probe's sum is one ``coefficients @ row`` product over the full
+    row, which holds 0 at the other centers: their terms stay zeros, so the
+    sum keeps its bits."""
     if ad.centers.dim != params.d:
         raise ValueError(f"dimensions differ: centers {ad.centers.dim}, params.d {params.d}")
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
-    centers = ad.centers.points
-    rows = max(1, _PAIR_CHUNK // len(centers))
+    live = np.flatnonzero(ad.coefficients)
+    centers = ad.centers.points[live]
+    row = np.zeros(len(ad.coefficients))
+    rows = max(1, _PAIR_CHUNK // max(1, len(live)))
     for s in range(0, len(pts), rows):
         block = phi_radial(_pair_distances(pts[s:s + rows, None, :], centers), params.d, params.k)
-        for i, row in enumerate(block, s):
+        for i, vals in enumerate(block, s):
+            row[live] = vals
             out[i] = ad.coefficients @ row
     return float(out[0]) if single else out
 
@@ -184,16 +190,16 @@ def fit_slope(js, errors) -> float:
 def _level(cs: CenterSet, f: RadialBump, params: KernelParams, cells_per_rho: int,
            points: np.ndarray, samples: np.ndarray | None) -> np.ndarray:
     """The (n,) absolute errors at the (n, d) ``points`` of the approximant of
-    f on the centers ``cs``, its minimal density measured at ``samples`` (by
+    f on the centers ``cs``, its minimal density sampled at ``samples`` (by
     default the centers inside the bump's support box grown by half the
-    bump's scale on every side)."""
+    bump's scale on every side) and measured only at the samples that the
+    quadrature's cells and nodes read (:class:`~surfspline.density._LazyField`)."""
     if samples is None:
         lo, hi = f.center - f.scale, f.center + f.scale
         margin = 0.5 * f.scale
         inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
         samples = cs.points[inside]
-    rho, _ = minimal_density(cs, samples, params.degree)
-    dump = assemble(cs, f, params, DensityField(samples, rho), cells_per_rho)
+    dump = assemble(cs, f, params, _LazyField(cs, samples, params.degree), cells_per_rho)
     return np.abs(evaluate(dump, points, params) - f(points))
 
 
@@ -219,8 +225,10 @@ def convergence_study(
     first called.  Each j is one :func:`_level` call: it gets the centers
     ``center_factory(j)`` and the density samples (the point or batch
     ``density_points_factory(j)``, by default the centers inside the
-    inflated support box of f), and returns the errors at the probes and
-    the defect points, stacked so that one evaluation serves both.  The
+    inflated support box of f), measures the minimal density only at the
+    samples nearest some quadrature cell or node (so a sample that none reads
+    cannot fail the study), and returns the errors at the probes and the
+    defect points, stacked so that one evaluation serves both.  The
     study records their sup over the probes and their maximum over the
     defect; slopes are least-squares fits of log2(error) against -j.
     """

@@ -198,7 +198,8 @@ def lattice_or_cloud(rng, d, lattice):
 
 
 class ShuffledTree:
-    """A kd-tree whose ball queries list each ball's hits in random order."""
+    """A kd-tree whose ball queries list each ball's hits in random order,
+    and whose pair joins list their pairs in random order."""
 
     def __init__(self, tree, rng):
         self.tree, self.rng = tree, rng
@@ -208,6 +209,10 @@ class ShuffledTree:
         if np.ndim(x) == 1:
             return self.rng.permutation(hits).tolist()
         return [self.rng.permutation(h).tolist() for h in hits]
+
+    def sparse_distance_matrix(self, other, max_distance, output_type):
+        pairs = self.tree.sparse_distance_matrix(other, max_distance, output_type=output_type)
+        return pairs[self.rng.permutation(len(pairs))]
 
 
 @settings(max_examples=30, deadline=None)

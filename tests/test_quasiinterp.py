@@ -168,6 +168,12 @@ def test_uniform_convergence_d1():
     assert np.all(np.diff(res.global_errors) < 0)
 
 
+def uniform_2d(j):
+    ax = np.arange(-2 * 2**j, 2 * 2**j + 1) * 2.0**-j
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    return CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+
+
 def test_uniform_convergence_d2():
     # the 2-D rate study: rate 2k = 4 on 2^-j grids of [-2, 2]^2
     from surfspline import convergence_study
@@ -179,12 +185,6 @@ def test_uniform_convergence_d2():
     xs = np.linspace(-1.2, 1.2, 41)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     probes = np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-    def uniform_2d(j):
-        ax = np.arange(-2 * 2**j, 2 * 2**j + 1) * 2.0**-j
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        return CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
-
     res = convergence_study([1, 2, 3], uniform_2d, f, params, epsilon=0.6, probes=probes)
     elapsed = time.perf_counter() - t0
     assert np.all(np.diff(res.global_errors) < 0)
@@ -300,6 +300,93 @@ def test_study_defect_set_takes_worst_point():
     assert result_bits([0.5]) == result_bits([[0.5]])
 
 
+def study_bits(*args, **kwargs):
+    """Every output of one ``convergence_study`` run, as bytes."""
+    from surfspline import convergence_study
+
+    res = convergence_study(*args, **kwargs)
+    defect = [] if res.defect_errors is None else [res.defect_errors, res.defect_slope]
+    return res.js, np.hstack([res.global_errors, res.global_slope, *defect]).tobytes()
+
+
+def eager_field(cs, samples, degree):
+    """The density field with every sample measured up front."""
+    return DensityField(samples, minimal_density(cs, samples, degree)[0])
+
+
+@pytest.mark.parametrize("config", ["2-D uniform", "1-D multires defect set"])
+def test_study_lazy_density_equals_eager(monkeypatch, config):
+    # measuring only the samples the quadrature reads changes no output bit
+    from surfspline import MultiresSpec, generate_centers, quasiinterp
+
+    if config == "2-D uniform":
+        xs = np.linspace(-1.2, 1.2, 21)
+        probes = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+        args = ([1, 2, 3], uniform_2d, bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=7),
+                0.6, probes)
+        kwargs = {}
+    else:
+        defect = [[-0.25], [0.25]]
+
+        def factory(j):
+            return generate_centers(MultiresSpec(j=j, k=1, d=1, defect=defect,
+                                                 box=([-4.0], [4.0]), degree=7))
+
+        args = ([3, 4, 5], factory, bump(5, [0.0], 1.0), KernelParams(d=1, k=1, degree=7),
+                1 / 3, np.linspace(-1.2, 1.2, 121)[:, None])
+        kwargs = {"defect": defect}
+    lazy = study_bits(*args, **kwargs)
+    monkeypatch.setattr(quasiinterp, "_LazyField", eager_field)
+    assert study_bits(*args, **kwargs) == lazy
+
+
+def test_lazy_density_measures_the_samples_read(monkeypatch):
+    # each sample is measured once, and only if some nearest call returned it
+    from surfspline import density
+    from surfspline.centers import _as_points
+    from surfspline.quasiinterp import _level
+
+    fields, read, measured = [], [], []
+    nearest, measure = density._LazyField.nearest, density.minimal_density
+
+    def nearest_spy(self, x):
+        fields.append(self)
+        read.append(self._tree.query(_as_points(x, self.dim)[0])[1])
+        return nearest(self, x)
+
+    def measure_spy(cs, alpha, degree, stability_cap=None):
+        measured.append(np.array(alpha))
+        return measure(cs, alpha, degree, stability_cap)
+
+    monkeypatch.setattr(density._LazyField, "nearest", nearest_spy)
+    monkeypatch.setattr(density, "minimal_density", measure_spy)
+    _level(uniform_2d(2), bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=7), 4,
+           np.zeros((1, 2)), None)
+    field = fields[0]
+    assert all(f is field for f in fields)
+    returned = np.unique(np.concatenate(read))
+    assert 0 < len(returned) < len(field)  # the default sample set's margin goes unread
+    got = np.concatenate(measured)
+    assert len(got) == len(returned)
+    assert sorted(map(tuple, got)) == sorted(map(tuple, field.points[returned]))
+
+
+def test_unread_failing_sample_is_not_measured():
+    # a sample at x = 100, far from the centers on [-2.5, 2.5], admits no
+    # stable reproduction; no quadrature point reads it, so the study runs
+    # and writes what it writes without that sample
+    from surfspline import NoAdmissibleRadius
+
+    params = KernelParams(d=1, k=1, degree=4)
+    with pytest.raises(NoAdmissibleRadius, match="stability cap"):
+        minimal_density(uniform_1d(3), [100.0], params.degree)
+    args = ([3, 4, 5], uniform_1d, bump(5, [0.0], 1.0), params, 0.6,
+            np.linspace(-1.2, 1.2, 41)[:, None])
+    far = study_bits(*args, density_points_factory=lambda j: np.vstack(
+        [uniform_1d(j).points, [[100.0]]]))
+    assert far == study_bits(*args, density_points_factory=lambda j: uniform_1d(j).points)
+
+
 # The per-probe, per-node and stack versions of evaluate, assemble and
 # quadrature_cells, kept as oracles: the array-at-a-time routines must return
 # their bytes.
@@ -369,16 +456,25 @@ def assemble_by_node(cs, f, params, density, cells_per_rho):
 ORDERS = {1: (1, 3), 2: (2, 3), 3: (2, 2)}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 300),
-       st.sampled_from(["one", "rows-1", "rows", "rows+1"]))
-def test_evaluate_bitwise_equals_by_probe(seed, d, n, count):
+       st.sampled_from(["one", "rows-1", "rows", "rows+1"]),
+       st.sampled_from(["none", "+0", "-0", "all"]))
+def test_evaluate_bitwise_equals_by_probe(seed, d, n, count, zeros):
+    # coefficients exactly 0.0 or -0.0 on about half the centers, center 0
+    # among them, or 0.0 and -0.0 on all; blocks hold rows of live centers
     from surfspline.quasiinterp import _PAIR_CHUNK
 
     rng = np.random.default_rng(seed)
     params = KernelParams(d=d, k=ORDERS[d][0], degree=ORDERS[d][1])
-    dump = ApproximantDump(CenterSet(rng.uniform(-1, 1, size=(n, d))), rng.normal(size=n))
-    rows = _PAIR_CHUNK // n
+    coeffs = rng.normal(size=n)
+    dead = rng.random(n) < 0.5
+    dead[0] = True
+    signed = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    coeffs = {"none": coeffs, "+0": np.where(dead, 0.0, coeffs),
+              "-0": np.where(dead, -0.0, coeffs), "all": signed}[zeros]
+    dump = ApproximantDump(CenterSet(rng.uniform(-1, 1, size=(n, d))), coeffs)
+    rows = _PAIR_CHUNK // max(1, np.count_nonzero(coeffs))
     m = {"one": 1, "rows-1": max(1, rows - 1), "rows": rows, "rows+1": rows + 1}[count]
     probes = rng.uniform(-1.5, 1.5, size=(m, d))
     probes[0] = dump.centers.points[0]  # r = 0, where phi is 0 by continuity
