@@ -16,7 +16,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from .centers import CenterSet, _as_point, _as_points
-from .polyrep import PolyRep
+from .polyrep import PolyRep, _check_dps
 
 #: Supported ambient dimensions at desk scale.
 SUPPORTED_DIMS = (1, 2, 3)
@@ -207,9 +207,15 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     studies past a few support radii need high-precision kernel sums and the
     weights of :func:`surfspline.polyrep.refine_weights` (moment residual at
     most ``10^(10 - dps)``), passed as ``weights``; ``x`` is one point.
+    ``weights`` must hold one weight per entry of ``pr.indices``, and ``dps``
+    be an int above 15 (else ``ValueError``).
     """
     import mpmath as mp
 
+    _check_dps(dps)
+    if weights is not None and len(weights) != len(pr.indices):
+        raise ValueError(f"need one weight per center of the reproduction ({len(pr.indices)}), "
+                         f"got {len(weights)}")
     x = _as_point(x, cs.dim)
     two_k_d = 2 * params.k - params.d
 

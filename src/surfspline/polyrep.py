@@ -296,6 +296,43 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
 
 
+def _check_dps(dps) -> None:
+    """``dps`` must be an int (not bool) above 15: more digits than float64 carries."""
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps <= 15:
+        raise ValueError(f"dps must be an int above 15, more digits than float64 carries; "
+                         f"got {dps!r}")
+
+
+def _fixed_point(values) -> tuple[np.ndarray, int]:
+    """Python ints ``m`` (a 1-D object array) and one exponent ``e`` with
+    ``values[i] == m[i] 2^e`` exactly, for an iterable of finite mpf and
+    Python ints (row 0 of an mpmath moment matrix holds int 1): each signed
+    mantissa shifted to the smallest exponent of the nonzero entries (a zero
+    carries no exponent)."""
+    from mpmath.libmp import from_int
+
+    parts = [from_int(v) if type(v) is int else v._mpf_ for v in values]
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = np.empty(len(parts), dtype=object)
+    ints[:] = [(-man if sign else man) << (exp - low) if man else 0
+               for sign, man, exp, _ in parts]
+    return ints, low
+
+
+def _products(ints: np.ndarray, low: int, vec) -> list:
+    """The mpf entries of ``(ints 2^low) @ vec``, ``ints`` a matrix of Python
+    ints (:func:`_fixed_point`) and ``vec`` a sequence of mpf, each rounded
+    once to the working precision from the exact integer dot product of one
+    object-array ``@``.  ``mp.fdot`` rounds the same exact sum of exact
+    products, except where its ``mpf_sum`` drops a term, one whose exponent
+    lies more than 2 prec bits from the running sum's: wherever none is
+    dropped, each entry equals ``mp.fdot``'s bit for bit."""
+    import mpmath as mp
+
+    vints, vlow = _fixed_point(vec)
+    return [mp.mpf((s, low + vlow)) for s in ints @ vints]
+
+
 def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     """The minimum-norm weights of ``pr`` to ``dps`` digits, as ``mpmath.mpf``
     aligned with ``pr.indices``, for far-field studies that need moment
@@ -304,21 +341,27 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     Carson & Higham, *SIAM J. Sci. Comput.* 40(2), 2018): residuals in ``dps``
     digits from B built in mpmath, corrections from ``R^T R dy = r`` with R
     of a float64 QR of ``B^T``.  Refining y, not w, keeps w in B's row space,
-    so minimum-norm.  Stops once the residual no longer halves, and raises
-    :class:`ReproductionError` if it is then above ``10^(10 - dps)``.
+    so minimum-norm.  The products ``B^T y`` and ``B w`` are exact integer
+    dot products on B converted once to fixed point, rounded once per entry
+    (:func:`_products`): equal to ``mp.fdot``'s wherever its sum drops no
+    term.  Stops once the residual no longer halves, and raises
+    :class:`ReproductionError` if it is then above ``10^(10 - dps)``;
+    ``dps`` must be an int above 15 (else ``ValueError``).
     """
     import mpmath as mp
 
+    _check_dps(dps)
     pts = cs.points[pr.indices]
     rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
     with mp.workdps(dps):
         mpf = np.frompyfunc(mp.mpf, 1, 1)  # offsets in float64 would cap residuals at 1e-16
         bmat = _moment_system(mpf(pts) - mpf(pr.alpha), mp.mpf(pr.radius), pr.degree)[0]
-        rows, cols = bmat.tolist(), bmat.T.tolist()
-        y, prev = [mp.mpf(0)] * len(rows), mp.inf
+        ints, low = _fixed_point(bmat.ravel())
+        ints = ints.reshape(bmat.shape)
+        y, prev = [mp.mpf(0)] * len(ints), mp.inf
         for it in range(1, 4 * dps + 1):  # 4 dps halvings end below 10^(10 - dps)
-            w = [mp.fdot(c, y) for c in cols]
-            r = [(i == 0) - mp.fdot(row, w) for i, row in enumerate(rows)]
+            w = _products(ints.T, low, y)
+            r = [(i == 0) - v for i, v in enumerate(_products(ints, low, w))]
             res = max(abs(v) for v in r)
             if not 0 < res < prev / 2:
                 break

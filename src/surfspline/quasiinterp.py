@@ -32,6 +32,10 @@ _RADIUS_FACTOR = 1.5
 #: block's distances and kernel values to stay in cache.
 _PAIR_CHUNK = 2**14
 
+#: Entries of :func:`evaluate`'s buffer of full rows (512 KB), which holds 0
+#: at the centers whose coefficient is 0.
+_ROW_BUFFER = 2**16
+
 
 class AssemblyError(Exception):
     """Reproduction failure at a quadrature node (inadequate centers)."""
@@ -145,23 +149,26 @@ def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray
 
     The centers must lie in R^``params.d`` (else ``ValueError``).  Kernel
     values are computed only at the live centers, those with a nonzero
-    coefficient, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs;
-    each probe's sum is one ``coefficients @ row`` product over the full
-    row, which holds 0 at the other centers: their terms stay zeros, so the
-    sum keeps its bits."""
+    coefficient, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs and
+    ``_ROW_BUFFER`` entries of full rows: a block's values are scattered into
+    a buffer of full rows that holds 0 at the other centers, and each row's
+    sum is one ``ddot`` with the coefficients over the full row, the one
+    ``coefficients @ row`` takes: the zero terms stay zeros, so the sum keeps
+    its bits."""
     if ad.centers.dim != params.d:
         raise ValueError(f"dimensions differ: centers {ad.centers.dim}, params.d {params.d}")
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
     live = np.flatnonzero(ad.coefficients)
     centers = ad.centers.points[live]
-    row = np.zeros(len(ad.coefficients))
-    rows = max(1, _PAIR_CHUNK // max(1, len(live)))
+    n = len(ad.coefficients)
+    rows = max(1, min(_PAIR_CHUNK // max(1, len(live)), _ROW_BUFFER // n))
+    buf = np.zeros((min(rows, len(pts)), n))
+    column = ad.coefficients[:, None]
     for s in range(0, len(pts), rows):
         block = phi_radial(_pair_distances(pts[s:s + rows, None, :], centers), params.d, params.k)
-        for i, vals in enumerate(block, s):
-            row[live] = vals
-            out[i] = ad.coefficients @ row
+        buf[:len(block), live] = block
+        out[s:s + len(block)] = (buf[:len(block), None, :] @ column)[:, 0, 0]  # one ddot a row
     return float(out[0]) if single else out
 
 

@@ -18,6 +18,7 @@ from surfspline import (
     certify_slow_growth,
     enumerate_cubes,
     evaluate,
+    local_kernel_error_precise,
     laplacian_power,
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
@@ -25,6 +26,7 @@ from surfspline import (
     monomial_exponents,
     plan_transition,
     quadrature_cells,
+    refine_weights,
 )
 from surfspline.cli import _json_text
 
@@ -38,6 +40,20 @@ def spec(**overrides):
     return MultiresSpec(**{"j": 1, "k": 2, "d": 2, "defect": [[0.0, 0.0]], "box": BOX,
                            **overrides})
 
+
+def reproduction():
+    """A degree-1 reproduction on the 9 points of a 3x3 lattice, and its centers."""
+    cs = CenterSet(np.array(list(np.ndindex(3, 3)), dtype=float))
+    return build_reproduction(cs, [0.9, 1.1], 2.0, 1), cs
+
+
+def kernel_error(**kwargs):
+    pr, cs = reproduction()
+    return local_kernel_error_precise(pr, cs, [5.0, 5.0], KernelParams(d=2, k=2, degree=1),
+                                      **kwargs)
+
+
+DPS = "dps must be an int above 15, more digits than float64 carries"
 
 #: (id, call, exception, text its message must hold)
 CHECKS = [
@@ -127,6 +143,21 @@ CHECKS = [
         0.5, 1.0), ValueError, "need one rho_min per bad cube (1), got (2,)"),
     ("dyadic gamma inf", lambda: DyadicParams(np.inf, 1.0, 2.0), ValueError,
      "gamma must be >= 1 and finite"),
+    ("kernel error weight count", lambda: kernel_error(weights=[0.125] * 8), ValueError,
+     "need one weight per center of the reproduction (9), got 8"),
+    ("kernel error weights extra", lambda: kernel_error(weights=[0.1] * 10), ValueError,
+     "need one weight per center of the reproduction (9), got 10"),
+    ("kernel error dps 0", lambda: kernel_error(dps=0), ValueError, f"{DPS}; got 0"),
+    ("kernel error dps -1", lambda: kernel_error(dps=-1), ValueError, f"{DPS}; got -1"),
+    ("kernel error dps 15", lambda: kernel_error(dps=15), ValueError, f"{DPS}; got 15"),
+    ("refine dps 0", lambda: refine_weights(*reproduction(), dps=0), ValueError,
+     f"{DPS}; got 0"),
+    ("refine dps -3", lambda: refine_weights(*reproduction(), dps=-3), ValueError,
+     f"{DPS}; got -3"),
+    ("refine dps bool", lambda: refine_weights(*reproduction(), dps=True), ValueError,
+     f"{DPS}; got True"),
+    ("refine dps float", lambda: refine_weights(*reproduction(), dps=60.0), ValueError,
+     f"{DPS}; got 60.0"),
     ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
     ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
     ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),

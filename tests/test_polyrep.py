@@ -19,7 +19,14 @@ from surfspline import (
     verify_reproduction,
 )
 from surfspline import polyrep
-from surfspline.polyrep import _GUARD, RANK_RTOL, _min_norm, _moment_system
+from surfspline.polyrep import (
+    _GUARD,
+    RANK_RTOL,
+    _fixed_point,
+    _min_norm,
+    _moment_system,
+    _products,
+)
 from test_density import CLOUDS, consistency_cloud
 
 
@@ -305,19 +312,53 @@ def oracle_cloud(rng, kind, d, degree):
     return CenterSet(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
 
 
+def refine_by_fdot(pr, cs, dps):
+    """``refine_weights`` with every product ``B^T y`` and ``B w`` taken by
+    ``mp.fdot``: the oracle for its exact integer dot products."""
+    import mpmath as mp
+    import scipy.linalg
+
+    pts = cs.points[pr.indices]
+    rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
+    with mp.workdps(dps):
+        mpf = np.frompyfunc(mp.mpf, 1, 1)
+        bmat = _moment_system(mpf(pts) - mpf(pr.alpha), mp.mpf(pr.radius), pr.degree)[0]
+        rows, cols = bmat.tolist(), bmat.T.tolist()
+        y, prev = [mp.mpf(0)] * len(rows), mp.inf
+        for _ in range(4 * dps):
+            w = [mp.fdot(c, y) for c in cols]
+            r = [(i == 0) - mp.fdot(row, w) for i, row in enumerate(rows)]
+            res = max(abs(v) for v in r)
+            if not 0 < res < prev / 2:
+                break
+            prev = res
+            dy = scipy.linalg.cho_solve((rfac, False), [float(v / res) for v in r])
+            y = [a + res * mp.mpf(b) for a, b in zip(y, dy)]
+        return w
+
+
 # d = 3 stops at degree 4: the oracle's mpmath Gram matrix costs M^2 n
 # products, several seconds per case at degree 6 and more beyond
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([(1, 8), (2, 8), (3, 4)]), st.data(),
-       st.sampled_from(["lattice", "jittered", "random"]), st.sampled_from([20, 60, 100]))
-def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, dps):
-    import mpmath as mp
+ORACLE_CASES = (st.integers(0, 10_000), st.sampled_from([(1, 8), (2, 8), (3, 4)]), st.data(),
+                st.sampled_from(["lattice", "jittered", "random"]), st.sampled_from([20, 60, 100]))
 
+
+def oracle_case(seed, dim_and_top, data, kind):
+    """The center set and a reproduction of one drawn ``ORACLE_CASES`` case."""
     d, top = dim_and_top
     degree = data.draw(st.integers(0, top))
     rng = np.random.default_rng(seed)
     cs = oracle_cloud(rng, kind, d, degree)
-    pr = build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), 1.5 * np.sqrt(d), degree)
+    return cs, build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), 1.5 * np.sqrt(d), degree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*ORACLE_CASES)
+def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, dps):
+    import mpmath as mp
+
+    cs, pr = oracle_case(seed, dim_and_top, data, kind)
+    d, degree = cs.dim, pr.degree
     cond = np.linalg.cond(_moment_system(cs.points[pr.indices] - pr.alpha, pr.radius,
                                          degree)[0])
     weights = refine_weights(pr, cs, dps=dps)
@@ -337,6 +378,58 @@ def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, 
         oracle = refine_by_normal_equations(pr, cs, dps + 40)
         gap = max(abs(w - o) for w, o in zip(weights, oracle))
         assert gap <= cond * mp.mpf(10) ** (5 - dps) * max(abs(o) for o in oracle)
+
+
+def mpf_tuples(values):
+    return [v._mpf_ for v in values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(*ORACLE_CASES)
+def test_refine_weights_bitwise_equals_fdot(seed, dim_and_top, data, kind, dps):
+    cs, pr = oracle_case(seed, dim_and_top, data, kind)
+    assert mpf_tuples(refine_weights(pr, cs, dps=dps)) == mpf_tuples(refine_by_fdot(pr, cs, dps))
+
+
+def test_refine_weights_bitwise_equals_fdot_degree_14():
+    # the system of the kernel-decay criterion: 172 centers, 120 moments
+    xs = np.arange(-7.0, 8.0)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    _, pr = minimal_density(cs, [0.4, 0.3], 14)
+    assert mpf_tuples(refine_weights(pr, cs)) == mpf_tuples(refine_by_fdot(pr, cs, 60))
+
+
+def mp_entries(draw, size, ints):
+    """``size`` entries: signed mpf of up to 64 bits with exponents in
+    [-30, 30], exact zeros and, with ``ints``, Python ints below 2^32, so
+    that no exponent of a product lies 2 prec bits (140 at 20 digits) from
+    another and ``mpf_sum`` drops no term."""
+    import mpmath as mp
+
+    kinds = ["mpf", "zero", "int"] if ints else ["mpf", "zero"]
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=size, max_size=size)):
+        if kind == "mpf":
+            man = draw(st.integers(-(2**64) + 1, 2**64 - 1))
+            out.append(mp.mpf((man, draw(st.integers(-30, 30)))))
+        else:
+            out.append(mp.mpf(0) if kind == "zero" else draw(st.integers(1 - 2**32, 2**32 - 1)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([20, 60, 100]), st.integers(1, 6), st.integers(1, 12), st.data())
+def test_products_bitwise_equal_fdot(dps, rows, cols, data):
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mat = np.empty((rows, cols), dtype=object)
+        mat.ravel()[:] = mp_entries(data.draw, rows * cols, ints=True)
+        vec = mp_entries(data.draw, cols, ints=data.draw(st.booleans()))
+        ints, low = _fixed_point(mat.ravel())
+        got = _products(ints.reshape(mat.shape), low, vec)
+        assert mpf_tuples(got) == mpf_tuples(mp.fdot(row, vec) for row in mat.tolist())
 
 
 def test_refine_weights_raises_when_refinement_stalls(monkeypatch):
