@@ -5,7 +5,8 @@ for even d, the fundamental solution of the k-fold Laplacian up to the
 normalization constant ``c_{d,k}`` carried explicitly here.  Test functions
 are compactly supported radial polynomial bumps ``(1 - (r/scale)^2)^p`` whose
 iterated Laplacians are available in closed form, which removes one source of
-error from rate studies.
+error from rate studies.  The local kernel error of a reproduction is taken
+in extended precision, on raw mpmath tuples with the bits of mpf arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from .centers import CenterSet, _as_point, _as_points
-from .polyrep import PolyRep, _check_dps
+from .polyrep import PolyRep, _check_dps, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
 SUPPORTED_DIMS = (1, 2, 3)
@@ -207,39 +208,67 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     studies past a few support radii need high-precision kernel sums and the
     weights of :func:`surfspline.polyrep.refine_weights` (moment residual at
     most ``10^(10 - dps)``), passed as ``weights``; ``x`` is one point.
-    ``weights`` must hold one weight per entry of ``pr.indices``, and ``dps``
-    be an int above 15 (else ``ValueError``).
+    ``weights`` must hold one finite weight (anything ``mpmath.mpf`` takes)
+    per entry of ``pr.indices``, ``params.d`` equal the centers' dimension
+    and ``dps`` be an int above 15 (else ``ValueError``).
+
+    The sums run on raw mpf tuples (``mpmath.libmp``) with the roundings,
+    in their order, of mpf's operators and ``mp.fsum`` on mpf objects, so
+    the bits are theirs: x, ``alpha`` and the centers go to fixed point once
+    per call; each coordinate difference is rounded from its exact integer,
+    squared and summed (one exact integer sum of squares wherever every
+    difference and square fits in the working precision); the squared
+    distance goes through ``mpf_sqrt``, ``mpf_pow_int`` and ``mpf_log``, and
+    the weighted terms are summed by one ``mpf_sum``.
     """
     import mpmath as mp
+    from mpmath.libmp import (fzero, from_man_exp, mpf_abs, mpf_log, mpf_mul, mpf_pow_int,
+                              mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
     _check_dps(dps)
-    if weights is not None and len(weights) != len(pr.indices):
+    if params.d != cs.dim:
+        raise ValueError(f"dimensions differ: centers {cs.dim}, params.d {params.d}")
+    if weights is None:
+        weights = pr.weights
+    if len(weights) != len(pr.indices):
         raise ValueError(f"need one weight per center of the reproduction ({len(pr.indices)}), "
                          f"got {len(weights)}")
     x = _as_point(x, cs.dim)
     two_k_d = 2 * params.k - params.d
 
     with mp.workdps(dps):
-        xm = [mp.mpf(v) for v in x]
+        prec, rnd = mp.mp.prec, round_nearest
+        # an mpf weight keeps its own bits: w * phi rounds once, at the product
+        wts = [(w if isinstance(w, mp.mpf) else mp.mpf(w))._mpf_ for w in weights]
+        for i, (_, man, exp, _) in enumerate(wts):
+            if exp and not man:
+                raise ValueError(f"weights must be finite; weight {i} is {weights[i]}")
+        # subtract in extended precision: float64 differencing of O(|x|)
+        # coordinates injects ~1e-16 relative noise, far above the true
+        # far-field error
+        ints, low = _float_fixed_point(np.vstack([x, pr.alpha, cs.points[pr.indices]]))
+        diffs = ints[0] - ints[1:]  # x minus alpha and each center, exact
+        if int(np.abs(diffs).max()).bit_length() <= prec // 2:
+            # every difference and square fits in prec bits and no exponent
+            # lies 2 prec bits from another, so mpf_sum's sum is exact: one
+            # rounding of the exact integer sum of squares
+            r2s = [from_man_exp(v, 2 * low, prec, rnd) for v in (diffs * diffs).sum(axis=1)]
+        else:
+            r2s = [mpf_sum([mpf_pow_int(from_man_exp(v, low, prec, rnd), 2, prec, rnd)
+                            for v in row], prec, rnd) for row in diffs.tolist()]
 
-        def phimp_at(point):
-            # subtract in extended precision: float64 differencing of O(|x|)
-            # coordinates injects ~1e-16 relative noise, far above the true
-            # far-field error
-            r2 = mp.fsum((a - mp.mpf(b)) ** 2 for a, b in zip(xm, point))
-            if r2 == 0:
-                return mp.mpf(0)
-            r = mp.sqrt(r2)
-            val = r**two_k_d
+        def phimp(r2):
+            if not r2[1]:
+                return fzero
+            r = mpf_sqrt(r2, prec, rnd)
+            val = mpf_pow_int(r, two_k_d, prec, rnd)
             if params.d % 2 == 0:
-                val *= mp.log(r)
+                val = mpf_mul(val, mpf_log(r, prec, rnd), prec, rnd)
             return val
 
-        if weights is None:
-            weights = [mp.mpf(w) for w in pr.weights]
-        target = phimp_at(pr.alpha)
-        total = mp.fsum(w * phimp_at(cs.points[i]) for w, i in zip(weights, pr.indices))
-        err = abs(target - total)
+        target, *phis = map(phimp, r2s)
+        total = mpf_sum([mpf_mul(w, v, prec, rnd) for w, v in zip(wts, phis)], prec, rnd)
+        err = mp.mpf(mpf_abs(mpf_sub(target, total, prec, rnd), prec, rnd))
         rho = mp.mpf(pr.radius)
         profile = rho**two_k_d * (1 + mp.norm(mp.matrix((x - pr.alpha).tolist())) / rho) ** (-params.nu)
         return float(err), float(err / profile)

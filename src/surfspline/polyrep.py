@@ -147,7 +147,8 @@ def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
     # per-axis power tables (d, degree + 1, n) by running products (a vector
     # pow falls back to scalar libm on negative bases), gathered by exponent
     # and multiplied left to right: elementwise, so a column's bits depend on
-    # its own offset only.  One path for float64 and mpmath object arrays.
+    # its own offset only.  It also runs on mpmath object arrays, which
+    # _moment_fixed_point reproduces on raw mpf tuples.
     table = np.empty((offsets.shape[1], degree + 1, len(offsets)), dtype=scaled.dtype)
     table[:, 0] = 1
     for e in range(1, degree + 1):
@@ -306,17 +307,66 @@ def _check_dps(dps) -> None:
 def _fixed_point(values) -> tuple[np.ndarray, int]:
     """Python ints ``m`` (a 1-D object array) and one exponent ``e`` with
     ``values[i] == m[i] 2^e`` exactly, for an iterable of finite mpf and
-    Python ints (row 0 of an mpmath moment matrix holds int 1): each signed
-    mantissa shifted to the smallest exponent of the nonzero entries (a zero
-    carries no exponent)."""
+    Python ints (row 0 of an mpmath moment matrix holds int 1): the
+    :func:`_aligned` raw mpf tuples of the values."""
     from mpmath.libmp import from_int
 
-    parts = [from_int(v) if type(v) is int else v._mpf_ for v in values]
+    return _aligned([from_int(v) if type(v) is int else v._mpf_ for v in values])
+
+
+def _aligned(parts: list) -> tuple[np.ndarray, int]:
+    """The raw finite mpf tuples ``parts`` as :func:`_fixed_point` returns
+    them: each signed mantissa shifted to the smallest exponent of the nonzero
+    entries (a zero carries no exponent)."""
     low = min((exp for _, man, exp, _ in parts if man), default=0)
     ints = np.empty(len(parts), dtype=object)
     ints[:] = [(-man if sign else man) << (exp - low) if man else 0
                for sign, man, exp, _ in parts]
     return ints, low
+
+
+def _float_fixed_point(values) -> tuple[np.ndarray, int]:
+    """Python ints ``m`` (an object array of ``values``' shape) and one
+    exponent ``e`` with ``values == m 2^e`` exactly, for finite float64
+    ``values``: the 53-bit mantissas of ``np.frexp`` shifted to the smallest
+    exponent of the nonzero values."""
+    frac, exp = np.frexp(np.asarray(values, dtype=float))
+    man = (frac * 2.0**53).astype(np.int64)
+    exp -= 53
+    low = int(exp[man != 0].min()) if man.any() else 0
+    return man.astype(object) << np.where(man != 0, exp - low, 0).astype(object), low
+
+
+def _moment_fixed_point(points, alpha, radius: float, degree: int) -> tuple[np.ndarray, int]:
+    """``_fixed_point`` of the moment matrix that :func:`_moment_system`
+    builds at the working mpmath precision from ``mpf(points) - mpf(alpha)``
+    and ``mpf(radius)``, reshaped to (M, n), bit for bit, built on raw mpf
+    tuples: each offset rounded once from its exact integer difference (as
+    ``mpf_sub`` rounds it) and divided by the radius, the per-axis power
+    tables by running ``mpf_mul``, then the exponent gather multiplied left
+    to right, as ``_moment_system`` does."""
+    import mpmath as mp
+    from mpmath.libmp import fone, from_float, from_man_exp, mpf_div, mpf_mul, round_nearest
+
+    prec, rnd = mp.mp.prec, round_nearest
+    ints, low = _float_fixed_point(np.vstack([alpha, points]))
+    rad = from_float(radius)
+    tables = []
+    for col in (ints[1:] - ints[0]).T.tolist():
+        scaled = [mpf_div(from_man_exp(v, low, prec, rnd), rad, prec, rnd) for v in col]
+        table = [[fone] * len(col), scaled]  # a factor 1 leaves an entry's bits
+        for _ in range(2, degree + 1):
+            table.append([mpf_mul(s, t, prec, rnd) for s, t in zip(table[-1], scaled)])
+        tables.append(table)
+    entries = []
+    for expo in monomial_exponents(len(tables), degree).tolist():
+        row = tables[0][expo[0]]
+        for table, e in zip(tables[1:], expo[1:]):
+            if e:
+                row = [mpf_mul(s, t, prec, rnd) for s, t in zip(row, table[e])]
+        entries += row
+    ints, low = _aligned(entries)
+    return ints.reshape(-1, len(points)), low
 
 
 def _products(ints: np.ndarray, low: int, vec) -> list:
@@ -339,12 +389,13 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     residuals far below float64's ``1e-14``.  With ``w = B^T y``, y solves
     ``B B^T y = e_0`` by mixed-precision refinement (Bjorck, *BIT* 7, 1967;
     Carson & Higham, *SIAM J. Sci. Comput.* 40(2), 2018): residuals in ``dps``
-    digits from B built in mpmath, corrections from ``R^T R dy = r`` with R
-    of a float64 QR of ``B^T``.  Refining y, not w, keeps w in B's row space,
-    so minimum-norm.  The products ``B^T y`` and ``B w`` are exact integer
-    dot products on B converted once to fixed point, rounded once per entry
-    (:func:`_products`): equal to ``mp.fdot``'s wherever its sum drops no
-    term.  Stops once the residual no longer halves, and raises
+    digits from B built on raw mpf tuples straight into fixed point
+    (:func:`_moment_fixed_point`, the bits of ``_moment_system`` on mpmath
+    arrays), corrections from ``R^T R dy = r`` with R of a float64 QR of
+    ``B^T``.  Refining y, not w, keeps w in B's row space, so minimum-norm.
+    The products ``B^T y`` and ``B w`` are exact integer dot products on
+    that fixed point, rounded once per entry (:func:`_products`): equal to
+    ``mp.fdot``'s wherever its sum drops no term.  Stops once the residual no longer halves, and raises
     :class:`ReproductionError` if it is then above ``10^(10 - dps)``;
     ``dps`` must be an int above 15 (else ``ValueError``).
     """
@@ -354,10 +405,8 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     pts = cs.points[pr.indices]
     rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
     with mp.workdps(dps):
-        mpf = np.frompyfunc(mp.mpf, 1, 1)  # offsets in float64 would cap residuals at 1e-16
-        bmat = _moment_system(mpf(pts) - mpf(pr.alpha), mp.mpf(pr.radius), pr.degree)[0]
-        ints, low = _fixed_point(bmat.ravel())
-        ints = ints.reshape(bmat.shape)
+        # offsets in float64 would cap residuals at 1e-16
+        ints, low = _moment_fixed_point(pts, pr.alpha, pr.radius, pr.degree)
         y, prev = [mp.mpf(0)] * len(ints), mp.inf
         for it in range(1, 4 * dps + 1):  # 4 dps halvings end below 10^(10 - dps)
             w = _products(ints.T, low, y)

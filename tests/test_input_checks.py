@@ -1,5 +1,6 @@
 """Argument checks of the library and the JSON writer: each rejects with its message."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,10 +48,9 @@ def reproduction():
     return build_reproduction(cs, [0.9, 1.1], 2.0, 1), cs
 
 
-def kernel_error(**kwargs):
+def kernel_error(params=KernelParams(d=2, k=2, degree=1), **kwargs):
     pr, cs = reproduction()
-    return local_kernel_error_precise(pr, cs, [5.0, 5.0], KernelParams(d=2, k=2, degree=1),
-                                      **kwargs)
+    return local_kernel_error_precise(pr, cs, [5.0, 5.0], params, **kwargs)
 
 
 DPS = "dps must be an int above 15, more digits than float64 carries"
@@ -147,6 +147,16 @@ CHECKS = [
      "need one weight per center of the reproduction (9), got 8"),
     ("kernel error weights extra", lambda: kernel_error(weights=[0.1] * 10), ValueError,
      "need one weight per center of the reproduction (9), got 10"),
+    ("kernel error params.d 3", lambda: kernel_error(KernelParams(d=3, k=2, degree=4)),
+     ValueError, "dimensions differ: centers 2, params.d 3"),
+    ("kernel error params.d 1", lambda: kernel_error(KernelParams(d=1, k=1, degree=1)),
+     ValueError, "dimensions differ: centers 2, params.d 1"),
+    ("kernel error nan weight", lambda: kernel_error(weights=[0.1] * 4 + [np.nan] + [0.1] * 4),
+     ValueError, "weights must be finite; weight 4 is nan"),
+    ("kernel error mpf inf weight", lambda: kernel_error(weights=[0.1] * 8 + [mpmath.inf]),
+     ValueError, "weights must be finite; weight 8 is +inf"),
+    ("kernel error -inf weight", lambda: kernel_error(weights=np.r_[-np.inf, [0.1] * 8]),
+     ValueError, "weights must be finite; weight 0 is -inf"),
     ("kernel error dps 0", lambda: kernel_error(dps=0), ValueError, f"{DPS}; got 0"),
     ("kernel error dps -1", lambda: kernel_error(dps=-1), ValueError, f"{DPS}; got -1"),
     ("kernel error dps 15", lambda: kernel_error(dps=15), ValueError, f"{DPS}; got 15"),

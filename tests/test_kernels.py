@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfspline import (
     CenterSet,
@@ -13,6 +15,8 @@ from surfspline import (
     local_kernel_error_precise,
     phi,
     phi_radial,
+    polynomial_dim,
+    refine_weights,
 )
 
 
@@ -178,3 +182,98 @@ def test_normalized_error_bounded():
         norms.append(nrm)
     # no growth trend over the measured range
     assert norms[-1] <= max(norms) * 1.01
+
+
+def kernel_error_by_mpf(pr, cs, x, params, weights=None, dps=60):
+    """``local_kernel_error_precise`` on mpf objects: every difference,
+    square, sum and kernel value by mpf's operators and ``mp.fsum``, the
+    oracle for its raw-tuple sums."""
+    import mpmath as mp
+
+    x = np.asarray(x, dtype=float)
+    two_k_d = 2 * params.k - params.d
+
+    with mp.workdps(dps):
+        xm = [mp.mpf(v) for v in x]
+
+        def phimp_at(point):
+            r2 = mp.fsum((a - mp.mpf(b)) ** 2 for a, b in zip(xm, point))
+            if r2 == 0:
+                return mp.mpf(0)
+            r = mp.sqrt(r2)
+            val = r**two_k_d
+            if params.d % 2 == 0:
+                val *= mp.log(r)
+            return val
+
+        if weights is None:
+            weights = [mp.mpf(w) for w in pr.weights]
+        target = phimp_at(pr.alpha)
+        total = mp.fsum(w * phimp_at(cs.points[i]) for w, i in zip(weights, pr.indices))
+        err = abs(target - total)
+        rho = mp.mpf(pr.radius)
+        profile = rho**two_k_d * (1 + mp.norm(mp.matrix((x - pr.alpha).tolist())) / rho) ** (-params.nu)
+        return float(err), float(err / profile)
+
+
+# dps 20 keeps 69 bits, too few for a square of a float64 difference, so the
+# sums of squares take the rounded path; dps 60 takes the exact integer one
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 2),
+                                                (3, 3)]),
+       st.integers(-3, 2), st.sampled_from(["near", "far", "center"]),
+       st.sampled_from(["float64", "refined", "refined finer"]), st.sampled_from([20, 60]))
+def test_kernel_error_bitwise_equals_mpf(seed, dk, log_scale, probe, weights, dps):
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    degree = int(rng.integers(0, 4))
+    offset = rng.uniform(-5, 5, size=d)
+    cs = CenterSet(scale * (offset + rng.uniform(-1, 1, size=(2 * polynomial_dim(d, degree) + 4,
+                                                               d))))
+    radius = scale * 1.5 * np.sqrt(d)  # the ball holds every center
+    pr = build_reproduction(cs, scale * (offset + rng.uniform(-0.5, 0.5, size=d)), radius, degree)
+    if probe == "near":
+        x = pr.alpha + radius * rng.uniform(-1, 1, size=d)
+    elif probe == "far":
+        direction = rng.normal(size=d)
+        x = pr.alpha + radius * 10 ** rng.uniform(1, 3) * direction / np.linalg.norm(direction)
+    else:
+        x = cs.points[pr.indices[rng.integers(len(pr.indices))]]
+    w = None if weights == "float64" else refine_weights(
+        pr, cs, dps=dps + (20 if weights == "refined finer" else 0))
+    params = KernelParams(d=d, k=k, degree=degree)
+    assert (local_kernel_error_precise(pr, cs, x, params, weights=w, dps=dps)
+            == kernel_error_by_mpf(pr, cs, x, params, weights=w, dps=dps))
+
+
+def test_kernel_error_weight_types_agree():
+    # Python floats, numpy floats and mpf: one value each, one result
+    import mpmath as mp
+
+    xs = np.arange(-3, 4, 1.0)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    params = KernelParams(d=2, k=2, degree=3)
+    pr = build_reproduction(cs, [0.3, 0.2], 2.5, 3)
+    floats = pr.weights.tolist()
+    results = {local_kernel_error_precise(pr, cs, [7.3, -2.1], params, weights=w)
+               for w in (None, floats, pr.weights, [mp.mpf(v) for v in floats])}
+    assert len(results) == 1
+
+
+def test_kernel_error_keeps_finer_weight_bits():
+    # weights refined to 40 digits, errors taken at 20: each weighted term
+    # rounds once, at the product.  Where the kernel is a polynomial beyond
+    # the centers the error is rounding noise, so a weight rounded to 20
+    # digits first would change its bits (on 3 of these 72 cases)
+    rng = np.random.default_rng(5)
+    cs = CenterSet(rng.uniform(-1, 1, 12))
+    for degree in (1, 2, 3):
+        pr = build_reproduction(cs, [0.1], 1.5, degree)
+        w = refine_weights(pr, cs, dps=40)
+        for k in (1, 2, 3):
+            params = KernelParams(d=1, k=k, degree=degree)
+            for x in np.linspace(2, 9, 8):
+                assert (local_kernel_error_precise(pr, cs, [x], params, weights=w, dps=20)
+                        == kernel_error_by_mpf(pr, cs, [x], params, weights=w, dps=20))

@@ -23,7 +23,9 @@ from surfspline.polyrep import (
     _GUARD,
     RANK_RTOL,
     _fixed_point,
+    _float_fixed_point,
     _min_norm,
+    _moment_fixed_point,
     _moment_system,
     _products,
 )
@@ -398,6 +400,36 @@ def test_refine_weights_bitwise_equals_fdot_degree_14():
     cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
     _, pr = minimal_density(cs, [0.4, 0.3], 14)
     assert mpf_tuples(refine_weights(pr, cs)) == mpf_tuples(refine_by_fdot(pr, cs, 60))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*ORACLE_CASES, st.integers(-8, 8), st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+       st.sampled_from([1.0, 1e-12]))
+def test_moment_fixed_point_equals_mpmath_arrays(seed, dim_and_top, data, kind, dps, log_scale,
+                                                 shift, squeeze):
+    # scaled and shifted clouds; with the base point squeezed to 1e-12 of its
+    # place and no shift, offsets at 20 digits need rounding
+    import mpmath as mp
+
+    cs, pr = oracle_case(seed, dim_and_top, data, kind)
+    scale = 10.0**log_scale
+    pts, alpha = cs.points[pr.indices] * scale + shift, pr.alpha * squeeze * scale + shift
+    with mp.workdps(dps):
+        mpf = np.frompyfunc(mp.mpf, 1, 1)
+        bmat = _moment_system(mpf(pts) - mpf(alpha), mp.mpf(pr.radius * scale), pr.degree)[0]
+        ints, low = _fixed_point(bmat.ravel())
+        got, got_low = _moment_fixed_point(pts, alpha, pr.radius * scale, pr.degree)
+    assert got_low == low
+    assert got.tolist() == ints.reshape(bmat.shape).tolist()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_float_fixed_point_is_exact(values):
+    from fractions import Fraction
+
+    ints, low = _float_fixed_point(values)
+    assert all(type(m) is int for m in ints)
+    assert [Fraction(v) for v in values] == [m * Fraction(2) ** low for m in ints]
 
 
 def mp_entries(draw, size, ints):
