@@ -395,9 +395,10 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     ``B^T``.  Refining y, not w, keeps w in B's row space, so minimum-norm.
     The products ``B^T y`` and ``B w`` are exact integer dot products on
     that fixed point, rounded once per entry (:func:`_products`): equal to
-    ``mp.fdot``'s wherever its sum drops no term.  Stops once the residual no longer halves, and raises
-    :class:`ReproductionError` if it is then above ``10^(10 - dps)``;
-    ``dps`` must be an int above 15 (else ``ValueError``).
+    ``mp.fdot``'s wherever its sum drops no term.  Stops once the residual
+    no longer halves, and raises :class:`ReproductionError` if it is then
+    above ``10^(10 - dps)``; ``dps`` must be an int above 15 (else
+    ``ValueError``).
     """
     import mpmath as mp
 
@@ -405,7 +406,7 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     pts = cs.points[pr.indices]
     rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
     with mp.workdps(dps):
-        # offsets in float64 would cap residuals at 1e-16
+        # exact offsets: float64 ones would cap residuals at 1e-16
         ints, low = _moment_fixed_point(pts, pr.alpha, pr.radius, pr.degree)
         y, prev = [mp.mpf(0)] * len(ints), mp.inf
         for it in range(1, 4 * dps + 1):  # 4 dps halvings end below 10^(10 - dps)
