@@ -197,6 +197,19 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
     return RadialBump(exponent=f.exponent - k, center=f.center, scale=f.scale, coeffs=coeffs)
 
 
+def _squared_distances(x, points, prec: int) -> list:
+    """Raw mpf tuples of ``|x - p|^2`` for each row ``p`` of the float64
+    ``points``, with the bits of ``mp.fsum((mpf(a) - mpf(b))**2 ...)`` at
+    ``prec`` bits: x and the points go to fixed point once, and each
+    coordinate difference is rounded from its exact integer (as ``mpf_sub``
+    rounds it), squared and summed by ``mpf_sum``."""
+    from mpmath.libmp import from_man_exp, mpf_pow_int, mpf_sum, round_nearest as rnd
+
+    ints, low = _float_fixed_point(np.vstack([x, points]))
+    return [mpf_sum([mpf_pow_int(from_man_exp(v, low, prec, rnd), 2, prec, rnd) for v in row],
+                    prec, rnd) for row in (ints[0] - ints[1:]).tolist()]
+
+
 def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelParams,
                                weights=None, dps: int = 60) -> tuple[float, float]:
     """Error of replacing phi(x - alpha) by the reproduction's combination.
@@ -214,16 +227,13 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
 
     The sums run on raw mpf tuples (``mpmath.libmp``) with the roundings,
     in their order, of mpf's operators and ``mp.fsum`` on mpf objects, so
-    the bits are theirs: x, ``alpha`` and the centers go to fixed point once
-    per call; each coordinate difference is rounded from its exact integer,
-    squared and summed (one exact integer sum of squares wherever every
-    difference and square fits in the working precision); the squared
-    distance goes through ``mpf_sqrt``, ``mpf_pow_int`` and ``mpf_log``, and
-    the weighted terms are summed by one ``mpf_sum``.
+    the bits are theirs: the squared distances of :func:`_squared_distances`
+    go through ``mpf_sqrt``, ``mpf_pow_int`` and ``mpf_log``, and the
+    weighted terms are summed by one ``mpf_sum``.
     """
     import mpmath as mp
-    from mpmath.libmp import (fzero, from_man_exp, mpf_abs, mpf_log, mpf_mul, mpf_pow_int,
-                              mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
+    from mpmath.libmp import (fzero, mpf_abs, mpf_log, mpf_mul, mpf_pow_int, mpf_sqrt, mpf_sub,
+                              mpf_sum, round_nearest)
 
     _check_dps(dps)
     if params.d != cs.dim:
@@ -246,16 +256,7 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
         # subtract in extended precision: float64 differencing of O(|x|)
         # coordinates injects ~1e-16 relative noise, far above the true
         # far-field error
-        ints, low = _float_fixed_point(np.vstack([x, pr.alpha, cs.points[pr.indices]]))
-        diffs = ints[0] - ints[1:]  # x minus alpha and each center, exact
-        if int(np.abs(diffs).max()).bit_length() <= prec // 2:
-            # every difference and square fits in prec bits and no exponent
-            # lies 2 prec bits from another, so mpf_sum's sum is exact: one
-            # rounding of the exact integer sum of squares
-            r2s = [from_man_exp(v, 2 * low, prec, rnd) for v in (diffs * diffs).sum(axis=1)]
-        else:
-            r2s = [mpf_sum([mpf_pow_int(from_man_exp(v, low, prec, rnd), 2, prec, rnd)
-                            for v in row], prec, rnd) for row in diffs.tolist()]
+        r2s = _squared_distances(x, np.vstack([pr.alpha, cs.points[pr.indices]]), prec)
 
         def phimp(r2):
             if not r2[1]:

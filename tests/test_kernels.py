@@ -18,6 +18,7 @@ from surfspline import (
     polynomial_dim,
     refine_weights,
 )
+from surfspline.kernels import _squared_distances
 
 
 def test_phi_values():
@@ -216,8 +217,34 @@ def kernel_error_by_mpf(pr, cs, x, params, weights=None, dps=60):
         return float(err), float(err / profile)
 
 
-# dps 20 keeps 69 bits, too few for a square of a float64 difference, so the
-# sums of squares take the rounded path; dps 60 takes the exact integer one
+@st.composite
+def point_rows(draw):
+    """2 to 6 rows of 1 to 3 float64 coordinates, signed 53-bit mantissas
+    times 2^(e - 53) with e within ``span`` of a top exponent: a span of 0 or
+    1 keeps the fixed-point differences within 55 bits, on either side of
+    dps 20's half precision (35 bits); spans of 60 and 120 reach past dps
+    60's (101 bits)."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    top, span = draw(st.integers(-60, 40)), draw(st.sampled_from([0, 1, 8, 60, 120]))
+    parts = draw(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(2**52, 2**53 - 1),
+                                    st.integers(top - span, top)), min_size=n * d, max_size=n * d))
+    return np.array([s * m * 2.0 ** (e - 53) for s, m, e in parts]).reshape(n, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_rows(), st.sampled_from([20, 60]))
+def test_squared_distances_equal_mpf(rows, dps):
+    # raw tuples, so a last-bit change shows: the square of a difference
+    # wider than half the precision rounds, and one exact integer sum of
+    # squares rounded once would differ there
+    import mpmath as mp
+
+    x, *points = rows
+    with mp.workdps(dps):
+        want = [mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x, p))._mpf_ for p in points]
+        assert _squared_distances(x, np.array(points), mp.mp.prec) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 2),
                                                 (3, 3)]),
