@@ -165,24 +165,29 @@ def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
         hits = cs._tree.sparse_distance_matrix(
             cKDTree(block), float(np.max(r)) * (1.0 + _CUTOFF_PAD), output_type="ndarray")
         idx, owner = hits["i"], hits["j"]
-        dist = np.linalg.norm(cs.points[idx] - block[owner], axis=1)
-        inside = dist <= r[owner]
-        idx, owner, dist = idx[inside], owner[inside], dist[inside]
+        dist = _pair_distances(np.take(cs.points, idx, axis=0), np.take(block, owner, axis=0))
+        inside = dist <= np.take(r, owner)
+        idx, owner, dist = (np.compress(inside, a) for a in (idx, owner, dist))
         order = np.argsort(owner * len(cs) + idx)
-        idx, owner, dist = idx[order], owner[order], dist[order]
+        idx, owner, dist = (np.take(a, order) for a in (idx, owner, dist))
         counts = np.bincount(owner, minlength=len(block))
         starts = np.cumsum(counts) - counts
-        table = np.full((len(block), counts.max(initial=0)), np.inf)
-        table[owner, np.arange(len(idx)) - starts[owner]] = dist
-        cols = np.argsort(table, axis=1, kind="stable")
-        order = (starts[:, None] + cols)[cols < counts[:, None]]
-        yield idx[order], dist[order], counts
+        width = counts.max(initial=0)
+        table = np.full(len(block) * width, np.inf)
+        table[np.arange(len(idx)) + np.take(np.arange(len(block)) * width - starts, owner)] = dist
+        cols = np.argsort(table.reshape(len(block), width), axis=1, kind="stable")
+        order = np.compress((cols < counts[:, None]).ravel(), (starts[:, None] + cols).ravel())
+        yield np.take(idx, order), np.take(dist, order), counts
 
 
 def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x - y| over the last axis of two broadcasting arrays, bit for bit
     ``cdist``'s value: squared differences summed over the axes in order,
-    then one sqrt."""
+    then one sqrt.  The library's one distance routine: the ball and window
+    sorts here, the density pair engine, ``kernels.phi``, ``evaluate``, the
+    defect distance of the placement and ``overlap_count``.  In d <= 7 it
+    also equals ``np.linalg.norm(x - y, axis=-1)`` bit for bit, which sums
+    pairwise from 8 terms on."""
     sq = np.square(x[..., 0] - y[..., 0])
     for a in range(1, x.shape[-1]):
         diff = x[..., a] - y[..., a]
@@ -222,9 +227,10 @@ def _nearest_groups(cs: CenterSet, pts: np.ndarray, size: int):
     for s in range(0, len(pts), _BLOCK):
         block = pts[s:s + _BLOCK]
         idx, beyond = _nearest(cs, block, size)
-        dist = np.linalg.norm(cs.points[idx] - block[:, None, :], axis=2)
-        order = np.argsort(dist, axis=1, kind="stable")
-        idx, dist = np.take_along_axis(idx, order, 1), np.take_along_axis(dist, order, 1)
+        dist = _pair_distances(np.take(cs.points, idx, axis=0), block[:, None, :])
+        flat = (np.argsort(dist, axis=1, kind="stable")  # each row's order, as flat indices
+                + np.arange(0, dist.size, dist.shape[1])[:, None])
+        idx, dist = np.take(idx, flat), np.take(dist, flat)
         ends = ((np.diff(dist, axis=1, append=np.inf) > DUPLICATE_TOL)
                 & (beyond[:, None] - dist > DUPLICATE_TOL))
         for i in range(len(block)):

@@ -141,7 +141,7 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
         raise NoAdmissibleRadius(
             f"at alpha {alpha.tolist()}: only {len(cs)} centers, need {m} for degree {degree}")
     order, radii, counts = window
-    offsets = cs.points[order] - alpha
+    offsets = np.take(cs.points, order, axis=0) - alpha
 
     def held(i: int) -> bool:
         """Grow the window until it holds group i; False if i is past the last."""
@@ -149,7 +149,7 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
         while i >= radii.size and size < len(cs):
             size *= 2
             order, radii, counts = next(_nearest_groups(cs, alpha[None], size))
-            offsets = cs.points[order] - alpha
+            offsets = np.take(cs.points, order, axis=0) - alpha
         return i < radii.size
 
     def radius(i: int) -> float:

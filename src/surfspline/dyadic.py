@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import _as_box, _as_points, _grid_points
+from .centers import _as_box, _as_points, _grid_points, _pair_distances
 from .density import DensityField
 
 
@@ -34,7 +34,7 @@ class DyadicCubes:
     ``level`` (n,) ints, corner ``index`` (n, d) ints and ``gender`` (n, d)
     0/1 ints: row i is the cube of sidelength ``2^-level[i]`` with corner
     ``index[i] * 2^-level[i]`` and gender ``gender[i]``.  Indexing by a
-    boolean mask or an index array selects rows.
+    boolean mask, an index array or a slice selects rows.
     """
 
     level: np.ndarray
@@ -53,7 +53,8 @@ class DyadicCubes:
         return len(self.level)
 
     def __getitem__(self, rows) -> "DyadicCubes":
-        return DyadicCubes(self.level[rows], self.index[rows], self.gender[rows])
+        rows = np.arange(len(self))[rows]  # numpy's rows and errors, as one index array
+        return DyadicCubes(*(f.take(rows, axis=0) for f in (self.level, self.index, self.gender)))
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,14 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
     on a sample) included, and the pairs are reduced per run.
     """
     key = np.column_stack([cubes.level, cubes.index])
-    new = np.ones(len(cubes), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]
     runs = cubes[new]
     rho_max, rho_min = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
     for lv in np.unique(runs.level):
         rows = np.flatnonzero(runs.level == lv)
         pairs = cKDTree(runs[rows].corner).sparse_distance_matrix(
             density._tree, gamma * 2.0**-lv, output_type="ndarray")
-        i, vals = rows[pairs["i"]], density.values[pairs["j"]]
+        i, vals = np.take(rows, pairs["i"]), np.take(density.values, pairs["j"])
         np.maximum.at(rho_max, i, vals)
         np.minimum.at(rho_min, i, vals)
     if np.isinf(rho_min).any():  # a run without a pair keeps its +inf
@@ -128,7 +128,7 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
             f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
         )
     run_of_row = np.cumsum(new) - 1
-    return rho_max[run_of_row], rho_min[run_of_row]
+    return np.take(rho_max, run_of_row), np.take(rho_min, run_of_row)
 
 
 def classify(cubes: DyadicCubes, density: DensityField,
@@ -172,7 +172,7 @@ def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarr
     at most ``(2^d - 1) (2 ceil(Gamma) + 1)^d``, whatever x and the level."""
     pts, single = _as_points(x, cubes.index.shape[1])
     corner, reach = cubes.corner, params.gamma * cubes.side
-    counts = np.array([np.count_nonzero(np.linalg.norm(p - corner, axis=1) <= reach)
+    counts = np.array([np.count_nonzero(_pair_distances(p, corner) <= reach)
                        for p in pts], dtype=int)
     return int(counts[0]) if single else counts
 

@@ -16,7 +16,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .centers import CenterSet, _as_point, _as_points
+from .centers import CenterSet, _as_point, _as_points, _pair_distances
 from .polyrep import PolyRep, _check_dps, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
@@ -73,7 +73,7 @@ def phi_radial(r, d: int, k: int):
 def phi(x, params: KernelParams) -> float | np.ndarray:
     """Kernel value (not normalized by c_{d,k}): float at a point, (n,) for a batch."""
     pts, single = _as_points(x, params.d)
-    vals = phi_radial(np.linalg.norm(pts, axis=1), params.d, params.k)
+    vals = phi_radial(_pair_distances(pts, np.zeros(params.d)), params.d, params.k)
     return float(vals[0]) if single else vals
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _as_box, _as_points, _lattice
+from .centers import CenterSet, _as_box, _as_points, _lattice, _pair_distances
 from .density import minimal_density, validate_theorem1_params
 
 #: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
@@ -104,7 +104,7 @@ def build_ring_plan(spec: MultiresSpec) -> RingPlan:
 
 def _defect_distance(spec: MultiresSpec, pts: np.ndarray) -> np.ndarray:
     if spec.defect.shape[0] == 1:  # the kd-tree's bits, several times faster
-        return np.linalg.norm(pts - spec.defect[0], axis=1)
+        return _pair_distances(pts, spec.defect[0])
     return cKDTree(spec.defect).query(pts)[0]
 
 
@@ -144,11 +144,11 @@ def generate_centers(spec: MultiresSpec) -> CenterSet:
     for level, spacing, inner, outer in regions:
         grid = _region_grid(spec, spacing, outer)
         dist = _defect_distance(spec, grid)
-        chunks.append(grid[(dist > inner) & (dist <= outer)])
+        chunks.append(np.compress((dist > inner) & (dist <= outer), grid, axis=0))
         tags.append(np.full(chunks[-1].shape[0], level, dtype=int))
     pts, levels = np.concatenate(chunks, axis=0), np.concatenate(tags)
     order = np.lexsort(tuple(pts[:, a] for a in range(spec.d - 1, -1, -1)) + (levels,))
-    return CenterSet(pts[order], levels=levels[order])
+    return CenterSet(np.take(pts, order, axis=0), levels=np.take(levels, order))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _as_box, _as_points, _balls, _grid_points, _pair_distances
+from .centers import CenterSet, _BLOCK, _as_box, _as_points, _balls, _grid_points, _pair_distances
 from .density import DensityField, _LazyField, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _serial_blas, _weights
@@ -123,19 +123,17 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: Densit
     box = (f.center - f.scale, f.center + f.scale)
     nodes, w = _cell_nodes(*quadrature_cells(box, cells_per_rho, density.nearest))
     vals = dkf(nodes)
-    nodes, wv = nodes[vals != 0.0], (w * vals)[vals != 0.0]
+    nodes, wv = np.compress(vals != 0.0, nodes, axis=0), np.compress(vals != 0.0, w * vals)
     radii = _RADIUS_FACTOR * density.nearest(nodes)
-    end = 0
     with _serial_blas():
-        for idx, _, counts in _balls(cs, nodes, radii):
-            block = slice(end, end + len(counts))
-            end = block.stop
-            offsets = cs.points[idx] - np.repeat(nodes[block], counts, axis=0)
+        for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
+            block = slice(s, s + _BLOCK)
+            offsets = np.take(cs.points, idx, axis=0) - np.repeat(nodes[block], counts, axis=0)
+            bounds = np.cumsum(counts).tolist()
             weights = []
-            for node, radius, offs in zip(nodes[block], radii[block],
-                                          np.split(offsets, np.cumsum(counts)[:-1])):
+            for node, radius, a, b in zip(nodes[block], radii[block], [0] + bounds, bounds):
                 try:
-                    weights.append(_weights(cs, offs, float(radius), params.degree))
+                    weights.append(_weights(cs, offsets[a:b], float(radius), params.degree))
                 except ReproductionError as exc:
                     raise AssemblyError(
                         f"reproduction failed at node {node.tolist()}: {exc}") from exc
@@ -205,7 +203,7 @@ def _level(cs: CenterSet, f: RadialBump, params: KernelParams, cells_per_rho: in
         lo, hi = f.center - f.scale, f.center + f.scale
         margin = 0.5 * f.scale
         inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
-        samples = cs.points[inside]
+        samples = np.compress(inside, cs.points, axis=0)
     dump = assemble(cs, f, params, _LazyField(cs, samples, params.degree), cells_per_rho)
     return np.abs(evaluate(dump, points, params) - f(points))
 

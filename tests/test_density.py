@@ -442,14 +442,14 @@ def test_batch_takes_one_tree_query_per_block(monkeypatch):
             queries.append(len(x))
             return tree.query(x, k=k)
 
-    norm = np.linalg.norm
+    distances = surfspline.centers._pair_distances
 
-    def counted(x, *args, **kwargs):
-        lengths.append(np.shape(x)[0])
-        return norm(x, *args, **kwargs)
+    def counted(x, y):
+        lengths.append(np.shape(x)[-2])  # the centers each point's distances reach
+        return distances(x, y)
 
     monkeypatch.setattr(cs, "_tree", Spy())
-    monkeypatch.setattr(surfspline.centers.np.linalg, "norm", counted)
+    monkeypatch.setattr(surfspline.centers, "_pair_distances", counted)
     rho, _ = minimal_density(cs, pts, 2)
     assert queries == [_BLOCK, 9]
     assert lengths and len(cs) not in lengths
@@ -893,6 +893,10 @@ def test_pair_distances_match_cdist(d):
     assert np.array_equal(_pair_distances(x[:, None, :], y[None, :, :]), ref)
     i, j = rng.integers(30, size=200), rng.integers(40, size=200)
     assert np.array_equal(_pair_distances(x[i], y[j]), ref[i, j])
+    if d <= 7:  # np.linalg.norm sums pairwise from 8 terms on; below, in order
+        grid = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+        assert np.array_equal(_pair_distances(x[:, None, :], y[None, :, :]), grid)
+        assert np.array_equal(_pair_distances(x[i], y[j]), np.linalg.norm(x[i] - y[j], axis=-1))
 
 
 def test_slow_growth_constant_field():

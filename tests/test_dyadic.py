@@ -37,6 +37,22 @@ def test_cube_geometry():
     assert cube.corner.tolist() == [[0.75, -0.25]]
 
 
+def test_row_indexing_kinds_match_numpy():
+    # a boolean mask, an index array (negatives and repeats included) and a
+    # slice pick each field's rows as plain numpy indexing does
+    cubes = enumerate_cubes((-np.ones(3), np.ones(3)), [0, 1], 3)
+    mask = np.random.default_rng(5).random(len(cubes)) < 0.4
+    for rows in (mask, ~mask, np.flatnonzero(mask), np.array([-1, 0, 7, 7, 3]),
+                 np.array([], dtype=int), slice(None), slice(3, 40, 5), slice(None, None, -2)):
+        got = cubes[rows]
+        for field in ("level", "index", "gender"):
+            want = getattr(cubes, field)[rows]
+            assert getattr(got, field).tobytes() == want.tobytes()
+            assert getattr(got, field).shape == want.shape
+    with pytest.raises(IndexError):
+        cubes[mask[:-1]]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         DyadicParams(gamma=0.5, sigma=1.0, two_k=4.0)
