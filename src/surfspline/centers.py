@@ -1,11 +1,14 @@
 """Immutable center sets in R^d with exact-radius neighbor queries.
 
 All distances are Euclidean.  A :class:`CenterSet`'s points are read-only
-after construction, so queries are safe to issue concurrently.
+after construction, so queries are safe to issue concurrently.  A cloud's
+kd-tree is built on its first neighbor query, not with the cloud: concurrent
+first queries may each build an identical one.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -85,7 +88,8 @@ def _lattice(lo, hi, spacing: float, anchor) -> np.ndarray:
 
 
 class _Cloud:
-    """A frozen cloud: ``points``, a read-only (n, d) copy, its ``dim`` and kd-tree ``_tree``."""
+    """A frozen cloud: ``points``, a read-only (n, d) copy, its ``dim`` and kd-tree
+    ``_tree``, built on first use (concurrent first uses may each build one)."""
 
     def __init__(self, points):
         pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
@@ -95,7 +99,10 @@ class _Cloud:
         pts.setflags(write=False)
         self.points = pts
         self.dim = pts.shape[1]
-        self._tree = cKDTree(pts)
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.points)
 
     def __len__(self):
         return self.points.shape[0]
@@ -133,8 +140,11 @@ class CenterSet(_Cloud):
             levels.setflags(write=False)
         self.levels = levels
         self._solves: dict = {}
-        if len(self) > 1 and self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray").size:
-            raise ValueError(f"duplicate centers within {DUPLICATE_TOL}")
+        if not _sort_separates(self.points):
+            pairs = self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray")
+            if pairs.size:
+                i, j = pairs[np.argmin(pairs[:, 0] * len(self) + pairs[:, 1])]
+                raise ValueError(f"duplicate centers within {DUPLICATE_TOL}: rows {i} and {j}")
 
     def __repr__(self):
         return f"CenterSet(n={len(self)}, dim={self.dim})"
@@ -150,6 +160,18 @@ class CenterSet(_Cloud):
             raise ValueError("radius must be positive")
         idx, dist, _ = next(_balls(self, center[None], np.array([radius], dtype=float)))
         return idx, dist
+
+
+def _sort_separates(pts: np.ndarray) -> bool:
+    """Whether a lexicographic sort proves the (n, d) ``pts`` farther apart than
+    ``DUPLICATE_TOL``: each sorted row steps to the next by more than it (padded
+    by ``_CUTOFF_PAD``) on the first axis where they differ, so any two rows
+    differ by at least one such step there.  Exact repeats and near-ties on an
+    axis are left to the kd-tree."""
+    rows = np.take(pts, np.lexsort(pts.T[::-1]), axis=0)
+    steps = np.diff(rows, axis=0)
+    gaps = np.take(steps, np.argmax(steps != 0, axis=1) + np.arange(0, steps.size, pts.shape[1]))
+    return bool(np.all(gaps > DUPLICATE_TOL * (1.0 + _CUTOFF_PAD)))
 
 
 def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):

@@ -94,30 +94,36 @@ def write_json(path: Path, obj: dict) -> None:
 
 def write_csv(path: Path, header: str, columns) -> None:
     """One row per entry of the equally long ``columns`` (lists or arrays); a
-    column of floats is written with :data:`FLOAT_FORMAT`, any other with ``str``."""
-    columns = [_float_text(col) if len(col) and isinstance(col[0], float) else col
-               for col in columns]
-    fmt = ",".join(["%s"] * len(columns))
+    column of floats is written with :data:`FLOAT_FORMAT`, any other with ``str``.
+
+    Each column's distinct values are formatted once, with the separator that
+    follows them (floats by their float64 bit pattern, so -0.0 apart from 0.0:
+    lattice coordinates repeat a lot), and their NUL-padded bytes gathered into
+    one ``(rows, width)`` byte table; dropping the padding leaves the body."""
+    rows = len(columns[0]) if columns else 0
+    table = [np.zeros((rows, 0), dtype=np.uint8)]
+    for col, end in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
+        floats = rows and isinstance(col[0], float)
+        values, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64) if floats
+                                    else np.asarray(col), return_inverse=True)
+        if floats:
+            values = [FLOAT_FORMAT % v for v in values.view(float).tolist()]
+        cells = np.array([(str(v) + end).encode() for v in values], dtype="S")
+        table.append(np.take(cells.view(np.uint8).reshape(-1, cells.itemsize), inverse, axis=0))
+    table = np.hstack(table)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header] + [fmt % row for row in zip(*columns)]) + "\n")
-
-
-def _float_text(col) -> list[str]:
-    """``col`` in :data:`FLOAT_FORMAT`, each distinct float64 bit pattern (so
-    -0.0 apart from 0.0) formatted once: lattice coordinates repeat a lot."""
-    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
-    text = np.array([FLOAT_FORMAT % v for v in bits.view(float).tolist()], dtype=object)
-    return text[inverse].tolist()
+    path.write_bytes((header + "\n").encode() + np.compress(table.ravel() != 0, table).tobytes())
 
 
 # ---------------------------------------------------------------------------
 # centers / density file formats
 
 
-def _read_rows(path: Path, kind: str, prefix: str, dim_of, last: tuple) -> np.ndarray:
-    """Rows under a header ``prefix + rest``, ``dim_of(rest)`` being the point
-    dimension, as a structured array of fields ``x`` (dim floats) and ``last``
-    (name, type).  Every fault is a ConfigError naming the file."""
+def _read_cloud(path: Path, kind: str, prefix: str, dim_of, last: tuple, cloud):
+    """The ``cloud`` (a CenterSet or a DensityField) of the points and the
+    ``last`` (name, type) column of the rows under a header ``prefix + rest``,
+    ``dim_of(rest)`` being the point dimension.  Every fault, in a row or in a
+    value the cloud rejects, is a ConfigError naming the file."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -135,20 +141,23 @@ def _read_rows(path: Path, kind: str, prefix: str, dim_of, last: tuple) -> np.nd
     if lines[1].count(",") != dim:  # before loadtxt sizes its buffer by the header
         raise ConfigError(f"{kind} file {path}: row 1 does not hold {dim + 1} fields")
     try:
-        return np.loadtxt(lines[1:], dtype=[("x", float, (dim,)), last], delimiter=",",
+        rows = np.loadtxt(lines[1:], dtype=[("x", float, (dim,)), last], delimiter=",",
                           comments=None, ndmin=1)
     except ValueError as exc:
         raise ConfigError(f"bad row in {kind} file {path}: {exc}") from exc
+    try:
+        return cloud(rows["x"], rows[last[0]])
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {kind} file {path}: {exc}") from exc
 
 
 def write_centers(path: Path, cs: CenterSet) -> None:
     levels = cs.levels if cs.levels is not None else np.zeros(len(cs), dtype=int)
-    write_csv(path, f"dim,{cs.dim}", [*cs.points.T, levels.tolist()])
+    write_csv(path, f"dim,{cs.dim}", [*cs.points.T, levels])
 
 
 def read_centers(path: Path) -> CenterSet:
-    rows = _read_rows(path, "centers", "dim,", int, ("level", int))
-    return CenterSet(rows["x"], levels=rows["level"])
+    return _read_cloud(path, "centers", "dim,", int, ("level", int), CenterSet)
 
 
 def write_density(path: Path, pts: np.ndarray, values: np.ndarray) -> None:
@@ -157,9 +166,8 @@ def write_density(path: Path, pts: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_density(path: Path) -> DensityField:
-    rows = _read_rows(path, "density", "x1,", lambda rest: rest.count(",") + 1,
-                      ("rho", float))
-    return DensityField(rows["x"], rows["rho"])
+    return _read_cloud(path, "density", "x1,", lambda rest: rest.count(",") + 1,
+                       ("rho", float), DensityField)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +407,7 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     good, rho_min = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
     ratio = bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r)
-    columns = [cubes.level.tolist(), *cubes.index.T.tolist(), *cubes.gender.T.tolist(),
-               np.where(good, "good", "bad").tolist()]
+    columns = [cubes.level, *cubes.index.T, *cubes.gender.T, np.where(good, "good", "bad")]
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
     write_csv(out / "partition.csv", header, columns)

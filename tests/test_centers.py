@@ -8,12 +8,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfspline import CenterSet, DensityField, sorted_candidate_radii
-from surfspline.centers import DUPLICATE_TOL
+from surfspline.centers import DUPLICATE_TOL, _grid_points, _sort_separates
 
 
 def test_duplicate_rejection():
     with pytest.raises(ValueError, match="duplicate"):
         CenterSet([[0.0], [1e-13]])
+
+
+def test_duplicate_rejection_names_first_pair():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 5e-13], [3.0, 0.0]])
+    with pytest.raises(ValueError, match="rows 1 and 4$"):
+        CenterSet(pts)
+
+
+ATTACKS = ["axis", "diagonal", "repeat", "near tie", "interleaved", "lattice"]
+
+
+def attacked_points(rng, d, attack):
+    """A lattice of spacing 10^e, whose sort proves it distinct, and partners
+    of a few of its points that a sort alone cannot judge: at DUPLICATE_TOL
+    times 1 +- 1e-6 or 1e-10 along an axis or the diagonal, exact repeats,
+    far points within DUPLICATE_TOL on the first axis (near ties) and a far
+    point sorted between a point and its partner (interleaved); or a lattice
+    of spacing that close to DUPLICATE_TOL."""
+    tol = DUPLICATE_TOL * (1.0 + rng.choice([-1e-6, -1e-10, 0.0, 1e-10, 1e-6]))
+    axes = [np.arange(rng.integers(1, 5)) for _ in range(d)]
+    if attack == "lattice":
+        return _grid_points(axes) * tol + rng.integers(-2, 3, d) * 10.0 ** rng.integers(-3, 4)
+    scale = 10.0 ** rng.integers(-3, 4)
+    base = (_grid_points(axes) + rng.integers(-3, 4, d)) * scale
+    assert _sort_separates(base)
+    p = base[rng.integers(len(base), size=2)]
+    step, far = np.zeros(d), np.zeros(d)
+    step[rng.integers(d) if attack == "axis" else 0] = tol * rng.choice([-1.0, 1.0])
+    far[-1] = 0.5 * scale if d > 1 else 0.0
+    partners = {"axis": p + step,
+                "diagonal": p + tol / np.sqrt(d) * rng.choice([-1.0, 1.0], size=(2, d)),
+                "repeat": p,
+                "near tie": p + rng.uniform(-1, 1, (2, 1)) * step + far,
+                "interleaved": np.concatenate([p + step, p + 0.5 * step + far])}[attack]
+    return np.concatenate([base, partners])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(ATTACKS))
+def test_sort_proof_agrees_with_tree(seed, d, attack):
+    # CenterSet rejects a set iff the kd-tree finds a pair within
+    # DUPLICATE_TOL; where the sort alone accepts, the tree finds none
+    from scipy.spatial import cKDTree
+
+    pts = attacked_points(np.random.default_rng(seed), d, attack)
+    tree_pairs = cKDTree(pts).query_pairs(DUPLICATE_TOL, output_type="ndarray")
+    if _sort_separates(pts):
+        assert tree_pairs.size == 0
+    try:
+        CenterSet(pts)
+    except ValueError:
+        assert tree_pairs.size
+    else:
+        assert not tree_pairs.size
 
 
 def test_nonfinite_rejection():

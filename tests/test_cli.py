@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surfspline.cli import ConfigError, main, read_centers, read_density, write_centers
+from surfspline.cli import (ConfigError, main, read_centers, read_density, write_centers,
+                            write_csv, write_density)
 from surfspline import CenterSet
 from surfspline import cli
 from surfspline.cli import SCHEMAS, load_config
@@ -172,11 +175,14 @@ BAD_FILES = [
                         "huge dim": "dim,1000000000000\n0.5,0\n",
                         "non-numeric": "dim,1\nabc,0\n", "level 3.0": "dim,1\n0.5,3.0\n",
                         "level 1.5": "dim,1\n0.5,1.5\n", "blank line": "dim,1\n0.5,0\n\n0.7,0\n",
-                        "no rows": "dim,1\n", "unreadable": None}),
+                        "no rows": "dim,1\n", "unreadable": None,
+                        "nan coordinate": "dim,1\n0.5,0\nnan,0\n",
+                        "repeated row": "dim,2\n0.5,1,0\n0.7,1,0\n0.5,1,1\n"}),
         (read_density, {"header": "y1,rho\n0.5,1\n", "field count": "x1,rho\n0.5\n",
                         "non-numeric": "x1,rho\n0.5,abc\n",
                         "blank line": "x1,rho\n0.5,1\n\n0.7,1\n",
-                        "no rows": "x1,rho\n", "unreadable": None}),
+                        "no rows": "x1,rho\n", "unreadable": None,
+                        "rho -2": "x1,rho\n0.5,1\n0.7,-2\n", "rho inf": "x1,rho\n0.5,inf\n"}),
     ]
     for case, text in rows.items()
 ]
@@ -190,6 +196,14 @@ def test_csv_reader_rejects(tmp_path, reader, case, text):
         path.write_text(text)
     with pytest.raises(ConfigError, match="input.csv"):
         reader(path)
+
+
+def test_repeated_center_row_named(tmp_path):
+    # the message names the file and the first pair of repeated rows (from 0)
+    path = tmp_path / "input.csv"
+    path.write_text("dim,1\n0.5,0\n0.9,0\n0.7,0\n0.9,1\n0.5,2\n")
+    with pytest.raises(ConfigError, match=r"input\.csv: duplicate .* rows 0 and 4$"):
+        read_centers(path)
 
 
 def test_density_empty_centers_file(tmp_path):
@@ -446,6 +460,114 @@ def test_round_trip_centers(tmp_path):
     again = tmp_path / "again.csv"
     write_centers(again, cs)
     assert again.read_bytes() == (out / "centers.csv").read_bytes()
+
+
+def write_csv_by_rows(path, header, columns):
+    """The row-by-row CSV writer that ``cli.write_csv`` replaced, kept as its oracle."""
+    columns = [float_text(col) if len(col) and isinstance(col[0], float) else col
+               for col in columns]
+    fmt = ",".join(["%s"] * len(columns))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([header] + [fmt % row for row in zip(*columns)]) + "\n")
+
+
+def float_text(col):
+    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([cli.FLOAT_FORMAT % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def assert_writers_agree(tmp_path, header, columns):
+    write_csv(tmp_path / "table.csv", header, columns)
+    write_csv_by_rows(tmp_path / "rows.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                  0.1 + 0.2, 1 / 3, -2.0**-1074 * 3, 123456789.12345678]
+
+
+@st.composite
+def csv_columns(draw):
+    """Equally long float, int or string columns, each a list or an array."""
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.sampled_from([
+            st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+            st.integers(-10**12, 10**12), st.text("ab-_ xyz09.", max_size=5)]))
+        col = draw(st.lists(values, min_size=rows, max_size=rows))
+        columns.append(np.array(col) if draw(st.booleans()) else col)
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_columns())
+def test_writer_matches_row_writer(tmp_path_factory, columns):
+    assert_writers_agree(tmp_path_factory.mktemp("csv"), "h", columns)
+
+
+@pytest.mark.parametrize("columns", [
+    [], [[]], [np.array([])], [[-0.0]], [[5e-324, -0.0, 0.0]], [np.array([-3, 0, 7])],
+    [["good"]], [[1.5], [-2], ["bad"]], [np.array(["", "a"]), [np.nan, -np.inf]]])
+def test_writer_matches_row_writer_at_edges(tmp_path, columns):
+    # no column, no row, one row, one column, empty strings
+    assert_writers_agree(tmp_path, "a,b", columns)
+
+
+def test_writer_matches_row_writer_on_full_outputs(tmp_path, monkeypatch):
+    # the 35,273-center Remark-1 placement and the 16,392-row partition of the
+    # dyadic benchmark, each against the row writer given the columns as lists
+    written = {}
+
+    def both(path, header, columns):
+        write_csv(path, header, columns)
+        rows = path.with_suffix(".rows")
+        write_csv_by_rows(rows, header, [np.asarray(c).tolist() for c in columns])
+        assert path.read_bytes() == rows.read_bytes()
+        written[path.name] = len(columns[0])
+
+    monkeypatch.setattr(cli, "write_csv", both)
+    place = write_config(tmp_path, "place.json", {"place": {
+        "j": 3, "k": 2, "d": 2, "defect": [[0.0, 0.0]], "box": {"lo": [-6, -6], "hi": [6, 6]}}})
+    assert main(["place", "--config", place, "--out", str(tmp_path / "place")]) == 0
+    xs = np.linspace(-0.5, 0.5, 73)
+    pts = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    rho0 = 5 * np.sqrt(2.0) * 2.0**-6
+    rho = np.minimum(rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2 / 3), 2.0**-3)
+    write_density(tmp_path / "field.csv", pts, rho)
+    dyadic = write_config(tmp_path, "dyadic.json", {"dyadic": {
+        "density_file": str(tmp_path / "field.csv"), "gamma": 2.0, "sigma": 1.5, "two_k": 4.0,
+        "r": 2.0, "levels": [0, 6], "box": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]},
+        "overlap_points": 5}})
+    assert main(["dyadic", "--config", dyadic, "--out", str(tmp_path / "dyadic")]) == 0
+    assert written == {"centers.csv": 35_273, "field.csv": 73 * 73, "partition.csv": 16_392}
+
+
+def test_place_builds_no_tree_until_a_query(tmp_path, monkeypatch):
+    # the distinctness check of a placement is one sort; the centers' kd-tree
+    # is built by their first neighbor query, once
+    from scipy.spatial import cKDTree
+
+    import surfspline.centers
+    import surfspline.placement
+
+    built = []
+
+    class Spy(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    for module in (surfspline.centers, surfspline.placement):
+        monkeypatch.setattr(module, "cKDTree", Spy)
+    out = run_place(tmp_path)
+    assert built == []
+    cs = read_centers(out / "centers.csv")
+    assert built == []
+    for _ in range(2):
+        cs.neighbor_arrays(cs.points[3], 0.5)
+    assert built.count(len(cs)) == 1 and isinstance(cs._tree, Spy)
 
 
 def test_determinism_all_commands(tmp_path):
