@@ -141,9 +141,12 @@ class CenterSet(_Cloud):
         self.levels = levels
         self._solves: dict = {}
         if not _sort_separates(self.points):
-            pairs = self._tree.query_pairs(DUPLICATE_TOL, output_type="ndarray")
-            if pairs.size:
-                i, j = pairs[np.argmin(pairs[:, 0] * len(self) + pairs[:, 1])]
+            # ball sizes, not pairs (n exact repeats hold n(n-1)/2): the first
+            # pair is the first row with a neighbor and the least other in its ball
+            counts = self._tree.query_ball_point(self.points, DUPLICATE_TOL, return_length=True)
+            if np.any(counts > 1):
+                i = int(np.argmax(counts > 1))
+                j = min(set(self._tree.query_ball_point(self.points[i], DUPLICATE_TOL)) - {i})
                 raise ValueError(f"duplicate centers within {DUPLICATE_TOL}: rows {i} and {j}")
 
     def __repr__(self):

@@ -6,7 +6,7 @@ normalization constant ``c_{d,k}`` carried explicitly here.  Test functions
 are compactly supported radial polynomial bumps ``(1 - (r/scale)^2)^p`` whose
 iterated Laplacians are available in closed form, which removes one source of
 error from rate studies.  The local kernel error of a reproduction is taken
-in extended precision, on raw mpmath tuples with the bits of mpf arithmetic.
+in extended precision, from exact integer squared distances.
 """
 
 from __future__ import annotations
@@ -197,19 +197,6 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
     return RadialBump(exponent=f.exponent - k, center=f.center, scale=f.scale, coeffs=coeffs)
 
 
-def _squared_distances(x, points, prec: int) -> list:
-    """Raw mpf tuples of ``|x - p|^2`` for each row ``p`` of the float64
-    ``points``, with the bits of ``mp.fsum((mpf(a) - mpf(b))**2 ...)`` at
-    ``prec`` bits: x and the points go to fixed point once, and each
-    coordinate difference is rounded from its exact integer (as ``mpf_sub``
-    rounds it), squared and summed by ``mpf_sum``."""
-    from mpmath.libmp import from_man_exp, mpf_pow_int, mpf_sum, round_nearest as rnd
-
-    ints, low = _float_fixed_point(np.vstack([x, points]))
-    return [mpf_sum([mpf_pow_int(from_man_exp(v, low, prec, rnd), 2, prec, rnd) for v in row],
-                    prec, rnd) for row in (ints[0] - ints[1:]).tolist()]
-
-
 def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelParams,
                                weights=None, dps: int = 60) -> tuple[float, float]:
     """Error of replacing phi(x - alpha) by the reproduction's combination.
@@ -225,15 +212,15 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     per entry of ``pr.indices``, ``params.d`` equal the centers' dimension
     and ``dps`` be an int above 15 (else ``ValueError``).
 
-    The sums run on raw mpf tuples (``mpmath.libmp``) with the roundings,
-    in their order, of mpf's operators and ``mp.fsum`` on mpf objects, so
-    the bits are theirs: the squared distances of :func:`_squared_distances`
-    go through ``mpf_sqrt``, ``mpf_pow_int`` and ``mpf_log``, and the
-    weighted terms are summed by one ``mpf_sum``.
+    Each squared distance (the profile's ``|x - alpha|^2`` too) is one exact
+    integer sum of squares on the coordinates' common fixed point, rounded
+    once; the kernel values take ``mpf_sqrt``, ``mpf_pow_int`` and
+    ``mpf_log`` of it on raw mpf tuples (``mpmath.libmp``), and the weighted
+    terms are summed by one ``mpf_sum``.
     """
     import mpmath as mp
-    from mpmath.libmp import (fzero, mpf_abs, mpf_log, mpf_mul, mpf_pow_int, mpf_sqrt, mpf_sub,
-                              mpf_sum, round_nearest)
+    from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_log, mpf_mul, mpf_pow_int,
+                              mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
     _check_dps(dps)
     if params.d != cs.dim:
@@ -253,10 +240,11 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
         for i, (_, man, exp, _) in enumerate(wts):
             if exp and not man:
                 raise ValueError(f"weights must be finite; weight {i} is {weights[i]}")
-        # subtract in extended precision: float64 differencing of O(|x|)
-        # coordinates injects ~1e-16 relative noise, far above the true
-        # far-field error
-        r2s = _squared_distances(x, np.vstack([pr.alpha, cs.points[pr.indices]]), prec)
+        # exact differences: float64 differencing of O(|x|) coordinates
+        # injects ~1e-16 relative noise, far above the true far-field error
+        ints, low = _float_fixed_point(np.vstack([x, pr.alpha, cs.points[pr.indices]]))
+        sums = ((ints[1:] - ints[0]) ** 2).sum(axis=1).tolist()
+        r2s = [from_man_exp(v, 2 * low, prec, rnd) for v in sums]
 
         def phimp(r2):
             if not r2[1]:
@@ -271,5 +259,5 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
         total = mpf_sum([mpf_mul(w, v, prec, rnd) for w, v in zip(wts, phis)], prec, rnd)
         err = mp.mpf(mpf_abs(mpf_sub(target, total, prec, rnd), prec, rnd))
         rho = mp.mpf(pr.radius)
-        profile = rho**two_k_d * (1 + mp.norm(mp.matrix((x - pr.alpha).tolist())) / rho) ** (-params.nu)
+        profile = rho**two_k_d * (1 + mp.sqrt(mp.mpf(r2s[0])) / rho) ** (-params.nu)
         return float(err), float(err / profile)

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 import scipy.linalg
@@ -138,25 +138,31 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return expo
 
 
-def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
-    """Basis matrix (rows = monomials, columns = centers) on the neighbor
-    ``offsets`` from the base point scaled by ``radius``, and the moments of
-    the base point in that basis (1 for the constant, 0 otherwise)."""
-    expo = monomial_exponents(offsets.shape[1], degree)
-    scaled = offsets / radius
-    # per-axis power tables (d, degree + 1, n) by running products (a vector
-    # pow falls back to scalar libm on negative bases), gathered by exponent
-    # and multiplied left to right: elementwise, so a column's bits depend on
-    # its own offset only.  It also runs on mpmath object arrays, which
-    # _moment_fixed_point reproduces on raw mpf tuples.
-    table = np.empty((offsets.shape[1], degree + 1, len(offsets)), dtype=scaled.dtype)
+def _monomials(scaled, degree) -> np.ndarray:
+    """The monomials of total degree <= degree (rows, in
+    :func:`monomial_exponents` order) at the points ``scaled`` (columns), a
+    float64 or object array (n, d): per-axis power tables (d, degree + 1, n)
+    by running products (a vector pow falls back to scalar libm on negative
+    bases), gathered by exponent and multiplied left to right, elementwise,
+    so a column's bits depend on its own point only.  On Python ints it is
+    exact."""
+    expo = monomial_exponents(scaled.shape[1], degree)
+    table = np.empty((scaled.shape[1], degree + 1, len(scaled)), dtype=scaled.dtype)
     table[:, 0] = 1
     for e in range(1, degree + 1):
         table[:, e] = table[:, e - 1] * scaled.T
     bmat = table[0][expo[:, 0]]
-    for a in range(1, offsets.shape[1]):
+    for a in range(1, scaled.shape[1]):
         bmat *= table[a][expo[:, a]]
-    rhs = np.zeros(expo.shape[0])
+    return bmat
+
+
+def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
+    """Basis matrix (rows = monomials, columns = centers) on the neighbor
+    ``offsets`` from the base point scaled by ``radius``, and the moments of
+    the base point in that basis (1 for the constant, 0 otherwise)."""
+    bmat = _monomials(offsets / radius, degree)
+    rhs = np.zeros(bmat.shape[0])
     rhs[0] = 1.0
     return bmat, rhs
 
@@ -307,22 +313,14 @@ def _check_dps(dps) -> None:
 def _fixed_point(values) -> tuple[np.ndarray, int]:
     """Python ints ``m`` (a 1-D object array) and one exponent ``e`` with
     ``values[i] == m[i] 2^e`` exactly, for an iterable of finite mpf and
-    Python ints (row 0 of an mpmath moment matrix holds int 1): the
-    :func:`_aligned` raw mpf tuples of the values."""
+    Python ints: each signed mantissa shifted to the smallest exponent of the
+    nonzero entries (a zero carries no exponent)."""
     from mpmath.libmp import from_int
 
-    return _aligned([from_int(v) if type(v) is int else v._mpf_ for v in values])
-
-
-def _aligned(parts: list) -> tuple[np.ndarray, int]:
-    """The raw finite mpf tuples ``parts`` as :func:`_fixed_point` returns
-    them: each signed mantissa shifted to the smallest exponent of the nonzero
-    entries (a zero carries no exponent)."""
+    parts = [from_int(v) if type(v) is int else v._mpf_ for v in values]
     low = min((exp for _, man, exp, _ in parts if man), default=0)
-    ints = np.empty(len(parts), dtype=object)
-    ints[:] = [(-man if sign else man) << (exp - low) if man else 0
-               for sign, man, exp, _ in parts]
-    return ints, low
+    return np.array([(-man if sign else man) << (exp - low) if man else 0
+                     for sign, man, exp, _ in parts], dtype=object), low
 
 
 def _float_fixed_point(values) -> tuple[np.ndarray, int]:
@@ -337,46 +335,25 @@ def _float_fixed_point(values) -> tuple[np.ndarray, int]:
     return man.astype(object) << np.where(man != 0, exp - low, 0).astype(object), low
 
 
-def _moment_fixed_point(points, alpha, radius: float, degree: int) -> tuple[np.ndarray, int]:
-    """``_fixed_point`` of the moment matrix that :func:`_moment_system`
-    builds at the working mpmath precision from ``mpf(points) - mpf(alpha)``
-    and ``mpf(radius)``, reshaped to (M, n), bit for bit, built on raw mpf
-    tuples: each offset rounded once from its exact integer difference (as
-    ``mpf_sub`` rounds it) and divided by the radius, the per-axis power
-    tables by running ``mpf_mul``, then the exponent gather multiplied left
-    to right, as ``_moment_system`` does."""
-    import mpmath as mp
-    from mpmath.libmp import fone, from_float, from_man_exp, mpf_div, mpf_mul, round_nearest
-
-    prec, rnd = mp.mp.prec, round_nearest
+def _exact_moments(points, alpha, s: int, degree: int) -> tuple[np.ndarray, int]:
+    """Python ints (M, n) and one exponent ``e`` whose product is exactly the
+    moment matrix of the float64 ``points`` around ``alpha`` scaled by
+    ``2^s``: the :func:`_monomials` of the integer offsets of
+    :func:`_float_fixed_point`, each row shifted left to the exponent of
+    degree ``degree``.  The shifts are non-negative while every offset
+    coordinate is below ``2^(s + 1)``: for the centers of a reproduction
+    whose radius has the ``frexp`` exponent s."""
     ints, low = _float_fixed_point(np.vstack([alpha, points]))
-    rad = from_float(radius)
-    tables = []
-    for col in (ints[1:] - ints[0]).T.tolist():
-        scaled = [mpf_div(from_man_exp(v, low, prec, rnd), rad, prec, rnd) for v in col]
-        table = [[fone] * len(col), scaled]  # a factor 1 leaves an entry's bits
-        for _ in range(2, degree + 1):
-            table.append([mpf_mul(s, t, prec, rnd) for s, t in zip(table[-1], scaled)])
-        tables.append(table)
-    entries = []
-    for expo in monomial_exponents(len(tables), degree).tolist():
-        row = tables[0][expo[0]]
-        for table, e in zip(tables[1:], expo[1:]):
-            if e:
-                row = [mpf_mul(s, t, prec, rnd) for s, t in zip(row, table[e])]
-        entries += row
-    ints, low = _aligned(entries)
-    return ints.reshape(-1, len(points)), low
+    rows = degree - monomial_exponents(len(alpha), degree).sum(axis=1)
+    shifts = ((s - low) * rows).astype(object)[:, None]
+    return _monomials(ints[1:] - ints[0], degree) << shifts, (low - s) * degree
 
 
 def _products(ints: np.ndarray, low: int, vec) -> list:
     """The mpf entries of ``(ints 2^low) @ vec``, ``ints`` a matrix of Python
-    ints (:func:`_fixed_point`) and ``vec`` a sequence of mpf, each rounded
-    once to the working precision from the exact integer dot product of one
-    object-array ``@``.  ``mp.fdot`` rounds the same exact sum of exact
-    products, except where its ``mpf_sum`` drops a term, one whose exponent
-    lies more than 2 prec bits from the running sum's: wherever none is
-    dropped, each entry equals ``mp.fdot``'s bit for bit."""
+    ints (:func:`_fixed_point`) and ``vec`` a sequence of mpf: one exact
+    integer dot product of an object-array ``@`` per entry, rounded once to
+    the working precision."""
     import mpmath as mp
 
     vints, vlow = _fixed_point(vec)
@@ -389,25 +366,24 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     residuals far below float64's ``1e-14``.  With ``w = B^T y``, y solves
     ``B B^T y = e_0`` by mixed-precision refinement (Bjorck, *BIT* 7, 1967;
     Carson & Higham, *SIAM J. Sci. Comput.* 40(2), 2018): residuals in ``dps``
-    digits from B built on raw mpf tuples straight into fixed point
-    (:func:`_moment_fixed_point`, the bits of ``_moment_system`` on mpmath
-    arrays), corrections from ``R^T R dy = r`` with R of a float64 QR of
+    digits, corrections from ``R^T R dy = r`` with R of a float64 QR of
     ``B^T``.  Refining y, not w, keeps w in B's row space, so minimum-norm.
-    The products ``B^T y`` and ``B w`` are exact integer dot products on
-    that fixed point, rounded once per entry (:func:`_products`): equal to
-    ``mp.fdot``'s wherever its sum drops no term.  Stops once the residual
-    no longer halves, and raises :class:`ReproductionError` if it is then
-    above ``10^(10 - dps)``; ``dps`` must be an int above 15 (else
-    ``ValueError``).
+    B is scaled by ``2^s``, the power of two of ``math.frexp(pr.radius)``, in
+    both precisions, so that it is an exact integer matrix
+    (:func:`_exact_moments`) and ``B^T y`` and ``B w`` are exact integer dot
+    products rounded once per entry (:func:`_products`); scaling B's rows
+    leaves the minimum-norm w unchanged.  Stops once the residual no longer
+    halves, and raises :class:`ReproductionError` if it is then above
+    ``10^(10 - dps)``; ``dps`` must be an int above 15 (else ``ValueError``).
     """
     import mpmath as mp
 
     _check_dps(dps)
     pts = cs.points[pr.indices]
-    rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
+    s = frexp(pr.radius)[1]
+    rfac = np.linalg.qr(_monomials(np.ldexp(pts - pr.alpha, -s), pr.degree).T, mode="r")
+    ints, low = _exact_moments(pts, pr.alpha, s, pr.degree)
     with mp.workdps(dps):
-        # exact offsets: float64 ones would cap residuals at 1e-16
-        ints, low = _moment_fixed_point(pts, pr.alpha, pr.radius, pr.degree)
         y, prev = [mp.mpf(0)] * len(ints), mp.inf
         for it in range(1, 4 * dps + 1):  # 4 dps halvings end below 10^(10 - dps)
             w = _products(ints.T, low, y)

@@ -46,6 +46,30 @@ def test_farfield_decay_passes_at_second_seed(tmp_path):
     run_and_check(tmp_path, "farfield_decay", 2027)
 
 
+def farfield_symmetry_seeds():
+    """The least seed of each of the eight base point and direction images
+    that ``farfield_inputs`` draws."""
+    images = {}
+    for seed in range(1000):
+        inputs = WORKLOADS["farfield_decay"].make_inputs(np.random.default_rng(seed), True, None)
+        images.setdefault((tuple(inputs["alpha"]), tuple(inputs["direction"])), seed)
+    return sorted(images.values())
+
+
+FARFIELD_SEEDS = farfield_symmetry_seeds()
+
+
+def test_farfield_seeds_cover_eight_symmetries():
+    assert len(FARFIELD_SEEDS) == 8
+
+
+@pytest.mark.parametrize("seed", FARFIELD_SEEDS)
+def test_farfield_decay_passes_on_every_symmetry(tmp_path, seed):
+    # the slope and moment residual gates of the refined weights hold on
+    # every image of the base point and direction, not only at seeds 1, 2027
+    run_and_check(tmp_path, "farfield_decay", seed)
+
+
 def test_study2d_uniform_passes_at_full_size(tmp_path):
     # the reduced study is 1-D; the full-size one is the only 2-D run of
     # quadrature assembly and block evaluation through the CLI

@@ -64,10 +64,28 @@ def test_sort_proof_agrees_with_tree(seed, d, attack):
         assert tree_pairs.size == 0
     try:
         CenterSet(pts)
-    except ValueError:
+    except ValueError as exc:  # naming the pair query's least pair
         assert tree_pairs.size
+        i, j = tree_pairs[np.argmin(tree_pairs[:, 0] * len(pts) + tree_pairs[:, 1])]
+        assert str(exc).endswith(f"rows {i} and {j}")
     else:
         assert not tree_pairs.size
+
+
+def test_duplicate_check_memory_is_linear_in_repeats():
+    # 2,000 exact repeats make 1,999,000 pairs, 32 MB as an index array; the
+    # check names the first pair from per-row ball sizes instead
+    import tracemalloc
+
+    pts = np.zeros((2000, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="rows 0 and 1$"):
+            CenterSet(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_nonfinite_rejection():

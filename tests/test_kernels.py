@@ -18,7 +18,6 @@ from surfspline import (
     polynomial_dim,
     refine_weights,
 )
-from surfspline.kernels import _squared_distances
 
 
 def test_phi_values():
@@ -188,7 +187,8 @@ def test_normalized_error_bounded():
 def kernel_error_by_mpf(pr, cs, x, params, weights=None, dps=60):
     """``local_kernel_error_precise`` on mpf objects: every difference,
     square, sum and kernel value by mpf's operators and ``mp.fsum``, the
-    oracle for its raw-tuple sums."""
+    profile's distance ``|x - alpha|`` too; run with digits to spare, the
+    oracle for its exact squared distances and raw-tuple sums."""
     import mpmath as mp
 
     x = np.asarray(x, dtype=float)
@@ -197,8 +197,11 @@ def kernel_error_by_mpf(pr, cs, x, params, weights=None, dps=60):
     with mp.workdps(dps):
         xm = [mp.mpf(v) for v in x]
 
+        def dist2(point):
+            return mp.fsum((a - mp.mpf(b)) ** 2 for a, b in zip(xm, point))
+
         def phimp_at(point):
-            r2 = mp.fsum((a - mp.mpf(b)) ** 2 for a, b in zip(xm, point))
+            r2 = dist2(point)
             if r2 == 0:
                 return mp.mpf(0)
             r = mp.sqrt(r2)
@@ -213,49 +216,33 @@ def kernel_error_by_mpf(pr, cs, x, params, weights=None, dps=60):
         total = mp.fsum(w * phimp_at(cs.points[i]) for w, i in zip(weights, pr.indices))
         err = abs(target - total)
         rho = mp.mpf(pr.radius)
-        profile = rho**two_k_d * (1 + mp.norm(mp.matrix((x - pr.alpha).tolist())) / rho) ** (-params.nu)
+        profile = rho**two_k_d * (1 + mp.sqrt(dist2(pr.alpha)) / rho) ** (-params.nu)
         return float(err), float(err / profile)
 
 
-@st.composite
-def point_rows(draw):
-    """2 to 6 rows of 1 to 3 float64 coordinates, signed 53-bit mantissas
-    times 2^(e - 53) with e within ``span`` of a top exponent: a span of 0 or
-    1 keeps the fixed-point differences within 55 bits, on either side of
-    dps 20's half precision (35 bits); spans of 60 and 120 reach past dps
-    60's (101 bits)."""
-    d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
-    top, span = draw(st.integers(-60, 40)), draw(st.sampled_from([0, 1, 8, 60, 120]))
-    parts = draw(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(2**52, 2**53 - 1),
-                                    st.integers(top - span, top)), min_size=n * d, max_size=n * d))
-    return np.array([s * m * 2.0 ** (e - 53) for s, m, e in parts]).reshape(n, d)
-
-
-@settings(max_examples=300, deadline=None)
-@given(point_rows(), st.sampled_from([20, 60]))
-def test_squared_distances_equal_mpf(rows, dps):
-    # raw tuples, so a last-bit change shows: the square of a difference
-    # wider than half the precision rounds, and one exact integer sum of
-    # squares rounded once would differ there
-    import mpmath as mp
-
-    x, *points = rows
-    with mp.workdps(dps):
-        want = [mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x, p))._mpf_ for p in points]
-        assert _squared_distances(x, np.array(points), mp.mp.prec) == want
+def term_magnitude(pr, cs, x, params, weights):
+    """``|phi(x - alpha)| + sum_i |w_i phi(x - xi_i)|`` in float64: the scale
+    of the rounding error of the kernel error's sum."""
+    pts = np.vstack([pr.alpha, cs.points[pr.indices]])
+    vals = np.abs(phi_radial(np.linalg.norm(np.asarray(x) - pts, axis=1), params.d, params.k))
+    return vals[0] + np.abs(np.array([float(w) for w in weights])) @ vals[1:]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 2),
                                                 (3, 3)]),
-       st.integers(-3, 2), st.sampled_from(["near", "far", "center"]),
+       st.integers(-3, 2), st.sampled_from([5.0, 5e6]), st.sampled_from(["near", "far", "center"]),
        st.sampled_from(["float64", "refined", "refined finer"]), st.sampled_from([20, 60]))
-def test_kernel_error_bitwise_equals_mpf(seed, dk, log_scale, probe, weights, dps):
+def test_kernel_error_matches_finer_mpf(seed, dk, log_scale, spread, probe, weights, dps):
+    # against mpf objects at 40 more digits: each term w_i phi_i rounds a few
+    # times at dps digits, so the error may move by 10^(2 - dps) of the
+    # terms' moduli, and each float64 result by its own rounding.  A spread
+    # of 5e6 puts the cloud where float64 differences would round
     d, k = dk
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     degree = int(rng.integers(0, 4))
-    offset = rng.uniform(-5, 5, size=d)
+    offset = rng.uniform(-spread, spread, size=d)
     cs = CenterSet(scale * (offset + rng.uniform(-1, 1, size=(2 * polynomial_dim(d, degree) + 4,
                                                                d))))
     radius = scale * 1.5 * np.sqrt(d)  # the ball holds every center
@@ -270,8 +257,12 @@ def test_kernel_error_bitwise_equals_mpf(seed, dk, log_scale, probe, weights, dp
     w = None if weights == "float64" else refine_weights(
         pr, cs, dps=dps + (20 if weights == "refined finer" else 0))
     params = KernelParams(d=d, k=k, degree=degree)
-    assert (local_kernel_error_precise(pr, cs, x, params, weights=w, dps=dps)
-            == kernel_error_by_mpf(pr, cs, x, params, weights=w, dps=dps))
+    err, nrm = local_kernel_error_precise(pr, cs, x, params, weights=w, dps=dps)
+    ref_err, ref_nrm = kernel_error_by_mpf(pr, cs, x, params, weights=w, dps=dps + 40)
+    tol = 10.0 ** (2 - dps) * term_magnitude(pr, cs, x, params, pr.weights if w is None else w)
+    profile = radius**(2 * k - d) * (1 + np.linalg.norm(x - pr.alpha) / radius) ** -params.nu
+    assert abs(err - ref_err) <= tol + 2.0**-52 * ref_err
+    assert abs(nrm - ref_nrm) <= 1.01 * tol / profile + 2.0**-52 * ref_nrm
 
 
 def test_kernel_error_weight_types_agree():

@@ -1,5 +1,8 @@
 """Local polynomial reproductions: precision, stability, covariance."""
 
+from fractions import Fraction
+from math import frexp
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +25,10 @@ from surfspline import polyrep
 from surfspline.polyrep import (
     _GUARD,
     RANK_RTOL,
+    _exact_moments,
     _fixed_point,
     _float_fixed_point,
     _min_norm,
-    _moment_fixed_point,
     _moment_system,
     _products,
 )
@@ -314,31 +317,6 @@ def oracle_cloud(rng, kind, d, degree):
     return CenterSet(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
 
 
-def refine_by_fdot(pr, cs, dps):
-    """``refine_weights`` with every product ``B^T y`` and ``B w`` taken by
-    ``mp.fdot``: the oracle for its exact integer dot products."""
-    import mpmath as mp
-    import scipy.linalg
-
-    pts = cs.points[pr.indices]
-    rfac = np.linalg.qr(_moment_system(pts - pr.alpha, pr.radius, pr.degree)[0].T, mode="r")
-    with mp.workdps(dps):
-        mpf = np.frompyfunc(mp.mpf, 1, 1)
-        bmat = _moment_system(mpf(pts) - mpf(pr.alpha), mp.mpf(pr.radius), pr.degree)[0]
-        rows, cols = bmat.tolist(), bmat.T.tolist()
-        y, prev = [mp.mpf(0)] * len(rows), mp.inf
-        for _ in range(4 * dps):
-            w = [mp.fdot(c, y) for c in cols]
-            r = [(i == 0) - mp.fdot(row, w) for i, row in enumerate(rows)]
-            res = max(abs(v) for v in r)
-            if not 0 < res < prev / 2:
-                break
-            prev = res
-            dy = scipy.linalg.cho_solve((rfac, False), [float(v / res) for v in r])
-            y = [a + res * mp.mpf(b) for a, b in zip(y, dy)]
-        return w
-
-
 # d = 3 stops at degree 4: the oracle's mpmath Gram matrix costs M^2 n
 # products, several seconds per case at degree 6 and more beyond
 ORACLE_CASES = (st.integers(0, 10_000), st.sampled_from([(1, 8), (2, 8), (3, 4)]), st.data(),
@@ -387,46 +365,45 @@ def mpf_tuples(values):
 
 
 @settings(max_examples=30, deadline=None)
-@given(*ORACLE_CASES)
-def test_refine_weights_bitwise_equals_fdot(seed, dim_and_top, data, kind, dps):
-    cs, pr = oracle_case(seed, dim_and_top, data, kind)
-    assert mpf_tuples(refine_weights(pr, cs, dps=dps)) == mpf_tuples(refine_by_fdot(pr, cs, dps))
-
-
-def test_refine_weights_bitwise_equals_fdot_degree_14():
-    # the system of the kernel-decay criterion: 172 centers, 120 moments
-    xs = np.arange(-7.0, 8.0)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    cs = CenterSet(np.stack([gx.ravel(), gy.ravel()], axis=1))
-    _, pr = minimal_density(cs, [0.4, 0.3], 14)
-    assert mpf_tuples(refine_weights(pr, cs)) == mpf_tuples(refine_by_fdot(pr, cs, 60))
-
-
-@settings(max_examples=30, deadline=None)
 @given(*ORACLE_CASES, st.integers(-8, 8), st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
        st.sampled_from([1.0, 1e-12]))
-def test_moment_fixed_point_equals_mpmath_arrays(seed, dim_and_top, data, kind, dps, log_scale,
-                                                 shift, squeeze):
+def test_exact_moments_equal_fractions(seed, dim_and_top, data, kind, dps, log_scale, shift,
+                                       squeeze):
     # scaled and shifted clouds; with the base point squeezed to 1e-12 of its
-    # place and no shift, offsets at 20 digits need rounding
-    import mpmath as mp
-
+    # place and no shift, the offsets span many binary orders
     cs, pr = oracle_case(seed, dim_and_top, data, kind)
     scale = 10.0**log_scale
     pts, alpha = cs.points[pr.indices] * scale + shift, pr.alpha * squeeze * scale + shift
-    with mp.workdps(dps):
-        mpf = np.frompyfunc(mp.mpf, 1, 1)
-        bmat = _moment_system(mpf(pts) - mpf(alpha), mp.mpf(pr.radius * scale), pr.degree)[0]
-        ints, low = _fixed_point(bmat.ravel())
-        got, got_low = _moment_fixed_point(pts, alpha, pr.radius * scale, pr.degree)
-    assert got_low == low
-    assert got.tolist() == ints.reshape(bmat.shape).tolist()
+    s = frexp(pr.radius * scale)[1]
+    ints, low = _exact_moments(pts, alpha, s, pr.degree)
+    assert ints.shape == (polynomial_dim(cs.dim, pr.degree), len(pts))
+    unit = Fraction(2) ** low
+    offsets = [[(Fraction(p) - Fraction(a)) / Fraction(2) ** s for p, a in zip(row, alpha)]
+               for row in pts]
+    for e, row in zip(monomial_exponents(cs.dim, pr.degree).tolist(), ints.tolist()):
+        want = [np.prod([o**k for o, k in zip(off, e)], dtype=object) for off in offsets]
+        assert [m * unit for m in row] == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(*ORACLE_CASES, st.integers(-8, 8), st.floats(-1e6, 1e6))
+def test_exact_moment_shifts_are_nonnegative(seed, dim_and_top, data, kind, dps, log_scale,
+                                             shift):
+    # every offset of a reproduction's centers is at most its radius, below
+    # 2^s, and a nonzero one is at least 2^low: so s >= low, and each row's
+    # shift (s - low)(degree - |e|) is non-negative
+    cs, pr = oracle_case(seed, dim_and_top, data, kind)
+    scale = 10.0**log_scale
+    cs = CenterSet(cs.points * scale + shift * scale)
+    pr = build_reproduction(cs, pr.alpha * scale + shift * scale, pr.radius * scale, pr.degree)
+    s = frexp(pr.radius)[1]
+    low = _float_fixed_point(np.vstack([pr.alpha, cs.points[pr.indices]]))[1]
+    assert pr.degree == 0 or s >= low
+    _exact_moments(cs.points[pr.indices], pr.alpha, s, pr.degree)  # a negative shift raises
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
 def test_float_fixed_point_is_exact(values):
-    from fractions import Fraction
-
     ints, low = _float_fixed_point(values)
     assert all(type(m) is int for m in ints)
     assert [Fraction(v) for v in values] == [m * Fraction(2) ** low for m in ints]
