@@ -339,10 +339,11 @@ def _exact_moments(points, alpha, s: int, degree: int) -> tuple[np.ndarray, int]
     """Python ints (M, n) and one exponent ``e`` whose product is exactly the
     moment matrix of the float64 ``points`` around ``alpha`` scaled by
     ``2^s``: the :func:`_monomials` of the integer offsets of
-    :func:`_float_fixed_point`, each row shifted left to the exponent of
-    degree ``degree``.  The shifts are non-negative while every offset
-    coordinate is below ``2^(s + 1)``: for the centers of a reproduction
-    whose radius has the ``frexp`` exponent s."""
+    :func:`_float_fixed_point`, each row shifted left onto the exponent of
+    the degree-``degree`` rows.  The shifts are non-negative when some offset
+    coordinate is nonzero and all are below ``2^(s + 1)``, as for the centers
+    of a reproduction of degree >= 1 whose radius has the ``frexp`` exponent
+    s; degree 0 shifts nothing."""
     ints, low = _float_fixed_point(np.vstack([alpha, points]))
     rows = degree - monomial_exponents(len(alpha), degree).sum(axis=1)
     shifts = ((s - low) * rows).astype(object)[:, None]
