@@ -89,7 +89,10 @@ def _lattice(lo, hi, spacing: float, anchor) -> np.ndarray:
 
 class _Cloud:
     """A frozen cloud: ``points``, a read-only (n, d) copy, its ``dim`` and kd-tree
-    ``_tree``, built on first use (concurrent first uses may each build one)."""
+    ``_tree``, built on first use (concurrent first uses may each build one)
+    with the keywords ``_tree_options``."""
+
+    _tree_options: dict = {}  # scipy's default: median splits, compacted nodes
 
     def __init__(self, points):
         pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
@@ -102,7 +105,7 @@ class _Cloud:
 
     @cached_property
     def _tree(self) -> cKDTree:
-        return cKDTree(self.points)
+        return cKDTree(self.points, **self._tree_options)
 
     def __len__(self):
         return self.points.shape[0]
@@ -128,8 +131,17 @@ class CenterSet(_Cloud):
         Resolution-region index for each center (used by the
         multiresolution placement; plain clouds leave this ``None``).
 
-    Local solves on the set share its memo ``_solves`` (see :func:`~surfspline.polyrep._solve`).
+    Local solves on the set share its memo ``_solves`` and the memo's index
+    ``_solve_index`` (see :func:`~surfspline.polyrep._solve`).
+
+    The set's kd-tree splits at sliding midpoints without compacting nodes,
+    about three times faster to build than scipy's default.  Every query of
+    a center set is exact under ties, so no result depends on the layout;
+    density fields keep the default, as their ``nearest`` breaks exact ties
+    by the tree's traversal.
     """
+
+    _tree_options = {"balanced_tree": False, "compact_nodes": False}
 
     def __init__(self, points, levels=None):
         super().__init__(points)
@@ -140,6 +152,7 @@ class CenterSet(_Cloud):
             levels.setflags(write=False)
         self.levels = levels
         self._solves: dict = {}
+        self._solve_index: dict = {}
         if not _sort_separates(self.points):
             # ball sizes, not pairs (n exact repeats hold n(n-1)/2): the first
             # pair is the first row with a neighbor and the least other in its ball

@@ -14,8 +14,9 @@ conditioning independent of location and scale) from one column-pivoted QR
 of the transposed moment matrix ``B^T``.  Its R gives the rank: a smallest
 ratio ``|R_kk| / |R_00|`` at most ``RANK_RTOL`` proves the system deficient,
 one above a guard band over ``RANK_RTOL`` is taken as full rank, and inside
-the band the singular values of R decide.  The sum of absolute weights is the
-stability norm of the reproduction.
+the band a norm bound on R's condition proves full rank or else the singular
+values of R decide.  The sum of absolute weights is the stability norm of the
+reproduction.
 
 Local solves run on one BLAS thread (:func:`_serial_blas`): at degree 14 a
 QR's level-2 calls cross OpenBLAS's threading threshold, and a second thread
@@ -35,7 +36,7 @@ from math import comb, frexp
 import numpy as np
 import scipy.linalg
 from scipy.linalg import svdvals
-from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dormqr, dtrtri, dtrtrs
 
 from .centers import CenterSet, _as_point
 
@@ -46,10 +47,12 @@ from .centers import CenterSet, _as_point
 RANK_RTOL = 1e-10
 
 #: Pivoted QR can overrate a rank, so a smallest ratio ``|R_kk| / |R_00|`` up
-#: to ``_GUARD * RANK_RTOL`` is checked against the singular values of R.
+#: to ``_GUARD * RANK_RTOL`` is checked by a norm bound, then if need be by the
+#: singular values of R (:func:`_min_norm`).
 _GUARD = 1e3
 
-#: Entries of a center set's solve memo (a few KB each).
+#: Solves held by a center set's solve memo (a few KB each, and as much again
+#: for the keys of their index).
 _SOLVE_MEMO_CAP = 4096
 
 
@@ -232,23 +235,33 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
 
     Every local solve on a center set (``build_reproduction``, ``assemble``
     and the attempts of ``minimal_density``) goes through the set's memo
-    ``cs._solves``, keyed by the exact bytes of the solve's only inputs: the
-    ordered offsets, the radius and the degree.  A hit is a fresh solve bit
-    for bit, rank failures included; lattice placements repeat one neighbor
-    geometry at many base points.  The memo holds at most
-    ``_SOLVE_MEMO_CAP`` entries (cleared when full) and dies with the set.
+    ``cs._solves``, keyed by the exact bytes of the scaled offsets
+    ``offsets / radius`` and the degree: the moment matrix is a function of
+    those alone (:func:`_moment_system`), so a hit is a fresh solve bit for
+    bit, rank failures included.  Lattice placements repeat one neighbor
+    geometry at many base points, and the Remark-1 rings, whose spacings are
+    powers of two, repeat it at scales a power of two apart, which divide out
+    exactly.  The index ``cs._solve_index`` maps the exact inputs (offsets,
+    radius, degree) already seen to their entry, so a repeated input skips
+    the division.  The memo holds at most ``_SOLVE_MEMO_CAP`` solves; when
+    full, it and the index are cleared, and both die with the set.
     Concurrent use stays safe: each value is a pure function of its key, so
     a race can only repeat a solve or overshoot the cap by one entry a thread.
     """
-    key = (offsets.tobytes(), radius, degree)
-    memo = cs._solves
-    hit = memo.get(key)
+    memo, index = cs._solves, cs._solve_index
+    inputs = (offsets.tobytes(), radius, degree)
+    hit = index.get(inputs)
     if hit is None:
-        sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
-        hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
-        if len(memo) >= _SOLVE_MEMO_CAP:
-            memo.clear()
-        memo[key] = hit
+        key = ((offsets / radius).tobytes(), degree)
+        hit = memo.get(key)
+        if hit is None:
+            sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
+            hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
+            if len(memo) >= _SOLVE_MEMO_CAP:
+                memo.clear()
+                index.clear()
+            memo[key] = hit
+        index[inputs] = hit
     return hit
 
 
@@ -267,10 +280,19 @@ def _min_norm(bmat: np.ndarray) -> tuple[np.ndarray | None, int]:
     deficient system.
 
     One column-pivoted QR ``bmat^T P = Q R`` (Businger & Golub, *Numer.
-    Math.* 7, 1965) gives both: the rank from R's diagonal, with the singular
-    values of R deciding inside the guard band, and for full rank
+    Math.* 7, 1965) gives both: the rank from R's diagonal, and for full rank
     ``w = Q R^-T P^T e_0``, one triangular solve and one application of Q.
     ``bmat`` is overwritten.
+
+    Inside the guard band a norm certificate decides first: ``c = 1 /
+    (||R||_F ||R^-1||_F) <= sigma_min / sigma_max``, with ``R^-1`` from LAPACK
+    ``dtrtri``; ``c > 2 RANK_RTOL`` proves full rank, and otherwise (a
+    non-finite inverse too) the singular values of R decide.  It never
+    overrules them: the inverse X has ``|X R - I| <= c_M u |X| |R|`` (Du Croz
+    & Higham, *IMA J. Numer. Anal.* 12, 1992), so an accepted c is off by a
+    relative ``c_M u / (2 RANK_RTOL)``, below 0.1 up to M = 400 even for
+    ``c_M = M^2``, and the singular values, computed to O(u sigma_max), read
+    a ratio above ``1.8 RANK_RTOL``.
     """
     m = bmat.shape[0]
     qr, jpvt, tau, _ = _lapack(dgeqp3, bmat.T, overwrite_a=1)
@@ -280,9 +302,13 @@ def _min_norm(bmat: np.ndarray) -> tuple[np.ndarray | None, int]:
     if ratio <= RANK_RTOL:
         return None, int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
     if ratio <= _GUARD * RANK_RTOL:
-        sv = svdvals(np.triu(qr[:m]))
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            return None, int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+        rfac = np.triu(qr[:m])
+        inv, = _lapack(dtrtri, rfac)
+        # ufunc sums, not np.linalg.norm: numpy's own BLAS would wake its threads
+        if not np.sqrt(np.sum(np.square(inv)) * np.sum(np.square(rfac))) < 0.5 / RANK_RTOL:
+            sv = svdvals(rfac)
+            if sv[-1] <= RANK_RTOL * sv[0]:
+                return None, int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
     pivoted = (jpvt == 1).astype(float)[:, None]  # P^T e_0; jpvt counts from 1
     z, = _lapack(dtrtrs, qr, pivoted, trans=1)
     w = np.zeros((qr.shape[0], 1))
@@ -375,14 +401,20 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     products rounded once per entry (:func:`_products`); scaling B's rows
     leaves the minimum-norm w unchanged.  Stops once the residual no longer
     halves, and raises :class:`ReproductionError` if it is then above
-    ``10^(10 - dps)``; ``dps`` must be an int above 15 (else ``ValueError``).
+    ``10^(10 - dps)``.  ``dps`` must be an int above 15, and each center
+    less than ``2^(s + 1)`` from alpha in every coordinate, as the ball's
+    centers are (else ``ValueError``, before any shift).
     """
     import mpmath as mp
 
     _check_dps(dps)
     pts = cs.points[pr.indices]
-    s = frexp(pr.radius)[1]
-    rfac = np.linalg.qr(_monomials(np.ldexp(pts - pr.alpha, -s), pr.degree).T, mode="r")
+    offsets, s = pts - pr.alpha, frexp(pr.radius)[1]
+    if not np.all(np.abs(offsets) < 2.0 ** (s + 1)):  # else _exact_moments shifts right
+        raise ValueError(f"refine_weights: a center lies outside B(alpha, {pr.radius:g}), "
+                         f"against the PolyRep contract (alpha {pr.alpha}, a coordinate "
+                         f"2^{s + 1} or more away)")
+    rfac = np.linalg.qr(_monomials(np.ldexp(offsets, -s), pr.degree).T, mode="r")
     ints, low = _exact_moments(pts, pr.alpha, s, pr.degree)
     with mp.workdps(dps):
         y, prev = [mp.mpf(0)] * len(ints), mp.inf

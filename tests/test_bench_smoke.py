@@ -76,10 +76,26 @@ def test_study2d_uniform_passes_at_full_size(tmp_path):
     run_and_check(tmp_path, "study2d_uniform", 1, quick=False)
 
 
-def test_remark1_place_density_passes_at_full_size(tmp_path):
+def test_remark1_place_density_passes_at_full_size(tmp_path, count_solves, monkeypatch):
     # the only full-size run of the 35,273-center place -> CSV -> density
-    # path: batched degree-14 density queries on the Remark-1 placement
-    run_and_check(tmp_path, "remark1_place_density", 2027, quick=False)
+    # path: batched degree-14 density queries on the Remark-1 placement.  Ring
+    # geometries a power of two apart share one solve, and the guard band's
+    # systems are all certified full rank without singular values
+    import surfspline.polyrep
+
+    svd_calls, svdvals = [], surfspline.polyrep.svdvals
+
+    def counted(*args, **kwargs):
+        svd_calls.append(1)
+        return svdvals(*args, **kwargs)
+
+    monkeypatch.setattr(surfspline.polyrep, "svdvals", counted)
+    for seed in (1, 2027):
+        (tmp_path / str(seed)).mkdir()
+        count_solves.clear()
+        run_and_check(tmp_path / str(seed), "remark1_place_density", seed, quick=False)
+        assert len(count_solves) <= 25
+        assert svd_calls == []
 
 
 def test_dyadic_certify_passes_at_full_size(tmp_path):

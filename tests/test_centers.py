@@ -402,3 +402,67 @@ def test_point_batch_contract(name, d):
         with pytest.raises(ValueError, match=r"expected|finite"):
             fn(x)
 
+
+def under_both_builds(run):
+    """``run()`` with the center sets' kd-tree as built (sliding midpoint,
+    uncompacted nodes) and as scipy builds it by default (median splits)."""
+    from surfspline.centers import _Cloud
+
+    results = []
+    for options in (CenterSet._tree_options, _Cloud._tree_options):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CenterSet, "_tree_options", options)
+            results.append(run())
+    return results
+
+
+def duplicate_verdict(pts):
+    """CenterSet's duplicate message on ``pts``, or None if it accepts them."""
+    try:
+        CenterSet(pts)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def layout_cloud(kind):
+    """A 2^-3 lattice (exact ties at every radius) and its degree, or a
+    Remark-1 ring placement around the origin and its degree."""
+    from surfspline.placement import MultiresSpec, generate_centers
+
+    if kind == "lattice":
+        return _grid_points([np.arange(-12, 13) / 8.0] * 2), 6
+    spec = MultiresSpec(j=2, k=2, d=2, defect=[0.0, 0.0], box=([-7.5, -7.5], [7.5, 7.5]))
+    return generate_centers(spec).points, 14
+
+
+@pytest.mark.parametrize("kind", ["lattice", "remark1"])
+def test_center_tree_layout_changes_no_result(kind):
+    # the two builds order the points differently, yet every query of a
+    # center set is tie-robust: density radii and witnesses, the balls at
+    # radii where exact ties sit on the boundary, and the duplicate verdicts
+    from surfspline import minimal_density
+    from surfspline.centers import _balls
+
+    pts, degree = layout_cloud(kind)
+    rng = np.random.default_rng(31)
+    queries = pts[rng.integers(len(pts), size=12)] + rng.choice([-1, 0, 1], size=(12, 2)) / 16.0
+    radii = np.linalg.norm(pts[rng.integers(len(pts), size=12)] - queries, axis=1)
+    # partners on the diagonal, which the sort leaves to the tree: at
+    # DUPLICATE_TOL times 1.01 (kept) and 0.99, and exact repeats
+    partners = pts[rng.integers(len(pts), size=3)]
+    doubled = [np.concatenate([pts, partners + DUPLICATE_TOL * (1.0 + e) / np.sqrt(2.0)])
+               for e in (0.01, -0.01)] + [np.concatenate([pts, partners])]
+
+    def run():
+        cs = CenterSet(pts)
+        rho, witnesses = minimal_density(cs, queries, degree)
+        return (cs._tree.indices.tobytes(), rho.tobytes(),
+                [(w.indices.tobytes(), w.weights.tobytes()) for w in witnesses],
+                [tuple(a.tobytes() for a in block) for block in _balls(cs, queries, radii)],
+                [duplicate_verdict(p) for p in doubled])
+
+    sliding, balanced = under_both_builds(run)
+    assert sliding[0] != balanced[0]  # the layouts differ
+    assert sliding[1:] == balanced[1:]
+    assert sliding[-1][0] is None and sliding[-1][1] and sliding[-1][2]

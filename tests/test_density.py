@@ -492,6 +492,29 @@ def test_solve_memo_misses_near_matches():
         assert np.array_equal(build_reproduction(cs, a, r, 3).weights, ref)
 
 
+def test_solve_memo_shares_scaled_copies(count_solves):
+    # the moment matrix is a function of offsets / radius: a copy scaled by a
+    # power of two, radius included, divides out exactly and shares the
+    # solve; a copy scaled by 3 shares it only where the quotients round alike
+    rng = np.random.default_rng(23)
+    cells = rng.choice(81 * 81, size=20, replace=False)
+    base = np.stack([cells // 81 - 40, cells % 81 - 40], axis=1) / 64.0  # exact offsets
+    alpha, far = np.array([1.0, -2.0]) / 64.0, np.array([64.0, 0.0])
+    for scale in (8.0, 0.25, 3.0):
+        cs = CenterSet(np.concatenate([base, far + scale * base]))
+        count_solves.clear()
+        first = build_reproduction(cs, alpha, 1.3, 3)
+        copy = build_reproduction(cs, far + scale * alpha, scale * 1.3, 3)
+        assert np.array_equal(copy.indices, first.indices + len(base))
+        offsets = base[first.indices] - alpha
+        shared = (scale * offsets / (scale * 1.3)).tobytes() == (offsets / 1.3).tobytes()
+        assert shared == (scale != 3.0)  # 3 * 1.3 is rounded, and some quotients move
+        assert len(count_solves) == (1 if shared else 2)
+        assert (copy.weights is first.weights) == shared
+        assert np.array_equal(copy.weights,
+                              fresh_witness(cs, far + scale * alpha, scale * 1.3, 3).weights)
+
+
 def test_solve_memo_scope(count_solves):
     cs = CenterSet(np.random.default_rng(20).uniform(-1, 1, size=(40, 2)))
     alpha = np.zeros(2)

@@ -454,6 +454,19 @@ def test_refine_weights_raises_when_refinement_stalls(monkeypatch):
         refine_weights(pr, cs)
 
 
+def test_refine_weights_rejects_centers_outside_the_ball():
+    # centers 2^66 radii away: no reproduction of the library builds this, and
+    # the exact moment matrix's row shifts would be negative
+    from surfspline.polyrep import PolyRep
+
+    cs = CenterSet([0.0, 1.0, 2.0])
+    pr = PolyRep(alpha=np.array([1.0]), radius=1e-20, indices=np.arange(3),
+                 weights=np.array([0.0, 1.0, 0.0]), degree=1)
+    with pytest.raises(ValueError, match=r"refine_weights: a center lies outside "
+                                         r"B\(alpha, 1e-20\), against the PolyRep contract"):
+        refine_weights(pr, cs)
+
+
 def solve_by_gelsd(bmat):
     """The SVD-based solve the pivoted QR replaced: minimum-norm ``w`` with
     ``bmat @ w = e_0``, the rank at ``RANK_RTOL`` and the singular values."""
@@ -552,7 +565,10 @@ def tuned_gap(d, degree, ratio):
     return gap
 
 
-@pytest.mark.parametrize("d, degree", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 1)])
+GUARD_CASES = [(1, 2), (1, 4), (2, 2), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("d, degree", GUARD_CASES)
 def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
     import scipy.linalg
 
@@ -572,12 +588,16 @@ def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
     spy("svdvals")
     spy("dormqr")
     m = polynomial_dim(d, degree)
-    # (gap, inside the band, deficient): sigma_min / sigma_max just below and
-    # just above RANK_RTOL; a repeated center; a well-spread set
-    cases = [(tuned_gap(d, degree, 0.99 * RANK_RTOL), True, True),
-             (tuned_gap(d, degree, 1.01 * RANK_RTOL), True, False),
-             (0.0, False, True), (0.5, False, False)]
-    for gap, in_band, deficient in cases:
+    # (gap, inside the band, deficient, singular values taken): sigma_min /
+    # sigma_max just below and just above RANK_RTOL; 30 and 300 times it,
+    # inside the band but certified full rank by the norm bound; a repeated
+    # center; a well-spread set
+    cases = [(tuned_gap(d, degree, 0.99 * RANK_RTOL), True, True, True),
+             (tuned_gap(d, degree, 1.01 * RANK_RTOL), True, False, True),
+             (tuned_gap(d, degree, 30 * RANK_RTOL), True, False, False),
+             (tuned_gap(d, degree, 300 * RANK_RTOL), True, False, False),
+             (0.0, False, True, False), (0.5, False, False, False)]
+    for gap, in_band, deficient, by_svd in cases:
         bmat = near_deficient(d, degree, gap)
         rdiag = np.abs(np.diag(scipy.linalg.qr(bmat.T, mode="r", pivoting=True)[0]))
         ratio = rdiag.min() / rdiag[0]
@@ -586,7 +606,8 @@ def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
         calls.update(svdvals=0, dormqr=0)
         weights, qr_rank = _min_norm(bmat.copy())
         assert (rank < m) == (qr_rank < m) == deficient
-        assert calls["svdvals"] == in_band  # the singular values only inside the band
+        assert deficient or qr_rank == rank == m
+        assert calls["svdvals"] == by_svd  # only inside the band, where no bound decides
         if deficient:
             assert weights is None
             assert calls["dormqr"] == 0  # a deficient attempt never applies Q
@@ -594,6 +615,36 @@ def test_guard_band_decides_by_singular_values(monkeypatch, d, degree):
             assert calls["dormqr"] == 1
             err = np.linalg.norm(weights - ref)
             assert err <= sv[0] / sv[-1] * 1e-14 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GUARD_CASES), st.floats(-0.5, 3.5))
+def test_certificate_never_overrules_singular_values(case, decades):
+    # gaps from sigma_min / sigma_max = 10^-0.5 RANK_RTOL up past the band's
+    # top; inside the band the rank must be the singular values' whether the
+    # norm certificate or svdvals decided it
+    import scipy.linalg
+    from scipy.linalg.lapack import dgeqp3
+
+    d, degree = case
+    m = polynomial_dim(d, degree)
+    bmat = near_deficient(d, degree, tuned_gap(d, degree, RANK_RTOL) * 10.0**decades)
+    qr = dgeqp3(bmat.T.copy())[0]
+    ratio = np.abs(np.diag(qr)).min() / abs(qr[0, 0])
+    sv = scipy.linalg.svdvals(np.triu(qr[:m]))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.svdvals(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyrep, "svdvals", counted)
+        weights, rank = _min_norm(bmat.copy())
+    if RANK_RTOL < ratio <= _GUARD * RANK_RTOL:
+        assert (weights is None) == (sv[-1] <= RANK_RTOL * sv[0])
+        if not calls:  # certified: the singular values call it full rank
+            assert rank == m and sv[-1] > RANK_RTOL * sv[0]
 
 
 # ---------------------------------------------------------------------------
