@@ -118,10 +118,14 @@ def minimal_density(
     reproduction built at radius ``rho`` on its whole tie group, equal bit for
     bit to ``build_reproduction(cs, alpha, rho, degree)``; for a batch, the
     (n,) rho and the list of witnesses.  Raises :class:`NoAdmissibleRadius`,
-    naming the first point in input order whose full set fails.
+    naming the first point in input order whose full set fails, and
+    ``ValueError`` before any solve for a ``stability_cap`` not above 1 (NaN
+    included), which only round-off could meet.
     """
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
+    if not stability_cap > 1:  # Sum|a| >= Sum a = 1 in exact arithmetic
+        raise ValueError(f"stability_cap must be > 1, got {stability_cap!r}")
     pts, single = _as_points(alpha, cs.dim)
     size = _WINDOW * polynomial_dim(cs.dim, degree)
     with _serial_blas():

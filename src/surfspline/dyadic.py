@@ -111,7 +111,7 @@ def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
     on a sample) included, and the pairs are reduced per run.
     """
     key = np.column_stack([cubes.level, cubes.index])
-    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]
+    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)][:len(key)]  # no rows: no runs
     runs = cubes[new]
     rho_max, rho_min = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
     for lv in np.unique(runs.level):

@@ -15,8 +15,12 @@ of the transposed moment matrix ``B^T``.  Its R gives the rank: a smallest
 ratio ``|R_kk| / |R_00|`` at most ``RANK_RTOL`` proves the system deficient,
 one above a guard band over ``RANK_RTOL`` is taken as full rank, and inside
 the band a norm bound on R's condition proves full rank or else the singular
-values of R decide.  The sum of absolute weights is the stability norm of the
-reproduction.
+values of R decide.  Before any QR, a system whose scaled centers take at most
+``degree`` distinct values on one axis is proven deficient: the product of
+the linear factors through those values is a nonzero polynomial of degree at
+most ``degree`` that vanishes on every center, so no weights reproduce
+Pi_degree there (Wendland, *Scattered Data Approximation*, 2005, ch. 2).  The
+sum of absolute weights is the stability norm of the reproduction.
 
 Local solves run on one BLAS thread (:func:`_serial_blas`): at degree 14 a
 QR's level-2 calls cross OpenBLAS's threading threshold, and a second thread
@@ -216,7 +220,9 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
 
 def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> np.ndarray:
     """The weights of :func:`_solve`, raising :class:`InsufficientPoints` or
-    :class:`RankDeficient` where :func:`build_reproduction` does."""
+    :class:`RankDeficient` where :func:`build_reproduction` does.  A system
+    that :func:`_axis_deficient` decided carries no rank, so the error text
+    takes the rank of one QR, the text the QR alone would give."""
     m = polynomial_dim(cs.dim, degree)
     if len(offsets) < m:
         raise InsufficientPoints(
@@ -224,6 +230,8 @@ def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> 
         )
     sol, rank, _ = _solve(cs, offsets, radius, degree)
     if sol is None:
+        if rank is None:
+            rank = _min_norm(_moment_system(offsets, radius, degree)[0])[1]
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
     return sol
 
@@ -231,7 +239,12 @@ def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> 
 def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tuple:
     """The one local solve: ``(weights, rank, stability)`` on the neighbor
     ``offsets`` from a base point (at least ``dim Pi_degree`` rows), weights
-    and stability None if deficient.
+    and stability None if deficient, and the rank None too where
+    :func:`_axis_deficient` proved the system deficient: on a memo miss it
+    reads the scaled offsets, the exact float inputs of the moment matrix,
+    and a set with at most ``degree`` values on an axis is stored as ``(None,
+    None, None)`` with no moment matrix and no QR.  Otherwise
+    :func:`_min_norm` decides.
 
     Every local solve on a center set (``build_reproduction``, ``assemble``
     and the attempts of ``minimal_density``) goes through the set's memo
@@ -252,17 +265,32 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
     inputs = (offsets.tobytes(), radius, degree)
     hit = index.get(inputs)
     if hit is None:
-        key = ((offsets / radius).tobytes(), degree)
+        scaled = offsets / radius
+        key = (scaled.tobytes(), degree)
         hit = memo.get(key)
         if hit is None:
-            sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
-            hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
+            if _axis_deficient(scaled, degree):
+                hit = None, None, None
+            else:
+                sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
+                hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
             if len(memo) >= _SOLVE_MEMO_CAP:
                 memo.clear()
                 index.clear()
             memo[key] = hit
         index[inputs] = hit
     return hit
+
+
+def _axis_deficient(scaled: np.ndarray, degree: int) -> bool:
+    """Whether some axis of the points ``scaled`` (n, d) holds at most
+    ``degree`` distinct values c_1 .. c_k: then ``prod_i (x_a - c_i)`` is a
+    nonzero polynomial of degree k <= ``degree`` that vanishes on every point,
+    so the moment matrix on these points has rank below ``dim Pi_degree`` in
+    exact arithmetic (``-0.0`` and ``0.0`` are one value)."""
+    ranked = np.sort(scaled.T)  # one row per axis
+    steps = ranked[:, 1:] != ranked[:, :-1]
+    return any(np.count_nonzero(row) < degree for row in steps)
 
 
 def _lapack(routine, *args, **kwargs):

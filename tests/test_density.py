@@ -125,13 +125,13 @@ def test_no_admissible_radius():
     with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.5\]"):
         minimal_density(cs, [0.5], 3, 100.0)
     # every exit names the point: too few centers above, then collinear
-    # centers (never unisolvent) and a cap below 1 (never met)
+    # centers (never unisolvent) and a cap below every Sum|a| (never met)
     cs = CenterSet([[float(i), 0.0] for i in range(6)])
     with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.5, 0\.0\]: no unisolvent"):
         minimal_density(cs, [0.5, 0.0], 1)
     cs = CenterSet([0.0, 1.0, 2.0, 3.0])
     with pytest.raises(NoAdmissibleRadius, match=r"at alpha \[0\.25\]: stability cap"):
-        minimal_density(cs, [0.25], 1, 0.5)
+        minimal_density(cs, [0.25], 2, 1.05)
 
 
 @pytest.mark.parametrize("window", [1, 4, 10**9])
@@ -145,8 +145,8 @@ def test_no_admissible_radius_messages(monkeypatch, window):
          "at alpha [0.5]: only 2 centers, need 4 for degree 3"),
         (CenterSet([[float(i), 0.0] for i in range(6)]), [0.5, 0.0], 1, None,
          "at alpha [0.5, 0.0]: no unisolvent neighbor set at any radius"),
-        (CenterSet([0.0, 1.0, 2.0, 3.0]), [0.25], 1, 0.5,
-         "at alpha [0.25]: stability cap 0.5 never met (best Sum|a| = 1)"),
+        (CenterSet([0.0, 1.0, 2.0, 3.0]), [0.25], 2, 1.05,
+         "at alpha [0.25]: stability cap 1.05 never met (best Sum|a| = 1.09375)"),
     ]
     for cs, alpha, degree, cap, message in cases:
         with pytest.raises(NoAdmissibleRadius) as err:
@@ -161,6 +161,16 @@ def test_no_admissible_radius_reports_smallest_stability():
     assert f"{build_reproduction(cs, alpha, 10.0, 2).stability:g}" == "1.31983"
     with pytest.raises(NoAdmissibleRadius, match=r"never met \(best Sum\|a\| = 1\.07444\)$"):
         minimal_density(cs, alpha, 2, 1.05)
+
+
+@pytest.mark.parametrize("cap", [1.0, 0.5, 0.0, -2.0, float("nan")])
+def test_impossible_stability_cap_rejected_before_any_solve(count_solves, cap):
+    # Sum|a| >= Sum a = 1, so a cap not above 1 could only be met by
+    # round-off; the search would scan every candidate radius first
+    cs = CenterSet(np.random.default_rng(5).uniform(-1, 1, size=(200, 2)))
+    with pytest.raises(ValueError, match=rf"^stability_cap must be > 1, got {cap!r}$"):
+        minimal_density(cs, [[0.0, 0.0], [0.5, 0.5]], 3, cap)
+    assert count_solves == []
 
 
 def fresh_witness(cs, alpha, rho, degree):

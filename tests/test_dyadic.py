@@ -113,6 +113,20 @@ def test_classify_undersampled():
         classify(cubes, df, params)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_classify_no_cubes(d):
+    # no levels, no cubes: two empty arrays, which the bound check and the
+    # overlap count accept like any other record
+    df = DensityField(np.zeros((1, d)), [0.5])
+    params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
+    cubes = enumerate_cubes((np.zeros(d), np.ones(d)), [], d)
+    good, rho_min = classify(cubes, df, params)
+    assert good.shape == rho_min.shape == (0,)
+    assert good.dtype == bool and rho_min.dtype == float
+    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, 1.0, 1.0) == 0.0
+    assert overlap_count(cubes, np.zeros(d), params) == 0
+
+
 def test_conditional_parent_goodness():
     # assertable form: if ell(nu) >= rho over the PARENT's support, the
     # parent (with double sidelength) is good

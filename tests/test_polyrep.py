@@ -484,16 +484,23 @@ def min_norm_by_gelsd(bmat):
     return (sol if rank == bmat.shape[0] else None), rank
 
 
-def prefix_systems(cs, alpha, degree):
-    """The moment matrix of every prefix of the distance order about alpha
-    that holds dim Pi_degree centers, at the distance of its last center."""
+def prefix_offsets(cs, alpha, degree):
+    """The offsets from alpha of every prefix of the distance order about
+    alpha that holds dim Pi_degree centers, and the distance of its last
+    center."""
     from surfspline.density import _ZERO_RADIUS
 
     dist = np.linalg.norm(cs.points - alpha, axis=1)
     order = np.argsort(dist, kind="stable")
     for n in range(polynomial_dim(cs.dim, degree), len(cs) + 1):
         idx = order[:n]
-        yield _moment_system(cs.points[idx] - alpha, max(dist[idx[-1]], _ZERO_RADIUS), degree)[0]
+        yield cs.points[idx] - alpha, max(dist[idx[-1]], _ZERO_RADIUS)
+
+
+def prefix_systems(cs, alpha, degree):
+    """The moment matrix of every prefix of :func:`prefix_offsets`."""
+    for offsets, radius in prefix_offsets(cs, alpha, degree):
+        yield _moment_system(offsets, radius, degree)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,6 +550,136 @@ def test_minimal_density_matches_pow_oracle(seed, d, data, kind):
     cs, alpha = consistency_cloud(seed, d, kind)
     assert (minimal_density_with("_moment_system", _moment_system, cs, alpha, degree)
             == minimal_density_with("_moment_system", moment_system_by_pow, cs, alpha, degree))
+
+
+# ---------------------------------------------------------------------------
+# the axis certificate: deficient systems decided without a QR
+
+
+def test_axis_certificate_counts_distinct_values():
+    # degree values on one axis fire, degree + 1 do not; -0.0 and 0.0 are
+    # one value (one factor x - 0 vanishes on both)
+    on_three = np.array([[-0.5, 0.1], [0.0, 0.2], [0.5, 0.3], [-0.0, 0.4], [0.5, 0.5]])
+    assert polyrep._axis_deficient(on_three, 3)
+    assert not polyrep._axis_deficient(on_three, 2)
+    on_four = np.vstack([on_three, [0.25, 0.6]])
+    assert not polyrep._axis_deficient(on_four, 3)
+    assert polyrep._axis_deficient(on_four * [0.0, 1.0], 1)  # a zero axis
+    assert not polyrep._axis_deficient(on_four, 0)  # a constant never vanishes
+
+
+def lattice_subset(seed, d, degree):
+    """Offsets of a random subset (dim Pi_degree points or more) of an
+    axis-aligned lattice of spacing 2^-3 or 0.1 whose axes hold 1 to
+    ``degree + 3`` values, from a base point near it, and a radius holding
+    them."""
+    rng = np.random.default_rng(seed)
+    m = polynomial_dim(d, degree)
+    h = float(rng.choice([0.125, 0.1]))
+    counts = rng.integers(1, degree + 4, size=d)
+    while np.prod(counts) < m:
+        counts[rng.integers(d)] += 1
+    axes = [h * (np.arange(c) - c // 2) for c in counts]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    n = int(rng.integers(m, min(len(pts), 2 * m) + 1))
+    offsets = pts[rng.choice(len(pts), size=n, replace=False)] - h * rng.uniform(-1, 1, size=d)
+    return offsets, float(np.max(np.linalg.norm(offsets, axis=1))) * rng.uniform(1.0, 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.integers(1, 14))
+def test_axis_certificate_agrees_with_qr_and_gelsd(seed, d, degree):
+    # wherever the certificate fires, the pivoted QR and the SVD read the
+    # computed moment matrix deficient at RANK_RTOL too
+    offsets, radius = lattice_subset(seed, d, degree)
+    if polyrep._axis_deficient(offsets / radius, degree):
+        bmat = _moment_system(offsets, radius, degree)[0]
+        weights, rank = _min_norm(bmat.copy())
+        assert weights is None and rank < bmat.shape[0]
+        assert solve_by_gelsd(bmat)[1] < bmat.shape[0]
+
+
+def spied_certificate(mp, on):
+    """Patch ``polyrep._axis_deficient`` with a spy that answers as it does,
+    or False throughout unless ``on``; the list of the spy's answers."""
+    answers, certify = [], polyrep._axis_deficient
+
+    def spy(scaled, degree):
+        answers.append(on and certify(scaled, degree))
+        return answers[-1]
+
+    mp.setattr(polyrep, "_axis_deficient", spy)
+    return answers
+
+
+def densities_with(certify, points, probes, degree):
+    """``minimal_density``'s radii and witness bytes on a fresh center set,
+    or its error text, with the certificate in place or patched out; and
+    whether the certificate fired."""
+    with pytest.MonkeyPatch.context() as mp:
+        answers = spied_certificate(mp, certify)
+        try:
+            rho, witnesses = minimal_density(CenterSet(points), np.atleast_2d(probes), degree)
+        except NoAdmissibleRadius as exc:
+            return str(exc), any(answers)
+        return (rho.tobytes(), [(pr.indices.tobytes(), pr.weights.tobytes()) for pr in witnesses],
+                any(answers))
+
+
+def test_certificate_changes_no_density_on_lattice_and_remark1():
+    from surfspline import MultiresSpec, generate_centers
+
+    xs = np.arange(-8, 9) / 8.0
+    lattice = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    spec = MultiresSpec(j=2, k=2, d=2, defect=[[0.0, 0.0]], box=([-7.5, -7.5], [7.5, 7.5]))
+    cases = [(lattice, [[0.0, 0.0], [0.0625, 0.3], [-0.41, 0.77]], 5),
+             (generate_centers(spec).points, [[0.0, 0.0], [0.3, 0.1], [2.5, 2.5], [6.2, -3.1]], 14)]
+    for points, probes, degree in cases:
+        *with_certificate, fired = densities_with(True, points, probes, degree)
+        *without, silent = densities_with(False, points, probes, degree)
+        assert with_certificate == without
+        assert fired and not silent
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data(), st.sampled_from(CLOUDS))
+def test_certificate_changes_no_density_on_consistency_clouds(seed, d, data, kind):
+    degree = data.draw(st.integers(0, 3 if d == 3 else 6))
+    cs, alpha = consistency_cloud(seed, d, kind)
+    assert (densities_with(True, cs.points, alpha, degree)[:-1]
+            == densities_with(False, cs.points, alpha, degree)[:-1])
+
+
+@pytest.mark.parametrize("points, alpha, radius, degree", [
+    ([[float(i), 0.0] for i in range(6)], [0.5, 0.0], 6.0, 1),  # one y value
+    ([[x, y] for x in (0.0, 0.5, 1.0) for y in (0.0, 0.3, 0.7, 1.0)], [0.4, 0.4], 2.0, 3),
+    ([[x, y, z] for x in (0.0, 1.0) for y in range(4) for z in range(3)],
+     [0.5, 1.5, 1.0], 5.0, 2),
+])
+def test_certified_rank_deficient_text_equals_qr(points, alpha, radius, degree):
+    # a certified system raises the text of the QR's rank, which _weights
+    # then takes; with the certificate patched out the QR decides alone
+    texts = []
+    for certify in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            answers = spied_certificate(mp, certify)
+            with pytest.raises(RankDeficient) as err:
+                build_reproduction(CenterSet(points), alpha, radius, degree)
+        assert any(answers) == certify
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_certificate_silent_in_1d_and_on_random_clouds(seed, d, data):
+    # in 1-D the values of dim Pi_degree = degree + 1 distinct centers are
+    # too many; a uniform or clustered cloud repeats no coordinate
+    kind = data.draw(st.sampled_from(CLOUDS if d == 1 else ["uniform", "clustered"]))
+    degree = data.draw(st.integers(0, 3 if d == 3 else 8))
+    cs, alpha = consistency_cloud(seed, d, kind)
+    for offsets, radius in prefix_offsets(cs, alpha, degree):
+        assert not polyrep._axis_deficient(offsets / radius, degree)
 
 
 def near_deficient(d, degree, gap):
@@ -703,7 +840,7 @@ def solving_calls():
         "build_reproduction": (RankDeficient,
                                lambda: build_reproduction(collinear, [1.0, 0.5], 3.0, 1)),
         "minimal_density": (NoAdmissibleRadius,
-                            lambda: minimal_density(CenterSet(grid), [0.1], 4, 0.5)),
+                            lambda: minimal_density(CenterSet(grid), [0.1], 4, 1.1)),
         "assemble": (AssemblyError, assembled(0.05)),  # 1 center in each node's ball
     }
     return ok, failing
