@@ -404,9 +404,9 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     d = df.dim
     box = _corners(cfg, "box", d)
     cubes = enumerate_cubes(box, range(levels[0], levels[1] + 1), d)
-    good, rho_min = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
-    ratio = bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r)
+    ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
     columns = [cubes.level, *cubes.index.T, *cubes.gender.T, np.where(good, "good", "bad")]
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")

@@ -3,16 +3,15 @@
 A gendered cube is a pair (gender, dyadic cube): the gender is a nonzero
 0/1 vector (2^d - 1 per cube) and the cube at level j has corner
 ``2^-j * corner_index`` and sidelength ``2^-j``.  Cubes are held as arrays,
-one row per gendered cube, in a :class:`DyadicCubes` record; every function
-here works on whole records, and the support extrema come from one kd-tree
-pair join per level between its distinct corners and the samples, made once
-by :func:`classify` for both the partition and the bad-cube bound.  No
-wavelets are ever constructed; the inflated support is modeled as the ball
-``B(corner, Gamma * sidelength)``, which is all the partition machinery
-depends on.  A cube is *good* when its sidelength
-dominates the density over its inflated support, *bad* otherwise; bad cubes
-have their sidelength bounded by a multiple of the density anywhere in their
-support, which is the step that tames the rough part of a smoothness split.
+one row per gendered cube, in a :class:`DyadicCubes` record, and every
+function here works on whole records.  No wavelets are ever constructed; the
+inflated support is modeled as the ball ``B(corner, Gamma * sidelength)``.
+A cube is *good* when its sidelength dominates the density over its
+inflated support, *bad* otherwise; bad cubes have their sidelength bounded
+by a multiple of the density anywhere in their support, which is the step
+that tames the rough part of a smoothness split.  Both are decided by
+kd-tree nearest-sample queries of each level's distinct corners, exact on
+the samples.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from itertools import product
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .centers import _as_box, _as_points, _grid_points, _pair_distances
+from .centers import CenterSet, _as_box, _as_points, _grid_points, _pair_distances
 from .density import DensityField
 
 
@@ -100,70 +99,71 @@ def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
                        np.tile(gs, (len(level), 1)))
 
 
-def _support_extrema(cubes: DyadicCubes, density: DensityField, gamma: float):
-    """(rho_max, rho_min) of density samples in each cube's inflated support.
+def _runs(cubes: DyadicCubes, density: DensityField) -> tuple[DyadicCubes, np.ndarray]:
+    """The first row of each run of adjacent rows with one level and corner
+    (a corner's genders are adjacent in :func:`enumerate_cubes` order), which
+    share a support, and each row's run; the density must have the cubes' dimension."""
+    if cubes.index.shape[1] != density.dim:
+        raise ValueError(f"dimensions differ: cubes {cubes.index.shape[1]}, density {density.dim}")
+    new = np.r_[True, cubes.level[1:] != cubes.level[:-1]][:len(cubes)]  # no rows: no runs
+    for col in cubes.index.T:
+        new[1:] |= col[1:] != col[:-1]
+    return cubes[new], np.cumsum(new) - 1
 
-    Adjacent rows with the same level and corner share one support (the
-    genders of a corner are adjacent in :func:`enumerate_cubes` order), so
-    each such run is searched once.  The runs of one level share the radius
-    ``gamma * 2^-level``: one kd-tree pair join of their corners against the
-    samples lists every pair within it, boundary and distance zero (a corner
-    on a sample) included, and the pairs are reduced per run.
+
+def classify(cubes: DyadicCubes, density: DensityField, params: DyadicParams) -> np.ndarray:
+    """The mask of the good cubes, aligned with ``cubes``: a cube is good iff
+    its sidelength is at least every density sample in ``B(corner, gamma *
+    sidelength)``, distance 0 and exactly the radius included.  One nearest
+    query of the corners against all samples finds empty supports, then one
+    per level against the samples above its sidelength, unless all or none
+    are.  Raises :class:`UndersampledDensity` for the first cube in row
+    order whose support holds no sample.
     """
-    key = np.column_stack([cubes.level, cubes.index])
-    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)][:len(key)]  # no rows: no runs
-    runs = cubes[new]
-    rho_max, rho_min = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
-    for lv in np.unique(runs.level):
-        rows = np.flatnonzero(runs.level == lv)
-        pairs = cKDTree(runs[rows].corner).sparse_distance_matrix(
-            density._tree, gamma * 2.0**-lv, output_type="ndarray")
-        i, vals = np.take(rows, pairs["i"]), np.take(density.values, pairs["j"])
-        np.maximum.at(rho_max, i, vals)
-        np.minimum.at(rho_min, i, vals)
-    if np.isinf(rho_min).any():  # a run without a pair keeps its +inf
-        i = np.flatnonzero(np.isinf(rho_min))[0]
+    runs, run_of_row = _runs(cubes, density)
+    corner, radius = runs.corner, params.gamma * runs.side
+    bad = density._tree.query(corner)[0] <= radius  # so far: the support holds a sample
+    if not bad.all():
+        i = np.flatnonzero(~bad)[0]
         raise UndersampledDensity(
-            f"no density sample within {gamma * runs.side[i]:g} of the corner of the level "
+            f"no density sample within {radius[i]:g} of the corner of the level "
             f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
         )
-    run_of_row = np.cumsum(new) - 1
-    return np.take(rho_max, run_of_row), np.take(rho_min, run_of_row)
+    for lv in np.unique(runs.level):
+        above, at = density.values > 2.0**-lv, runs.level == lv
+        if not above.all():  # all above: each support's samples are
+            bad[at] = above.any() and cKDTree(
+                density.points[above], **CenterSet._tree_options).query(corner[at])[0] <= radius[at]
+    return ~np.take(bad, run_of_row)
 
 
-def classify(cubes: DyadicCubes, density: DensityField,
-             params: DyadicParams) -> tuple[np.ndarray, np.ndarray]:
-    """``(good, rho_min)``: the mask of the good cubes and the smallest density
-    sample in each cube's inflated support, both aligned with ``cubes``.
-
-    A cube is good iff its sidelength is at least the max density sample in
-    ``B(corner, gamma * sidelength)``; ``cubes[~good]`` are the bad cubes and
-    ``rho_min[~good]`` what :func:`bad_cube_bound_check` takes for them.
-    Raises :class:`UndersampledDensity` for cubes whose support holds no
-    sample.
-    """
-    rho_max, rho_min = _support_extrema(cubes, density, params.gamma)
-    return cubes.side >= rho_max, rho_min
-
-
-def bad_cube_bound_check(bad: DyadicCubes, rho_min, params: DyadicParams,
+def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: DyadicParams,
                          c_sm: float, r: float) -> float:
-    """Worst ratio of ell(nu) against C * rho(x) over bad cubes and samples x.
+    """Worst ratio of ell(nu) against C * rho(x) over the cubes nu of ``bad``
+    (``cubes[~good]``) and the density samples x in their inflated supports.
 
-    ``rho_min`` holds each bad cube's smallest density sample in its inflated
-    support, as :func:`classify` returns it (``rho_min[~good]``).
     ``C = [c_sm (1 + 2 Gamma)^(-r)]^(-1)``; with (c_sm, r) certified on the
     density's samples the ratio never exceeds 1 (the pointwise argument of
-    the rough-part estimate, restated at sample level).  Returns 0.0 when
-    there are no bad cubes.
+    the rough-part estimate, restated at sample level).  Rounded, the ratio
+    never rises with rho, so a level's worst is at the first sample, in
+    ascending value order, that a kd-tree of its corners finds within reach.
+    Returns 0.0 when no support holds a sample (no bad cubes).
     """
-    rho_min = np.asarray(rho_min, dtype=float)
-    if rho_min.shape != (len(bad),):
-        raise ValueError(f"need one rho_min per bad cube ({len(bad)}), got {rho_min.shape}")
-    if not len(bad):
-        return 0.0
+    for name, value in (("c_sm", c_sm), ("r", r)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    runs = _runs(bad, density)[0]
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
-    return float(np.max(bad.side / (cap * rho_min)))
+    chunks = np.split(np.argsort(density.values), 16 * (2 ** np.arange(1, 16) - 1))
+    corner, worst = runs.corner, 0.0
+    for lv in np.unique(runs.level):
+        side, tree = 2.0**-lv, cKDTree(corner[runs.level == lv], **CenterSet._tree_options)
+        for rows in chunks:  # of sizes 16, 32, ...: most often the first sample is inside
+            inside = np.flatnonzero(tree.query(density.points[rows])[0] <= params.gamma * side)
+            if inside.size:
+                worst = max(worst, side / (cap * density.values[rows[inside[0]]]))
+                break
+    return float(worst)
 
 
 def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarray:

@@ -6,6 +6,7 @@ breaks the benchmark fail the test suite too.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -105,5 +106,36 @@ def test_remark1_place_density_passes_at_full_size(tmp_path, count_solves, monke
 
 def test_dyadic_certify_passes_at_full_size(tmp_path):
     # the only full-size run of `surfspline dyadic`: the self-majorization
-    # certificate on 5,329 samples and the batched overlap count per level
-    run_and_check(tmp_path, "dyadic_certify", 2027, quick=False)
+    # certificate on 5,329 samples and the batched overlap count per level.
+    # Every row's class and the bad-cube ratio match a blocked distance scan
+    # of the same supports, the workload's own ties at the radius included
+    from scipy.spatial.distance import cdist
+
+    from surfspline import enumerate_cubes
+    from surfspline.cli import load_config, read_density
+
+    for seed in (1, 2027):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        run_and_check(work, "dyadic_certify", seed, quick=False)
+        cfg = load_config(str(work / "dyadic.json"), "dyadic")
+        df, (lo, hi), gamma = read_density(cfg["density_file"]), cfg["levels"], cfg["gamma"]
+        cubes = enumerate_cubes((cfg["box"]["lo"], cfg["box"]["hi"]), range(lo, hi + 1), 2)
+        rho_max, rho_min, ties = [], [], 0
+        for s in range(0, len(cubes), 512):
+            rows = cubes[s:s + 512]
+            dist, radius = cdist(rows.corner, df.points), gamma * rows.side[:, None]
+            inside, ties = dist <= radius, ties + np.count_nonzero(dist == radius)
+            rho_max.append(np.max(np.where(inside, df.values, -np.inf), axis=1))
+            rho_min.append(np.min(np.where(inside, df.values, np.inf), axis=1))
+        rho_max, rho_min = np.concatenate(rho_max), np.concatenate(rho_min)
+        assert np.isfinite(rho_max).all() and ties > 0  # no support is empty, samples at radius
+        good = cubes.side >= rho_max
+        rows = (work / "out" / "partition.csv").read_text().splitlines()[1:]
+        assert rows == [f"{lv},{k[0]},{k[1]},{e[0]},{e[1]},{'good' if g else 'bad'}"
+                        for lv, k, e, g in zip(cubes.level.tolist(), cubes.index.tolist(),
+                                               cubes.gender.tolist(), good)]
+        report = json.loads((work / "out" / "bound_check.json").read_text())
+        cap = 1.0 / (report["c_sm"] * (1.0 + 2.0 * gamma) ** (-cfg["r"]))
+        assert report["bad_cube_max_ratio"] == np.max(cubes.side[~good] / (cap * rho_min[~good]))
+        assert 0 < np.count_nonzero(good) < len(cubes)

@@ -72,7 +72,7 @@ def test_classify_constant_density_threshold():
     df = DensityField(np.linspace(0, 1, 9), np.full(9, 0.3))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3], 1)
-    good, _ = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     assert good.shape == (len(cubes),)
     assert np.all(cubes.side[good] >= 0.3)
     assert np.all(cubes.side[~good] < 0.3)
@@ -86,7 +86,7 @@ def test_classify_spike():
     df = DensityField(pts, vals)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.array([-1.0]), np.array([1.0])), [1, 4], 1)
-    good, _ = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     sees_spike = np.abs(cubes.corner[:, 0]) <= params.gamma * cubes.side
     small = sees_spike & (cubes.side < 1.0)
     assert small.any()
@@ -99,8 +99,8 @@ def test_classify_monotone_in_density():
     vals = np.exp(rng.normal(size=20) * 0.5) * 0.1
     params = DyadicParams(gamma=1.5, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1, 2, 3, 4], 1)
-    good_lo, _ = classify(cubes, DensityField(pts, vals), params)
-    good_hi, _ = classify(cubes, DensityField(pts, vals * 3.0), params)
+    good_lo = classify(cubes, DensityField(pts, vals), params)
+    good_hi = classify(cubes, DensityField(pts, vals * 3.0), params)
     # increasing the density never moves a cube from bad to good
     assert not np.any(good_hi & ~good_lo)
 
@@ -115,15 +115,14 @@ def test_classify_undersampled():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_classify_no_cubes(d):
-    # no levels, no cubes: two empty arrays, which the bound check and the
-    # overlap count accept like any other record
+    # no levels, no cubes: an empty mask, and an empty record, which the
+    # bound check and the overlap count accept like any other record
     df = DensityField(np.zeros((1, d)), [0.5])
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(d), np.ones(d)), [], d)
-    good, rho_min = classify(cubes, df, params)
-    assert good.shape == rho_min.shape == (0,)
-    assert good.dtype == bool and rho_min.dtype == float
-    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, 1.0, 1.0) == 0.0
+    good = classify(cubes, df, params)
+    assert good.shape == (0,) and good.dtype == bool
+    assert bad_cube_bound_check(cubes[~good], df, params, 1.0, 1.0) == 0.0
     assert overlap_count(cubes, np.zeros(d), params) == 0
 
 
@@ -135,13 +134,11 @@ def test_conditional_parent_goodness():
     vals = np.exp(rng.normal(size=60) * 0.7) * 0.05
     df = DensityField(pts, vals)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
-    from surfspline.dyadic import _support_extrema
-
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [2, 3], 1)
     children = cubes[cubes.level == 3]
     parents = DyadicCubes(children.level - 1, children.index // 2, children.gender)
-    rho_parent, _ = _support_extrema(parents, df, params.gamma)
-    good_parents, _ = classify(parents, df, params)
+    rho_parent, _ = support_extrema_by_listing(parents, df, params.gamma)
+    good_parents = classify(parents, df, params)
     assert np.all(good_parents[children.side >= rho_parent])
 
 
@@ -164,18 +161,18 @@ def test_bad_cube_bound_with_certified_constants():
     c_sm = certify_self_majorization(df, r)
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 7), 1)
-    good, rho_min = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     assert not good.all()  # the field exceeds every sidelength somewhere
-    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r) <= 1.0
+    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) <= 1.0
 
 
 def test_bad_cube_bound_no_bad_cubes():
     df = DensityField(np.linspace(0, 1, 5), np.full(5, 1e-6))
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), range(0, 3), 1)
-    good, rho_min = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     assert good.all()
-    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, 1.0, 1.0) == 0.0
+    assert bad_cube_bound_check(cubes[~good], df, params, 1.0, 1.0) == 0.0
 
 
 def test_overlap_count_d1():
@@ -263,7 +260,7 @@ def test_classify_and_bound_match_brute_force(seed, d):
         with pytest.raises(UndersampledDensity):
             classify(cubes, df, params)
         return
-    good, rho_min = classify(cubes, df, params)
+    good = classify(cubes, df, params)
     sides = cubes.side.tolist()
     assert good.tolist() == [s >= v.max() for s, v in zip(sides, vals)]
     r = float(rng.uniform(0.5, 3.0))
@@ -271,13 +268,13 @@ def test_classify_and_bound_match_brute_force(seed, d):
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
     ratios = [s / (cap * v.min()) for s, v, g in zip(sides, vals, good) if not g]
     expected = max(ratios) if ratios else 0.0
-    assert bad_cube_bound_check(cubes[~good], rho_min[~good], params, c_sm, r) == expected
+    assert bad_cube_bound_check(cubes[~good], df, params, c_sm, r) == expected
 
 
 def support_extrema_by_listing(cubes, density, gamma):
-    """The per-ball listing the per-level pair join replaced: one batched
-    ``query_ball_point`` over the corners of the runs of adjacent rows with
-    one level and corner, each run's hits reduced in one slice."""
+    """(rho_max, rho_min) of each cube's support from a per-ball listing: one
+    batched ``query_ball_point`` over the corners of the runs of adjacent
+    rows with one level and corner, each run's hits reduced in one slice."""
     from surfspline.centers import _ball_hits
 
     key = np.column_stack([cubes.level, cubes.index])
@@ -313,53 +310,143 @@ def extrema_by_scan(cubes, df, gamma, within=np.less_equal):
     return np.concatenate(hi), np.concatenate(lo)
 
 
-def lattice_field(seed, x_min=0.0):
-    """Random positive values on the spacing-2^-6 lattice of [0, 1]^2, where
-    every corner of a cube of level <= 6 sits on a sample, right of ``x_min``."""
+def partition_from_extrema(cubes, extrema, params, c_sm=0.5, r=2.0, good_if=np.greater_equal):
+    """The good mask ``side >= rho_max`` (or ``good_if``) that per-cube support
+    extrema give, and the worst bad-cube ratio ``side / (C rho_min)`` per level."""
+    rho_max, rho_min = extrema
+    good = good_if(cubes.side, rho_max)
+    ratio = cubes.side / (1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r)) * rho_min)
+    return good, [float(np.max(ratio[~good & (cubes.level == lv)], initial=0.0))
+                  for lv in np.unique(cubes.level)]
+
+
+def partition(cubes, df, params, c_sm=0.5, r=2.0):
+    """``partition_from_extrema``'s pair from :func:`classify` and the bound."""
+    good = classify(cubes, df, params)
+    return good, [bad_cube_bound_check(cubes[~good & (cubes.level == lv)], df, params, c_sm, r)
+                  for lv in np.unique(cubes.level)]
+
+
+def lattice_points(x_min=0.0):
+    """The spacing-2^-6 lattice of [0, 1]^2, where every corner of a cube of
+    level <= 6 sits on a sample, right of ``x_min``."""
     xs = np.arange(65) * 2.0**-6
     pts = np.stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")], axis=1)
-    pts = pts[pts[:, 0] >= x_min]
+    return pts[pts[:, 0] >= x_min]
+
+
+def lattice_field(seed, x_min=0.0):
+    """Random values, about 1, on ``lattice_points``: above every side of levels
+    1..6 or nearly so."""
+    pts = lattice_points(x_min)
     return DensityField(pts, np.exp(np.random.default_rng(seed).normal(size=len(pts))))
+
+
+def step_field(seed):
+    """1 at the origin and from the lattice column 33 on, below 2^-11 left of
+    it and rising column by column (random within a column): a cube is bad
+    iff its support reaches column 33 or holds the origin, so the samples at
+    distance exactly gamma * side and 0 decide some cubes."""
+    pts = lattice_points()
+    vals = 2.0**-12 * (1.0 + pts[:, 0] + 2.0**-7 * np.random.default_rng(seed).random(len(pts)))
+    vals[(pts[:, 0] >= 33 * 2.0**-6) | ~pts.any(axis=1)] = 1.0
+    return DensityField(pts, vals)
+
+
+def plateau_field():
+    """1 at the origin, 2^-2 on the upper half of the lattice and 2^-5 on the
+    rest: no sample above the side at level 0, one at level 1, some at
+    levels 2..5 and all at level 6; samples equal the sides of levels 0, 2, 5."""
+    pts = lattice_points()
+    vals = np.where(pts[:, 1] >= 0.5, 2.0**-2, 2.0**-5)
+    vals[0] = 1.0
+    return DensityField(pts, vals)
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.5, 5.0])
 def test_support_extrema_on_lattice(gamma):
     # gamma 1.25 at level 4 and gamma 5 at level 6 give the radius 5 * 2^-6,
     # which the samples (3, 4) * 2^-6 from a corner meet exactly (and their
-    # multiples at coarser levels); at level 0 the supports for 1.5 and 5
-    # hold every sample; every corner is a sample at distance 0
-    from surfspline.dyadic import _support_extrema
-
-    df = lattice_field(int(4 * gamma))
+    # multiples at coarser levels), as (5, 0) * 2^-6 does for 1.5 at level 5;
+    # at level 0 the supports for 1.5 and 5 hold every sample; every corner
+    # is a sample at distance 0.  The mask and the per-level bound of
+    # classify match the listing's and the scan's support extrema
+    params = DyadicParams(gamma, 1.0, 2.0)
     cubes = enumerate_cubes((np.zeros(2), np.ones(2)), range(7), 2)
-    rho_max, rho_min = _support_extrema(cubes, df, gamma)
-    want = support_extrema_by_listing(cubes, df, gamma)
-    assert rho_max.tobytes() == want[0].tobytes() and rho_min.tobytes() == want[1].tobytes()
     corners = cubes[::3]  # the three genders of a corner are adjacent rows
-    rho_max, rho_min = rho_max[::3], rho_min[::3]
-    want = extrema_by_scan(corners, df, gamma)
-    assert rho_max.tobytes() == want[0].tobytes() and rho_min.tobytes() == want[1].tobytes()
-    # the boundary and the zero distance each decide some extrema
+    fields = {"random": lattice_field(int(4 * gamma)), "step": step_field(int(4 * gamma)),
+              "plateau": plateau_field()}
+    masks = {}
+    for name, df in fields.items():
+        good, ratios = partition(cubes, df, params)
+        want = partition_from_extrema(cubes, support_extrema_by_listing(cubes, df, gamma), params)
+        assert good.tolist() == want[0].tolist() and ratios == want[1]
+        want = partition_from_extrema(corners, extrema_by_scan(corners, df, gamma), params)
+        assert good[::3].tolist() == want[0].tolist() and ratios == want[1]
+        assert bad_cube_bound_check(cubes[~good], df, params, 0.5, 2.0) == max(ratios)
+        if gamma > 2**0.5:  # one level-0 support holds every sample
+            level0 = cubes[cubes.level == 0]
+            assert classify(level0, df, params).tolist() == [df.values.max() <= 1.0] * 3
+            assert (bad_cube_bound_check(level0, df, params, 0.5, 2.0)
+                    == 1.0 / (1.0 / (0.5 * (1.0 + 2.0 * gamma) ** -2.0) * df.values.min()))
+        masks[name] = good[::3].tolist()
+    # the boundary and the zero distance each decide some cubes on the step field
     for within in (np.less, lambda dist, r: (dist > 0) & (dist <= r)):
-        other = extrema_by_scan(corners, df, gamma, within)
-        assert not np.array_equal(rho_max, other[0]) or not np.array_equal(rho_min, other[1])
-    if gamma > 2**0.5:
-        level0 = corners.level == 0
-        assert np.all(rho_max[level0] == df.values.max())
-        assert np.all(rho_min[level0] == df.values.min())
+        other = extrema_by_scan(corners, fields["step"], gamma, within)
+        assert masks["step"] != partition_from_extrema(corners, other, params)[0].tolist()
+    # per level none, one, some or all of the plateau field's samples are above
+    # the side, and samples equal to the side are good and decide some cubes
+    vals = fields["plateau"].values
+    above = [np.count_nonzero(vals > side) for side in 2.0 ** -np.arange(7)]
+    assert above[0] == 0 and above[1] == 1 and 1 < above[3] < len(vals) and above[6] == len(vals)
+    other = partition_from_extrema(corners, extrema_by_scan(corners, fields["plateau"], gamma),
+                                   params, good_if=np.greater)
+    assert masks["plateau"] != other[0].tolist()
+
+
+def lattice_case(seed, d):
+    """Random samples on the spacing-2^-3 lattice of [-0.25, 1.25]^d with values
+    2^-k over a random span of k, a gamma that puts lattice points exactly at
+    gamma * side, levels 0..3 (every corner a lattice point)."""
+    rng = np.random.default_rng(seed)
+    axis = np.arange(-2, 11) * 2.0**-3
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    pts = grid[rng.random(len(grid)) < rng.uniform(0.3, 1.0)]
+    if not len(pts):
+        pts = grid[:1]
+    k0 = int(rng.integers(0, 4))
+    vals = 2.0 ** -rng.integers(k0, k0 + int(rng.integers(1, 4)), len(pts)).astype(float)
+    params = DyadicParams(float(rng.choice([1.0, 1.25, 1.5, 2.0])), 1.0, 2.0)
+    return DensityField(pts, vals), enumerate_cubes((np.zeros(d), np.ones(d)), range(4), d), params
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2))
+def test_classify_and_bound_match_brute_force_on_lattice(seed, d):
+    # power-of-two values equal the sides, lattice points lie at distance 0 and
+    # exactly gamma * side from corners: the mask and the per-level bound match
+    # the per-cube support values
+    df, cubes, params = lattice_case(seed, d)
+    vals = support_values(cubes, df, params.gamma)
+    if not all(v.size for v in vals):
+        with pytest.raises(UndersampledDensity):
+            classify(cubes, df, params)
+        return
+    extrema = (np.array([v.max() for v in vals]), np.array([v.min() for v in vals]))
+    got, want = partition(cubes, df, params), partition_from_extrema(cubes, extrema, params)
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_support_extrema_undersampled_names_first_empty_run(order):
-    # samples on the right half only: runs near the left edge hold none
-    from surfspline.dyadic import _support_extrema
-
+    # samples on the right half only: runs near the left edge hold none; the
+    # listing and classify name the same first one in row order
     df = lattice_field(3, x_min=0.5)
     cubes = enumerate_cubes((np.zeros(2), np.ones(2)), [1, 2, 3], 2)[::order]
     with pytest.raises(UndersampledDensity) as want:
         support_extrema_by_listing(cubes, df, 1.25)
     with pytest.raises(UndersampledDensity) as got:
-        _support_extrema(cubes, df, 1.25)
+        classify(cubes, df, DyadicParams(1.25, 1.0, 2.0))
     assert str(got.value) == str(want.value)
 
 

@@ -17,6 +17,7 @@ from surfspline import (
     bump,
     certify_self_majorization,
     certify_slow_growth,
+    classify,
     enumerate_cubes,
     evaluate,
     local_kernel_error_precise,
@@ -36,6 +37,13 @@ FIELD = DensityField(CLOUD, [1.0, 2.0, 3.0])
 BOX = ([-8.0, -8.0], [8.0, 8.0])
 BAD_BOX = "box must be a (lo, hi) pair of d-vectors with hi > lo"
 
+
+
+def bound(c_sm=0.5, r=1.0, d=2):
+    """The bad-cube bound of the level-0 cubes of the unit box in d dimensions
+    on ``FIELD``."""
+    cubes = enumerate_cubes((np.zeros(d), np.ones(d)), [0], d)
+    return bad_cube_bound_check(cubes, FIELD, DyadicParams(1.5, 1.0, 2.0), c_sm, r)
 
 def spec(**overrides):
     return MultiresSpec(**{"j": 1, "k": 2, "d": 2, "defect": [[0.0, 0.0]], "box": BOX,
@@ -138,9 +146,19 @@ CHECKS = [
     ("transition epsilon", lambda: plan_transition(1.0, 1.0, 1), ValueError,
      "epsilon must lie in (0, 1)"),
     ("transition k", lambda: plan_transition(1.0, 0.5, 0), ValueError, "k must be >= 1"),
-    ("rho_min shape", lambda: bad_cube_bound_check(
-        enumerate_cubes(([0.0], [1.0]), [0], 1), [1.0, 2.0], DyadicParams(1.5, 1.0, 2.0),
-        0.5, 1.0), ValueError, "need one rho_min per bad cube (1), got (2,)"),
+    ("bound c_sm negative", lambda: bound(c_sm=-1.0), ValueError,
+     "c_sm must be positive and finite, got -1.0"),
+    ("bound c_sm zero", lambda: bound(c_sm=0.0), ValueError,
+     "c_sm must be positive and finite, got 0.0"),
+    ("bound c_sm nan", lambda: bound(c_sm=np.nan), ValueError,
+     "c_sm must be positive and finite, got nan"),
+    ("bound r negative", lambda: bound(r=-1.0), ValueError,
+     "r must be positive and finite, got -1.0"),
+    ("bound r inf", lambda: bound(r=np.inf), ValueError, "r must be positive and finite, got inf"),
+    ("bound dimension", lambda: bound(d=1), ValueError, "dimensions differ: cubes 1, density 2"),
+    ("classify dimension", lambda: classify(enumerate_cubes(([0.0], [1.0]), [0], 1), FIELD,
+                                            DyadicParams(1.5, 1.0, 2.0)),
+     ValueError, "dimensions differ: cubes 1, density 2"),
     ("dyadic gamma inf", lambda: DyadicParams(np.inf, 1.0, 2.0), ValueError,
      "gamma must be >= 1 and finite"),
     ("kernel error weight count", lambda: kernel_error(weights=[0.125] * 8), ValueError,
