@@ -89,10 +89,10 @@ def _lattice(lo, hi, spacing: float, anchor) -> np.ndarray:
 
 class _Cloud:
     """A frozen cloud: ``points``, a read-only (n, d) copy, its ``dim`` and kd-tree
-    ``_tree``, built on first use (concurrent first uses may each build one)
-    with the keywords ``_tree_options``."""
-
-    _tree_options: dict = {}  # scipy's default: median splits, compacted nodes
+    ``_tree``, built on first use (concurrent first uses may each build one).
+    The library's one kd-tree constructor: sliding-midpoint splits without
+    compacted nodes, about three times faster to build than scipy's median
+    splits (Maneewongvatana & Mount, 1999)."""
 
     def __init__(self, points):
         pts = _as_cloud(points)  # a copy: freezing it leaves the caller's
@@ -105,7 +105,7 @@ class _Cloud:
 
     @cached_property
     def _tree(self) -> cKDTree:
-        return cKDTree(self.points, **self._tree_options)
+        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
 
     def __len__(self):
         return self.points.shape[0]
@@ -133,15 +133,7 @@ class CenterSet(_Cloud):
 
     Local solves on the set share its memo ``_solves`` and the memo's index
     ``_solve_index`` (see :func:`~surfspline.polyrep._solve`).
-
-    The set's kd-tree splits at sliding midpoints without compacting nodes,
-    about three times faster to build than scipy's default.  Every query of
-    a center set is exact under ties, so no result depends on the layout;
-    density fields keep the default, as their ``nearest`` breaks exact ties
-    by the tree's traversal.
     """
-
-    _tree_options = {"balanced_tree": False, "compact_nodes": False}
 
     def __init__(self, points, levels=None):
         super().__init__(points)
@@ -201,7 +193,7 @@ def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
     for s in range(0, len(pts), _BLOCK):
         block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
         hits = cs._tree.sparse_distance_matrix(
-            cKDTree(block), float(np.max(r)) * (1.0 + _CUTOFF_PAD), output_type="ndarray")
+            _Cloud(block)._tree, float(np.max(r)) * (1.0 + _CUTOFF_PAD), output_type="ndarray")
         idx, owner = hits["i"], hits["j"]
         dist = _pair_distances(np.take(cs.points, idx, axis=0), np.take(block, owner, axis=0))
         inside = dist <= np.take(r, owner)

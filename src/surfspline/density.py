@@ -162,7 +162,7 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
     solves: dict[int, tuple] = {}
 
     def attempt(i: int) -> tuple:
-        """The solve ``(weights, rank, stability)`` at group i's radius."""
+        """The solve ``(weights, stability)`` at group i's radius."""
         if i not in solves:
             solves[i] = _solve(cs, offsets[:counts[i]], radius(i), degree)
         return solves[i]
@@ -187,16 +187,16 @@ def _search(cs: CenterSet, alpha: np.ndarray, degree: int, stability_cap: float,
         else:
             hi = mid
     # linear scan upward for the stability cap (not monotone in general)
-    i, (weights, _, st) = hi, attempt(hi)
+    i, (weights, st) = hi, attempt(hi)
     while st is None or not st < stability_cap:
         i += 1
         if not held(i):  # the scan's attempts hi .. i - 1 are cached; hi's is unisolvent
-            best = min(s for s in (attempt(j)[2] for j in range(hi, i)) if s is not None)
+            best = min(s for s in (attempt(j)[1] for j in range(hi, i)) if s is not None)
             raise NoAdmissibleRadius(
                 f"at alpha {alpha.tolist()}: stability cap {stability_cap:g} never met "
                 f"(best Sum|a| = {best:g})"
             )
-        weights, _, st = attempt(i)
+        weights, st = attempt(i)
     # a copy: a witness must not hold its whole window
     return PolyRep(alpha=alpha, radius=radius(i), indices=order[:counts[i]].copy(),
                    weights=weights, degree=degree)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _as_box, _as_points, _grid_points, _pair_distances
+from .centers import _Cloud, _as_box, _as_points, _grid_points, _pair_distances
 from .density import DensityField
 
 
@@ -132,8 +131,8 @@ def classify(cubes: DyadicCubes, density: DensityField, params: DyadicParams) ->
     for lv in np.unique(runs.level):
         above, at = density.values > 2.0**-lv, runs.level == lv
         if not above.all():  # all above: each support's samples are
-            bad[at] = above.any() and cKDTree(
-                density.points[above], **CenterSet._tree_options).query(corner[at])[0] <= radius[at]
+            bad[at] = above.any() and _Cloud(
+                density.points[above])._tree.query(corner[at])[0] <= radius[at]
     return ~np.take(bad, run_of_row)
 
 
@@ -157,7 +156,7 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
     chunks = np.split(np.argsort(density.values), 16 * (2 ** np.arange(1, 16) - 1))
     corner, worst = runs.corner, 0.0
     for lv in np.unique(runs.level):
-        side, tree = 2.0**-lv, cKDTree(corner[runs.level == lv], **CenterSet._tree_options)
+        side, tree = 2.0**-lv, _Cloud(corner[runs.level == lv])._tree
         for rows in chunks:  # of sizes 16, 32, ...: most often the first sample is inside
             inside = np.flatnonzero(tree.query(density.points[rows])[0] <= params.gamma * side)
             if inside.size:

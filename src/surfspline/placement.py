@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .centers import CenterSet, _as_box, _as_points, _lattice, _pair_distances
+from .centers import CenterSet, _Cloud, _as_box, _as_points, _lattice, _pair_distances
 from .density import minimal_density, validate_theorem1_params
 
 #: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
@@ -105,7 +104,7 @@ def build_ring_plan(spec: MultiresSpec) -> RingPlan:
 def _defect_distance(spec: MultiresSpec, pts: np.ndarray) -> np.ndarray:
     if spec.defect.shape[0] == 1:  # the kd-tree's bits, several times faster
         return _pair_distances(pts, spec.defect[0])
-    return cKDTree(spec.defect).query(pts)[0]
+    return _Cloud(spec.defect)._tree.query(pts)[0]
 
 
 def _region_grid(spec: MultiresSpec, spacing: float, reach: float) -> np.ndarray:

@@ -220,31 +220,27 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
 
 def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> np.ndarray:
     """The weights of :func:`_solve`, raising :class:`InsufficientPoints` or
-    :class:`RankDeficient` where :func:`build_reproduction` does.  A system
-    that :func:`_axis_deficient` decided carries no rank, so the error text
-    takes the rank of one QR, the text the QR alone would give."""
+    :class:`RankDeficient` where :func:`build_reproduction` does; the error
+    text takes the rank of one QR."""
     m = polynomial_dim(cs.dim, degree)
     if len(offsets) < m:
         raise InsufficientPoints(
             f"{len(offsets)} centers in B(alpha, {radius:g}), need {m} for degree {degree}"
         )
-    sol, rank, _ = _solve(cs, offsets, radius, degree)
+    sol = _solve(cs, offsets, radius, degree)[0]
     if sol is None:
-        if rank is None:
-            rank = _min_norm(_moment_system(offsets, radius, degree)[0])[1]
+        rank = _min_norm(_moment_system(offsets, radius, degree)[0])[1]
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
     return sol
 
 
 def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tuple:
-    """The one local solve: ``(weights, rank, stability)`` on the neighbor
-    ``offsets`` from a base point (at least ``dim Pi_degree`` rows), weights
-    and stability None if deficient, and the rank None too where
-    :func:`_axis_deficient` proved the system deficient: on a memo miss it
-    reads the scaled offsets, the exact float inputs of the moment matrix,
-    and a set with at most ``degree`` values on an axis is stored as ``(None,
-    None, None)`` with no moment matrix and no QR.  Otherwise
-    :func:`_min_norm` decides.
+    """The one local solve: ``(weights, stability)`` on the neighbor
+    ``offsets`` from a base point (at least ``dim Pi_degree`` rows), both None
+    if deficient.  On a memo miss :func:`_axis_deficient` reads the scaled
+    offsets, the exact float inputs of the moment matrix, and a set with at
+    most ``degree`` values on an axis is deficient with no moment matrix and
+    no QR.  Otherwise :func:`_min_norm` decides.
 
     Every local solve on a center set (``build_reproduction``, ``assemble``
     and the attempts of ``minimal_density``) goes through the set's memo
@@ -269,11 +265,10 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
         key = (scaled.tobytes(), degree)
         hit = memo.get(key)
         if hit is None:
-            if _axis_deficient(scaled, degree):
-                hit = None, None, None
-            else:
-                sol, rank = _min_norm(_moment_system(offsets, radius, degree)[0])
-                hit = sol, rank, None if sol is None else float(np.sum(np.abs(sol)))
+            sol = None
+            if not _axis_deficient(scaled, degree):
+                sol = _min_norm(_moment_system(offsets, radius, degree)[0])[0]
+            hit = sol, None if sol is None else float(np.sum(np.abs(sol)))
             if len(memo) >= _SOLVE_MEMO_CAP:
                 memo.clear()
                 index.clear()

@@ -404,22 +404,27 @@ def test_point_batch_contract(name, d):
 
 
 def under_both_builds(run):
-    """``run()`` with the center sets' kd-tree as built (sliding midpoint,
-    uncompacted nodes) and as scipy builds it by default (median splits)."""
-    from surfspline.centers import _Cloud
+    """``run(make)`` twice, ``make(cls, *args)`` building the cloud ``cls(*args)``:
+    with the library's kd-tree (sliding midpoint, uncompacted nodes), then
+    with scipy's default build (median splits) set on the instance before
+    its constructor runs, so even the constructor's queries use it."""
+    from scipy.spatial import cKDTree
 
-    results = []
-    for options in (CenterSet._tree_options, _Cloud._tree_options):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CenterSet, "_tree_options", options)
-            results.append(run())
-    return results
+    from surfspline.centers import _as_cloud
+
+    def default(cls, *args):
+        cloud = cls.__new__(cls)
+        cloud._tree = cKDTree(_as_cloud(args[0]))
+        cloud.__init__(*args)
+        return cloud
+
+    return [run(lambda cls, *args: cls(*args)), run(default)]
 
 
-def duplicate_verdict(pts):
+def duplicate_verdict(make, pts):
     """CenterSet's duplicate message on ``pts``, or None if it accepts them."""
     try:
-        CenterSet(pts)
+        make(CenterSet, pts)
     except ValueError as exc:
         return str(exc)
     return None
@@ -454,15 +459,48 @@ def test_center_tree_layout_changes_no_result(kind):
     doubled = [np.concatenate([pts, partners + DUPLICATE_TOL * (1.0 + e) / np.sqrt(2.0)])
                for e in (0.01, -0.01)] + [np.concatenate([pts, partners])]
 
-    def run():
-        cs = CenterSet(pts)
+    def run(make):
+        cs = make(CenterSet, pts)
         rho, witnesses = minimal_density(cs, queries, degree)
         return (cs._tree.indices.tobytes(), rho.tobytes(),
                 [(w.indices.tobytes(), w.weights.tobytes()) for w in witnesses],
                 [tuple(a.tobytes() for a in block) for block in _balls(cs, queries, radii)],
-                [duplicate_verdict(p) for p in doubled])
+                [duplicate_verdict(make, p) for p in doubled])
 
     sliding, balanced = under_both_builds(run)
     assert sliding[0] != balanced[0]  # the layouts differ
     assert sliding[1:] == balanced[1:]
     assert sliding[-1][0] is None and sliding[-1][1] and sliding[-1][2]
+
+
+def test_field_tree_layout_changes_no_result():
+    # a density field on a 2^-3 lattice with power-of-two values: exact ties
+    # among the samples' distances, samples at distance 0 and exactly gamma *
+    # side from the dyadic corners, and values equal to the sides.  The pair
+    # extrema and the good/bad partition are exact under ties, so they keep
+    # their bits on either build; ``nearest`` breaks the exact ties of the
+    # midpoints between samples by the tree's traversal
+    from surfspline import (DyadicParams, bad_cube_bound_check, certify_self_majorization,
+                            certify_slow_growth, classify, enumerate_cubes, majorant)
+
+    pts = _grid_points([np.arange(-8, 17) / 8.0] * 2)
+    vals = 2.0 ** -np.random.default_rng(35).integers(2, 6, len(pts)).astype(float)
+    queries = np.concatenate([pts[::7], pts[::11] + 1.0 / 16.0])
+    cubes = enumerate_cubes((np.zeros(2), np.ones(2)), range(4), 2)
+
+    def run(make):
+        df = make(DensityField, pts, vals)
+        out = [df._tree.indices.tobytes(), df.nearest((pts[1:] + pts[:-1]) / 2.0).tobytes(),
+               majorant(df, queries, 2.0).tobytes(), certify_slow_growth(df, 1.0 / 3.0),
+               certify_self_majorization(df, 2.0)]
+        # samples at gamma * side from a corner: (3, 4) * side / 4 on levels 0
+        # and 1 for gamma 1.25, (2, 0) * side on every level for gamma 2
+        for gamma in (1.25, 2.0):
+            params = DyadicParams(gamma, 1.0, 2.0)
+            good = classify(cubes, df, params)
+            out += [good.tobytes(), bad_cube_bound_check(cubes[~good], df, params, 0.5, 2.0)]
+        return out
+
+    sliding, balanced = under_both_builds(run)
+    assert sliding[0] != balanced[0] and sliding[1] != balanced[1]
+    assert sliding[2:] == balanced[2:]

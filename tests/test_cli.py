@@ -546,12 +546,19 @@ def test_writer_matches_row_writer_on_full_outputs(tmp_path, monkeypatch):
 
 def test_place_builds_no_tree_until_a_query(tmp_path, monkeypatch):
     # the distinctness check of a placement is one sort; the centers' kd-tree
-    # is built by their first neighbor query, once
+    # is built by their first neighbor query, once.  Every tree of the
+    # library is built in `centers`, the one module that names cKDTree
+    import importlib
+    import pkgutil
+
     from scipy.spatial import cKDTree
 
+    import surfspline
     import surfspline.centers
-    import surfspline.placement
 
+    names = [m.name for m in pkgutil.iter_modules(surfspline.__path__)]
+    assert [name for name in names if hasattr(importlib.import_module(f"surfspline.{name}"),
+                                              "cKDTree")] == ["centers"]
     built = []
 
     class Spy(cKDTree):
@@ -559,8 +566,7 @@ def test_place_builds_no_tree_until_a_query(tmp_path, monkeypatch):
             built.append(len(data))
             super().__init__(data, *args, **kwargs)
 
-    for module in (surfspline.centers, surfspline.placement):
-        monkeypatch.setattr(module, "cKDTree", Spy)
+    monkeypatch.setattr(surfspline.centers, "cKDTree", Spy)
     out = run_place(tmp_path)
     assert built == []
     cs = read_centers(out / "centers.csv")

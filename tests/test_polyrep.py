@@ -5,7 +5,7 @@ from math import frexp
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfspline import (
@@ -22,6 +22,7 @@ from surfspline import (
     verify_reproduction,
 )
 from surfspline import polyrep
+from surfspline.centers import DUPLICATE_TOL
 from surfspline.polyrep import (
     _GUARD,
     RANK_RTOL,
@@ -321,12 +322,19 @@ def oracle_cloud(rng, kind, d, degree):
 # products, several seconds per case at degree 6 and more beyond
 ORACLE_CASES = (st.integers(0, 10_000), st.sampled_from([(1, 8), (2, 8), (3, 4)]), st.data(),
                 st.sampled_from(["lattice", "jittered", "random"]), st.sampled_from([20, 60, 100]))
+#: An ``ORACLE_CASES`` dimension and a degree up to its top, as one drawn pair.
+ORACLE_DIM_AND_DEGREE = ORACLE_CASES[1].flatmap(
+    lambda dim_and_top: st.tuples(st.just(dim_and_top[0]), st.integers(0, dim_and_top[1])))
 
 
 def oracle_case(seed, dim_and_top, data, kind):
     """The center set and a reproduction of one drawn ``ORACLE_CASES`` case."""
     d, top = dim_and_top
-    degree = data.draw(st.integers(0, top))
+    return oracle_reproduction(seed, d, data.draw(st.integers(0, top)), kind)
+
+
+def oracle_reproduction(seed, d, degree, kind):
+    """The center set and a reproduction of an ``ORACLE_CASES`` case of that degree."""
     rng = np.random.default_rng(seed)
     cs = oracle_cloud(rng, kind, d, degree)
     return cs, build_reproduction(cs, rng.uniform(-0.5, 0.5, size=d), 1.5 * np.sqrt(d), degree)
@@ -386,15 +394,24 @@ def test_exact_moments_equal_fractions(seed, dim_and_top, data, kind, dps, log_s
 
 
 @settings(max_examples=50, deadline=None)
-@given(*ORACLE_CASES, st.integers(-8, 8), st.floats(-1e6, 1e6))
-def test_exact_moment_shifts_are_nonnegative(seed, dim_and_top, data, kind, dps, log_scale,
-                                             shift):
+@given(st.integers(0, 10_000), ORACLE_DIM_AND_DEGREE, ORACLE_CASES[3], st.integers(-8, 8),
+       st.floats(-1e6, 1e6))
+@example(0, (1, 8), "jittered", -7, 0.0)  # centers 1.47e-6 apart, scaled to 1.47e-13
+def test_exact_moment_shifts_are_nonnegative(seed, dim_and_degree, kind, log_scale, shift):
     # every offset of a reproduction's centers is at most its radius, below
     # 2^s, and a nonzero one is at least 2^low: so s >= low, and each row's
-    # shift (s - low)(degree - |e|) is non-negative
-    cs, pr = oracle_case(seed, dim_and_top, data, kind)
+    # shift (s - low)(degree - |e|) is non-negative.  A scale that brings two
+    # centers within DUPLICATE_TOL makes no center set
+    from scipy.spatial.distance import pdist
+
+    cs, pr = oracle_reproduction(seed, *dim_and_degree, kind)
     scale = 10.0**log_scale
-    cs = CenterSet(cs.points * scale + shift * scale)
+    pts = cs.points * scale + shift * scale
+    if np.min(pdist(pts), initial=np.inf) <= DUPLICATE_TOL:
+        with pytest.raises(ValueError, match="duplicate centers"):
+            CenterSet(pts)
+        return
+    cs = CenterSet(pts)
     pr = build_reproduction(cs, pr.alpha * scale + shift * scale, pr.radius * scale, pr.degree)
     s = frexp(pr.radius)[1]
     low = _float_fixed_point(np.vstack([pr.alpha, cs.points[pr.indices]]))[1]
