@@ -1,15 +1,15 @@
 """Immutable center sets in R^d with exact-radius neighbor queries.
 
-All distances are Euclidean.  A :class:`CenterSet`'s points are read-only
-after construction, so queries are safe to issue concurrently.  A cloud's
-kd-tree is built on its first neighbor query, not with the cloud: concurrent
-first queries may each build an identical one.
+All distances are Euclidean, and :func:`_balls` lists every neighbor ball.
+A :class:`CenterSet`'s points are read-only after construction, so queries
+are safe to issue concurrently.  A cloud's kd-tree is built on its first
+neighbor query, not with the cloud: concurrent first queries may each build
+an identical one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -111,14 +111,6 @@ class _Cloud:
         return self.points.shape[0]
 
 
-def _ball_hits(cloud: _Cloud, pts: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-    """The (n,) hit counts of the kd-tree balls of ``radii`` around the (n, d)
-    ``pts``, and the hits' indices ball after ball, each ball's unsorted."""
-    hits = cloud._tree.query_ball_point(pts, radii, return_sorted=False)
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    return counts, np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))
-
-
 class CenterSet(_Cloud):
     """A finite point cloud in R^d with optional per-point resolution tags.
 
@@ -182,23 +174,23 @@ def _sort_separates(pts: np.ndarray) -> bool:
     return bool(np.all(gaps > DUPLICATE_TOL * (1.0 + _CUTOFF_PAD)))
 
 
-def _balls(cs: CenterSet, pts: np.ndarray, radii: np.ndarray):
-    """Per block of ``_BLOCK`` of the (n, d) points ``pts``, their balls of
-    ``radii`` as ``(idx, dist, counts)``: :meth:`CenterSet.neighbor_arrays`
-    of each point concatenated, and the (b,) ball sizes.  One kd-tree pair
-    join of the centers with the block at the block's largest radius, padded
-    (see ``_CUTOFF_PAD``); the exact cut is on the norms, bit for bit.  The
-    kept hits are sorted by point and index, then each point's row by one
-    row-wise stable sort on the norms, the rule of :func:`_nearest_groups`."""
+def _balls(cloud: _Cloud, pts: np.ndarray, radii: np.ndarray):
+    """The library's one ball listing: per block of ``_BLOCK`` of the (n, d)
+    ``pts``, the cloud's points within ``radii`` of each as ``(idx, dist,
+    counts)``, balls concatenated in :meth:`CenterSet.neighbor_arrays` order,
+    and the (b,) ball sizes.  One kd-tree pair join per block at its largest
+    radius, padded (see ``_CUTOFF_PAD``), so callers sort mixed radii; the
+    exact cut is on the norms, bit for bit.  Hits are sorted by point and
+    index, then each row stably on the norms, as in :func:`_nearest_groups`."""
     for s in range(0, len(pts), _BLOCK):
         block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
-        hits = cs._tree.sparse_distance_matrix(
+        hits = cloud._tree.sparse_distance_matrix(
             _Cloud(block)._tree, float(np.max(r)) * (1.0 + _CUTOFF_PAD), output_type="ndarray")
         idx, owner = hits["i"], hits["j"]
-        dist = _pair_distances(np.take(cs.points, idx, axis=0), np.take(block, owner, axis=0))
+        dist = _pair_distances(np.take(cloud.points, idx, axis=0), np.take(block, owner, axis=0))
         inside = dist <= np.take(r, owner)
         idx, owner, dist = (np.compress(inside, a) for a in (idx, owner, dist))
-        order = np.argsort(owner * len(cs) + idx)
+        order = np.argsort(owner * len(cloud) + idx)
         idx, owner, dist = (np.take(a, order) for a in (idx, owner, dist))
         counts = np.bincount(owner, minlength=len(block))
         starts = np.cumsum(counts) - counts

@@ -1,12 +1,12 @@
 """Command-line front end: placement, density certification, studies, dyadic checks.
 
 Four subcommands (``place``, ``density``, ``study``, ``dyadic``), each taking
-``--config <path>`` and ``--out <dir>`` plus an optional ``--seed``.  Configs
-are strict JSON, checked whole against :data:`SCHEMAS` before a command
-runs: an unknown or missing key at any depth, or a value of the wrong type,
-is rejected naming its dotted key.  Value ranges are checked before any
-input file is read.  All outputs are deterministic given (config, seed);
-floats are serialized with 17 significant digits.
+``--config <path>`` and ``--out <dir>`` plus an optional ``--seed``, read by
+``dyadic`` alone for its overlap points.  Configs are strict JSON, checked
+whole against :data:`SCHEMAS` before a command runs: an unknown or missing
+key at any depth, or a value of the wrong type, is rejected naming its dotted
+key.  Value ranges are checked before any input file is read.  All outputs
+are deterministic given (config, seed); floats have 17 significant digits.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error (running
 out of memory too: the config alone sets the array sizes).

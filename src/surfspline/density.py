@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _ball_hits, _nearest,
+from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _nearest,
                       _nearest_groups, _pair_distances)
-from .polyrep import PolyRep, _serial_blas, _solve, polynomial_dim
+from .polyrep import PolyRep, _check_degree, _serial_blas, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -119,9 +119,10 @@ def minimal_density(
     bit to ``build_reproduction(cs, alpha, rho, degree)``; for a batch, the
     (n,) rho and the list of witnesses.  Raises :class:`NoAdmissibleRadius`,
     naming the first point in input order whose full set fails, and
-    ``ValueError`` before any solve for a ``stability_cap`` not above 1 (NaN
-    included), which only round-off could meet.
+    ``ValueError`` before any solve for a degree not an integer >= 0 or a
+    ``stability_cap`` not above 1 (NaN included), which only round-off meets.
     """
+    _check_degree(degree)
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
     if not stability_cap > 1:  # Sum|a| >= Sum a = 1 in exact arithmetic
@@ -244,15 +245,15 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     exact arithmetic; it is called with ``best`` loosened by the relative
     slack ``_CUTOFF_PAD``, which covers the rounding of the ratio, and each
     R_i is padded by ``_CUTOFF_PAD`` relative and absolute, which covers the
-    rounding of R_i and of the tree's squared distances.  So every pair
-    whose computed ratio beats ``best`` lies in the kd-tree ball of radius
-    R_i; a non-finite R_i becomes ``inf``, and rows with R_i < 0 have no such
-    pair.  A row is settled, and makes no ball query, when its padded R_i lies
-    below its window's ``beyond``, or when its window is every sample: its
-    ball holds only pairs already evaluated.  Each kept pair's distance equals
-    ``cdist``'s bit for bit (:func:`_pair_distances`) and goes through the
-    same ratio expression, and max/min are exact in any order, so pruning
-    changes no bit.
+    rounding of R_i and of a pair's distance.  Row i keeps the pairs whose
+    :func:`_pair_distances` value, ``cdist``'s bit for bit, is at most the
+    padded R_i (:func:`~surfspline.centers._balls`), so it keeps every pair
+    whose computed ratio beats ``best``; a non-finite R_i becomes ``inf``, and
+    rows with R_i < 0 keep none.  A row is settled, and makes no ball query,
+    when its padded R_i lies below its window's ``beyond``, or when its window
+    is every sample: its ball holds only pairs already evaluated.  Each kept
+    pair goes through the ratio expression of a scan, and max/min are exact
+    in any order, so pruning changes no bit.
 
     Blocks whose balls hold more than an eighth of their pairs are scanned
     against every sample instead: that is cheaper than listing their hits,
@@ -282,16 +283,13 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
         b, radius = b[keep], radius[keep]
         counts = df._tree.query_ball_point(x[b], radius, return_length=True)
         if 8 * int(counts.sum()) > b.size * len(df):  # the block against every sample
-            dist = _pair_distances(x[b, None, :], df.points[None, :, :])
-            vals = ratio(b[:, None], np.arange(len(df)), dist)
+            vals = ratio(b[:, None], np.arange(len(df)), _pair_distances(x[b, None, :], df.points))
             best[b] = extremum(best[b], extremum.reduce(vals, axis=1))
             continue
-        counts, j = _ball_hits(df, x[b], radius)
+        b = b[np.argsort(radius, kind="stable")]  # _balls joins a block at its largest radius
+        j, dist, counts = map(np.concatenate, zip(*_balls(df, x[b], np.sort(radius))))
         i = np.repeat(b, counts)
-        vals = ratio(i, j, _pair_distances(x[i], df.points[j]))
-        some = counts > 0
-        best[b[some]] = extremum(best[b[some]],
-                                 extremum.reduceat(vals, (np.cumsum(counts) - counts)[some]))
+        extremum.at(best, i, ratio(i, j, dist))
     return best
 
 

@@ -17,7 +17,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from .centers import CenterSet, _as_point, _as_points, _pair_distances
-from .polyrep import PolyRep, _check_dps, _float_fixed_point
+from .polyrep import PolyRep, _check_degree, _check_dps, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
 SUPPORTED_DIMS = (1, 2, 3)
@@ -53,6 +53,7 @@ class KernelParams:
 
     def __post_init__(self):
         _check_dk(self.d, self.k)
+        _check_degree(self.degree)
         object.__setattr__(self, "nu", float(self.degree + self.d - 2 * self.k))
         object.__setattr__(self, "normalization", fundamental_normalization(self.d, self.k))
 

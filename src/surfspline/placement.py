@@ -17,6 +17,7 @@ import numpy as np
 
 from .centers import CenterSet, _Cloud, _as_box, _as_points, _lattice, _pair_distances
 from .density import minimal_density, validate_theorem1_params
+from .polyrep import _check_degree
 
 #: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
 #: side 2^-level and its inverse, stay normal float64s up to level 511.
@@ -49,6 +50,8 @@ class MultiresSpec:
             raise ValueError(f"j must be >= 1 and at most {_MAX_LEVEL}")
         object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
         object.__setattr__(self, "box", _as_box(self.box, self.d))
+        if self.degree is not None:
+            _check_degree(self.degree)
         degree = self.degree if self.degree is not None else 7 * self.k
         object.__setattr__(self, "degree", int(degree))
         violations = validate_theorem1_params(self.k, self.d, self.degree, self.epsilon)

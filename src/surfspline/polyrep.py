@@ -209,8 +209,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         at relative tolerance ``RANK_RTOL``; the rank it reports is pivoted
         QR's count of ``|R_kk| > RANK_RTOL * |R_00|`` (see ``RANK_RTOL``).
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _check_degree(degree)
     alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
     with _serial_blas():
@@ -350,6 +349,12 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     """
     bmat, rhs = _moment_system(cs.points[pr.indices] - pr.alpha, pr.radius, pr.degree)
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
+
+
+def _check_degree(degree) -> None:
+    """``degree`` must be an integer (numpy's too, not bool) and at least 0."""
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValueError(f"degree must be >= 0 and an integer; got {degree!r}")
 
 
 def _check_dps(dps) -> None:

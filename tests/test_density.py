@@ -762,6 +762,28 @@ def test_pair_engine_non_finite_cutoffs():
         assert certify_slow_growth(df, 0.05) == brute_slow_growth(df, 0.05)
         assert infinite[1] == 300
 
+    # densities near 1 beside a cluster of 1e-200: the probe in the cluster
+    # has an infinite majorant cutoff and the others short, mixed ones, so one
+    # block lists more than _BLOCK rows, in several _balls blocks by radius
+    from surfspline.centers import _BLOCK
+
+    df = DensityField(np.append(np.arange(400) * 0.5, 1000.0 + 0.1 * np.arange(5))[:, None],
+                      np.append(np.exp(0.02 * rng.normal(size=400)), np.full(5, 1e-200)))
+    probes = np.append(rng.uniform(0.0, 200.0, size=150), 1000.2)[:, None]
+    balls, radii = density._balls, []
+
+    def listed(df, x, radius):
+        radii.append(radius)
+        return balls(df, x, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_balls", listed)
+        assert np.array_equal(majorant(df, probes, 0.05), brute_majorant(df, probes, 0.05))
+    [radius] = radii
+    assert radius.size > _BLOCK and np.isfinite(radius[0]) and np.isinf(radius[-1])
+    assert np.all(np.diff(radius) >= 0)
+    assert_matches_brute_force(df, 0.05, 0.05, probes)
+
 
 def smooth_field():
     """The bench's analytic Remark-1 profile on 33x33 samples."""
@@ -773,10 +795,11 @@ def smooth_field():
 
 
 @contextmanager
-def ball_queries(df, hits=None):
+def ball_queries(df, hits=None, listed=None):
     """The number of rows of each kd-tree ball query on ``df``'s samples that
     counts its hits, one per block the pair engine searches; ``hits``
-    collects each of those rows' hit counts."""
+    collects each of those rows' hit counts, and ``listed`` the number of
+    rows of each pair join that lists hits, one per block of ``_balls``."""
     tree, rows = df._tree, []
 
     class Spy:
@@ -790,6 +813,11 @@ def ball_queries(df, hits=None):
                 if hits is not None:
                     hits.extend(out.tolist())
             return out
+
+        def sparse_distance_matrix(self, other, *args, **kwargs):
+            if listed is not None:
+                listed.append(other.n)
+            return tree.sparse_distance_matrix(other, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(df, "_tree", Spy())
@@ -812,14 +840,17 @@ def test_pair_engine_prunes_smooth_field():
 def test_pair_engine_mixes_settled_rows(pick):
     # criterion 2's fields 2, 3 and 4 (d = 1, 2, 1): samples far above or
     # below their neighbors unsettle the rows near them; blocks of three rows
-    # query their unsettled rows only, and the values stay the exhaustive scan's
+    # count and list the hits of their unsettled rows only, and the values
+    # stay the exhaustive scan's
     df = next(islice(criterion_2_fields(), 2 + pick, None))
-    with engine(True), ball_queries(df) as rows:
+    listed = []
+    with engine(True), ball_queries(df, listed=listed) as rows:
         assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
-        assert rows and min(rows) < 3 and sum(rows) < len(df)
+        assert rows and min(rows) < 3 and sum(listed) <= sum(rows) < len(df)
         rows.clear()
+        listed.clear()
         assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
-        assert rows and min(rows) < 3 and sum(rows) < len(df)
+        assert rows and min(rows) < 3 and sum(listed) <= sum(rows) < len(df)
 
 
 def test_pair_engine_settles_lattice_ties():
@@ -834,12 +865,12 @@ def test_pair_engine_settles_lattice_ties():
     rho0 = 5 * np.sqrt(2.0) * 2.0**-6
     df = DensityField(pts, np.minimum(
         rho0 * (1 + np.linalg.norm(pts, axis=1) / rho0) ** (2.0 / 3.0), 2.0**-3))
-    hits = []
-    with ball_queries(df, hits):
+    hits, listed = [], []
+    with ball_queries(df, hits, listed):
         assert certify_self_majorization(df, 2.0) == brute_self_majorization(df, 2.0)
-        assert hits == []
+        assert hits == [] and listed == []
         assert certify_slow_growth(df, 1 / 3) == brute_slow_growth(df, 1 / 3)
-        assert hits and min(hits) > 5
+        assert hits and min(hits) > 5 and sum(listed) == len(hits)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

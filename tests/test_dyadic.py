@@ -275,14 +275,14 @@ def support_extrema_by_listing(cubes, density, gamma):
     """(rho_max, rho_min) of each cube's support from a per-ball listing: one
     batched ``query_ball_point`` over the corners of the runs of adjacent
     rows with one level and corner, each run's hits reduced in one slice."""
-    from surfspline.centers import _ball_hits
-
     key = np.column_stack([cubes.level, cubes.index])
     new = np.ones(len(cubes), dtype=bool)
     new[1:] = np.any(key[1:] != key[:-1], axis=1)
     runs = cubes[new]
     radius = gamma * runs.side
-    counts, hits = _ball_hits(density, runs.corner, radius)
+    balls = density._tree.query_ball_point(runs.corner, radius)
+    counts = np.array([len(ball) for ball in balls], dtype=np.intp)
+    hits = np.concatenate([np.asarray(ball, dtype=np.intp) for ball in balls])
     if not counts.all():
         i = np.flatnonzero(counts == 0)[0]
         raise UndersampledDensity(

@@ -25,6 +25,7 @@ from surfspline import (
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
+    minimal_density,
     monomial_exponents,
     plan_transition,
     quadrature_cells,
@@ -56,12 +57,23 @@ def reproduction():
     return build_reproduction(cs, [0.9, 1.1], 2.0, 1), cs
 
 
+def reproduce(degree):
+    """``build_reproduction`` of ``degree`` at the origin, on ``CLOUD``."""
+    return build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, degree)
+
+
+def density(degree, **kwargs):
+    """``minimal_density`` of ``degree`` at the origin, on ``CLOUD``."""
+    return minimal_density(CenterSet(CLOUD), [0.0, 0.0], degree, **kwargs)
+
+
 def kernel_error(params=KernelParams(d=2, k=2, degree=1), **kwargs):
     pr, cs = reproduction()
     return local_kernel_error_precise(pr, cs, [5.0, 5.0], params, **kwargs)
 
 
 DPS = "dps must be an int above 15, more digits than float64 carries"
+DEGREE = "degree must be >= 0 and an integer"
 
 #: (id, call, exception, text its message must hold)
 CHECKS = [
@@ -140,6 +152,19 @@ CHECKS = [
      "k must be >= 0"),
     ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
      ValueError, "degree must be >= 0"),
+    ("reproduction degree bool", lambda: reproduce(True), ValueError, f"{DEGREE}; got True"),
+    ("reproduction degree float", lambda: reproduce(2.5), ValueError, f"{DEGREE}; got 2.5"),
+    ("minimal_density degree -1", lambda: density(-1), ValueError, f"{DEGREE}; got -1"),
+    ("minimal_density degree -1 capped", lambda: density(-1, stability_cap=10.0), ValueError,
+     f"{DEGREE}; got -1"),
+    ("minimal_density degree -3", lambda: density(-3), ValueError, f"{DEGREE}; got -3"),
+    ("minimal_density degree float", lambda: density(2.5), ValueError, f"{DEGREE}; got 2.5"),
+    ("minimal_density degree bool", lambda: density(True), ValueError, f"{DEGREE}; got True"),
+    ("kernel params degree -1", lambda: KernelParams(d=2, k=2, degree=-1), ValueError,
+     f"{DEGREE}; got -1"),
+    ("kernel params degree float", lambda: KernelParams(d=2, k=2, degree=2.5), ValueError,
+     f"{DEGREE}; got 2.5"),
+    ("spec degree float", lambda: spec(degree=14.9), ValueError, f"{DEGREE}; got 14.9"),
     ("monomial dim", lambda: monomial_exponents(0, 3), ValueError,
      "need degree >= 0 and dim >= 1"),
     ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, "s must be positive"),
@@ -192,8 +217,20 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("call,exc,text", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
-def test_input_check(call, exc, text):
+@pytest.mark.parametrize("name,call,exc,text", CHECKS, ids=[c[0] for c in CHECKS])
+def test_input_check(count_solves, name, call, exc, text):
     with pytest.raises(exc) as err:
         call()
     assert text in str(err.value)
+    if name.startswith("minimal_density"):  # rejected before any solve
+        assert count_solves == []
+
+
+def test_degree_numpy_integer():
+    cs, x = CenterSet(np.array(list(np.ndindex(3, 3)), dtype=float)), [0.9, 1.1]
+    degree = np.int64(1)
+    got, want = build_reproduction(cs, x, 2.0, degree), build_reproduction(cs, x, 2.0, 1)
+    assert np.array_equal(got.weights, want.weights) and got.degree == 1
+    assert minimal_density(cs, x, degree)[0] == minimal_density(cs, x, 1)[0]
+    assert KernelParams(d=2, k=2, degree=degree) == KernelParams(d=2, k=2, degree=1)
+    assert type(spec(degree=np.int64(14)).degree) is int
