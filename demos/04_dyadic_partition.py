@@ -1,9 +1,10 @@
 """Good/bad dyadic cube partition driven by a density field.
 
 Uses the analytic slowly growing density profile of a defect-refined
-configuration, classifies gendered dyadic cubes over several levels,
-verifies the bad-cube sidelength bound with the certified
-self-majorization constant, and checks the per-level overlap count.
+configuration, classifies dyadic cubes (each standing for its 2^d - 1
+gendered cubes) over several levels, verifies the bad-cube sidelength bound
+with the certified self-majorization constant, and checks the per-level
+overlap count.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from surfspline import (
     certify_self_majorization,
     classify,
     enumerate_cubes,
+    genders,
     geometric_tail_bound,
     max_overlap,
     overlap_count,
@@ -40,7 +42,8 @@ params = DyadicParams(gamma=2.0, sigma=1.5, two_k=4.0)
 box = (np.full(2, -0.5), np.full(2, 0.5))
 cubes = enumerate_cubes(box, range(0, 7), 2)
 good = classify(cubes, df, params)
-print(f"\nclassified {len(cubes)} gendered cubes over levels 0..6:")
+print(f"\nclassified {len(cubes)} cubes ({len(genders(2)) * len(cubes)} gendered) "
+      "over levels 0..6:")
 for lv in np.unique(cubes.level):
     at = cubes.level == lv
     g = np.count_nonzero(good & at)

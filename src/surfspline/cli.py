@@ -41,6 +41,7 @@ from .dyadic import (
     bad_cube_bound_check,
     classify,
     enumerate_cubes,
+    genders,
     max_overlap,
     overlap_count,
 )
@@ -407,7 +408,10 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     good = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)
     ratio = bad_cube_bound_check(cubes[~good], df, params, c_sm, r)
-    columns = [cubes.level, *cubes.index.T, *cubes.gender.T, np.where(good, "good", "bad")]
+    gs = np.array(genders(d))  # each cube's row written once per gender, in order
+    row = np.repeat(np.arange(len(cubes)), len(gs))
+    columns = [cubes.level[row], *cubes.index[row].T, *np.tile(gs, (len(cubes), 1)).T,
+               np.where(good[row], "good", "bad")]
     header = ("level," + ",".join(f"k{a + 1}" for a in range(d)) + ","
               + ",".join(f"e{a + 1}" for a in range(d)) + ",class")
     write_csv(out / "partition.csv", header, columns)
@@ -415,11 +419,11 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     xs = np.random.default_rng(seed).uniform(*box, size=(overlap_points, d))
     worst = max(int(overlap_count(cubes[cubes.level == lv], xs, params).max(initial=0))
                 for lv in np.unique(cubes.level))
-    n_good = int(np.count_nonzero(good))
+    n_good = len(gs) * int(np.count_nonzero(good))
     write_json(out / "bound_check.json", {
         "gamma": gamma, "sigma": sigma, "two_k": two_k, "r": r,
         "c_sm": c_sm,
-        "n_cubes": len(cubes), "n_good": n_good, "n_bad": len(cubes) - n_good,
+        "n_cubes": len(row), "n_good": n_good, "n_bad": len(row) - n_good,
         "bad_cube_max_ratio": ratio,
         "overlap": {"bound": bound, "max_observed": worst,
                     "points": overlap_points},

@@ -15,7 +15,7 @@ import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _nearest,
                       _nearest_groups, _pair_distances)
-from .polyrep import PolyRep, _check_degree, _serial_blas, _solve, polynomial_dim
+from .polyrep import PolyRep, _check_int, _serial_blas, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -122,7 +122,7 @@ def minimal_density(
     ``ValueError`` before any solve for a degree not an integer >= 0 or a
     ``stability_cap`` not above 1 (NaN included), which only round-off meets.
     """
-    _check_degree(degree)
+    _check_int("degree", degree, 0)
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
     if not stability_cap > 1:  # Sum|a| >= Sum a = 1 in exact arithmetic
@@ -368,8 +368,10 @@ def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> lis
     epsilon > 2k / degree.  Returns the list of violated conditions (empty =
     ok).
     """
-    if k < 1 or d < 1 or 2 * k <= d:
-        raise ValueError("need k >= 1, d >= 1 and 2k > d")
+    _check_int("k", k, 1)
+    _check_int("d", d, 1)
+    if 2 * k <= d:
+        raise ValueError(f"need 2k > d; got k = {k}, d = {d}")
     violations = []
     if not degree > 2 * k - d + 1:
         violations.append(f"degree {degree} must exceed 2k-d+1 = {2 * k - d + 1}")

@@ -3,15 +3,17 @@
 A gendered cube is a pair (gender, dyadic cube): the gender is a nonzero
 0/1 vector (2^d - 1 per cube) and the cube at level j has corner
 ``2^-j * corner_index`` and sidelength ``2^-j``.  Cubes are held as arrays,
-one row per gendered cube, in a :class:`DyadicCubes` record, and every
-function here works on whole records.  No wavelets are ever constructed; the
-inflated support is modeled as the ball ``B(corner, Gamma * sidelength)``.
+one row per dyadic cube, in a :class:`DyadicCubes` record: a row stands for
+its 2^d - 1 gendered cubes, which share its inflated support and so its
+class.  Every function here works on whole records.  No wavelets are ever
+constructed; the inflated support is modeled as the ball
+``B(corner, Gamma * sidelength)``.
 A cube is *good* when its sidelength dominates the density over its
 inflated support, *bad* otherwise; bad cubes have their sidelength bounded
 by a multiple of the density anywhere in their support, which is the step
 that tames the rough part of a smoothness split.  Both are decided by
-kd-tree nearest-sample queries of each level's distinct corners, exact on
-the samples.
+kd-tree nearest-sample queries of each level's corners, exact on the
+samples.
 """
 
 from __future__ import annotations
@@ -27,17 +29,16 @@ from .density import DensityField
 
 @dataclass(frozen=True, eq=False)
 class DyadicCubes:
-    """Gendered dyadic cubes, one row each.
+    """Dyadic cubes, one row each, a row standing for its 2^d - 1 gendered cubes.
 
-    ``level`` (n,) ints, corner ``index`` (n, d) ints and ``gender`` (n, d)
-    0/1 ints: row i is the cube of sidelength ``2^-level[i]`` with corner
-    ``index[i] * 2^-level[i]`` and gender ``gender[i]``.  Indexing by a
-    boolean mask, an index array or a slice selects rows.
+    ``level`` (n,) ints and corner ``index`` (n, d) ints: row i is the cube
+    of sidelength ``2^-level[i]`` with corner ``index[i] * 2^-level[i]``,
+    under every gender of :func:`genders`.  Indexing by a boolean mask, an
+    index array or a slice selects rows.
     """
 
     level: np.ndarray
     index: np.ndarray
-    gender: np.ndarray
 
     @property
     def side(self) -> np.ndarray:
@@ -52,7 +53,7 @@ class DyadicCubes:
 
     def __getitem__(self, rows) -> "DyadicCubes":
         rows = np.arange(len(self))[rows]  # numpy's rows and errors, as one index array
-        return DyadicCubes(*(f.take(rows, axis=0) for f in (self.level, self.index, self.gender)))
+        return DyadicCubes(self.level.take(rows), self.index.take(rows, axis=0))
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,8 @@ def genders(d: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
-    """All gendered cubes at the given levels whose cube intersects the box.
-
-    Deterministic row order: (level, corner index, gender).
-    """
+    """All dyadic cubes at the given levels that intersect the box, one row
+    each, in deterministic (level, corner index) order."""
     lo, hi = _as_box(box, d)
     level, index = [np.empty(0, dtype=int)], [np.empty((0, d), dtype=int)]
     for lv in levels:
@@ -92,48 +91,38 @@ def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
                                 for a in range(d)])
         level.append(np.full(len(corners), lv))
         index.append(corners)
-    gs = np.array(genders(d))
-    level, index = np.concatenate(level), np.concatenate(index)
-    return DyadicCubes(np.repeat(level, len(gs)), np.repeat(index, len(gs), axis=0),
-                       np.tile(gs, (len(level), 1)))
+    return DyadicCubes(np.concatenate(level), np.concatenate(index))
 
 
-def _runs(cubes: DyadicCubes, density: DensityField) -> tuple[DyadicCubes, np.ndarray]:
-    """The first row of each run of adjacent rows with one level and corner
-    (a corner's genders are adjacent in :func:`enumerate_cubes` order), which
-    share a support, and each row's run; the density must have the cubes' dimension."""
+def _check_dims(cubes: DyadicCubes, density: DensityField) -> None:
     if cubes.index.shape[1] != density.dim:
         raise ValueError(f"dimensions differ: cubes {cubes.index.shape[1]}, density {density.dim}")
-    new = np.r_[True, cubes.level[1:] != cubes.level[:-1]][:len(cubes)]  # no rows: no runs
-    for col in cubes.index.T:
-        new[1:] |= col[1:] != col[:-1]
-    return cubes[new], np.cumsum(new) - 1
 
 
 def classify(cubes: DyadicCubes, density: DensityField, params: DyadicParams) -> np.ndarray:
-    """The mask of the good cubes, aligned with ``cubes``: a cube is good iff
-    its sidelength is at least every density sample in ``B(corner, gamma *
-    sidelength)``, distance 0 and exactly the radius included.  One nearest
-    query of the corners against all samples finds empty supports, then one
-    per level against the samples above its sidelength, unless all or none
-    are.  Raises :class:`UndersampledDensity` for the first cube in row
-    order whose support holds no sample.
+    """The mask of the good cubes, one flag per row of ``cubes`` (for all its
+    genders): a cube is good iff its sidelength is at least every density
+    sample in ``B(corner, gamma * sidelength)``, distance 0 and exactly the
+    radius included.  One nearest query of the corners against all samples
+    finds empty supports, then one per level against the samples above its
+    sidelength, unless all or none are.  Raises :class:`UndersampledDensity`
+    for the first cube in row order whose support holds no sample.
     """
-    runs, run_of_row = _runs(cubes, density)
-    corner, radius = runs.corner, params.gamma * runs.side
+    _check_dims(cubes, density)
+    corner, radius = cubes.corner, params.gamma * cubes.side
     bad = density._tree.query(corner)[0] <= radius  # so far: the support holds a sample
     if not bad.all():
         i = np.flatnonzero(~bad)[0]
         raise UndersampledDensity(
             f"no density sample within {radius[i]:g} of the corner of the level "
-            f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
+            f"{cubes.level[i]} cube with corner index {tuple(cubes.index[i].tolist())}"
         )
-    for lv in np.unique(runs.level):
-        above, at = density.values > 2.0**-lv, runs.level == lv
+    for lv in np.unique(cubes.level):
+        above, at = density.values > 2.0**-lv, cubes.level == lv
         if not above.all():  # all above: each support's samples are
             bad[at] = above.any() and _Cloud(
                 density.points[above])._tree.query(corner[at])[0] <= radius[at]
-    return ~np.take(bad, run_of_row)
+    return ~bad
 
 
 def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: DyadicParams,
@@ -151,12 +140,12 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
     for name, value in (("c_sm", c_sm), ("r", r)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    runs = _runs(bad, density)[0]
+    _check_dims(bad, density)
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
     chunks = np.split(np.argsort(density.values), 16 * (2 ** np.arange(1, 16) - 1))
-    corner, worst = runs.corner, 0.0
-    for lv in np.unique(runs.level):
-        side, tree = 2.0**-lv, _Cloud(corner[runs.level == lv])._tree
+    corner, worst = bad.corner, 0.0
+    for lv in np.unique(bad.level):
+        side, tree = 2.0**-lv, _Cloud(corner[bad.level == lv])._tree
         for rows in chunks:  # of sizes 16, 32, ...: most often the first sample is inside
             inside = np.flatnonzero(tree.query(density.points[rows])[0] <= params.gamma * side)
             if inside.size:
@@ -166,13 +155,15 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
 
 
 def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarray:
-    """Number of cubes whose inflated support contains x: an int at one point
-    (d,), an (n,) array for a batch (n, d).  For cubes of a fixed level it is
-    at most ``(2^d - 1) (2 ceil(Gamma) + 1)^d``, whatever x and the level."""
-    pts, single = _as_points(x, cubes.index.shape[1])
+    """Number of gendered cubes whose inflated support contains x, 2^d - 1
+    for each row whose support does: an int at one point (d,), an (n,) array
+    for a batch (n, d).  For cubes of a fixed level it is at most
+    ``(2^d - 1) (2 ceil(Gamma) + 1)^d``, whatever x and the level."""
+    d = cubes.index.shape[1]
+    pts, single = _as_points(x, d)
     corner, reach = cubes.corner, params.gamma * cubes.side
-    counts = np.array([np.count_nonzero(_pair_distances(p, corner) <= reach)
-                       for p in pts], dtype=int)
+    counts = (2**d - 1) * np.array([np.count_nonzero(_pair_distances(p, corner) <= reach)
+                                    for p in pts], dtype=int)
     return int(counts[0]) if single else counts
 
 

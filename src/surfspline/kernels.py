@@ -17,7 +17,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from .centers import CenterSet, _as_point, _as_points, _pair_distances
-from .polyrep import PolyRep, _check_degree, _check_dps, _float_fixed_point
+from .polyrep import PolyRep, _check_dps, _check_int, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
 SUPPORTED_DIMS = (1, 2, 3)
@@ -32,6 +32,8 @@ _MAX_BUMP_EXPONENT = max(p for p in range(2, 64)
 
 
 def _check_dk(d: int, k: int) -> None:
+    _check_int("d", d, 1)
+    _check_int("k", k, 1)
     if d not in SUPPORTED_DIMS or not (2 * k > d) or k > MAX_ORDER:
         raise ValueError(f"unsupported (d, k) = ({d}, {k}); need d in {SUPPORTED_DIMS}, d/2 < k <= {MAX_ORDER}")
 
@@ -53,7 +55,7 @@ class KernelParams:
 
     def __post_init__(self):
         _check_dk(self.d, self.k)
-        _check_degree(self.degree)
+        _check_int("degree", self.degree, 0)
         object.__setattr__(self, "nu", float(self.degree + self.d - 2 * self.k))
         object.__setattr__(self, "normalization", fundamental_normalization(self.d, self.k))
 
@@ -180,8 +182,7 @@ def laplacian_power(f: RadialBump, k: int) -> RadialBump:
     result is still continuously differentiable across the support boundary
     (each Laplacian costs one order), and every coefficient to stay finite.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_int("k", k, 0)
     if f.exponent < 2 * k + 2:
         raise ValueError(f"bump boundary order {f.exponent} too small for Delta^{k} (need >= {2 * k + 2})")
     d = f.dim

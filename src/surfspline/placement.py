@@ -17,7 +17,7 @@ import numpy as np
 
 from .centers import CenterSet, _Cloud, _as_box, _as_points, _lattice, _pair_distances
 from .density import minimal_density, validate_theorem1_params
-from .polyrep import _check_degree
+from .polyrep import _check_int
 
 #: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
 #: side 2^-level and its inverse, stay normal float64s up to level 511.
@@ -46,17 +46,18 @@ class MultiresSpec:
     degree: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.j <= _MAX_LEVEL:
-            raise ValueError(f"j must be >= 1 and at most {_MAX_LEVEL}")
-        object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
-        object.__setattr__(self, "box", _as_box(self.box, self.d))
+        _check_int("j", self.j, 1)
+        if self.j > _MAX_LEVEL:
+            raise ValueError(f"j must be >= 1 and at most {_MAX_LEVEL}; got {self.j}")
         if self.degree is not None:
-            _check_degree(self.degree)
+            _check_int("degree", self.degree, 0)
         degree = self.degree if self.degree is not None else 7 * self.k
         object.__setattr__(self, "degree", int(degree))
         violations = validate_theorem1_params(self.k, self.d, self.degree, self.epsilon)
         if violations:
             raise ValueError("; ".join(violations))
+        object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
+        object.__setattr__(self, "box", _as_box(self.box, self.d))
 
     @property
     def global_spacing(self) -> float:
@@ -212,8 +213,7 @@ def plan_transition(s: float, epsilon: float, k: int) -> TransitionPlan:
         raise ValueError("s must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int("k", k, 1)
     threshold = 2 * k / epsilon
     min_degree = int(np.floor(threshold)) + 1
     return TransitionPlan(

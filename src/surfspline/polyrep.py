@@ -209,7 +209,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
         at relative tolerance ``RANK_RTOL``; the rank it reports is pivoted
         QR's count of ``|R_kk| > RANK_RTOL * |R_00|`` (see ``RANK_RTOL``).
     """
-    _check_degree(degree)
+    _check_int("degree", degree, 0)
     alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
     with _serial_blas():
@@ -351,10 +351,10 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
 
 
-def _check_degree(degree) -> None:
-    """``degree`` must be an integer (numpy's too, not bool) and at least 0."""
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise ValueError(f"degree must be >= 0 and an integer; got {degree!r}")
+def _check_int(name: str, value, least: int) -> None:
+    """``name`` must be an integer (numpy's too, not bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer; got {value!r}")
 
 
 def _check_dps(dps) -> None:

@@ -28,6 +28,7 @@ from surfspline import (
     convergence_study,
     density_profile_check,
     enumerate_cubes,
+    genders,
     generate_centers,
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
@@ -329,8 +330,10 @@ def test_criterion_9_dyadic_checks():
     )
     elapsed = time.perf_counter() - t0
     ok = ratio <= 1.0 and worst_overlap <= bound
+    n = len(genders(2))  # gendered cubes per row
     report(9, ok, f"bad-cube bound max ratio {ratio:.3f} <= 1 "
-                  f"({np.count_nonzero(~good)} bad / {np.count_nonzero(good)} good cubes, "
+                  f"({n * np.count_nonzero(~good)} bad / {n * np.count_nonzero(good)} good "
+                  f"gendered cubes, "
                   f"c_sm = {c_sm:.3f}); "
                   f"overlap max {worst_overlap} <= {bound} at 100 points "
                   f"({elapsed:.1f}s)")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from surfspline.cli import (ConfigError, main, read_centers, read_density, write_centers,
                             write_csv, write_density)
-from surfspline import CenterSet
+from surfspline import CenterSet, DyadicParams, classify, enumerate_cubes, genders
 from surfspline import cli
 from surfspline.cli import SCHEMAS, load_config
 
@@ -343,6 +343,37 @@ def test_dyadic_pipeline(tmp_path):
     lines = (out / "partition.csv").read_text().strip().splitlines()
     assert lines[0] == "level,k1,e1,class"
     assert len(lines) - 1 == check["n_cubes"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dyadic_writes_each_cube_once_per_gender(tmp_path, d):
+    # partition.csv holds each enumerate_cubes row once per gender, genders in
+    # lexicographic order, with the row's classify flag; the counts and the
+    # observed overlap are of gendered cubes, 2^d - 1 per row
+    xs = np.linspace(-1.0, 1.0, {1: 33, 2: 17, 3: 9}[d])
+    pts = np.stack(np.meshgrid(*[xs] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    write_density(tmp_path / "field.csv", pts, 0.05 + 0.5 * np.linalg.norm(pts - 0.1, axis=1))
+    box = (np.full(d, -0.9), np.full(d, 0.9))
+    cfg = write_config(tmp_path, "dyadic.json", {"dyadic": {
+        "density_file": str(tmp_path / "field.csv"), "gamma": 1.5, "sigma": 1.0,
+        "two_k": 4.0, "r": 2.0, "levels": [0, 2],
+        "box": {"lo": box[0].tolist(), "hi": box[1].tolist()}, "overlap_points": 6}})
+    assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "4"]) == 0
+    cubes = enumerate_cubes(box, range(3), d)
+    good = classify(cubes, read_density(tmp_path / "field.csv"), DyadicParams(1.5, 1.0, 4.0))
+    assert 0 < np.count_nonzero(good) < len(cubes)
+    rows = (tmp_path / "out" / "partition.csv").read_text().splitlines()[1:]
+    assert rows == [",".join(map(str, [lv, *k, *e, "good" if g else "bad"]))
+                    for lv, k, g in zip(cubes.level.tolist(), cubes.index.tolist(), good.tolist())
+                    for e in genders(d)]
+    n = 2**d - 1
+    report = json.loads((tmp_path / "out" / "bound_check.json").read_text())
+    assert (report["n_cubes"], report["n_good"], report["n_bad"]) == (
+        n * len(cubes), n * np.count_nonzero(good), n * np.count_nonzero(~good))
+    inside = [np.linalg.norm(x - cubes.corner, axis=1) <= 1.5 * cubes.side
+              for x in np.random.default_rng(4).uniform(*box, size=(6, d))]
+    per_row = max(np.count_nonzero(hit & (cubes.level == lv)) for hit in inside for lv in range(3))
+    assert report["overlap"]["max_observed"] == n * per_row > 0
 
 
 def test_dyadic_gamma_below_one_rejected(tmp_path):

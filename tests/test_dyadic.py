@@ -1,4 +1,5 @@
-"""Gendered dyadic cubes: partition rule, bad-cube bound, overlap count."""
+"""Dyadic cubes, one row standing for each cube's genders: partition rule,
+bad-cube bound, overlap count."""
 
 import math
 
@@ -31,7 +32,7 @@ def test_genders():
 
 
 def test_cube_geometry():
-    cube = DyadicCubes(np.array([2]), np.array([[3, -1]]), np.array([[1, 0]]))
+    cube = DyadicCubes(np.array([2]), np.array([[3, -1]]))
     assert len(cube) == 1
     assert cube.side.tolist() == [0.25]
     assert cube.corner.tolist() == [[0.75, -0.25]]
@@ -45,7 +46,7 @@ def test_row_indexing_kinds_match_numpy():
     for rows in (mask, ~mask, np.flatnonzero(mask), np.array([-1, 0, 7, 7, 3]),
                  np.array([], dtype=int), slice(None), slice(3, 40, 5), slice(None, None, -2)):
         got = cubes[rows]
-        for field in ("level", "index", "gender"):
+        for field in ("level", "index"):
             want = getattr(cubes, field)[rows]
             assert getattr(got, field).tobytes() == want.tobytes()
             assert getattr(got, field).shape == want.shape
@@ -62,7 +63,7 @@ def test_params_validation():
 
 def test_enumerate_cubes_counts():
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [0, 1], 1)
-    # level 0: 1 cube, level 1: 2 cubes, one gender each
+    # level 0: 1 cube, level 1: 2 cubes, one row each
     assert len(cubes) == 3
     levels = cubes.level.tolist()
     assert levels == sorted(levels)
@@ -136,7 +137,7 @@ def test_conditional_parent_goodness():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     cubes = enumerate_cubes((np.zeros(1), np.ones(1)), [2, 3], 1)
     children = cubes[cubes.level == 3]
-    parents = DyadicCubes(children.level - 1, children.index // 2, children.gender)
+    parents = DyadicCubes(children.level - 1, children.index // 2)
     rho_parent, _ = support_extrema_by_listing(parents, df, params.gamma)
     good_parents = classify(parents, df, params)
     assert np.all(good_parents[children.side >= rho_parent])
@@ -178,7 +179,7 @@ def test_bad_cube_bound_no_bad_cubes():
 def test_overlap_count_d1():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     level = 4
-    cubes = DyadicCubes(np.full(40, level), np.arange(-20, 20)[:, None], np.ones((40, 1), int))
+    cubes = DyadicCubes(np.full(40, level), np.arange(-20, 20)[:, None])
     rng = np.random.default_rng(42)
     for _ in range(25):
         x = rng.uniform(-1, 1, size=1)
@@ -188,7 +189,7 @@ def test_overlap_count_d1():
 
 def test_overlap_count_far_point():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
-    cubes = DyadicCubes(np.full(4, 2), np.arange(4)[:, None], np.ones((4, 1), int))
+    cubes = DyadicCubes(np.full(4, 2), np.arange(4)[:, None])
     assert overlap_count(cubes, np.array([100.0]), params) == 0
 
 
@@ -196,9 +197,9 @@ def test_overlap_count_d2_corner():
     params = DyadicParams(gamma=1.0, sigma=1.0, two_k=2.0)
     level = 3
     side = 2.0**-level
-    # corner indices -4..4 on both axes, all three genders
+    # corner indices -4..4 on both axes, each row counted for its three genders
     cubes = enumerate_cubes((np.full(2, -4 * side), np.full(2, 5 * side)), [level], 2)
-    assert len(cubes) == 3 * 81
+    assert len(cubes) == 81
     x = np.zeros(2)
     count = overlap_count(cubes, x, params)
     # brute force: corners within distance gamma * side of the origin
@@ -273,27 +274,20 @@ def test_classify_and_bound_match_brute_force(seed, d):
 
 def support_extrema_by_listing(cubes, density, gamma):
     """(rho_max, rho_min) of each cube's support from a per-ball listing: one
-    batched ``query_ball_point`` over the corners of the runs of adjacent
-    rows with one level and corner, each run's hits reduced in one slice."""
-    key = np.column_stack([cubes.level, cubes.index])
-    new = np.ones(len(cubes), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    runs = cubes[new]
-    radius = gamma * runs.side
-    balls = density._tree.query_ball_point(runs.corner, radius)
+    batched ``query_ball_point`` over the corners, each ball's hits reduced in
+    one slice."""
+    radius = gamma * cubes.side
+    balls = density._tree.query_ball_point(cubes.corner, radius)
     counts = np.array([len(ball) for ball in balls], dtype=np.intp)
     hits = np.concatenate([np.asarray(ball, dtype=np.intp) for ball in balls])
     if not counts.all():
         i = np.flatnonzero(counts == 0)[0]
         raise UndersampledDensity(
             f"no density sample within {radius[i]:g} of the corner of the level "
-            f"{runs.level[i]} cube with corner index {tuple(runs.index[i].tolist())}"
+            f"{cubes.level[i]} cube with corner index {tuple(cubes.index[i].tolist())}"
         )
-    vals = density.values[hits]
-    starts = np.cumsum(counts) - counts
-    run_of_row = np.cumsum(new) - 1
-    return (np.maximum.reduceat(vals, starts)[run_of_row],
-            np.minimum.reduceat(vals, starts)[run_of_row])
+    vals, starts = density.values[hits], np.cumsum(counts) - counts
+    return np.maximum.reduceat(vals, starts), np.minimum.reduceat(vals, starts)
 
 
 def extrema_by_scan(cubes, df, gamma, within=np.less_equal):
@@ -373,7 +367,6 @@ def test_support_extrema_on_lattice(gamma):
     # classify match the listing's and the scan's support extrema
     params = DyadicParams(gamma, 1.0, 2.0)
     cubes = enumerate_cubes((np.zeros(2), np.ones(2)), range(7), 2)
-    corners = cubes[::3]  # the three genders of a corner are adjacent rows
     fields = {"random": lattice_field(int(4 * gamma)), "step": step_field(int(4 * gamma)),
               "plateau": plateau_field()}
     masks = {}
@@ -381,25 +374,25 @@ def test_support_extrema_on_lattice(gamma):
         good, ratios = partition(cubes, df, params)
         want = partition_from_extrema(cubes, support_extrema_by_listing(cubes, df, gamma), params)
         assert good.tolist() == want[0].tolist() and ratios == want[1]
-        want = partition_from_extrema(corners, extrema_by_scan(corners, df, gamma), params)
-        assert good[::3].tolist() == want[0].tolist() and ratios == want[1]
+        want = partition_from_extrema(cubes, extrema_by_scan(cubes, df, gamma), params)
+        assert good.tolist() == want[0].tolist() and ratios == want[1]
         assert bad_cube_bound_check(cubes[~good], df, params, 0.5, 2.0) == max(ratios)
         if gamma > 2**0.5:  # one level-0 support holds every sample
             level0 = cubes[cubes.level == 0]
-            assert classify(level0, df, params).tolist() == [df.values.max() <= 1.0] * 3
+            assert classify(level0, df, params).tolist() == [df.values.max() <= 1.0]
             assert (bad_cube_bound_check(level0, df, params, 0.5, 2.0)
                     == 1.0 / (1.0 / (0.5 * (1.0 + 2.0 * gamma) ** -2.0) * df.values.min()))
-        masks[name] = good[::3].tolist()
+        masks[name] = good.tolist()
     # the boundary and the zero distance each decide some cubes on the step field
     for within in (np.less, lambda dist, r: (dist > 0) & (dist <= r)):
-        other = extrema_by_scan(corners, fields["step"], gamma, within)
-        assert masks["step"] != partition_from_extrema(corners, other, params)[0].tolist()
+        other = extrema_by_scan(cubes, fields["step"], gamma, within)
+        assert masks["step"] != partition_from_extrema(cubes, other, params)[0].tolist()
     # per level none, one, some or all of the plateau field's samples are above
     # the side, and samples equal to the side are good and decide some cubes
     vals = fields["plateau"].values
     above = [np.count_nonzero(vals > side) for side in 2.0 ** -np.arange(7)]
     assert above[0] == 0 and above[1] == 1 and 1 < above[3] < len(vals) and above[6] == len(vals)
-    other = partition_from_extrema(corners, extrema_by_scan(corners, fields["plateau"], gamma),
+    other = partition_from_extrema(cubes, extrema_by_scan(cubes, fields["plateau"], gamma),
                                    params, good_if=np.greater)
     assert masks["plateau"] != other[0].tolist()
 
@@ -439,7 +432,7 @@ def test_classify_and_bound_match_brute_force_on_lattice(seed, d):
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_support_extrema_undersampled_names_first_empty_run(order):
-    # samples on the right half only: runs near the left edge hold none; the
+    # samples on the right half only: cubes near the left edge hold none; the
     # listing and classify name the same first one in row order
     df = lattice_field(3, x_min=0.5)
     cubes = enumerate_cubes((np.zeros(2), np.ones(2)), [1, 2, 3], 2)[::order]
@@ -455,9 +448,9 @@ def test_support_extrema_undersampled_names_first_empty_run(order):
 def test_overlap_count_matches_loop(seed, d):
     rng, _, cubes, params = random_case(seed, d)
     xs = rng.uniform(-0.2, 1.2, size=(5, d))
-    loops = [sum(1 for level, index in zip(cubes.level.tolist(), cubes.index.tolist())
-                 if np.linalg.norm(x - np.array(index, dtype=float) * 2.0**-level)
-                 <= params.gamma * 2.0**-level) for x in xs]
+    loops = [(2**d - 1) * sum(1 for level, index in zip(cubes.level.tolist(), cubes.index.tolist())
+                              if np.linalg.norm(x - np.array(index, dtype=float) * 2.0**-level)
+                              <= params.gamma * 2.0**-level) for x in xs]
     for x, loop in zip(xs, loops):
         assert overlap_count(cubes, x, params) == loop
     batch = overlap_count(cubes, xs, params)  # the batch: one count per point
@@ -472,11 +465,9 @@ def test_enumerate_cubes_order_and_count(seed, d):
     hi = lo + rng.uniform(0.1, 1.5, size=d)
     levels = range(int(rng.integers(0, 3)), int(rng.integers(3, 6)))
     cubes = enumerate_cubes((lo, hi), levels, d)
-    rows = list(zip(cubes.level.tolist(), cubes.index.tolist(), cubes.gender.tolist()))
+    rows = list(zip(cubes.level.tolist(), cubes.index.tolist()))
     assert rows == sorted(rows)
     assert len(set(map(str, rows))) == len(rows)
-    assert {tuple(g) for g in cubes.gender.tolist()} == set(genders(d))
-    count = sum((2**d - 1) * math.prod(math.ceil(b * 2**lv) - math.floor(a * 2**lv)
-                                       for a, b in zip(lo, hi))
+    count = sum(math.prod(math.ceil(b * 2**lv) - math.floor(a * 2**lv) for a, b in zip(lo, hi))
                 for lv in levels)
     assert len(cubes) == count

@@ -20,6 +20,7 @@ from surfspline import (
     classify,
     enumerate_cubes,
     evaluate,
+    fundamental_normalization,
     local_kernel_error_precise,
     laplacian_power,
     lemma_transfer_sg_to_sm,
@@ -27,9 +28,11 @@ from surfspline import (
     majorant,
     minimal_density,
     monomial_exponents,
+    phi_radial,
     plan_transition,
     quadrature_cells,
     refine_weights,
+    validate_theorem1_params,
 )
 from surfspline.cli import _json_text
 
@@ -211,6 +214,30 @@ CHECKS = [
      f"{DPS}; got True"),
     ("refine dps float", lambda: refine_weights(*reproduction(), dps=60.0), ValueError,
      f"{DPS}; got 60.0"),
+    # k, d and j: integers (numpy's too, not bool), checked before any work
+    ("kernel params k float", lambda: KernelParams(d=2, k=2.5, degree=3), ValueError,
+     "k must be >= 1 and an integer; got 2.5"),
+    ("kernel params d float", lambda: KernelParams(d=2.0, k=2, degree=3), ValueError,
+     "d must be >= 1 and an integer; got 2.0"),
+    ("spec k float", lambda: spec(j=2, k=2.5), ValueError,
+     "k must be >= 1 and an integer; got 2.5"),
+    ("spec j float", lambda: spec(j=2.5), ValueError, "j must be >= 1 and an integer; got 2.5"),
+    ("spec j bool", lambda: spec(j=True), ValueError, "j must be >= 1 and an integer; got True"),
+    ("spec d float", lambda: spec(d=2.0), ValueError, "d must be >= 1 and an integer; got 2.0"),
+    ("phi_radial k float", lambda: phi_radial(1.0, 2, 2.5), ValueError,
+     "k must be >= 1 and an integer; got 2.5"),
+    ("normalization d float", lambda: fundamental_normalization(2.0, 2), ValueError,
+     "d must be >= 1 and an integer; got 2.0"),
+    ("theorem 1 k float", lambda: validate_theorem1_params(2.5, 2, 20, 0.5), ValueError,
+     "k must be >= 1 and an integer; got 2.5"),
+    ("theorem 1 d bool", lambda: validate_theorem1_params(2, True, 20, 0.5), ValueError,
+     "d must be >= 1 and an integer; got True"),
+    ("theorem 1 2k <= d", lambda: validate_theorem1_params(1, 2, 20, 0.5), ValueError,
+     "need 2k > d; got k = 1, d = 2"),
+    ("transition k float", lambda: plan_transition(1, 0.5, 1.5), ValueError,
+     "k must be >= 1 and an integer; got 1.5"),
+    ("laplacian power k float", lambda: laplacian_power(bump(6, [0.0], 1.0), 2.5), ValueError,
+     "k must be >= 0 and an integer; got 2.5"),
     ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
     ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
     ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),
@@ -234,3 +261,12 @@ def test_degree_numpy_integer():
     assert minimal_density(cs, x, degree)[0] == minimal_density(cs, x, 1)[0]
     assert KernelParams(d=2, k=2, degree=degree) == KernelParams(d=2, k=2, degree=1)
     assert type(spec(degree=np.int64(14)).degree) is int
+
+
+def test_k_d_j_numpy_integers():
+    two = np.int64(2)
+    assert KernelParams(d=two, k=two, degree=1) == KernelParams(d=2, k=2, degree=1)
+    assert phi_radial(3.0, two, two) == phi_radial(3.0, 2, 2)
+    assert spec(j=two, k=two, d=two).global_spacing == spec(j=2).global_spacing
+    assert plan_transition(1.0, 0.5, two) == plan_transition(1.0, 0.5, 2)
+    assert laplacian_power(bump(6, [0.0], 1.0), two).exponent == 4
