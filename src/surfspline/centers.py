@@ -1,10 +1,13 @@
-"""Immutable center sets in R^d with exact-radius neighbor queries.
+"""Immutable center sets in R^d with exact-radius neighbor queries, and the
+input contracts of every module and the CLI.
 
 All distances are Euclidean, and :func:`_balls` lists every neighbor ball.
 A :class:`CenterSet`'s points are read-only after construction, so queries
 are safe to issue concurrently.  A cloud's kd-tree is built on its first
 neighbor query, not with the cloud: concurrent first queries may each build
-an identical one.
+an identical one.  The contracts: a point or batch (:func:`_as_points`,
+:func:`_as_point`), a box (:func:`_as_box`), an integer (:func:`_check_int`;
+levels up to ``_MAX_LEVEL``) and a positive finite real (:func:`_check_positive`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,25 @@ _CUTOFF_PAD = 1e-9
 
 #: Query points per kd-tree query of :func:`_balls` and :func:`_nearest_groups`.
 _BLOCK = 64
+
+#: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
+#: side 2^-level and its inverse, stay normal float64s up to level 511.
+_MAX_LEVEL = 511
+
+
+def _check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """``name`` must be an integer (numpy's too, not bool) of at least ``least``
+    and, if ``most`` is given, at most ``most``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer; got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be >= {least} and at most {most}; got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """``name`` must be a positive finite real."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -64,11 +86,15 @@ def _as_cloud(points) -> np.ndarray:
 
 
 def _as_box(box, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The finite float corners ``(lo, hi)`` of ``box``, length ``dim`` (lo's if None), hi > lo."""
-    lo, hi = (np.asarray(c, dtype=float).reshape(-1) for c in box)
-    if not (0 < lo.size == hi.size == (lo.size if dim is None else dim)
+    """The float corners ``(lo, hi)`` of ``box``: two finite 1-D vectors of one
+    nonzero length, ``dim`` if given, with hi > lo on every axis.  Nested or
+    scalar corners raise, as does any other fault."""
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    size = lo.size if dim is None else dim
+    if not (lo.shape == hi.shape == (size,) and size > 0
             and np.isfinite([lo, hi]).all() and np.all(hi > lo)):
-        raise ValueError("box must be a (lo, hi) pair of d-vectors with hi > lo, all finite")
+        raise ValueError("box must be a (lo, hi) pair of d-vectors with hi > lo, all finite"
+                         + ("" if dim is None else f"; d = {dim}"))
     return lo, hi
 
 
@@ -156,8 +182,7 @@ class CenterSet(_Cloud):
         (distance exactly ``radius``) are included.  One row of :func:`_balls`.
         """
         center = _as_point(center, self.dim)
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        _check_positive("radius", radius)
         idx, dist, _ = next(_balls(self, center[None], np.array([radius], dtype=float)))
         return idx, dist
 

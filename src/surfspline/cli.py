@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centers import CenterSet, _grid_points, _lattice
+from .centers import _MAX_LEVEL, CenterSet, _as_box, _as_point, _as_points, _grid_points, _lattice
 from .density import (
     DensityField,
     NoAdmissibleRadius,
@@ -46,13 +46,7 @@ from .dyadic import (
     overlap_count,
 )
 from .kernels import KernelParams, bump
-from .placement import (
-    _MAX_LEVEL,
-    MultiresSpec,
-    build_ring_plan,
-    cardinality_report,
-    generate_centers,
-)
+from .placement import MultiresSpec, build_ring_plan, cardinality_report, generate_centers
 from .polyrep import ReproductionError
 from .quasiinterp import AssemblyError, convergence_study
 
@@ -269,30 +263,23 @@ def _check(*rules) -> None:
             raise ConfigError(f"config key {key!r} must be {rule}")
 
 
-def _defect_rule(defect, d: int) -> tuple:
-    """The :func:`_check` rule of a defect: none, one point (d,) or a set (n, d)."""
-    return ("defect", defect is None or defect.shape == (d,)
-            or (defect.ndim == 2 and defect.shape[1] == d), f"one point ({d},) or a set (n, {d})")
+def _checked(key: str, contract, *args):
+    """``contract(*args)``, one of the library's input checks, its ``ValueError``
+    re-raised as a ConfigError naming the dotted config ``key``."""
+    try:
+        return contract(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _box_rule(cfg: dict) -> tuple:
-    """The :func:`_check` rule of the box block; :func:`_corners` checks its length."""
-    lo, hi = cfg["box"]["lo"], cfg["box"]["hi"]
-    return ("box", lo.ndim == 1 and lo.shape == hi.shape and bool(np.all(hi > lo)),
-            "vectors lo and hi of one length with hi > lo on every axis")
-
-
-def _corners(cfg: dict, block: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``lo`` and ``hi`` vectors of a checked box or probe block, of length d."""
-    lo, hi = cfg[block]["lo"], cfg[block]["hi"]
-    if lo.shape != (d,) or hi.shape != (d,):
-        raise ConfigError(f"{block}.lo and {block}.hi must be vectors of length {d}")
-    return lo, hi
+def _box(cfg: dict, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The box block's corners, of length d if given (see ``_as_box``)."""
+    return _checked("box", _as_box, (cfg["box"]["lo"], cfg["box"]["hi"]), d)
 
 
 def _probe_grid(cfg: dict, d: int) -> np.ndarray:
     """The probe block's grid: ``count`` points per axis between its corners."""
-    lo, hi = _corners(cfg, "probe", d)
+    lo, hi = (_checked(f"probe.{c}", _as_point, cfg["probe"][c], d) for c in ("lo", "hi"))
     return _grid_points([np.linspace(lo[a], hi[a], cfg["probe"]["count"]) for a in range(d)])
 
 
@@ -301,8 +288,8 @@ def _probe_grid(cfg: dict, d: int) -> np.ndarray:
 
 
 def cmd_place(cfg: dict, out: Path, seed: int) -> None:
-    _check(_defect_rule(cfg["defect"], cfg["d"]), _box_rule(cfg))
-    spec = MultiresSpec(**{**cfg, "box": _corners(cfg, "box", cfg["d"])})
+    _checked("defect", _as_points, cfg["defect"], cfg["d"])
+    spec = MultiresSpec(**{**cfg, "box": _box(cfg, cfg["d"])})
     plan = build_ring_plan(spec)
     cs = generate_centers(spec)
     card = cardinality_report(spec, cs)
@@ -361,9 +348,10 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
            ("js", all(lowest <= j <= _MAX_LEVEL for j in cfg["js"]),
             f"levels in [{lowest}, {_MAX_LEVEL}]"),
            ("defect", placement == "uniform" or defect is not None, "given for multires"),
-           _defect_rule(defect, d), _box_rule(cfg),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
-    box = _corners(cfg, "box", d)
+    if defect is not None:
+        _checked("defect", _as_points, defect, d)
+    box = _box(cfg, d)
     probes = _probe_grid(cfg, d)
     params = KernelParams(d=d, k=k, degree=degree)
     f = bump(cfg["bump"]["exponent"], np.zeros(d), cfg["bump"]["scale"])
@@ -399,11 +387,12 @@ def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     levels, overlap_points = cfg["levels"], cfg["overlap_points"]
     _check(("levels", len(levels) == 2 and -_MAX_LEVEL <= levels[0] <= levels[1] <= _MAX_LEVEL,
             f"[lo, hi] with -{_MAX_LEVEL} <= lo <= hi <= {_MAX_LEVEL}"),
-           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"), _box_rule(cfg))
+           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"))
+    _box(cfg)  # its length is d, read with the density
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(cfg["density_file"])
     d = df.dim
-    box = _corners(cfg, "box", d)
+    box = _box(cfg, d)
     cubes = enumerate_cubes(box, range(levels[0], levels[1] + 1), d)
     good = classify(cubes, df, params)
     c_sm = certify_self_majorization(df, r)

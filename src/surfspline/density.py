@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _nearest,
-                      _nearest_groups, _pair_distances)
-from .polyrep import PolyRep, _check_int, _serial_blas, _solve, polynomial_dim
+from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _check_int,
+                      _check_positive, _nearest, _nearest_groups, _pair_distances)
+from .polyrep import PolyRep, _serial_blas, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -213,8 +213,7 @@ def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
     each term (a term grows with rho(y)), which falls with the distance; the
     value is the one an exhaustive scan returns, bit for bit.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _check_positive("r", r)
     pts, single = _as_points(x, df.dim)
     v, top = df.values, float(np.max(df.values))
     out = _pair_extremum(
@@ -323,8 +322,7 @@ def certify_self_majorization(df: DensityField, r: float) -> float:
     the distance; the value is the one an exhaustive scan returns, bit for
     bit.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _check_positive("r", r)
     v, bottom = df.values, float(np.min(df.values))
     return float(np.min(_pair_extremum(
         df, df.points,
@@ -339,10 +337,8 @@ def lemma_transfer_sm_to_sg(c_sm: float, r: float) -> tuple[float, float]:
     Returns ``(epsilon, C_sg)`` with epsilon = 1/(r+1) and
     C_sg = max(2^r / C_sm, (2^r / C_sm)^(1/(1+r))).
     """
-    if not c_sm > 0:
-        raise ValueError("c_sm must be positive")
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _check_positive("c_sm", c_sm)
+    _check_positive("r", r)
     base = 2.0**r / c_sm
     return 1.0 / (r + 1.0), max(base, base ** (1.0 / (1.0 + r)))
 
@@ -353,20 +349,20 @@ def lemma_transfer_sg_to_sm(c_sg: float, epsilon: float) -> tuple[float, float]:
     Returns ``(r, C_sm)`` with r = (1-epsilon)/epsilon and
     C_sm = min(2^(epsilon-1) / C_sg, (2^(epsilon-1) / C_sg)^(1/epsilon)).
     """
-    if not c_sg >= 1:
-        raise ValueError("c_sg must be >= 1")
+    if not 1 <= c_sg < np.inf:
+        raise ValueError(f"c_sg must be >= 1 and finite, got {c_sg}")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     base = 2.0 ** (epsilon - 1.0) / c_sg
     return (1.0 - epsilon) / epsilon, min(base, base ** (1.0 / epsilon))
 
 
-def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> list[str]:
+def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> None:
     """Check the parameter constraints of the pointwise convergence theorem.
 
-    Requires degree > 2k - d + 1, 0 < epsilon < 1 and, for such a degree,
-    epsilon > 2k / degree.  Returns the list of violated conditions (empty =
-    ok).
+    Requires integers k, d >= 1 with 2k > d, degree > 2k - d + 1,
+    0 < epsilon < 1 and, for such a degree, epsilon > 2k / degree.  Raises one
+    ``ValueError`` naming every violated condition, joined by ``"; "``.
     """
     _check_int("k", k, 1)
     _check_int("d", d, 1)
@@ -379,4 +375,5 @@ def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> lis
         violations.append(f"epsilon {epsilon:g} must exceed 2k/degree = {2 * k / degree:g}")
     if not 0 < epsilon < 1:
         violations.append(f"epsilon {epsilon:g} must lie in (0, 1)")
-    return violations
+    if violations:
+        raise ValueError("; ".join(violations))

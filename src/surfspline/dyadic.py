@@ -23,7 +23,8 @@ from itertools import product
 
 import numpy as np
 
-from .centers import _Cloud, _as_box, _as_points, _grid_points, _pair_distances
+from .centers import (_MAX_LEVEL, _Cloud, _as_box, _as_points, _check_int, _check_positive,
+                      _grid_points, _pair_distances)
 from .density import DensityField
 
 
@@ -77,15 +78,19 @@ class UndersampledDensity(Exception):
 
 def genders(d: int) -> list[tuple[int, ...]]:
     """The 2^d - 1 nonzero elements of {0,1}^d, in lexicographic order."""
+    _check_int("d", d, 1)
     return [g for g in product((0, 1), repeat=d) if any(g)]
 
 
 def enumerate_cubes(box, levels, d: int) -> DyadicCubes:
     """All dyadic cubes at the given levels that intersect the box, one row
-    each, in deterministic (level, corner index) order."""
+    each, in deterministic (level, corner index) order.  ``d`` and each level
+    are integers, |level| at most ``_MAX_LEVEL``."""
+    _check_int("d", d, 1)
     lo, hi = _as_box(box, d)
     level, index = [np.empty(0, dtype=int)], [np.empty((0, d), dtype=int)]
     for lv in levels:
+        _check_int("level", lv, -_MAX_LEVEL, _MAX_LEVEL)
         side = 2.0**-lv
         corners = _grid_points([np.arange(int(np.floor(lo[a] / side)), int(np.ceil(hi[a] / side)))
                                 for a in range(d)])
@@ -137,9 +142,8 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
     ascending value order, that a kd-tree of its corners finds within reach.
     Returns 0.0 when no support holds a sample (no bad cubes).
     """
-    for name, value in (("c_sm", c_sm), ("r", r)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_positive("c_sm", c_sm)
+    _check_positive("r", r)
     _check_dims(bad, density)
     cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
     chunks = np.split(np.argsort(density.values), 16 * (2 ** np.arange(1, 16) - 1))
@@ -169,6 +173,7 @@ def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarr
 
 def max_overlap(d: int, gamma: float) -> int:
     """The level-uniform overlap bound (2^d - 1)(2 ceil(Gamma) + 1)^d."""
+    _check_int("d", d, 1)
     return (2**d - 1) * (2 * int(np.ceil(gamma)) + 1) ** d
 
 

@@ -16,8 +16,8 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .centers import CenterSet, _as_point, _as_points, _pair_distances
-from .polyrep import PolyRep, _check_dps, _check_int, _float_fixed_point
+from .centers import CenterSet, _as_point, _as_points, _check_int, _pair_distances
+from .polyrep import PolyRep, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
 SUPPORTED_DIMS = (1, 2, 3)
@@ -156,8 +156,7 @@ def bump(p: int, center, scale: float) -> RadialBump:
     scale^(-2m)`` must be finite and nonzero, which bounds the scale from
     both sides (about 1e-11 to 3e11 at p = 14).
     """
-    if p < 2:
-        raise ValueError("exponent must be >= 2")
+    _check_int("exponent", p, 2)
     if p > _MAX_BUMP_EXPONENT:
         raise ValueError(f"exponent {p} exceeds {_MAX_BUMP_EXPONENT}: the rounding error of "
                          f"the bump's expansion could exceed {_BUMP_ROUNDING:g}")
@@ -212,7 +211,7 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     most ``10^(10 - dps)``), passed as ``weights``; ``x`` is one point.
     ``weights`` must hold one finite weight (anything ``mpmath.mpf`` takes)
     per entry of ``pr.indices``, ``params.d`` equal the centers' dimension
-    and ``dps`` be an int above 15 (else ``ValueError``).
+    and ``dps`` be an integer above 15 (else ``ValueError``).
 
     Each squared distance (the profile's ``|x - alpha|^2`` too) is one exact
     integer sum of squares on the coordinates' common fixed point, rounded
@@ -224,7 +223,7 @@ def local_kernel_error_precise(pr: PolyRep, cs: CenterSet, x, params: KernelPara
     from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_log, mpf_mul, mpf_pow_int,
                               mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
-    _check_dps(dps)
+    _check_int("dps", dps, 16)
     if params.d != cs.dim:
         raise ValueError(f"dimensions differ: centers {cs.dim}, params.d {params.d}")
     if weights is None:

@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centers import CenterSet, _Cloud, _as_box, _as_points, _lattice, _pair_distances
+from .centers import (_MAX_LEVEL, CenterSet, _Cloud, _as_box, _as_points, _check_int,
+                      _check_positive, _lattice, _pair_distances)
 from .density import minimal_density, validate_theorem1_params
-from .polyrep import _check_int
-
-#: Largest level: a placement's finest spacing 2^-2j, and a dyadic cube's
-#: side 2^-level and its inverse, stay normal float64s up to level 511.
-_MAX_LEVEL = 511
 
 
 @dataclass(frozen=True)
@@ -46,16 +42,12 @@ class MultiresSpec:
     degree: int | None = None
 
     def __post_init__(self):
-        _check_int("j", self.j, 1)
-        if self.j > _MAX_LEVEL:
-            raise ValueError(f"j must be >= 1 and at most {_MAX_LEVEL}; got {self.j}")
+        _check_int("j", self.j, 1, _MAX_LEVEL)
         if self.degree is not None:
             _check_int("degree", self.degree, 0)
         degree = self.degree if self.degree is not None else 7 * self.k
         object.__setattr__(self, "degree", int(degree))
-        violations = validate_theorem1_params(self.k, self.d, self.degree, self.epsilon)
-        if violations:
-            raise ValueError("; ".join(violations))
+        validate_theorem1_params(self.k, self.d, self.degree, self.epsilon)
         object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
         object.__setattr__(self, "box", _as_box(self.box, self.d))
 
@@ -209,8 +201,7 @@ def plan_transition(s: float, epsilon: float, k: int) -> TransitionPlan:
     it shrinks with h only when ``s * epsilon < 1`` (returned as ``valid``).
     ``min_degree`` is the smallest integer strictly above ``2k / epsilon``.
     """
-    if not s > 0:
-        raise ValueError("s must be positive")
+    _check_positive("s", s)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     _check_int("k", k, 1)

@@ -42,7 +42,7 @@ import scipy.linalg
 from scipy.linalg import svdvals
 from scipy.linalg.lapack import dgeqp3, dormqr, dtrtri, dtrtrs
 
-from .centers import CenterSet, _as_point
+from .centers import CenterSet, _as_point, _check_int
 
 #: Relative rank tolerance separating genuine unisolvency failures from
 #: round-off: full rank means sigma_min > RANK_RTOL * sigma_max.  A deficient
@@ -130,15 +130,15 @@ def polynomial_dim(dim: int, degree: int) -> int:
     return comb(degree + dim, dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True never hit 2's and 1's entries
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     """Multi-indices of total degree <= degree, graded lexicographic, (M, dim).
 
     The zero multi-index always comes first; the ordering is deterministic.
     The array is cached per (dim, degree) and therefore read-only.
     """
-    if degree < 0 or dim < 1:
-        raise ValueError("need degree >= 0 and dim >= 1")
+    _check_int("dim", dim, 1)
+    _check_int("degree", degree, 0)
     grid = [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree]
     expo = np.array(sorted(grid, key=sum), dtype=int)  # stable: lexicographic per degree
     expo.setflags(write=False)
@@ -211,7 +211,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
     """
     _check_int("degree", degree, 0)
     alpha = _as_point(alpha, cs.dim)
-    idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless radius > 0
+    idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless 0 < radius < inf
     with _serial_blas():
         w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
     return PolyRep(alpha=alpha, radius=float(radius), indices=idx, weights=w, degree=degree)
@@ -351,19 +351,6 @@ def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
     return float(np.max(np.abs(bmat @ pr.weights - rhs)))
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """``name`` must be an integer (numpy's too, not bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be >= {least} and an integer; got {value!r}")
-
-
-def _check_dps(dps) -> None:
-    """``dps`` must be an int (not bool) above 15: more digits than float64 carries."""
-    if isinstance(dps, bool) or not isinstance(dps, int) or dps <= 15:
-        raise ValueError(f"dps must be an int above 15, more digits than float64 carries; "
-                         f"got {dps!r}")
-
-
 def _fixed_point(values) -> tuple[np.ndarray, int]:
     """Python ints ``m`` (a 1-D object array) and one exponent ``e`` with
     ``values[i] == m[i] 2^e`` exactly, for an iterable of finite mpf and
@@ -429,13 +416,13 @@ def refine_weights(pr: PolyRep, cs: CenterSet, dps: int = 60):
     products rounded once per entry (:func:`_products`); scaling B's rows
     leaves the minimum-norm w unchanged.  Stops once the residual no longer
     halves, and raises :class:`ReproductionError` if it is then above
-    ``10^(10 - dps)``.  ``dps`` must be an int above 15, and each center
+    ``10^(10 - dps)``.  ``dps`` must be an integer above 15, and each center
     less than ``2^(s + 1)`` from alpha in every coordinate, as the ball's
     centers are (else ``ValueError``, before any shift).
     """
     import mpmath as mp
 
-    _check_dps(dps)
+    _check_int("dps", dps, 16)  # more digits than float64 carries
     pts = cs.points[pr.indices]
     offsets, s = pts - pr.alpha, frexp(pr.radius)[1]
     if not np.all(np.abs(offsets) < 2.0 ** (s + 1)):  # else _exact_moments shifts right

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import CenterSet, _BLOCK, _as_box, _as_points, _balls, _grid_points, _pair_distances
+from .centers import (CenterSet, _BLOCK, _as_box, _as_points, _balls, _check_int, _grid_points,
+                      _pair_distances)
 from .density import DensityField, _LazyField, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _serial_blas, _weights
@@ -59,8 +60,7 @@ def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.nd
     children in reversed ``ndindex`` order, so the cells come out in
     depth-first order.
     """
-    if cells_per_rho < 2:
-        raise ValueError("cells_per_rho must be >= 2")
+    _check_int("cells_per_rho", cells_per_rho, 2)
     lo, hi = _as_box(box)
     d = lo.shape[0]
     extent = hi - lo
@@ -240,17 +240,14 @@ def convergence_study(
     js = tuple(int(j) for j in js)
     if len(set(js)) < 3:
         raise ValueError(f"need a sweep of at least 3 distinct levels, got js = {list(js)}")
-    violations = validate_theorem1_params(params.k, params.d, params.degree, epsilon)
-    if violations:
-        raise ValueError("; ".join(violations))
+    validate_theorem1_params(params.k, params.d, params.degree, epsilon)
     if f.dim != params.d:
         raise ValueError(f"dimensions differ: bump {f.dim}, params.d {params.d}")
     laplacian_power(f, params.k)  # raises for a boundary order below 2k + 2
     sets = [_as_points(s, params.d)[0] for s in ([probes] if defect is None else [probes, defect])]
     if min(map(len, sets)) == 0:
         raise ValueError("probes and defect must each hold at least one point")
-    if cells_per_rho < 2:
-        raise ValueError("cells_per_rho must be >= 2")
+    _check_int("cells_per_rho", cells_per_rho, 2)
     points = np.concatenate(sets)
     errors = np.array([
         _level(center_factory(j), f, params, cells_per_rho, points,

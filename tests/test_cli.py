@@ -81,8 +81,9 @@ def test_place_defect_shape(tmp_path, capsys, defect, code):
                  "--out", str(out)]) == code
     assert out.exists() == (code == 0)
     if code:
-        assert "config key 'defect' must be one point (1,) or a set (n, 1)" in (
-            capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert "config key 'defect': points have shape" in err
+        assert "expected (1,) for one point or (n, 1) for a batch" in err
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -468,9 +469,11 @@ def test_wrongly_typed_config_value(tmp_path, capsys, command, overrides, key):
     assert f"config key {key!r}" in err and "missing.csv" not in err
 
 
+# nested corners [[-4]], [[4]] would flatten to a valid box of every block
 @pytest.mark.parametrize("box", [{"lo": [1.0], "hi": [1.0]}, {"lo": [1.0], "hi": [-1.0]},
-                                 {"lo": [-1.0], "hi": [1.0, 2.0]}],
-                         ids=["zero width", "inverted", "unequal lengths"])
+                                 {"lo": [-1.0], "hi": [1.0, 2.0]},
+                                 {"lo": [[-4.0]], "hi": [[4.0]]}],
+                         ids=["zero width", "inverted", "unequal lengths", "nested"])
 @pytest.mark.parametrize("command", ["place", "study", "dyadic"])
 def test_empty_or_inverted_box_rejected_before_work(tmp_path, capsys, count_solves, command,
                                                    box):
@@ -479,7 +482,7 @@ def test_empty_or_inverted_box_rejected_before_work(tmp_path, capsys, count_solv
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config key 'box' must be vectors lo and hi of one length" in err
+    assert "config key 'box': box must be a (lo, hi) pair of d-vectors with hi > lo" in err
     assert "missing.csv" not in err
     assert not out.exists()
     assert count_solves == []
@@ -757,9 +760,10 @@ BAD_RANGES = [
     ("dyadic", {"levels": [3, 1]}, "config key 'levels'"),
     ("dyadic", {"levels": [0, 1, 2]}, "config key 'levels'"),
     ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": 1}}, "config key 'probe.count'"),
-    ("study", {"d": 2, "defect": [[0.0, 0.0]]}, "box.lo and box.hi must be vectors of length 2"),
+    ("study", {"d": 2, "defect": [[0.0, 0.0]]},
+     "config key 'box': box must be a (lo, hi) pair of d-vectors with hi > lo, all finite; d = 2"),
     ("study", {"d": 2, "defect": [[0.0, 0.0]], "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5]}},
-     "probe.lo and probe.hi must be vectors of length 2"),
+     "config key 'probe.lo': points have shape (1,); expected (2,) for one point"),
     # spacings 2^-j and cube sides 2^-level that underflow or overflow
     ("place", {"j": 1100}, "j must be >= 1 and at most 511"),
     ("study", {"js": [3, 4, 2000]}, "config key 'js' must be levels in [-511, 511]"),

@@ -1043,15 +1043,19 @@ def test_lemma_round_trip_on_random_fields():
 
 
 def test_theorem1_params():
-    assert validate_theorem1_params(2, 2, 14, 1 / 3) == []
-    bad = validate_theorem1_params(2, 2, 3, 0.9)
-    assert any("2k-d+1" in v for v in bad)  # 3 > 2k-d+1 = 3 fails
-    bad = validate_theorem1_params(2, 2, 14, 0.2)
-    assert len(bad) == 1 and "2k/degree" in bad[0]
+    # one ValueError names every violated condition; ^...$ holds it to the one named
+    assert validate_theorem1_params(2, 2, 14, 1 / 3) is None
+    with pytest.raises(ValueError, match=r"^degree 3 must exceed 2k-d\+1 = 3$"):
+        validate_theorem1_params(2, 2, 3, 0.9)  # 3 > 2k-d+1 = 3 fails
+    with pytest.raises(ValueError, match=r"^epsilon 0.2 must exceed 2k/degree = 0.285714$"):
+        validate_theorem1_params(2, 2, 14, 0.2)
     for epsilon in (1.0, 1.5):
-        bad = validate_theorem1_params(2, 2, 14, epsilon)
-        assert len(bad) == 1 and "epsilon" in bad[0] and "(0, 1)" in bad[0]
-    bad = validate_theorem1_params(2, 2, 0, 0.5)  # no division by a zero degree
-    assert len(bad) == 1 and "2k-d+1" in bad[0]
+        with pytest.raises(ValueError, match=rf"^epsilon {epsilon:g} must lie in \(0, 1\)$"):
+            validate_theorem1_params(2, 2, 14, epsilon)
+    with pytest.raises(ValueError, match=r"^degree 0 must exceed 2k-d\+1 = 3$"):
+        validate_theorem1_params(2, 2, 0, 0.5)  # no division by a zero degree
+    with pytest.raises(ValueError, match=r"^degree 3 must exceed 2k-d\+1 = 3; "
+                                         r"epsilon 1.5 must lie in \(0, 1\)$"):
+        validate_theorem1_params(2, 2, 3, 1.5)
     with pytest.raises(ValueError):
         validate_theorem1_params(1, 3, 10, 0.5)  # 2k <= d

@@ -20,12 +20,14 @@ from surfspline import (
     classify,
     enumerate_cubes,
     evaluate,
+    genders,
     fundamental_normalization,
     local_kernel_error_precise,
     laplacian_power,
     lemma_transfer_sg_to_sm,
     lemma_transfer_sm_to_sg,
     majorant,
+    max_overlap,
     minimal_density,
     monomial_exponents,
     phi_radial,
@@ -75,7 +77,7 @@ def kernel_error(params=KernelParams(d=2, k=2, degree=1), **kwargs):
     return local_kernel_error_precise(pr, cs, [5.0, 5.0], params, **kwargs)
 
 
-DPS = "dps must be an int above 15, more digits than float64 carries"
+DPS = "dps must be >= 16 and an integer"
 DEGREE = "degree must be >= 0 and an integer"
 
 #: (id, call, exception, text its message must hold)
@@ -169,7 +171,13 @@ CHECKS = [
      f"{DEGREE}; got 2.5"),
     ("spec degree float", lambda: spec(degree=14.9), ValueError, f"{DEGREE}; got 14.9"),
     ("monomial dim", lambda: monomial_exponents(0, 3), ValueError,
-     "need degree >= 0 and dim >= 1"),
+     "dim must be >= 1 and an integer; got 0"),
+    ("monomial degree float", lambda: monomial_exponents(2, 2.5), ValueError,
+     f"{DEGREE}; got 2.5"),
+    ("monomial degree bool", lambda: monomial_exponents(2, True), ValueError,
+     f"{DEGREE}; got True"),
+    ("monomial dim float", lambda: monomial_exponents(2.0, 2), ValueError,
+     "dim must be >= 1 and an integer; got 2.0"),
     ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, "s must be positive"),
     ("transition epsilon", lambda: plan_transition(1.0, 1.0, 1), ValueError,
      "epsilon must lie in (0, 1)"),
@@ -238,6 +246,42 @@ CHECKS = [
      "k must be >= 1 and an integer; got 1.5"),
     ("laplacian power k float", lambda: laplacian_power(bump(6, [0.0], 1.0), 2.5), ValueError,
      "k must be >= 0 and an integer; got 2.5"),
+    # integers of the bump, the dyadic cubes and the quadrature
+    ("bump exponent float", lambda: bump(2.5, [0.0], 1.0), ValueError,
+     "exponent must be >= 2 and an integer; got 2.5"),
+    ("genders d float", lambda: genders(2.0), ValueError,
+     "d must be >= 1 and an integer; got 2.0"),
+    ("max_overlap d float", lambda: max_overlap(2.0, 2.0), ValueError,
+     "d must be >= 1 and an integer; got 2.0"),
+    ("cubes level float", lambda: enumerate_cubes(BOX, [1.5], 2), ValueError,
+     "level must be >= -511 and an integer; got 1.5"),
+    ("cubes level bool", lambda: enumerate_cubes(BOX, [True], 2), ValueError,
+     "level must be >= -511 and an integer; got True"),
+    ("cubes level 2000", lambda: enumerate_cubes(BOX, [2000], 2), ValueError,
+     "level must be >= -511 and at most 511; got 2000"),
+    ("cubes level -2000", lambda: enumerate_cubes(BOX, [-2000], 2), ValueError,
+     "level must be >= -511 and an integer; got -2000"),
+    ("cubes d float", lambda: enumerate_cubes(BOX, [1], 2.0), ValueError,
+     "d must be >= 1 and an integer; got 2.0"),
+    ("cubes box nested", lambda: enumerate_cubes(([[-1, -1]], [[1, 1]]), [0], 2), ValueError,
+     BAD_BOX),
+    ("quadrature cells_per_rho float", lambda: quadrature_cells(BOX, 2.5, np.ones), ValueError,
+     "cells_per_rho must be >= 2 and an integer; got 2.5"),
+    # reals that must be positive (c_sg: at least 1) and finite
+    ("sm to sg c_sm inf", lambda: lemma_transfer_sm_to_sg(np.inf, 1.0), ValueError,
+     "c_sm must be positive and finite, got inf"),
+    ("sm to sg r inf", lambda: lemma_transfer_sm_to_sg(0.5, np.inf), ValueError,
+     "r must be positive and finite, got inf"),
+    ("sg to sm c_sg inf", lambda: lemma_transfer_sg_to_sm(np.inf, 0.5), ValueError,
+     "c_sg must be >= 1 and finite, got inf"),
+    ("majorant r inf", lambda: majorant(FIELD, [0.0, 0.0], np.inf), ValueError,
+     "r must be positive and finite, got inf"),
+    ("self-majorization r inf", lambda: certify_self_majorization(FIELD, np.inf), ValueError,
+     "r must be positive and finite, got inf"),
+    ("transition s inf", lambda: plan_transition(np.inf, 0.5, 1), ValueError,
+     "s must be positive and finite, got inf"),
+    ("neighbor radius inf", lambda: CenterSet(CLOUD).neighbor_arrays([0.0, 0.0], np.inf),
+     ValueError, "radius must be positive and finite, got inf"),
     ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
     ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
     ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),
@@ -261,6 +305,13 @@ def test_degree_numpy_integer():
     assert minimal_density(cs, x, degree)[0] == minimal_density(cs, x, 1)[0]
     assert KernelParams(d=2, k=2, degree=degree) == KernelParams(d=2, k=2, degree=1)
     assert type(spec(degree=np.int64(14)).degree) is int
+
+
+def test_dps_numpy_integer():
+    pr, cs = reproduction()
+    dps = np.int64(60)
+    assert refine_weights(pr, cs, dps=dps) == refine_weights(pr, cs, dps=60)
+    assert kernel_error(dps=dps) == kernel_error(dps=60)
 
 
 def test_k_d_j_numpy_integers():

@@ -1,0 +1,30 @@
+"""Layout invariants of the package sources, read as text (stdlib only)."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = {path.name: path.read_text() for path in sorted((SRC / "surfspline").glob("*.py"))}
+
+
+def test_cli_import_loads_no_mpmath():
+    # mpmath serves only the extended-precision functions, which import it lazily
+    code = "import sys, surfspline.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=SRC, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_one_kd_tree_constructor():
+    assert sum(text.count("cKDTree(") for text in MODULES.values()) == 1
+    spatial = re.compile(r"^\s*(from scipy\.spatial\b|import scipy\.spatial\b)", re.M)
+    assert [name for name, text in MODULES.items() if spatial.search(text)] == ["centers.py"]
+
+
+def test_input_contracts_defined_in_centers_only():
+    for name in ("_check_int", "_check_positive", "_as_points", "_as_point", "_as_box",
+                 "_MAX_LEVEL"):
+        definition = re.compile(rf"^(def {name}\(|{name}\s*=)", re.M)
+        assert [m for m, text in MODULES.items() if definition.search(text)] == ["centers.py"], name
