@@ -35,13 +35,14 @@ _BLOCK = 64
 _MAX_LEVEL = 511
 
 
-def _check_int(name: str, value, least: int, most: int | None = None) -> None:
+def _check_int(name: str, value, least: int, most: int | None = None) -> int:
     """``name`` must be an integer (numpy's too, not bool) of at least ``least``
-    and, if ``most`` is given, at most ``most``."""
+    and, if ``most`` is given, at most ``most``; returns it as a Python int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be >= {least} and an integer; got {value!r}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be >= {least} and at most {most}; got {value!r}")
+    return int(value)
 
 
 def _check_positive(name: str, value) -> None:

@@ -160,9 +160,9 @@ def bump(p: int, center, scale: float) -> RadialBump:
     if p > _MAX_BUMP_EXPONENT:
         raise ValueError(f"exponent {p} exceeds {_MAX_BUMP_EXPONENT}: the rounding error of "
                          f"the bump's expansion could exceed {_BUMP_ROUNDING:g}")
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if not (0 < scale < np.inf and np.all(np.isfinite(center))):
-        raise ValueError("scale must be positive and finite, and center finite")
+    center = np.asarray(center, dtype=float)  # nested or scalar raises, as a box corner does
+    if not (0 < scale < np.inf and center.ndim == 1 and center.size and np.isfinite(center).all()):
+        raise ValueError("scale must be positive and finite, and center finite and 1-D, nonempty")
     # binomial expansion in t = r^2
     m = np.arange(p + 1)
     with np.errstate(over="ignore"):

@@ -29,7 +29,7 @@ class MultiresSpec:
     d        -- ambient dimension
     epsilon  -- slow-growth exponent, default 1/3
     degree   -- reproduction precision, default 7k
-    defect   -- one defect point (d,) or a sampled set (m, d), finite
+    defect   -- one defect point (d,) or a sampled set (m, d), m >= 1, finite
     box      -- (lo, hi) arrays bounding the global grid
     """
 
@@ -49,6 +49,8 @@ class MultiresSpec:
         object.__setattr__(self, "degree", int(degree))
         validate_theorem1_params(self.k, self.d, self.degree, self.epsilon)
         object.__setattr__(self, "defect", _as_points(self.defect, self.d)[0])
+        if not len(self.defect):  # the grid anchor is the defect's centroid
+            raise ValueError("defect must hold at least one point")
         object.__setattr__(self, "box", _as_box(self.box, self.d))
 
     @property

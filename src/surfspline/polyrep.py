@@ -22,6 +22,11 @@ most ``degree`` that vanishes on every center, so no weights reproduce
 Pi_degree there (Wendland, *Scattered Data Approximation*, 2005, ch. 2).  The
 sum of absolute weights is the stability norm of the reproduction.
 
+Each system is solved in the canonical frame of :func:`_canonical`, a signed
+axis permutation of its scaled centers, rows sorted; such a map sends each
+monomial to plus or minus one of the same degree and fixes the constant, so
+the weights and the rank are the original system's in exact arithmetic.
+
 Local solves run on one BLAS thread (:func:`_serial_blas`): at degree 14 a
 QR's level-2 calls cross OpenBLAS's threading threshold, and a second thread
 costs more than it saves on so small a problem.
@@ -35,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, frexp
+from math import comb, frexp, fsum
 
 import numpy as np
 import scipy.linalg
@@ -55,8 +60,8 @@ RANK_RTOL = 1e-10
 #: singular values of R (:func:`_min_norm`).
 _GUARD = 1e3
 
-#: Solves held by a center set's solve memo (a few KB each, and as much again
-#: for the keys of their index).
+#: Entries held by a center set's solve memo, and by the memo's index (a few
+#: KB each).
 _SOLVE_MEMO_CAP = 4096
 
 
@@ -197,8 +202,8 @@ class PolyRep:
 def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> PolyRep:
     """Minimum-norm weights reproducing Pi_degree from centers in B(alpha, radius).
 
-    The weights are read-only: equal local geometries share one array
-    through the center set's solve memo.
+    The weights are read-only: equal local geometries, up to a signed axis
+    permutation, share one solve through the center set's solve memo.
 
     Raises
     ------
@@ -220,7 +225,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
 def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> np.ndarray:
     """The weights of :func:`_solve`, raising :class:`InsufficientPoints` or
     :class:`RankDeficient` where :func:`build_reproduction` does; the error
-    text takes the rank of one QR."""
+    text takes the rank of one QR of the system that :func:`_solve` decided."""
     m = polynomial_dim(cs.dim, degree)
     if len(offsets) < m:
         raise InsufficientPoints(
@@ -228,50 +233,66 @@ def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> 
         )
     sol = _solve(cs, offsets, radius, degree)[0]
     if sol is None:
-        rank = _min_norm(_moment_system(offsets, radius, degree)[0])[1]
+        rank = _min_norm(_moment_system(_canonical(offsets / radius)[0], 1.0, degree)[0])[1]
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
     return sol
+
+
+def _canonical(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points ``scaled`` (n, d) in their canonical frame, and the row order
+    that puts them there: each axis negated where its sum (``fsum``, correctly
+    rounded in any row order) is negative, the axes by descending |sum|
+    (stable), ``-0.0`` folded into ``0.0``, the rows sorted lexicographically.
+    The images of one point set share a frame unless two |sums| tie."""
+    sums = np.array([fsum(col) for col in scaled.T.tolist()])
+    axes = np.argsort(-np.abs(sums), kind="stable")
+    frame = scaled[:, axes] * np.where(sums[axes] < 0, -1.0, 1.0)
+    frame += 0.0
+    order = np.lexsort(frame.T[::-1])  # the first axis is the primary key
+    return frame[order], order
 
 
 def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tuple:
     """The one local solve: ``(weights, stability)`` on the neighbor
     ``offsets`` from a base point (at least ``dim Pi_degree`` rows), both None
-    if deficient.  On a memo miss :func:`_axis_deficient` reads the scaled
-    offsets, the exact float inputs of the moment matrix, and a set with at
-    most ``degree`` values on an axis is deficient with no moment matrix and
-    no QR.  Otherwise :func:`_min_norm` decides.
+    if deficient.  On a memo miss a set whose canonical scaled offsets take at
+    most ``degree`` values on an axis is deficient with no QR
+    (:func:`_axis_deficient`); otherwise :func:`_min_norm` decides.
 
     Every local solve on a center set (``build_reproduction``, ``assemble``
     and the attempts of ``minimal_density``) goes through the set's memo
-    ``cs._solves``, keyed by the exact bytes of the scaled offsets
-    ``offsets / radius`` and the degree: the moment matrix is a function of
-    those alone (:func:`_moment_system`), so a hit is a fresh solve bit for
-    bit, rank failures included.  Lattice placements repeat one neighbor
-    geometry at many base points, and the Remark-1 rings, whose spacings are
-    powers of two, repeat it at scales a power of two apart, which divide out
-    exactly.  The index ``cs._solve_index`` maps the exact inputs (offsets,
-    radius, degree) already seen to their entry, so a repeated input skips
-    the division.  The memo holds at most ``_SOLVE_MEMO_CAP`` solves; when
-    full, it and the index are cleared, and both die with the set.
-    Concurrent use stays safe: each value is a pure function of its key, so
-    a race can only repeat a solve or overshoot the cap by one entry a thread.
+    ``cs._solves``, keyed by the degree and the exact bytes of the scaled
+    offsets ``offsets / radius`` in their :func:`_canonical` frame; the
+    weights are put back in ball order.  A hit is bit for bit a fresh solve of
+    the canonical system, rank failures included, so the mirror images of a
+    geometry share one rank decision and one stability, as do the Remark-1
+    rings' geometries a power of two apart, which divide out exactly.  The
+    index ``cs._solve_index`` maps the exact inputs (offsets, radius, degree)
+    seen to their result, skipping the frame.  Memo and index each hold at
+    most ``_SOLVE_MEMO_CAP`` entries and are cleared apart when full (a
+    cleared index loses no solve); both die with the set.  Concurrent use
+    stays safe: each value is a pure function of its key, so a race can only
+    repeat a solve or overshoot a cap by one entry a thread.
     """
     memo, index = cs._solves, cs._solve_index
     inputs = (offsets.tobytes(), radius, degree)
     hit = index.get(inputs)
     if hit is None:
-        scaled = offsets / radius
-        key = (scaled.tobytes(), degree)
+        canon, order = _canonical(offsets / radius)
+        key = (canon.tobytes(), degree)
         hit = memo.get(key)
         if hit is None:
             sol = None
-            if not _axis_deficient(scaled, degree):
-                sol = _min_norm(_moment_system(offsets, radius, degree)[0])[0]
+            if not _axis_deficient(canon, degree):
+                sol = _min_norm(_moment_system(canon, 1.0, degree)[0])[0]  # canon is scaled
             hit = sol, None if sol is None else float(np.sum(np.abs(sol)))
-            if len(memo) >= _SOLVE_MEMO_CAP:
-                memo.clear()
-                index.clear()
-            memo[key] = hit
+        for cache in (memo, index):
+            if len(cache) >= _SOLVE_MEMO_CAP:
+                cache.clear()
+        memo[key] = hit
+        if hit[0] is not None:  # back to ball order, read-only
+            hit = hit[0][np.argsort(order)], hit[1]
+            hit[0].setflags(write=False)
         index[inputs] = hit
     return hit
 

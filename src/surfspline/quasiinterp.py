@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import (CenterSet, _BLOCK, _as_box, _as_points, _balls, _check_int, _grid_points,
-                      _pair_distances)
+from .centers import (CenterSet, _BLOCK, _MAX_LEVEL, _as_box, _as_points, _balls, _check_int,
+                      _grid_points, _pair_distances)
 from .density import DensityField, _LazyField, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _serial_blas, _weights
@@ -222,8 +222,9 @@ def convergence_study(
     """Sup-error versus refinement level, with optional defect-point tracking.
 
     ``params.degree`` is the degree of the minimal density and of the
-    assembly.  Every input is checked before level 1: a violated constraint
-    of the pointwise theorem, a bump of another dimension than ``params.d``
+    assembly.  Every input is checked before level 1: a level that is not an
+    integer of at most ``_MAX_LEVEL`` in modulus, a violated constraint of
+    the pointwise theorem, a bump of another dimension than ``params.d``
     or too rough for ``Delta^k``, ``cells_per_rho`` below 2, or ``probes``
     or a ``defect`` that is not one point (d,) or a nonempty set (n, d) of
     finite coordinates raises ``ValueError`` before ``center_factory`` is
@@ -237,7 +238,7 @@ def convergence_study(
     study records their sup over the probes and their maximum over the
     defect; slopes are least-squares fits of log2(error) against -j.
     """
-    js = tuple(int(j) for j in js)
+    js = tuple(_check_int("j", j, -_MAX_LEVEL, _MAX_LEVEL) for j in js)
     if len(set(js)) < 3:
         raise ValueError(f"need a sweep of at least 3 distinct levels, got js = {list(js)}")
     validate_theorem1_params(params.k, params.d, params.degree, epsilon)

@@ -75,18 +75,19 @@ def test_study2d_uniform_passes_at_full_size(tmp_path, count_solves):
     # the reduced study is 1-D; the full-size one is the only 2-D run of
     # quadrature assembly and block evaluation through the CLI.  Its lattice
     # balls whose centers take at most 7 values on an axis are certified
-    # deficient without a factorization
+    # deficient without a factorization, and the mirror images of a ball
+    # share one solve
     run_and_check(tmp_path, "study2d_uniform", 1, quick=False)
-    assert len(count_solves) <= 199
+    assert len(count_solves) <= 34
 
 
 def test_remark1_place_density_passes_at_full_size(tmp_path, count_solves, monkeypatch):
     # the only full-size run of the 35,273-center place -> CSV -> density
     # path: batched degree-14 density queries on the Remark-1 placement.  Ring
-    # geometries a power of two apart share one solve, balls whose centers
-    # take at most 14 values on an axis are certified deficient without a
-    # factorization, and the guard band's systems are all certified full rank
-    # without singular values
+    # geometries a power of two apart, and mirror images, share one solve;
+    # balls whose centers take at most 14 values on an axis are certified
+    # deficient without a factorization, and the guard band's systems are all
+    # certified full rank without singular values
     import surfspline.polyrep
 
     svd_calls, svdvals = [], surfspline.polyrep.svdvals
@@ -100,7 +101,7 @@ def test_remark1_place_density_passes_at_full_size(tmp_path, count_solves, monke
         (tmp_path / str(seed)).mkdir()
         count_solves.clear()
         run_and_check(tmp_path / str(seed), "remark1_place_density", seed, quick=False)
-        assert len(count_solves) <= 11
+        assert len(count_solves) <= 5
         assert svd_calls == []
 
 

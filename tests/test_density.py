@@ -1,7 +1,7 @@
 """Density fields: minimal density, majorant, certificates, lemma transfers."""
 
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from surfspline import (
     CenterSet,
     DensityField,
     NoAdmissibleRadius,
+    RankDeficient,
     build_reproduction,
     certify_self_majorization,
     certify_slow_growth,
@@ -520,7 +521,8 @@ def test_solve_memo_shares_scaled_copies(count_solves):
         shared = (scale * offsets / (scale * 1.3)).tobytes() == (offsets / 1.3).tobytes()
         assert shared == (scale != 3.0)  # 3 * 1.3 is rounded, and some quotients move
         assert len(count_solves) == (1 if shared else 2)
-        assert (copy.weights is first.weights) == shared
+        if shared:  # one memo entry, put back in each ball's order
+            assert copy.weights.tobytes() == first.weights.tobytes()
         assert np.array_equal(copy.weights,
                               fresh_witness(cs, far + scale * alpha, scale * 1.3, 3).weights)
 
@@ -599,6 +601,94 @@ def test_solve_memo_weights_read_only():
         hit.weights[0] = 0.0
     assert np.array_equal(build_reproduction(cs, [0.25], 1.0, 2).weights,
                           fresh_witness(cs, [0.25], 1.0, 2).weights)
+
+
+#: The eight signed axis permutations of the plane: (axis order, signs).
+SYMMETRIES = [(perm, np.array(signs)) for perm in ([0, 1], [1, 0])
+              for signs in product([1.0, -1.0], repeat=2)]
+
+
+def image(g, pts):
+    """The points (..., 2) mapped by the signed axis permutation g, exactly."""
+    perm, signs = g
+    return np.asarray(pts, dtype=float)[..., perm] * signs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 5))
+def test_minimal_density_keeps_its_bits_under_axis_symmetries(seed, degree):
+    # a signed axis permutation keeps every distance bit for bit, and every
+    # rank decision and stability comes from one canonical system: each
+    # image of a lattice subset and a base point has the same rho and witness
+    rng = np.random.default_rng(seed)
+    h = float(rng.choice([0.125, 0.1]))
+    xs = np.arange(-6, 7) * h
+    grid = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    pts = grid[rng.random(len(grid)) < rng.uniform(0.3, 1.0)]
+    alpha = h * (rng.integers(-3, 4, size=2) + rng.choice([0.0, 0.5, rng.uniform()], size=2))
+    results = []
+    for g in SYMMETRIES:
+        try:
+            rho, pr = minimal_density(CenterSet(image(g, pts)), image(g, alpha), degree)
+            results.append((np.float64(rho).tobytes(), pr.indices.tobytes()))
+        except NoAdmissibleRadius:
+            results.append(None)
+    assert results == [results[0]] * len(SYMMETRIES)
+
+
+def test_axis_images_share_one_solve(count_solves):
+    # an asymmetric lattice ball and its seven other images, each 64 apart:
+    # one QR, and each image's weight at a center is the first's at its preimage
+    rng = np.random.default_rng(24)
+    cells = rng.choice(13 * 13, size=40, replace=False)
+    ball = np.stack([cells // 13 - 6, cells % 13 - 6], axis=1) / 8.0  # exact offsets
+    alpha = np.array([1.0, -3.0]) / 32.0
+    sums = np.sum(ball - alpha, axis=0)
+    assert 0 < abs(sums[0]) != abs(sums[1]) > 0  # no symmetry and no tie in the frame
+    shifts = [np.array([64.0 * k, 0.0]) for k in range(len(SYMMETRIES))]
+    cs = CenterSet(np.concatenate([image(g, ball) + t for g, t in zip(SYMMETRIES, shifts)]))
+    by_preimage = []
+    for k, (g, t) in enumerate(zip(SYMMETRIES, shifts)):
+        pr = build_reproduction(cs, image(g, alpha) + t, 1.5, 4)
+        assert np.array_equal(np.sort(pr.indices), np.arange(len(ball)) + k * len(ball))
+        weights = np.empty(len(ball))
+        weights[pr.indices - k * len(ball)] = pr.weights
+        by_preimage.append(weights.tobytes())
+    assert len(count_solves) == 1
+    assert by_preimage == [by_preimage[0]] * len(SYMMETRIES)
+
+
+def test_axis_images_of_a_circle_all_deficient():
+    # x^2 + y^2 - 1 vanishes on centers on the unit circle, so no degree-2
+    # reproduction exists there; no axis repeats a value, so only the QR sees
+    # it, and it sees it on every image
+    angles = np.random.default_rng(25).uniform(0.0, 2.0 * np.pi, size=12)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    alpha = np.array([0.1, -0.2])
+    texts = set()
+    for g in SYMMETRIES:
+        with pytest.raises(RankDeficient) as err:
+            build_reproduction(CenterSet(image(g, circle)), image(g, alpha), 1.5, 2)
+        texts.add(str(err.value))
+    assert len(texts) == 1
+
+
+def test_solve_index_bounded_while_memo_keeps_its_solve(count_solves):
+    # more distinct inputs than the cap, all images and power-of-two scalings
+    # of one geometry: the index is cleared when full, and the memo keeps its
+    # one solve, whose weights every input gets in its own row order
+    from surfspline.polyrep import _SOLVE_MEMO_CAP, _solve
+
+    offsets = np.random.default_rng(26).uniform(-1.0, 1.0, size=(10, 2))
+    cs = CenterSet(offsets)
+    first, largest, scales = _solve(cs, offsets, 1.5, 2)[0], 0, range(-300, 300)
+    assert len(scales) * len(SYMMETRIES) > _SOLVE_MEMO_CAP
+    for e, g in product(scales, SYMMETRIES):
+        weights = _solve(cs, np.ldexp(image(g, offsets), e), np.ldexp(1.5, e), 2)[0]
+        assert weights.tobytes() == first.tobytes()
+        largest = max(largest, len(cs._solve_index))
+    assert len(count_solves) == 1 and len(cs._solves) == 1
+    assert largest <= _SOLVE_MEMO_CAP
 
 
 def make_field(rng, n=40, d=2):

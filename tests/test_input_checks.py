@@ -153,6 +153,10 @@ CHECKS = [
      "scale must be positive and finite"),
     ("bump center", lambda: bump(4, [0.0, np.nan], 1.0), ValueError,
      "scale must be positive and finite, and center finite"),
+    ("bump center nested", lambda: bump(4, [[0.0, 0.0]], 1.0), ValueError,
+     "center finite and 1-D, nonempty"),
+    ("bump center scalar", lambda: bump(4, 0.0, 1.0), ValueError, "center finite and 1-D"),
+    ("bump center empty", lambda: bump(4, [], 1.0), ValueError, "center finite and 1-D"),
     ("laplacian power k", lambda: laplacian_power(bump(4, [0.0], 1.0), -1), ValueError,
      "k must be >= 0"),
     ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
@@ -231,6 +235,8 @@ CHECKS = [
      "k must be >= 1 and an integer; got 2.5"),
     ("spec j float", lambda: spec(j=2.5), ValueError, "j must be >= 1 and an integer; got 2.5"),
     ("spec j bool", lambda: spec(j=True), ValueError, "j must be >= 1 and an integer; got True"),
+    ("spec defect empty", lambda: spec(defect=np.zeros((0, 2))), ValueError,
+     "defect must hold at least one point"),
     ("spec d float", lambda: spec(d=2.0), ValueError, "d must be >= 1 and an integer; got 2.0"),
     ("phi_radial k float", lambda: phi_radial(1.0, 2, 2.5), ValueError,
      "k must be >= 1 and an integer; got 2.5"),

@@ -1,5 +1,6 @@
 """Quasi-interpolation assembly, evaluation, and convergence studies."""
 
+import re
 import time
 
 import numpy as np
@@ -599,3 +600,37 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     nodes, _ = quasiinterp._cell_nodes(*quadrature_cells(([-1.0, -1.0], [1.0, 1.0]), 2,
                                                          density.nearest))
     assert np.any(dkf(nodes) == 0.0)
+
+
+def test_defect_refined_2d_level_solves_few_geometries(count_solves):
+    # one level (j = 2) of the 2-D defect-refined study: k = 2, degree 14,
+    # box +-10, defect at 0, 41 x 41 probes.  Its 17,649 centers are lattice
+    # regions, so the nodes and density samples repeat a few neighbor
+    # geometries up to the axis symmetries, each solved once; the error at the
+    # defect is well below the sup over the probes
+    from surfspline import MultiresSpec, generate_centers
+    from surfspline.quasiinterp import _level
+
+    spec = MultiresSpec(j=2, k=2, d=2, defect=[[0.0, 0.0]], box=([-10.0, -10.0], [10.0, 10.0]),
+                        epsilon=1 / 3, degree=14)
+    cs = generate_centers(spec)
+    assert len(cs) == 17_649
+    xs = np.linspace(-1.2, 1.2, 41)
+    probes = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    errors = _level(cs, bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=14), 4,
+                    np.vstack([probes, spec.defect]), None)
+    assert len(count_solves) <= 9
+    assert errors[-1] < errors[:-1].max() / 4
+
+
+def test_convergence_study_rejects_levels_before_placing_centers():
+    from surfspline import convergence_study
+
+    def factory(j):
+        pytest.fail("center_factory ran before the level check")
+
+    params = KernelParams(d=1, k=1, degree=4)
+    for js, message in (([3.5, 4.5, 5.5], "j must be >= -511 and an integer; got 3.5"),
+                        ([3, 4, 512], "j must be >= -511 and at most 511; got 512")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_study(js, factory, bump(5, [0.0], 1.0), params, 0.6, np.zeros(1))
