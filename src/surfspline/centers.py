@@ -1,7 +1,9 @@
 """Immutable center sets in R^d with exact-radius neighbor queries, and the
 input contracts of every module and the CLI.
 
-All distances are Euclidean, and :func:`_balls` lists every neighbor ball.
+All distances are Euclidean, and :func:`_balls` lists every neighbor ball,
+each in ascending center index; only :meth:`CenterSet.neighbor_arrays` sorts
+its ball by distance.
 A :class:`CenterSet`'s points are read-only after construction, so queries
 are safe to issue concurrently.  A cloud's kd-tree is built on its first
 neighbor query, not with the cloud: concurrent first queries may each build
@@ -179,13 +181,14 @@ class CenterSet(_Cloud):
     def neighbor_arrays(self, center, radius) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of centers with |xi - center| <= radius.
 
-        Sorted by ascending distance, ties broken by index; boundary points
-        (distance exactly ``radius``) are included.  One row of :func:`_balls`.
+        Boundary points (distance exactly ``radius``) are included.  One row
+        of :func:`_balls`, sorted by distance, ties by index.
         """
         center = _as_point(center, self.dim)
         _check_positive("radius", radius)
         idx, dist, _ = next(_balls(self, center[None], np.array([radius], dtype=float)))
-        return idx, dist
+        order = np.argsort(dist, kind="stable")
+        return np.take(idx, order), np.take(dist, order)
 
 
 def _sort_separates(pts: np.ndarray) -> bool:
@@ -203,11 +206,10 @@ def _sort_separates(pts: np.ndarray) -> bool:
 def _balls(cloud: _Cloud, pts: np.ndarray, radii: np.ndarray):
     """The library's one ball listing: per block of ``_BLOCK`` of the (n, d)
     ``pts``, the cloud's points within ``radii`` of each as ``(idx, dist,
-    counts)``, balls concatenated in :meth:`CenterSet.neighbor_arrays` order,
+    counts)``, balls concatenated point by point, each in ascending index,
     and the (b,) ball sizes.  One kd-tree pair join per block at its largest
     radius, padded (see ``_CUTOFF_PAD``), so callers sort mixed radii; the
-    exact cut is on the norms, bit for bit.  Hits are sorted by point and
-    index, then each row stably on the norms, as in :func:`_nearest_groups`."""
+    exact cut is on the norms, bit for bit."""
     for s in range(0, len(pts), _BLOCK):
         block, r = pts[s:s + _BLOCK], radii[s:s + _BLOCK]
         hits = cloud._tree.sparse_distance_matrix(
@@ -217,25 +219,17 @@ def _balls(cloud: _Cloud, pts: np.ndarray, radii: np.ndarray):
         inside = dist <= np.take(r, owner)
         idx, owner, dist = (np.compress(inside, a) for a in (idx, owner, dist))
         order = np.argsort(owner * len(cloud) + idx)
-        idx, owner, dist = (np.take(a, order) for a in (idx, owner, dist))
-        counts = np.bincount(owner, minlength=len(block))
-        starts = np.cumsum(counts) - counts
-        width = counts.max(initial=0)
-        table = np.full(len(block) * width, np.inf)
-        table[np.arange(len(idx)) + np.take(np.arange(len(block)) * width - starts, owner)] = dist
-        cols = np.argsort(table.reshape(len(block), width), axis=1, kind="stable")
-        order = np.compress((cols < counts[:, None]).ravel(), (starts[:, None] + cols).ravel())
-        yield np.take(idx, order), np.take(dist, order), counts
+        yield np.take(idx, order), np.take(dist, order), np.bincount(owner, minlength=len(block))
 
 
 def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x - y| over the last axis of two broadcasting arrays, bit for bit
     ``cdist``'s value: squared differences summed over the axes in order,
-    then one sqrt.  The library's one distance routine: the ball and window
-    sorts here, the density pair engine, ``kernels.phi``, ``evaluate``, the
-    defect distance of the placement and ``overlap_count``.  In d <= 7 it
-    also equals ``np.linalg.norm(x - y, axis=-1)`` bit for bit, which sums
-    pairwise from 8 terms on."""
+    then one sqrt.  The library's one distance routine: the ball listing and
+    window sort here, the density pair engine, ``kernels.phi``,
+    ``evaluate``, the defect distance of the placement and ``overlap_count``.
+    In d <= 7 it also equals ``np.linalg.norm(x - y, axis=-1)`` bit for bit,
+    which sums pairwise from 8 terms on."""
     sq = np.square(x[..., 0] - y[..., 0])
     for a in range(1, x.shape[-1]):
         diff = x[..., a] - y[..., a]

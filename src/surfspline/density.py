@@ -252,7 +252,7 @@ def _pair_extremum(df: DensityField, x: np.ndarray, ratio, cutoff, *, maximize: 
     when its padded R_i lies below its window's ``beyond``, or when its window
     is every sample: its ball holds only pairs already evaluated.  Each kept
     pair goes through the ratio expression of a scan, and max/min are exact
-    in any order, so pruning changes no bit.
+    in any order (a ball lists its pairs by index), so pruning changes no bit.
 
     Blocks whose balls hold more than an eighth of their pairs are scanned
     against every sample instead: that is cheaper than listing their hits,

@@ -291,8 +291,10 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
                 cache.clear()
         memo[key] = hit
         if hit[0] is not None:  # back to ball order, read-only
-            hit = hit[0][np.argsort(order)], hit[1]
-            hit[0].setflags(write=False)
+            w = np.empty_like(hit[0])
+            w[order] = hit[0]
+            w.setflags(write=False)
+            hit = w, hit[1]
         index[inputs] = hit
     return hit
 

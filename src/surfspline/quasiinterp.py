@@ -109,11 +109,11 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: Densit
     support radius 1.5 times its nearest density sample (the inflation
     absorbs the sampling error of the density field; any admissible radius
     preserves the rates).  Per block of nodes of one ball query
-    (:func:`~surfspline.centers._balls`): one solve-memo lookup per node in
-    cell order (lattice geometry recurs; a hit is bit for bit a fresh solve),
-    and one ``np.add.at`` in node order, so every coefficient gets the
-    per-node additions in their order.  The theorem's parameter constraints
-    are checked by :func:`convergence_study`, not here.
+    (:func:`~surfspline.centers._balls`, rows by index): one solve-memo lookup
+    per node in cell order (lattice geometry recurs; a hit is bit for bit a
+    fresh solve, in any row order), and one ``np.add.at`` in node order, so
+    every coefficient gets the per-node additions in their order.  The
+    theorem's parameter constraints are checked by :func:`convergence_study`.
     """
     if not cs.dim == f.dim == params.d == density.dim:
         raise ValueError(f"dimensions differ: centers {cs.dim}, bump {f.dim}, "

@@ -28,3 +28,10 @@ def test_input_contracts_defined_in_centers_only():
                  "_MAX_LEVEL"):
         definition = re.compile(rf"^(def {name}\(|{name}\s*=)", re.M)
         assert [m for m, text in MODULES.items() if definition.search(text)] == ["centers.py"], name
+
+
+def test_one_ball_listing():
+    # a second listing path, sorted or not, would fork the neighbor layer
+    for needle in ("def _balls(", "sparse_distance_matrix("):
+        counts = {name: text.count(needle) for name, text in MODULES.items() if needle in text}
+        assert counts == {"centers.py": 1}, needle

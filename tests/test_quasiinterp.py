@@ -562,7 +562,9 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     # a hole in the centers under the domain, in the quadrant the depth-first
     # cell order visits last: assemble fails at the same node as the per-node
     # loop, after the same solves, and never takes the ball of (so never
-    # solves) a node where Delta^k f is 0 (the corners of the square domain)
+    # solves) a node where Delta^k f is 0 (the corners of the square domain).
+    # A solve is its offsets, rows sorted (assemble's balls come by index,
+    # build_reproduction's by distance), and its radius
     import surfspline.centers
     from surfspline import polyrep, quasiinterp
     from surfspline.quasiinterp import AssemblyError
@@ -578,7 +580,7 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     dkf = laplacian_power(f, params.k)
 
     def spy(cs_, offsets, radius, degree):
-        solved[name].append((offsets.tobytes(), radius))
+        solved[name].append((offsets[np.lexsort(offsets.T[::-1])].tobytes(), radius))
         return solve(cs_, offsets, radius, degree)
 
     def balls_spy(cs_, pts, radii):
@@ -600,6 +602,62 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     nodes, _ = quasiinterp._cell_nodes(*quadrature_cells(([-1.0, -1.0], [1.0, 1.0]), 2,
                                                          density.nearest))
     assert np.any(dkf(nodes) == 0.0)
+
+
+def shuffled_balls(balls, rng, moved):
+    """``balls`` with the rows inside each ball in random order, or as listed
+    if ``rng`` is None; ``moved`` collects whether each block's rows moved."""
+    def listed(cloud, pts, radii):
+        for idx, dist, counts in balls(cloud, pts, radii):
+            order = np.arange(idx.size)
+            if rng is not None:
+                starts = np.cumsum(counts) - counts
+                order = np.concatenate([a + rng.permutation(c) for a, c in zip(starts, counts)])
+            moved.append(not np.array_equal(order, np.arange(idx.size)))
+            yield np.take(idx, order), np.take(dist, order), counts
+    return listed
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_no_reader_of_balls_depends_on_row_order(seed, d):
+    # assemble's coefficients, and the pair engine's values on a field where
+    # each of them lists balls, are bit for bit the same with the rows inside
+    # every ball shuffled; the centers are an exact lattice in about half
+    # the examples, so solves recur through the memo
+    import surfspline.density as density
+    from surfspline import certify_self_majorization, certify_slow_growth, majorant, quasiinterp
+
+    rng = np.random.default_rng(seed)
+    k, degree = ORDERS[d]
+    params = KernelParams(d=d, k=k, degree=degree)
+    h = 0.25 if d < 3 else 0.5
+    ax = np.arange(-2.0, 2.0 + h / 2, h)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[ax] * d, indexing="ij")], axis=1)
+    points = grid + rng.uniform(-0.2, 0.2, size=grid.shape) * h * rng.integers(2)
+    f = bump(2 * k + 2, rng.uniform(-0.2, 0.2, size=d), 1.0)
+    field = DensityField(rng.uniform(-1.2, 1.2, size=(30, d)), rng.uniform(2.5, 4.0, size=30) * h)
+    fixed = np.random.default_rng(3)
+    df = DensityField((np.arange(400) * 0.5)[:, None], np.exp(0.3 * fixed.normal(size=400)))
+    probes = fixed.uniform(0.0, 200.0, size=(150, 1))
+    calls = [lambda: assemble(CenterSet(points), f, params, field, 2).coefficients,
+             lambda: majorant(df, probes, 3.0), lambda: certify_slow_growth(df, 0.25),
+             lambda: certify_self_majorization(df, 3.0)]
+
+    def run(rng):
+        values, moved = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (quasiinterp, density):
+                mp.setattr(module, "_balls", shuffled_balls(module._balls, rng, moved))
+            for call in calls:
+                listed = len(moved)
+                values.append(np.asarray(call()).tobytes())
+                assert len(moved) > listed  # each call lists balls
+        return values, any(moved)
+
+    plain, _ = run(None)
+    shuffled, moved = run(rng)
+    assert shuffled == plain and moved
 
 
 def test_defect_refined_2d_level_solves_few_geometries(count_solves):
