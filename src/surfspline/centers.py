@@ -225,11 +225,9 @@ def _balls(cloud: _Cloud, pts: np.ndarray, radii: np.ndarray):
 def _pair_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x - y| over the last axis of two broadcasting arrays, bit for bit
     ``cdist``'s value: squared differences summed over the axes in order,
-    then one sqrt.  The library's one distance routine: the ball listing and
-    window sort here, the density pair engine, ``kernels.phi``,
-    ``evaluate``, the defect distance of the placement and ``overlap_count``.
-    In d <= 7 it also equals ``np.linalg.norm(x - y, axis=-1)`` bit for bit,
-    which sums pairwise from 8 terms on."""
+    then one sqrt; the library's one distance routine.  In d <= 7 it also
+    equals ``np.linalg.norm(x - y, axis=-1)`` bit for bit, which sums
+    pairwise from 8 terms on."""
     sq = np.square(x[..., 0] - y[..., 0])
     for a in range(1, x.shape[-1]):
         diff = x[..., a] - y[..., a]

@@ -66,10 +66,15 @@ class DyadicParams:
     two_k: float
 
     def __post_init__(self):
-        if not 1 <= self.gamma < np.inf:
-            raise ValueError("gamma must be >= 1 and finite")
+        _check_gamma(self.gamma)
         if not 0 < self.sigma < self.two_k:
             raise ValueError("need 0 < sigma < 2k")
+
+
+def _check_gamma(gamma) -> None:
+    """The support inflation gamma must be a real >= 1 and finite."""
+    if not 1 <= gamma < np.inf:
+        raise ValueError("gamma must be >= 1 and finite")
 
 
 class UndersampledDensity(Exception):
@@ -174,6 +179,7 @@ def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarr
 def max_overlap(d: int, gamma: float) -> int:
     """The level-uniform overlap bound (2^d - 1)(2 ceil(Gamma) + 1)^d."""
     _check_int("d", d, 1)
+    _check_gamma(gamma)
     return (2**d - 1) * (2 * int(np.ceil(gamma)) + 1) ** d
 
 

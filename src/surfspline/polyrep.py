@@ -196,7 +196,12 @@ class PolyRep:
 
     @property
     def stability(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
+        return _stability(self.weights)
+
+
+def _stability(weights: np.ndarray) -> float:
+    """The stability norm ``sum |w|``, correctly rounded (``fsum``): one value in any order."""
+    return fsum(np.abs(weights).tolist())
 
 
 def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> PolyRep:
@@ -285,7 +290,7 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
             sol = None
             if not _axis_deficient(canon, degree):
                 sol = _min_norm(_moment_system(canon, 1.0, degree)[0])[0]  # canon is scaled
-            hit = sol, None if sol is None else float(np.sum(np.abs(sol)))
+            hit = sol, None if sol is None else _stability(sol)
         for cache in (memo, index):
             if len(cache) >= _SOLVE_MEMO_CAP:
                 cache.clear()

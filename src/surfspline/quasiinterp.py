@@ -33,10 +33,6 @@ _RADIUS_FACTOR = 1.5
 #: block's distances and kernel values to stay in cache.
 _PAIR_CHUNK = 2**14
 
-#: Entries of :func:`evaluate`'s buffer of full rows (512 KB), which holds 0
-#: at the centers whose coefficient is 0.
-_ROW_BUFFER = 2**16
-
 
 class AssemblyError(Exception):
     """Reproduction failure at a quadrature node (inadequate centers)."""
@@ -44,10 +40,19 @@ class AssemblyError(Exception):
 
 @dataclass(frozen=True)
 class ApproximantDump:
-    """Aggregated kernel coefficients over a center set."""
+    """Kernel coefficients over a center set: a read-only copy, one finite float per center."""
 
     centers: CenterSet
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        c = np.array(self.coefficients, dtype=float)  # a copy: freezing it leaves the caller's
+        if c.shape != (len(self.centers),):
+            raise ValueError(f"need one coefficient per center ({len(self.centers)}), got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        c.setflags(write=False)
+        object.__setattr__(self, "coefficients", c)
 
 
 def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.ndarray]:
@@ -102,18 +107,14 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: Densit
     which holds ``supp Delta^k f``: the 2-point Gauss rule per axis on the
     cells of :func:`quadrature_cells`, with rho read off the density's
     nearest samples.  The centers, f, ``params.d`` and the density must
-    share one dimension (else ``ValueError``).  The nodes of all cells, their
-    values of ``Delta^k f`` and their nearest density samples are taken at
-    once, and nodes where the value is 0 dropped.
-    Each other node gets reproduction weights of degree ``params.degree`` with
-    support radius 1.5 times its nearest density sample (the inflation
-    absorbs the sampling error of the density field; any admissible radius
-    preserves the rates).  Per block of nodes of one ball query
-    (:func:`~surfspline.centers._balls`, rows by index): one solve-memo lookup
-    per node in cell order (lattice geometry recurs; a hit is bit for bit a
-    fresh solve, in any row order), and one ``np.add.at`` in node order, so
-    every coefficient gets the per-node additions in their order.  The
-    theorem's parameter constraints are checked by :func:`convergence_study`.
+    share one dimension (else ``ValueError``).  Each node where
+    ``Delta^k f`` is not 0 gets reproduction weights of degree
+    ``params.degree`` with support radius 1.5 times its nearest density
+    sample (the inflation absorbs the sampling error of the density field;
+    any admissible radius preserves the rates), and each coefficient gets
+    the per-node additions in node order (``np.add.at``), as a loop over the
+    nodes would.  The theorem's parameter constraints are checked by
+    :func:`convergence_study`.
     """
     if not cs.dim == f.dim == params.d == density.dim:
         raise ValueError(f"dimensions differ: centers {cs.dim}, bump {f.dim}, "
@@ -145,28 +146,19 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: Densit
 def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray:
     """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch.
 
-    The centers must lie in R^``params.d`` (else ``ValueError``).  Kernel
-    values are computed only at the live centers, those with a nonzero
-    coefficient, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs and
-    ``_ROW_BUFFER`` entries of full rows: a block's values are scattered into
-    a buffer of full rows that holds 0 at the other centers, and each row's
-    sum is one ``ddot`` with the coefficients over the full row, the one
-    ``coefficients @ row`` takes: the zero terms stay zeros, so the sum keeps
-    its bits."""
+    The centers must lie in R^``params.d`` (else ``ValueError``).  The sum runs
+    over the live centers, those with a nonzero coefficient, in index order:
+    one ``ddot`` a probe, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs."""
     if ad.centers.dim != params.d:
         raise ValueError(f"dimensions differ: centers {ad.centers.dim}, params.d {params.d}")
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
     live = np.flatnonzero(ad.coefficients)
-    centers = ad.centers.points[live]
-    n = len(ad.coefficients)
-    rows = max(1, min(_PAIR_CHUNK // max(1, len(live)), _ROW_BUFFER // n))
-    buf = np.zeros((min(rows, len(pts)), n))
-    column = ad.coefficients[:, None]
+    centers, column = ad.centers.points[live], ad.coefficients[live, None]
+    rows = max(1, _PAIR_CHUNK // max(1, len(live)))
     for s in range(0, len(pts), rows):
         block = phi_radial(_pair_distances(pts[s:s + rows, None, :], centers), params.d, params.k)
-        buf[:len(block), live] = block
-        out[s:s + len(block)] = (buf[:len(block), None, :] @ column)[:, 0, 0]  # one ddot a row
+        out[s:s + len(block)] = (block[:, None, :] @ column)[:, 0, 0]  # one ddot a row
     return float(out[0]) if single else out
 
 
@@ -228,15 +220,13 @@ def convergence_study(
     or too rough for ``Delta^k``, ``cells_per_rho`` below 2, or ``probes``
     or a ``defect`` that is not one point (d,) or a nonempty set (n, d) of
     finite coordinates raises ``ValueError`` before ``center_factory`` is
-    first called.  Each j is one :func:`_level` call: it gets the centers
-    ``center_factory(j)`` and the density samples (the point or batch
-    ``density_points_factory(j)``, by default the centers inside the
-    inflated support box of f), measures the minimal density only at the
-    samples nearest some quadrature cell or node (so a sample that none reads
-    cannot fail the study), and returns the errors at the probes and the
-    defect points, stacked so that one evaluation serves both.  The
-    study records their sup over the probes and their maximum over the
-    defect; slopes are least-squares fits of log2(error) against -j.
+    first called.  Each j is one :func:`_level` call on the centers
+    ``center_factory(j)`` and the density samples
+    ``density_points_factory(j)`` (a point or batch; by default the centers
+    inside the inflated support box of f), of which only those that the
+    quadrature reads are measured, so no other can fail the study.  The
+    study records the sup of the errors over the probes and their maximum
+    over the defect; slopes are least-squares fits of log2(error) against -j.
     """
     js = tuple(_check_int("j", j, -_MAX_LEVEL, _MAX_LEVEL) for j in js)
     if len(set(js)) < 3:

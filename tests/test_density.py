@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 from itertools import islice, product
+from math import fsum
 
 import numpy as np
 import pytest
@@ -373,10 +374,27 @@ def test_batch_equals_point_by_point(seed, d, degree, kind, n, block, window):
     assert rho.tobytes() == np.array([r for r, _ in loop]).tobytes()
     for p, pr, (r, ref) in zip(pts, witnesses, loop):
         assert pr.radius == r
-        assert pr.stability == float(np.sum(np.abs(pr.weights)))
+        assert pr.stability == fsum(np.abs(pr.weights).tolist())
         for other in (ref, fresh_witness(cs, p, r, degree)):
             assert np.array_equal(pr.indices, other.indices)
             assert pr.weights.tobytes() == other.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", CLOUDS[:3])
+def test_witness_reports_the_stability_the_cap_was_tested_on(kind):
+    # the search tests the cap on _solve's stability, whose weights sit in the
+    # canonical frame, and a witness reads its weights in ball order; on each
+    # of the 8 signed axis permutations of a 2-D cloud both are one value
+    from surfspline.polyrep import _solve
+
+    cs, alpha = consistency_cloud(3, 2, kind)
+    pts = query_block(np.random.default_rng(3), cs, alpha, 25)
+    for axes, signs in product([[0, 1], [1, 0]], product([1.0, -1.0], repeat=2)):
+        image = CenterSet(cs.points[:, axes] * signs)
+        _, witnesses = minimal_density(image, pts[:, axes] * signs, 3)
+        for pr in witnesses:
+            offsets = image.points[pr.indices] - pr.alpha
+            assert pr.stability == _solve(image, offsets, pr.radius, 3)[1]
 
 
 @pytest.mark.parametrize("kind", CLOUDS + ["chain"])

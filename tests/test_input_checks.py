@@ -141,6 +141,22 @@ CHECKS = [
     ("evaluate params.d 3", lambda: evaluate(ApproximantDump(CenterSet(CLOUD), np.ones(3)),
                                              [0.3, 0.3, 0.3], KernelParams(d=3, k=2, degree=2)),
      ValueError, "dimensions differ: centers 2, params.d 3"),
+    # coefficients: one finite float per center
+    ("dump coefficients short", lambda: ApproximantDump(CenterSet(np.arange(10.0).reshape(5, 2)),
+                                                        np.ones(3)),
+     ValueError, "need one coefficient per center (5), got (3,)"),
+    ("dump coefficients long", lambda: ApproximantDump(CenterSet(CLOUD), np.ones(4)), ValueError,
+     "need one coefficient per center (3), got (4,)"),
+    ("dump coefficients 2-D", lambda: ApproximantDump(CenterSet(CLOUD), np.ones((3, 1))),
+     ValueError, "need one coefficient per center (3), got (3, 1)"),
+    ("dump coefficients list", lambda: ApproximantDump(CenterSet(CLOUD), [1.0, 2.0]), ValueError,
+     "need one coefficient per center (3), got (2,)"),
+    ("dump coefficients scalar", lambda: ApproximantDump(CenterSet(CLOUD), 1.0), ValueError,
+     "need one coefficient per center (3), got ()"),
+    ("dump coefficients nan", lambda: ApproximantDump(CenterSet(CLOUD), [1.0, np.nan, 0.0]),
+     ValueError, "coefficients must be finite"),
+    ("dump coefficients inf", lambda: ApproximantDump(CenterSet(CLOUD), [1.0, 0.0, -np.inf]),
+     ValueError, "coefficients must be finite"),
     ("bump exponent", lambda: bump(1, [0.0], 1.0), ValueError, "exponent must be >= 2"),
     ("bump exponent rounding", lambda: bump(15, [0.0], 1.0), ValueError,
      "exponent 15 exceeds 14: the rounding error of the bump's expansion could exceed 1e-10"),
@@ -259,6 +275,14 @@ CHECKS = [
      "d must be >= 1 and an integer; got 2.0"),
     ("max_overlap d float", lambda: max_overlap(2.0, 2.0), ValueError,
      "d must be >= 1 and an integer; got 2.0"),
+    ("max_overlap gamma negative", lambda: max_overlap(2, -5.0), ValueError,
+     "gamma must be >= 1 and finite"),
+    ("max_overlap gamma below 1", lambda: max_overlap(2, 0.5), ValueError,
+     "gamma must be >= 1 and finite"),
+    ("max_overlap gamma inf", lambda: max_overlap(2, np.inf), ValueError,
+     "gamma must be >= 1 and finite"),
+    ("max_overlap gamma nan", lambda: max_overlap(2, np.nan), ValueError,
+     "gamma must be >= 1 and finite"),
     ("cubes level float", lambda: enumerate_cubes(BOX, [1.5], 2), ValueError,
      "level must be >= -511 and an integer; got 1.5"),
     ("cubes level bool", lambda: enumerate_cubes(BOX, [True], 2), ValueError,

@@ -108,6 +108,20 @@ def test_evaluate_trivial_cases():
         phi(np.array([0.7 - 1.0]), params))
 
 
+def test_dump_copies_and_freezes_coefficients():
+    cs = CenterSet([0.0, 1.0, 2.0])
+    caller = np.array([1.0, -2.0, 0.5])
+    dump = ApproximantDump(centers=cs, coefficients=caller)
+    assert caller.flags.writeable and not dump.coefficients.flags.writeable
+    with pytest.raises(ValueError):
+        dump.coefficients[0] = 0.0
+    caller[0] = 9.0  # the caller's edit does not reach the dump
+    assert dump.coefficients.tolist() == [1.0, -2.0, 0.5]
+    listed = ApproximantDump(centers=cs, coefficients=[1, -2, 0.5])  # any float-like sequence
+    assert listed.coefficients.dtype == float
+    assert listed.coefficients.tobytes() == dump.coefficients.tobytes()
+
+
 def test_evaluate_brute_force():
     rng = np.random.default_rng(30)
     cs = CenterSet(rng.uniform(-1, 1, size=(15, 2)))
@@ -399,10 +413,11 @@ def evaluate_by_probe(ad, x, params):
 
     pts, single = _as_points(x, params.d)
     out = np.empty(pts.shape[0])
-    centers = ad.centers.points
+    live = ad.coefficients != 0.0  # a center whose coefficient is 0 is no term
+    centers, coeffs = ad.centers.points[live], ad.coefficients[live]
     for i, p in enumerate(pts):
         r = np.linalg.norm(centers - p, axis=1)
-        out[i] = float(ad.coefficients @ phi_radial(r, params.d, params.k))
+        out[i] = float(coeffs @ phi_radial(r, params.d, params.k))
     return float(out[0]) if single else out
 
 
@@ -484,6 +499,24 @@ def test_evaluate_bitwise_equals_by_probe(seed, d, n, count, zeros):
     assert evaluate(dump, probes[-1], params) == evaluate_by_probe(dump, probes[-1], params)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 200), st.integers(1, 200),
+       st.integers(1, 40))
+def test_evaluate_ignores_dead_centers(seed, d, n, extra, m):
+    # centers appended with coefficient 0.0 or -0.0 are no terms of the sum:
+    # the values keep their bytes
+    rng = np.random.default_rng(seed)
+    params = KernelParams(d=d, k=ORDERS[d][0], degree=ORDERS[d][1])
+    points = rng.uniform(-1, 1, size=(n + extra, d))
+    coeffs = rng.normal(size=n)
+    zeros = np.where(rng.random(extra) < 0.5, 0.0, -0.0)
+    probes = rng.uniform(-1.5, 1.5, size=(m, d))
+    base = evaluate(ApproximantDump(CenterSet(points[:n]), coeffs), probes, params)
+    grown = evaluate(ApproximantDump(CenterSet(points), np.concatenate([coeffs, zeros])),
+                     probes, params)
+    assert grown.tobytes() == base.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_evaluate_bitwise_one_row_per_block(d):
     # more centers than pairs in a block: every block holds one probe
@@ -537,6 +570,10 @@ def test_quadrature_cells_calls_rho_once_per_level():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_assemble_bitwise_equals_by_node(count_solves, seed, d):
+    # assemble takes its nodes in blocks of one ball query (rows by index):
+    # one solve-memo lookup per node in cell order, where a hit is bit for bit
+    # a fresh solve in any row order, and one np.add.at in node order, so each
+    # coefficient gets the per-node additions of the loop in their order
     rng = np.random.default_rng(seed)
     k, degree = ORDERS[d]
     params = KernelParams(d=d, k=k, degree=degree)
