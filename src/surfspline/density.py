@@ -50,9 +50,9 @@ class DensityField(_Cloud):
 
     def __init__(self, points, values):
         super().__init__(points)
-        vals = np.array(values, dtype=float).reshape(-1)  # a copy: freezing it leaves the caller's
+        vals = np.array(values, dtype=float)  # a copy: freezing it leaves the caller's
         if vals.shape != (len(self),):
-            raise ValueError("need one value per sample point")
+            raise ValueError(f"need one value per sample point ({len(self)}), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
         if not np.all(vals > 0):
@@ -67,29 +67,25 @@ class DensityField(_Cloud):
         return float(self.values[i[0]]) if single else self.values[i]
 
 
-class _LazyField(_Cloud):
-    """The minimal density of degree ``degree`` on the centers ``cs``, sampled
-    at ``points`` and measured on read.  Each :meth:`nearest` call measures
-    the samples it returns that no earlier call measured, in one batched
-    :func:`minimal_density` in index order, so a sample that no call returns
-    is never measured and its failure raises nothing.  Read values are bit
-    for bit those of the :class:`DensityField` of every sample's density."""
+def _lazy_rho(cs: CenterSet, points, degree: int):
+    """``rho_at`` of the minimal density of degree ``degree`` on the centers
+    ``cs``, sampled at ``points``: each call reads the samples nearest its
+    (n, d) points and measures those that no earlier call measured, in one
+    batched :func:`minimal_density` in index order, so a sample that no call
+    returns is never measured and its failure raises nothing.  Read values
+    are bit for bit those of ``DensityField(points, densities).nearest``."""
+    samples = _Cloud(points)
+    rho, measured = np.empty(len(samples)), np.zeros(len(samples), dtype=bool)
 
-    def __init__(self, cs: CenterSet, points, degree: int):
-        super().__init__(points)
-        self._cs, self._degree = cs, degree
-        self._rho = np.empty(len(self))
-        self._measured = np.zeros(len(self), dtype=bool)
-
-    def nearest(self, x) -> float | np.ndarray:
-        """Value at the sample nearest to x: float at a point, (n,) for a batch."""
-        pts, single = _as_points(x, self.dim)
-        _, i = self._tree.query(pts)
-        new = np.unique(i[~self._measured[i]])
+    def rho_at(x: np.ndarray) -> np.ndarray:
+        _, i = samples._tree.query(x)
+        new = np.unique(i[~measured[i]])
         if new.size:
-            self._rho[new] = minimal_density(self._cs, self.points[new], self._degree)[0]
-            self._measured[new] = True
-        return float(self._rho[i[0]]) if single else self._rho[i]
+            rho[new] = minimal_density(cs, samples.points[new], degree)[0]
+            measured[new] = True
+        return rho[i]
+
+    return rho_at
 
 
 def minimal_density(

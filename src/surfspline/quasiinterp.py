@@ -19,7 +19,7 @@ import numpy as np
 
 from .centers import (CenterSet, _BLOCK, _MAX_LEVEL, _as_box, _as_points, _balls, _check_int,
                       _grid_points, _pair_distances)
-from .density import DensityField, _LazyField, validate_theorem1_params
+from .density import _lazy_rho, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
 from .polyrep import ReproductionError, _serial_blas, _weights
 
@@ -61,9 +61,10 @@ def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.nd
     Returns (centers, sides) with sides[i] a d-vector; a cell is split while
     its longest side exceeds ``rho(center) / cells_per_rho`` (``cells_per_rho``
     >= 2).  ``rho_at`` is called once per level, on the (n, d) centers of that
-    level's new cells; a cell that splits is replaced in place by its 2^d
-    children in reversed ``ndindex`` order, so the cells come out in
-    depth-first order.
+    level's new cells, and must return a scalar or (n,) values, all positive
+    and finite (else ``ValueError`` before that level splits); a cell that
+    splits is replaced in place by its 2^d children in reversed ``ndindex``
+    order, so the cells come out in depth-first order.
     """
     _check_int("cells_per_rho", cells_per_rho, 2)
     lo, hi = _as_box(box)
@@ -77,8 +78,12 @@ def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.nd
     kids = _grid_points([[0.5, -0.5]] * d)
     fresh = np.ones(len(centers), dtype=bool)
     while fresh.any():
+        rho, n = np.asarray(rho_at(centers[fresh]), dtype=float), int(fresh.sum())
+        if rho.shape not in ((), (n,)) or not np.all(np.isfinite(rho) & (rho > 0)):
+            raise ValueError(f"rho_at must return one positive finite value per cell or a scalar; "
+                             f"got shape {rho.shape} for {n} cells, min {rho.min(initial=np.inf)}")
         split = np.zeros(len(centers), dtype=bool)
-        split[fresh] = ~(np.max(sides[fresh], axis=1) <= rho_at(centers[fresh]) / cells_per_rho)
+        split[fresh] = np.max(sides[fresh], axis=1) > rho / cells_per_rho
         reps = np.where(split, 2**d, 1)
         centers, sides = np.repeat(centers, reps, axis=0), np.repeat(sides, reps, axis=0)
         fresh = np.repeat(split, reps)
@@ -99,33 +104,32 @@ def _cell_nodes(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, d), np.repeat(vol / 2**d, 2**d)
 
 
-def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, density: DensityField,
+def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, rho_at,
              cells_per_rho: int) -> ApproximantDump:
     """Aggregate kernel coefficients for the quasi-interpolant of f.
 
     The integral runs over the bump's support box ``f.center -+ f.scale``,
     which holds ``supp Delta^k f``: the 2-point Gauss rule per axis on the
-    cells of :func:`quadrature_cells`, with rho read off the density's
-    nearest samples.  The centers, f, ``params.d`` and the density must
-    share one dimension (else ``ValueError``).  Each node where
-    ``Delta^k f`` is not 0 gets reproduction weights of degree
-    ``params.degree`` with support radius 1.5 times its nearest density
-    sample (the inflation absorbs the sampling error of the density field;
-    any admissible radius preserves the rates), and each coefficient gets
-    the per-node additions in node order (``np.add.at``), as a loop over the
-    nodes would.  The theorem's parameter constraints are checked by
-    :func:`convergence_study`.
+    cells of :func:`quadrature_cells`, with rho read by ``rho_at`` ((n, d)
+    points to (n,) values; ``field.nearest`` for a sampled field).  The
+    centers, f and ``params.d`` must share one dimension (else
+    ``ValueError``).  Each node where ``Delta^k f`` is not 0 gets
+    reproduction weights of degree ``params.degree`` with support radius 1.5
+    times its rho, read in one call (the inflation absorbs the sampling error
+    of the density field; any admissible radius preserves the rates), and
+    each coefficient gets the per-node additions in node order
+    (``np.add.at``), as a loop over the nodes would.  The theorem's parameter
+    constraints are checked by :func:`convergence_study`.
     """
-    if not cs.dim == f.dim == params.d == density.dim:
-        raise ValueError(f"dimensions differ: centers {cs.dim}, bump {f.dim}, "
-                         f"params.d {params.d}, density {density.dim}")
+    if not cs.dim == f.dim == params.d:
+        raise ValueError(f"dimensions differ: centers {cs.dim}, bump {f.dim}, params.d {params.d}")
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
     box = (f.center - f.scale, f.center + f.scale)
-    nodes, w = _cell_nodes(*quadrature_cells(box, cells_per_rho, density.nearest))
+    nodes, w = _cell_nodes(*quadrature_cells(box, cells_per_rho, rho_at))
     vals = dkf(nodes)
     nodes, wv = np.compress(vals != 0.0, nodes, axis=0), np.compress(vals != 0.0, w * vals)
-    radii = _RADIUS_FACTOR * density.nearest(nodes)
+    radii = _RADIUS_FACTOR * rho_at(nodes)
     with _serial_blas():
         for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
             block = slice(s, s + _BLOCK)
@@ -162,10 +166,10 @@ def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray
     return float(out[0]) if single else out
 
 
-def error_bound_map(density: DensityField, f: RadialBump, k: int, points) -> float | np.ndarray:
-    """Per-point bound shape rho(x)^(2k) * sup|Delta^k f| (unit constant)."""
+def error_bound_map(rho_at, f: RadialBump, k: int, points) -> float | np.ndarray:
+    """Per-point bound shape ``rho_at(points)^(2k) * sup|Delta^k f|`` (unit constant)."""
     sup = laplacian_power(f, k).sup_norm()
-    return density.nearest(points) ** (2 * k) * sup
+    return rho_at(points) ** (2 * k) * sup
 
 
 @dataclass(frozen=True)
@@ -184,19 +188,24 @@ def fit_slope(js, errors) -> float:
     return float(-np.polyfit(js, np.log2(errors), 1)[0])
 
 
-def _level(cs: CenterSet, f: RadialBump, params: KernelParams, cells_per_rho: int,
+def _level(j: int, cs: CenterSet, f: RadialBump, params: KernelParams, cells_per_rho: int,
            points: np.ndarray, samples: np.ndarray | None) -> np.ndarray:
     """The (n,) absolute errors at the (n, d) ``points`` of the approximant of
     f on the centers ``cs``, its minimal density sampled at ``samples`` (by
     default the centers inside the bump's support box grown by half the
     bump's scale on every side) and measured only at the samples that the
-    quadrature's cells and nodes read (:class:`~surfspline.density._LazyField`)."""
+    quadrature's cells and nodes read (:func:`~surfspline.density._lazy_rho`).
+    A level j with no sample raises ``ValueError``."""
+    margin = 0.5 * f.scale
+    lo, hi = f.center - f.scale - margin, f.center + f.scale + margin
     if samples is None:
-        lo, hi = f.center - f.scale, f.center + f.scale
-        margin = 0.5 * f.scale
-        inside = np.all((cs.points >= lo - margin) & (cs.points <= hi + margin), axis=1)
+        inside = np.all((cs.points >= lo) & (cs.points <= hi), axis=1)
         samples = np.compress(inside, cs.points, axis=0)
-    dump = assemble(cs, f, params, _LazyField(cs, samples, params.degree), cells_per_rho)
+    if len(samples) == 0:
+        raise ValueError(f"level j = {j} has no density sample (by default the centers in the "
+                         f"box {lo.tolist()} .. {hi.tolist()}, the bump's support grown by half "
+                         "its scale); pass density_points_factory returning samples there")
+    dump = assemble(cs, f, params, _lazy_rho(cs, samples, params.degree), cells_per_rho)
     return np.abs(evaluate(dump, points, params) - f(points))
 
 
@@ -224,9 +233,10 @@ def convergence_study(
     ``center_factory(j)`` and the density samples
     ``density_points_factory(j)`` (a point or batch; by default the centers
     inside the inflated support box of f), of which only those that the
-    quadrature reads are measured, so no other can fail the study.  The
-    study records the sup of the errors over the probes and their maximum
-    over the defect; slopes are least-squares fits of log2(error) against -j.
+    quadrature reads are measured, so no other can fail the study; a level
+    with none raises ``ValueError``.  The study records the sup of the errors
+    over the probes and their maximum over the defect; slopes are
+    least-squares fits of log2(error) against -j.
     """
     js = tuple(_check_int("j", j, -_MAX_LEVEL, _MAX_LEVEL) for j in js)
     if len(set(js)) < 3:
@@ -241,7 +251,7 @@ def convergence_study(
     _check_int("cells_per_rho", cells_per_rho, 2)
     points = np.concatenate(sets)
     errors = np.array([
-        _level(center_factory(j), f, params, cells_per_rho, points,
+        _level(j, center_factory(j), f, params, cells_per_rho, points,
                None if density_points_factory is None
                else _as_points(density_points_factory(j), params.d)[0])
         for j in js])

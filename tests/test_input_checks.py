@@ -86,6 +86,11 @@ CHECKS = [
      "levels must have one entry per point"),
     ("value count", lambda: DensityField(CLOUD, [1.0, 2.0]), ValueError,
      "need one value per sample point"),
+    # values of shape (n,) only: a column or a row of n values is no vector
+    ("value column", lambda: DensityField(CLOUD, [[1.0], [2.0], [3.0]]), ValueError,
+     "need one value per sample point (3), got (3, 1)"),
+    ("value row", lambda: DensityField(CLOUD, [[1.0, 2.0, 3.0]]), ValueError,
+     "need one value per sample point (3), got (1, 3)"),
     ("non-finite value", lambda: DensityField(CLOUD, [1.0, np.nan, 3.0]), ValueError,
      "samples must be finite"),
     ("non-positive value", lambda: DensityField(CLOUD, [1.0, 0.0, 3.0]), ValueError,
@@ -128,13 +133,40 @@ CHECKS = [
      BAD_BOX),
     ("quadrature box inf", lambda: quadrature_cells(([0, 0], [1, np.inf]), 4, np.ones),
      ValueError, BAD_BOX),
-    # a kernel, bump or density of another dimension than the centers
+    # a reader that returns a rho that is not positive and finite, or neither a
+    # scalar nor one value per cell, is rejected before the cells split
+    ("quadrature rho zero", lambda: quadrature_cells(([-1.0], [1.0]), 4,
+                                                     lambda p: np.zeros(len(p))),
+     ValueError, "rho_at must return one positive finite value per cell or a scalar; "
+     "got shape (1,) for 1 cells, min 0.0"),
+    ("quadrature rho negative", lambda: quadrature_cells(([-1.0], [1.0]), 4, lambda p: -1.0),
+     ValueError, "got shape () for 1 cells, min -1.0"),
+    ("quadrature rho nan", lambda: quadrature_cells(([-1.0], [1.0]), 4,
+                                                    lambda p: np.full(len(p), np.nan)),
+     ValueError, "got shape (1,) for 1 cells, min nan"),
+    ("quadrature rho inf", lambda: quadrature_cells(([-1.0], [1.0]), 4, lambda p: np.inf),
+     ValueError, "got shape () for 1 cells, min inf"),
+    ("quadrature rho one for two cells", lambda: quadrature_cells(([0.0, 0.0], [2.0, 1.0]), 4,
+                                                                  lambda p: np.ones(1)),
+     ValueError, "got shape (1,) for 2 cells"),
+    ("quadrature rho column", lambda: quadrature_cells(([0.0, 0.0], [2.0, 1.0]), 4,
+                                                       lambda p: np.ones((len(p), 1))),
+     ValueError, "got shape (2, 1) for 2 cells"),
+    ("quadrature rho zero on split", lambda: quadrature_cells(
+        ([-1.0], [1.0]), 4, lambda p: np.where(len(p) > 1, 0.0, 1.0) * np.ones(len(p))),
+     ValueError, "got shape (2,) for 2 cells, min 0.0"),
+    # a kernel, bump or density of another dimension than the centers; the
+    # density's reader raises on the points of the first quadrature level
     ("assemble params.d", lambda: assemble(CenterSet(CLOUD), bump(6, [0.0, 0.0], 1.0),
-                                           KernelParams(d=3, k=2, degree=2), FIELD, 4),
-     ValueError, "dimensions differ: centers 2, bump 2, params.d 3, density 2"),
+                                           KernelParams(d=3, k=2, degree=2), FIELD.nearest, 4),
+     ValueError, "dimensions differ: centers 2, bump 2, params.d 3"),
     ("assemble bump", lambda: assemble(CenterSet(CLOUD), bump(4, [0.0], 1.0),
-                                       KernelParams(d=2, k=2, degree=2), FIELD, 4),
-     ValueError, "dimensions differ: centers 2, bump 1, params.d 2, density 2"),
+                                       KernelParams(d=2, k=2, degree=2), FIELD.nearest, 4),
+     ValueError, "dimensions differ: centers 2, bump 1, params.d 2"),
+    ("assemble density", lambda: assemble(CenterSet(CLOUD), bump(6, [0.0, 0.0], 1.0),
+                                          KernelParams(d=2, k=2, degree=2),
+                                          DensityField([[0.0], [1.0]], [1.0, 1.0]).nearest, 4),
+     ValueError, "points have shape (1, 2); expected (1,) for one point or (n, 1) for a batch"),
     ("evaluate params.d 1", lambda: evaluate(ApproximantDump(CenterSet(CLOUD), np.ones(3)),
                                              [0.3], KernelParams(d=1, k=1, degree=2)),
      ValueError, "dimensions differ: centers 2, params.d 1"),

@@ -35,3 +35,13 @@ def test_one_ball_listing():
     for needle in ("def _balls(", "sparse_distance_matrix("):
         counts = {name: text.count(needle) for name, text in MODULES.items() if needle in text}
         assert counts == {"centers.py": 1}, needle
+
+
+def test_one_rho_reader():
+    # rho reaches the quadrature only through a ``rho_at`` callable: a second
+    # reader path, a density-field type in quasiinterp, would fork it
+    quasiinterp = MODULES["quasiinterp.py"]
+    assert ".nearest(" not in quasiinterp
+    for name in ("DensityField", "_LazyField"):
+        assert name not in quasiinterp, name
+    assert not [name for name, text in MODULES.items() if "class _LazyField" in text]

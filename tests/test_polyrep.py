@@ -845,7 +845,7 @@ def solving_calls():
 
     def assembled(rho):
         return lambda: assemble(CenterSet(grid), f, params,
-                                DensityField(np.zeros((1, 1)), [rho]), 2)
+                                DensityField(np.zeros((1, 1)), [rho]).nearest, 2)
 
     collinear = CenterSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     ok = {

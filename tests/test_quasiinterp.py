@@ -76,7 +76,7 @@ def test_assemble_zero_function():
     from surfspline.kernels import RadialBump
 
     zero = RadialBump(exponent=5, center=np.zeros(1), scale=1.0, coeffs=np.zeros(6))
-    dump = assemble(cs, zero, params, density, 4)
+    dump = assemble(cs, zero, params, density.nearest, 4)
     assert np.all(dump.coefficients == 0.0)
     assert evaluate(dump, [0.3], params) == 0.0
 
@@ -91,10 +91,27 @@ def test_assemble_linearity():
     f2 = bump(6, [0.0], 1.0)
     fsum = RadialBump(exponent=5, center=np.zeros(1), scale=1.0,
                       coeffs=np.polynomial.polynomial.polyadd(f1.coeffs, f2.coeffs))
-    c1 = assemble(cs, f1, params, density, 4).coefficients
-    c2 = assemble(cs, f2, params, density, 4).coefficients
-    cs_sum = assemble(cs, fsum, params, density, 4).coefficients
+    c1 = assemble(cs, f1, params, density.nearest, 4).coefficients
+    c2 = assemble(cs, f2, params, density.nearest, 4).coefficients
+    cs_sum = assemble(cs, fsum, params, density.nearest, 4).coefficients
     assert np.max(np.abs(cs_sum - (c1 + c2))) <= 1e-12 * max(1.0, np.max(np.abs(c1 + c2)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_assemble_reads_any_reader(d):
+    # a plain constant reader and the reader of a constant sampled field give
+    # the same coefficients, bit for bit: assemble reads rho only through it
+    r0 = 0.4
+    ax = np.arange(-2.0, 2.01, 0.125)
+    cs = CenterSet(np.stack([m.ravel() for m in np.meshgrid(*[ax] * d, indexing="ij")], axis=1))
+    k, degree = ORDERS[d]
+    params = KernelParams(d=d, k=k, degree=degree)
+    f = bump(2 * k + 2, [0.1] * d, 1.0)
+    samples = np.random.default_rng(d).uniform(-1.5, 1.5, size=(25, d))
+    plain = assemble(cs, f, params, lambda p: np.full(len(p), r0), 4).coefficients
+    field = assemble(cs, f, params, DensityField(samples, np.full(25, r0)).nearest, 4)
+    assert np.any(plain != 0.0)
+    assert plain.tobytes() == field.coefficients.tobytes()
 
 
 def test_evaluate_trivial_cases():
@@ -139,8 +156,8 @@ def test_error_bound_map_scaling():
     df1 = DensityField(pts, np.full(9, 0.2))
     df2 = DensityField(pts, np.full(9, 0.1))
     k = 2
-    b1 = error_bound_map(df1, f, k, pts)
-    b2 = error_bound_map(df2, f, k, pts)
+    b1 = error_bound_map(df1.nearest, f, k, pts)
+    b2 = error_bound_map(df2.nearest, f, k, pts)
     assert np.allclose(b2 / b1, 2.0 ** (-2 * k))
 
 
@@ -148,7 +165,7 @@ def test_error_bound_map_value():
     f = bump(6, [0.0], 1.0)
     sup = laplacian_power(f, 2).sup_norm()
     df = DensityField(np.zeros((1, 1)), np.array([2.0**-6]))
-    b = error_bound_map(df, f, 2, np.zeros((1, 1)))
+    b = error_bound_map(df.nearest, f, 2, np.zeros((1, 1)))
     assert b[0] == pytest.approx(2.0**-24 * sup)
 
 
@@ -167,7 +184,7 @@ def test_quadrature_refinement_cauchy():
     probes = np.linspace(-1.2, 1.2, 121)[:, None]
     errs = []
     for cpr in (2, 4, 8):
-        dump = assemble(cs, f, params, density, cpr)
+        dump = assemble(cs, f, params, density.nearest, cpr)
         errs.append(float(np.max(np.abs(evaluate(dump, probes, params) - f(probes)))))
     assert abs(errs[2] - errs[1]) <= abs(errs[1] - errs[0]) + 1e-12
 
@@ -271,6 +288,22 @@ def test_study_density_points_factory():
     assert np.all(np.diff(res.global_errors) < 0)
 
 
+@pytest.mark.parametrize("samples", [None, lambda j: np.zeros((0, 1))], ids=["default", "factory"])
+def test_study_level_without_density_sample(samples):
+    # the bump's support box grown by half its scale, [0.045, 0.075], holds no
+    # center of the 2^-3 lattice, and a factory may return no point: the
+    # study names the level and the box instead of an empty point set
+    from surfspline import convergence_study
+
+    params = KernelParams(d=1, k=1, degree=4)
+    message = ("level j = 3 has no density sample (by default the centers in the box "
+               "[0.045] .. [0.075], the bump's support grown by half its scale); "
+               "pass density_points_factory")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_study([3, 4, 5], uniform_1d, bump(5, [0.06], 0.01), params, 0.6,
+                          np.zeros((1, 1)), density_points_factory=samples)
+
+
 def test_flat_sample_set_rejected_in_1d():
     # (n,) in R^1 is neither one point (1,) nor a batch (n, 1)
     from surfspline import MultiresSpec, convergence_study, density_profile_check
@@ -324,9 +357,9 @@ def study_bits(*args, **kwargs):
     return res.js, np.hstack([res.global_errors, res.global_slope, *defect]).tobytes()
 
 
-def eager_field(cs, samples, degree):
-    """The density field with every sample measured up front."""
-    return DensityField(samples, minimal_density(cs, samples, degree)[0])
+def eager_rho(cs, samples, degree):
+    """The reader of the density field with every sample measured up front."""
+    return DensityField(samples, minimal_density(cs, samples, degree)[0]).nearest
 
 
 @pytest.mark.parametrize("config", ["2-D uniform", "1-D multires defect set"])
@@ -351,39 +384,44 @@ def test_study_lazy_density_equals_eager(monkeypatch, config):
                 1 / 3, np.linspace(-1.2, 1.2, 121)[:, None])
         kwargs = {"defect": defect}
     lazy = study_bits(*args, **kwargs)
-    monkeypatch.setattr(quasiinterp, "_LazyField", eager_field)
+    monkeypatch.setattr(quasiinterp, "_lazy_rho", eager_rho)
     assert study_bits(*args, **kwargs) == lazy
 
 
 def test_lazy_density_measures_the_samples_read(monkeypatch):
-    # each sample is measured once, and only if some nearest call returned it
-    from surfspline import density
-    from surfspline.centers import _as_points
+    # each sample is measured once, and only if some call of the reader returned it
+    from surfspline import density, quasiinterp
+    from surfspline.centers import _Cloud
     from surfspline.quasiinterp import _level
 
-    fields, read, measured = [], [], []
-    nearest, measure = density._LazyField.nearest, density.minimal_density
+    readers, read, measured = [], [], []
+    lazy_rho, measure = density._lazy_rho, density.minimal_density
 
-    def nearest_spy(self, x):
-        fields.append(self)
-        read.append(self._tree.query(_as_points(x, self.dim)[0])[1])
-        return nearest(self, x)
+    def lazy_rho_spy(cs, points, degree):
+        samples, rho_at = _Cloud(points), lazy_rho(cs, points, degree)
+
+        def reader(x):
+            read.append(samples._tree.query(x)[1])
+            return rho_at(x)
+
+        readers.append(samples)
+        return reader
 
     def measure_spy(cs, alpha, degree, stability_cap=None):
         measured.append(np.array(alpha))
         return measure(cs, alpha, degree, stability_cap)
 
-    monkeypatch.setattr(density._LazyField, "nearest", nearest_spy)
+    monkeypatch.setattr(quasiinterp, "_lazy_rho", lazy_rho_spy)
     monkeypatch.setattr(density, "minimal_density", measure_spy)
-    _level(uniform_2d(2), bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=7), 4,
+    _level(2, uniform_2d(2), bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=7), 4,
            np.zeros((1, 2)), None)
-    field = fields[0]
-    assert all(f is field for f in fields)
+    (samples,) = readers
+    assert len(read) > 1  # the quadrature's levels and its nodes
     returned = np.unique(np.concatenate(read))
-    assert 0 < len(returned) < len(field)  # the default sample set's margin goes unread
+    assert 0 < len(returned) < len(samples)  # the default sample set's margin goes unread
     got = np.concatenate(measured)
     assert len(got) == len(returned)
-    assert sorted(map(tuple, got)) == sorted(map(tuple, field.points[returned]))
+    assert sorted(map(tuple, got)) == sorted(map(tuple, samples.points[returned]))
 
 
 def test_unread_failing_sample_is_not_measured():
@@ -444,20 +482,23 @@ def cells_by_stack(box, cells_per_rho, rho_at):
     return np.array(centers), np.array(sides)
 
 
-def assemble_by_node(cs, f, params, density, cells_per_rho):
+def assemble_by_node(cs, f, params, rho_at, cells_per_rho):
     from surfspline import polyrep, quasiinterp
     from surfspline.polyrep import ReproductionError
+
+    def rho(p):  # one point at a time
+        return rho_at(p[None])[0]
 
     dkf = laplacian_power(f, params.k)
     coeffs = np.zeros(len(cs))
     box = (f.center - f.scale, f.center + f.scale)
-    for c, s in zip(*cells_by_stack(box, cells_per_rho, density.nearest)):
+    for c, s in zip(*cells_by_stack(box, cells_per_rho, rho)):
         offsets = np.array(list(np.ndindex(*(2,) * len(c)))) - 0.5
         nodes, w = c + offsets * (s / np.sqrt(3.0)), float(np.prod(s)) / 2**len(c)
         for node, v in zip(nodes, dkf(nodes)):
             if v == 0.0:
                 continue
-            radius = quasiinterp._RADIUS_FACTOR * density.nearest(node)
+            radius = quasiinterp._RADIUS_FACTOR * rho(node)
             try:
                 pr = polyrep.build_reproduction(cs, node, radius, params.degree)
             except ReproductionError as exc:
@@ -584,13 +625,14 @@ def test_assemble_bitwise_equals_by_node(count_solves, seed, d):
     f = bump(2 * k + 2, rng.uniform(-0.2, 0.2, size=d), 1.0)
     density = DensityField(rng.uniform(-1.2, 1.2, size=(30, d)),
                            rng.uniform(2.5, 4.0, size=30) * h)
-    got = assemble(cs, f, params, density, 2).coefficients
-    assert got.tobytes() == assemble_by_node(cs, f, params, density, 2).coefficients.tobytes()
+    got = assemble(cs, f, params, density.nearest, 2).coefficients
+    assert got.tobytes() == assemble_by_node(cs, f, params, density.nearest,
+                                             2).coefficients.tobytes()
     # on fresh sets the memo absorbs the same repeats: as many solves
     solves = []
     for run in (assemble, assemble_by_node):
         count_solves.clear()
-        run(CenterSet(cs.points), f, params, density, 2)
+        run(CenterSet(cs.points), f, params, density.nearest, 2)
         solves.append(len(count_solves))
     assert solves[0] == solves[1] > 0
 
@@ -631,7 +673,7 @@ def test_assemble_fails_at_the_same_node(monkeypatch):
     for name, run in (("array", assemble), ("by_node", assemble_by_node)):
         solved[name] = []
         with pytest.raises(AssemblyError) as info:
-            run(cs, f, params, density, 2)
+            run(cs, f, params, density.nearest, 2)
         messages[name] = str(info.value)
     assert messages["array"] == messages["by_node"]
     assert "reproduction failed at node" in messages["array"]
@@ -677,7 +719,7 @@ def test_no_reader_of_balls_depends_on_row_order(seed, d):
     fixed = np.random.default_rng(3)
     df = DensityField((np.arange(400) * 0.5)[:, None], np.exp(0.3 * fixed.normal(size=400)))
     probes = fixed.uniform(0.0, 200.0, size=(150, 1))
-    calls = [lambda: assemble(CenterSet(points), f, params, field, 2).coefficients,
+    calls = [lambda: assemble(CenterSet(points), f, params, field.nearest, 2).coefficients,
              lambda: majorant(df, probes, 3.0), lambda: certify_slow_growth(df, 0.25),
              lambda: certify_self_majorization(df, 3.0)]
 
@@ -712,7 +754,7 @@ def test_defect_refined_2d_level_solves_few_geometries(count_solves):
     assert len(cs) == 17_649
     xs = np.linspace(-1.2, 1.2, 41)
     probes = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")], axis=1)
-    errors = _level(cs, bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=14), 4,
+    errors = _level(2, cs, bump(6, [0.0, 0.0], 1.0), KernelParams(d=2, k=2, degree=14), 4,
                     np.vstack([probes, spec.defect]), None)
     assert len(count_solves) <= 9
     assert errors[-1] < errors[:-1].max() / 4
