@@ -23,10 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centers import _MAX_LEVEL, CenterSet, _as_box, _as_point, _as_points, _grid_points, _lattice
+from .centers import (_MAX_LEVEL, CenterSet, _as_box, _as_point, _as_points, _check_int,
+                      _grid_points, _lattice)
 from .density import (
     DensityField,
     NoAdmissibleRadius,
+    _check_order,
     certify_self_majorization,
     certify_slow_growth,
     default_stability_cap,
@@ -288,6 +290,7 @@ def _probe_grid(cfg: dict, d: int) -> np.ndarray:
 
 
 def cmd_place(cfg: dict, out: Path, seed: int) -> None:
+    _check_order(cfg["k"], cfg["d"])  # before the keys shaped by d
     _checked("defect", _as_points, cfg["defect"], cfg["d"])
     spec = MultiresSpec(**{**cfg, "box": _box(cfg, cfg["d"])})
     plan = build_ring_plan(spec)
@@ -319,17 +322,19 @@ def cmd_density(cfg: dict, out: Path, seed: int) -> None:
            ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
            ("stability_cap", cap is None or cap > 1, "> 1"),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
+    _checked("r", lemma_transfer_sm_to_sg, 1.0, r)  # C_sm <= 1: failing at 1, r fails for all
     cs = read_centers(cfg["centers_file"])
     cap = cap if cap is not None else default_stability_cap(cs.dim, degree)
     probes = _probe_grid(cfg, cs.dim)
     rho, _ = minimal_density(cs, probes, degree, cap)
     df = DensityField(probes, rho)
-    write_density(out / "density.csv", probes, rho)
-    write_density(out / "majorant.csv", probes, majorant(df, probes, r))
+    bound = majorant(df, probes, r)
     c_sg = certify_slow_growth(df, epsilon)
     c_sm = certify_self_majorization(df, r)
     eps_from_sm, c_sg_from_sm = lemma_transfer_sm_to_sg(c_sm, r)
     r_from_sg, c_sm_from_sg = lemma_transfer_sg_to_sm(c_sg, epsilon)
+    write_density(out / "density.csv", probes, rho)
+    write_density(out / "majorant.csv", probes, bound)
     write_json(out / "certificates.json", {
         "degree": degree, "stability_cap": cap, "epsilon": epsilon, "r": r,
         "n_samples": len(df),
@@ -343,6 +348,8 @@ def cmd_density(cfg: dict, out: Path, seed: int) -> None:
 def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     d, k, degree, epsilon = cfg["d"], cfg["k"], cfg["degree"], cfg["epsilon"]
     placement, defect = cfg["placement"], cfg["defect"]
+    _check_int("d", d, 1)  # before the keys shaped by d; KernelParams checks the pair
+    _check_int("k", k, 1)
     lowest = 1 if placement == "multires" else -_MAX_LEVEL
     _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
            ("js", all(lowest <= j <= _MAX_LEVEL for j in cfg["js"]),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _check_int,
                       _check_positive, _nearest, _nearest_groups, _pair_distances)
-from .polyrep import PolyRep, _serial_blas, _solve, polynomial_dim
+from .polyrep import PolyRep, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
 #: ``dim Pi_degree`` centers; doubled while the search needs more groups.
@@ -125,9 +125,8 @@ def minimal_density(
         raise ValueError(f"stability_cap must be > 1, got {stability_cap!r}")
     pts, single = _as_points(alpha, cs.dim)
     size = _WINDOW * polynomial_dim(cs.dim, degree)
-    with _serial_blas():
-        witnesses = [_search(cs, p, degree, stability_cap, size, window)
-                     for p, window in zip(pts, _nearest_groups(cs, pts, size))]
+    witnesses = [_search(cs, p, degree, stability_cap, size, window)
+                 for p, window in zip(pts, _nearest_groups(cs, pts, size))]
     if single:
         return witnesses[0].radius, witnesses[0]
     return np.array([pr.radius for pr in witnesses]), witnesses
@@ -320,22 +319,29 @@ def certify_self_majorization(df: DensityField, r: float) -> float:
     """
     _check_positive("r", r)
     v, bottom = df.values, float(np.min(df.values))
-    return float(np.min(_pair_extremum(
-        df, df.points,
-        lambda i, j, d: v[j] / (v[i] * (1.0 + d / v[i]) ** (-r)),
-        lambda best, i: v[i] * ((best * v[i] / bottom) ** (1.0 / r) - 1.0),
-        maximize=False, shared=True)))
+    with np.errstate(divide="ignore", over="ignore"):  # a far pair's ratio rounds to inf
+        return float(np.min(_pair_extremum(
+            df, df.points,
+            lambda i, j, d: v[j] / (v[i] * (1.0 + d / v[i]) ** (-r)),
+            lambda best, i: v[i] * ((best * v[i] / bottom) ** (1.0 / r) - 1.0),
+            maximize=False, shared=True)))
 
 
 def lemma_transfer_sm_to_sg(c_sm: float, r: float) -> tuple[float, float]:
     """Slow-growth constants implied by self-majorization of order r.
 
     Returns ``(epsilon, C_sg)`` with epsilon = 1/(r+1) and
-    C_sg = max(2^r / C_sm, (2^r / C_sm)^(1/(1+r))).
+    C_sg = max(2^r / C_sm, (2^r / C_sm)^(1/(1+r))); raises ``ValueError``
+    where C_sg is not a finite float.
     """
     _check_positive("c_sm", c_sm)
     _check_positive("r", r)
-    base = 2.0**r / c_sm
+    try:
+        base = 2.0**r / c_sm
+    except OverflowError:
+        base = np.inf
+    if not base < np.inf:
+        raise ValueError(f"C_sg = 2^r / c_sm overflows float64 at r = {r!r}, c_sm = {c_sm!r}")
     return 1.0 / (r + 1.0), max(base, base ** (1.0 / (1.0 + r)))
 
 
@@ -360,10 +366,7 @@ def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> Non
     0 < epsilon < 1 and, for such a degree, epsilon > 2k / degree.  Raises one
     ``ValueError`` naming every violated condition, joined by ``"; "``.
     """
-    _check_int("k", k, 1)
-    _check_int("d", d, 1)
-    if 2 * k <= d:
-        raise ValueError(f"need 2k > d; got k = {k}, d = {d}")
+    _check_order(k, d)
     violations = []
     if not degree > 2 * k - d + 1:
         violations.append(f"degree {degree} must exceed 2k-d+1 = {2 * k - d + 1}")
@@ -373,3 +376,11 @@ def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> Non
         violations.append(f"epsilon {epsilon:g} must lie in (0, 1)")
     if violations:
         raise ValueError("; ".join(violations))
+
+
+def _check_order(k: int, d: int) -> None:
+    """Integers k, d >= 1 with 2k > d: the spline order in dimension d."""
+    _check_int("k", k, 1)
+    _check_int("d", d, 1)
+    if 2 * k <= d:
+        raise ValueError(f"need 2k > d; got k = {k}, d = {d}")

@@ -150,7 +150,8 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
     _check_positive("c_sm", c_sm)
     _check_positive("r", r)
     _check_dims(bad, density)
-    cap = 1.0 / (c_sm * (1.0 + 2.0 * params.gamma) ** (-r))
+    factor = c_sm * (1.0 + 2.0 * params.gamma) ** (-r)
+    cap = 1.0 / factor if factor > 0 else np.inf  # underflowed: every ratio's limit is 0
     chunks = np.split(np.argsort(density.values), 16 * (2 ** np.arange(1, 16) - 1))
     corner, worst = bad.corner, 0.0
     for lv in np.unique(bad.level):
@@ -193,13 +194,22 @@ def geometric_tail_bound(sigma: float, two_k: float, base_level: int) -> tuple[f
     * bad: sum_{i>=0} (2^(j-i))^sigma = 2^(j sigma) / (1 - 2^-sigma),
       over sidelengths 2^j and smaller (requires sigma > 0).
 
-    Here ``2^j`` abbreviates ``2^base_level``.
+    Here ``2^j`` abbreviates ``2^base_level``, an integer level, |level| at
+    most ``_MAX_LEVEL``.  Raises ``ValueError`` where a closed form is not a
+    finite float.
     """
+    _check_int("base_level", base_level, -_MAX_LEVEL, _MAX_LEVEL)
     if not sigma > 0:
         raise ValueError("sigma must be positive (bad-cube series diverges)")
     if not sigma < two_k:
         raise ValueError("sigma must be below 2k (good-cube series diverges)")
     e = sigma - two_k
-    good = 2.0 ** (base_level * e) / (1.0 - 2.0**e)
-    bad = 2.0 ** (base_level * sigma) / (1.0 - 2.0**-sigma)
+    try:
+        good = 2.0 ** (base_level * e) / (1.0 - 2.0**e)
+        bad = 2.0 ** (base_level * sigma) / (1.0 - 2.0**-sigma)
+    except (OverflowError, ZeroDivisionError):
+        good = bad = np.inf
+    if not max(good, bad) < np.inf:
+        raise ValueError(f"tail sums not finite floats at sigma {sigma!r}, 2k {two_k!r}, "
+                         f"base_level {base_level}")
     return good, bad

@@ -178,8 +178,10 @@ def cardinality_report(spec: MultiresSpec, cs: CenterSet) -> CardinalityReport:
     whole defect set while the bound stays the one-point series, so a wider
     set holds more centers in the ball and can pass that limit: the 21-point
     segment [-0.5, 0.5] x {0} at j = 2, k = 2, box +-10 reads 15,389 / 1,372
-    = 11.2.
+    = 11.2.  The centers must lie in R^``spec.d`` (else ``ValueError``).
     """
+    if cs.dim != spec.d:
+        raise ValueError(f"dimensions differ: centers {cs.dim}, spec.d {spec.d}")
     seven_k = 7 * spec.k
     radius = seven_k * 2.0 ** (-spec.j / 2.0)
     dist = _defect_distance(spec, cs.points)

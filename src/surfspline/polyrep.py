@@ -27,9 +27,9 @@ axis permutation of its scaled centers, rows sorted; such a map sends each
 monomial to plus or minus one of the same degree and fixes the constant, so
 the weights and the rank are the original system's in exact arithmetic.
 
-Local solves run on one BLAS thread (:func:`_serial_blas`): at degree 14 a
-QR's level-2 calls cross OpenBLAS's threading threshold, and a second thread
-costs more than it saves on so small a problem.
+Each factorization runs on one BLAS thread (:func:`_serial_blas`): at degree
+14 a QR's level-2 calls cross OpenBLAS's threading threshold, and a second
+thread costs more than it saves on so small a problem.
 """
 
 from __future__ import annotations
@@ -93,11 +93,11 @@ def _serial_blas():
     """Run the body with scipy's OpenBLAS on one thread, then restore the
     count found at entry; a no-op where the count cannot be set.
 
-    Enter it once per batch of solves: an entry costs a few microseconds.
-    Nested and concurrent entries share one depth count, so the count is
-    saved by the first entry and restored by the last exit.  While any
-    thread is inside, every scipy BLAS call of the process runs on one
-    thread, since the count is global to the library.
+    Entered once per factorization, by :func:`_min_norm` alone; an entry
+    costs a few microseconds.  Concurrent entries share one depth count, so
+    the count is saved by the first entry and restored by the last exit.
+    While any thread is inside, every scipy BLAS call of the process runs on
+    one thread, since the count is global to the library.
     """
     global _blas_depth, _blas_saved
     get, put = _get_blas_threads, _set_blas_threads
@@ -169,16 +169,6 @@ def _monomials(scaled, degree) -> np.ndarray:
     return bmat
 
 
-def _moment_system(offsets, radius, degree) -> tuple[np.ndarray, np.ndarray]:
-    """Basis matrix (rows = monomials, columns = centers) on the neighbor
-    ``offsets`` from the base point scaled by ``radius``, and the moments of
-    the base point in that basis (1 for the constant, 0 otherwise)."""
-    bmat = _monomials(offsets / radius, degree)
-    rhs = np.zeros(bmat.shape[0])
-    rhs[0] = 1.0
-    return bmat, rhs
-
-
 @dataclass(frozen=True)
 class PolyRep:
     """A local polynomial reproduction at a single base point.
@@ -222,8 +212,7 @@ def build_reproduction(cs: CenterSet, alpha, radius: float, degree: int) -> Poly
     _check_int("degree", degree, 0)
     alpha = _as_point(alpha, cs.dim)
     idx, _ = cs.neighbor_arrays(alpha, radius)  # raises unless 0 < radius < inf
-    with _serial_blas():
-        w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
+    w = _weights(cs, cs.points[idx] - alpha, float(radius), degree)
     return PolyRep(alpha=alpha, radius=float(radius), indices=idx, weights=w, degree=degree)
 
 
@@ -238,7 +227,7 @@ def _weights(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> 
         )
     sol = _solve(cs, offsets, radius, degree)[0]
     if sol is None:
-        rank = _min_norm(_moment_system(_canonical(offsets / radius)[0], 1.0, degree)[0])[1]
+        rank = _min_norm(_monomials(_canonical(offsets / radius)[0], degree))[1]
         raise RankDeficient(f"local Vandermonde rank {rank} < {m}")
     return sol
 
@@ -289,7 +278,7 @@ def _solve(cs: CenterSet, offsets: np.ndarray, radius: float, degree: int) -> tu
         if hit is None:
             sol = None
             if not _axis_deficient(canon, degree):
-                sol = _min_norm(_moment_system(canon, 1.0, degree)[0])[0]  # canon is scaled
+                sol = _min_norm(_monomials(canon, degree))[0]
             hit = sol, None if sol is None else _stability(sol)
         for cache in (memo, index):
             if len(cache) >= _SOLVE_MEMO_CAP:
@@ -332,7 +321,7 @@ def _min_norm(bmat: np.ndarray) -> tuple[np.ndarray | None, int]:
     One column-pivoted QR ``bmat^T P = Q R`` (Businger & Golub, *Numer.
     Math.* 7, 1965) gives both: the rank from R's diagonal, and for full rank
     ``w = Q R^-T P^T e_0``, one triangular solve and one application of Q.
-    ``bmat`` is overwritten.
+    ``bmat`` is overwritten; the LAPACK calls run on one BLAS thread.
 
     Inside the guard band a norm certificate decides first: ``c = 1 /
     (||R||_F ||R^-1||_F) <= sigma_min / sigma_max``, with ``R^-1`` from LAPACK
@@ -345,38 +334,41 @@ def _min_norm(bmat: np.ndarray) -> tuple[np.ndarray | None, int]:
     a ratio above ``1.8 RANK_RTOL``.
     """
     m = bmat.shape[0]
-    qr, jpvt, tau, _ = _lapack(dgeqp3, bmat.T, overwrite_a=1)
-    diag = np.abs(np.diagonal(qr))
-    # R's diagonal lies between its extreme singular values, which are B's
-    ratio = diag.min() / diag[0]  # >= sigma_min / sigma_max
-    if ratio <= RANK_RTOL:
-        return None, int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
-    if ratio <= _GUARD * RANK_RTOL:
-        rfac = np.triu(qr[:m])
-        inv, = _lapack(dtrtri, rfac)
-        # ufunc sums, not np.linalg.norm: numpy's own BLAS would wake its threads
-        if not np.sqrt(np.sum(np.square(inv)) * np.sum(np.square(rfac))) < 0.5 / RANK_RTOL:
-            sv = svdvals(rfac)
-            if sv[-1] <= RANK_RTOL * sv[0]:
-                return None, int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
-    pivoted = (jpvt == 1).astype(float)[:, None]  # P^T e_0; jpvt counts from 1
-    z, = _lapack(dtrtrs, qr, pivoted, trans=1)
-    w = np.zeros((qr.shape[0], 1))
-    w[:m] = z
-    w, _ = _lapack(dormqr, "L", "N", qr, tau, w, 1, overwrite_c=1)  # Q [z; 0]
+    with _serial_blas():
+        qr, jpvt, tau, _ = _lapack(dgeqp3, bmat.T, overwrite_a=1)
+        diag = np.abs(np.diagonal(qr))
+        # R's diagonal lies between its extreme singular values, which are B's
+        ratio = diag.min() / diag[0]  # >= sigma_min / sigma_max
+        if ratio <= RANK_RTOL:
+            return None, int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
+        if ratio <= _GUARD * RANK_RTOL:
+            rfac = np.triu(qr[:m])
+            inv, = _lapack(dtrtri, rfac)
+            # ufunc sums, not np.linalg.norm: numpy's own BLAS would wake its threads
+            if not np.sqrt(np.sum(np.square(inv)) * np.sum(np.square(rfac))) < 0.5 / RANK_RTOL:
+                sv = svdvals(rfac)
+                if sv[-1] <= RANK_RTOL * sv[0]:
+                    return None, int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+        pivoted = (jpvt == 1).astype(float)[:, None]  # P^T e_0; jpvt counts from 1
+        z, = _lapack(dtrtrs, qr, pivoted, trans=1)
+        w = np.zeros((qr.shape[0], 1))
+        w[:m] = z
+        w, _ = _lapack(dormqr, "L", "N", qr, tau, w, 1, overwrite_c=1)  # Q [z; 0]
     w.setflags(write=False)
     return w[:, 0], m
 
 
 def verify_reproduction(pr: PolyRep, cs: CenterSet) -> float:
-    """Max residual of the moment constraints over the monomial test set.
+    """Max residual of the moment constraints over the monomial test set:
+    ``|B w - e_0|``, B the :func:`_monomials` of the scaled offsets.
 
     Evaluated in the same shifted-and-scaled basis used for construction, so
     the value is comparable across locations and scales.  The caller decides
     what tolerance to hold it to.
     """
-    bmat, rhs = _moment_system(cs.points[pr.indices] - pr.alpha, pr.radius, pr.degree)
-    return float(np.max(np.abs(bmat @ pr.weights - rhs)))
+    res = _monomials((cs.points[pr.indices] - pr.alpha) / pr.radius, pr.degree) @ pr.weights
+    res[0] -= 1.0
+    return float(np.max(np.abs(res)))
 
 
 def _fixed_point(values) -> tuple[np.ndarray, int]:

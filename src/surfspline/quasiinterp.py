@@ -21,7 +21,7 @@ from .centers import (CenterSet, _BLOCK, _MAX_LEVEL, _as_box, _as_points, _balls
                       _grid_points, _pair_distances)
 from .density import _lazy_rho, validate_theorem1_params
 from .kernels import KernelParams, RadialBump, laplacian_power, phi_radial
-from .polyrep import ReproductionError, _serial_blas, _weights
+from .polyrep import ReproductionError, _weights
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -130,19 +130,18 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, rho_at,
     vals = dkf(nodes)
     nodes, wv = np.compress(vals != 0.0, nodes, axis=0), np.compress(vals != 0.0, w * vals)
     radii = _RADIUS_FACTOR * rho_at(nodes)
-    with _serial_blas():
-        for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
-            block = slice(s, s + _BLOCK)
-            offsets = np.take(cs.points, idx, axis=0) - np.repeat(nodes[block], counts, axis=0)
-            bounds = np.cumsum(counts).tolist()
-            weights = []
-            for node, radius, a, b in zip(nodes[block], radii[block], [0] + bounds, bounds):
-                try:
-                    weights.append(_weights(cs, offsets[a:b], float(radius), params.degree))
-                except ReproductionError as exc:
-                    raise AssemblyError(
-                        f"reproduction failed at node {node.tolist()}: {exc}") from exc
-            np.add.at(coeffs, idx, np.repeat(wv[block], counts) * np.concatenate(weights))
+    for s, (idx, _, counts) in zip(range(0, len(nodes), _BLOCK), _balls(cs, nodes, radii)):
+        block = slice(s, s + _BLOCK)
+        offsets = np.take(cs.points, idx, axis=0) - np.repeat(nodes[block], counts, axis=0)
+        bounds = np.cumsum(counts).tolist()
+        weights = []
+        for node, radius, a, b in zip(nodes[block], radii[block], [0] + bounds, bounds):
+            try:
+                weights.append(_weights(cs, offsets[a:b], float(radius), params.degree))
+            except ReproductionError as exc:
+                raise AssemblyError(
+                    f"reproduction failed at node {node.tolist()}: {exc}") from exc
+        np.add.at(coeffs, idx, np.repeat(wv[block], counts) * np.concatenate(weights))
     coeffs *= params.normalization
     return ApproximantDump(centers=cs, coefficients=coeffs)
 

@@ -225,7 +225,7 @@ def test_criterion_7_kernel_decay(monkeypatch):
     import mpmath as mp
     import scipy.linalg
 
-    from surfspline.polyrep import _moment_system
+    from surfspline.polyrep import _monomials
 
     corrections = mock.Mock(wraps=scipy.linalg.cho_solve)  # one call per float64 correction
     monkeypatch.setattr(scipy.linalg, "cho_solve", corrections)
@@ -252,8 +252,7 @@ def test_criterion_7_kernel_decay(monkeypatch):
     elapsed = time.perf_counter() - t0
     with mp.workdps(60):
         mpf = np.frompyfunc(mp.mpf, 1, 1)
-        bmat, _ = _moment_system(mpf(cs.points[pr.indices]) - mpf(alpha), mp.mpf(pr.radius),
-                                 degree)
+        bmat = _monomials((mpf(cs.points[pr.indices]) - mpf(alpha)) / mp.mpf(pr.radius), degree)
         residual = max(abs(mp.fdot(row, weights) - (i == 0))
                        for i, row in enumerate(bmat.tolist()))
     # pinned at -14 + 0.5; the formula nu = degree + d - 2k gives 12 for

@@ -377,6 +377,30 @@ def test_dyadic_writes_each_cube_once_per_gender(tmp_path, d):
     assert report["overlap"]["max_observed"] == n * per_row > 0
 
 
+@pytest.mark.parametrize("r", [1100.0, 2000.0])
+def test_density_r_beyond_the_lemma_writes_nothing(tmp_path, capsys, r):
+    out_place = run_place(tmp_path)
+    cfg = density_config(tmp_path, str(out_place / "centers.csv"), r=r)
+    out = tmp_path / "out"
+    assert main(["density", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'r'") and f"r = {r!r}" in err
+    assert not out.exists()
+
+
+def test_dyadic_large_r_bounds_bad_cubes_by_the_limit(tmp_path):
+    # (1 + 2 gamma)^(-700) underflows: each bad cube's ratio is its limit 0,
+    # with no warning (a warning fails the suite)
+    xs = np.linspace(-1.0, 1.0, 33)[:, None]
+    write_density(tmp_path / "field.csv", xs, 0.05 + 0.5 * np.abs(xs[:, 0] - 0.1))
+    cfg = write_config(tmp_path, "dyadic.json", {"dyadic": dyadic_block(
+        tmp_path, density_file=str(tmp_path / "field.csv"), gamma=1.0, r=700.0,
+        box={"lo": [-0.9], "hi": [0.9]})})
+    assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "bound_check.json").read_text())
+    assert report["n_bad"] > 0 and report["bad_cube_max_ratio"] == 0.0
+
+
 def test_dyadic_gamma_below_one_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x1,rho\n0.0,0.1\n")
@@ -780,6 +804,16 @@ BAD_RANGES = [
     ("study", {"bump": {"exponent": 5, "scale": 2.6}},
      "config key 'bump.scale' must be at most 2.5, so that the bump's support lies inside 'box'"),
     ("study", {"bump": {"exponent": 5, "scale": 1e5}}, "config key 'bump.scale' must be at most"),
+    # d (and k) checked before the keys whose shape d sets
+    ("place", {"d": 0}, "d must be >= 1 and an integer; got 0"),
+    ("place", {"d": -1}, "d must be >= 1 and an integer; got -1"),
+    ("place", {"d": 4}, "need 2k > d; got k = 1, d = 4"),
+    ("study", {"d": 0}, "d must be >= 1 and an integer; got 0"),
+    ("study", {"d": -1}, "d must be >= 1 and an integer; got -1"),
+    # an r whose 2^r, in the certificates' lemma, overflows
+    ("density", {"r": 1100.0},
+     "config key 'r': C_sg = 2^r / c_sm overflows float64 at r = 1100.0, c_sm = 1.0"),
+    ("density", {"r": 2000.0}, "config key 'r': C_sg = 2^r / c_sm overflows float64"),
 ]
 
 

@@ -15,12 +15,14 @@ from surfspline import (
     bad_cube_bound_check,
     build_reproduction,
     bump,
+    cardinality_report,
     certify_self_majorization,
     certify_slow_growth,
     classify,
     enumerate_cubes,
     evaluate,
     genders,
+    geometric_tail_bound,
     fundamental_normalization,
     local_kernel_error_precise,
     laplacian_power,
@@ -344,6 +346,26 @@ CHECKS = [
      "s must be positive and finite, got inf"),
     ("neighbor radius inf", lambda: CenterSet(CLOUD).neighbor_arrays([0.0, 0.0], np.inf),
      ValueError, "radius must be positive and finite, got inf"),
+    # constants beyond float64: 2^r, 2^r / c_sm and the tail sums
+    ("sm to sg 2^r overflow", lambda: lemma_transfer_sm_to_sg(0.5, 1100.0), ValueError,
+     "C_sg = 2^r / c_sm overflows float64 at r = 1100.0, c_sm = 0.5"),
+    ("sm to sg C_sg overflow", lambda: lemma_transfer_sm_to_sg(1e-300, 1000.0), ValueError,
+     "C_sg = 2^r / c_sm overflows float64 at r = 1000.0, c_sm = 1e-300"),
+    ("tail bound base_level 2000", lambda: geometric_tail_bound(1.0, 2.0, 2000), ValueError,
+     "base_level must be >= -511 and at most 511; got 2000"),
+    ("tail bound base_level float", lambda: geometric_tail_bound(1.0, 2.0, 1.5), ValueError,
+     "base_level must be >= -511 and an integer; got 1.5"),
+    ("tail bound overflow", lambda: geometric_tail_bound(3.0, 4.0, 400), ValueError,
+     "tail sums not finite floats at sigma 3.0, 2k 4.0, base_level 400"),
+    ("tail bound 2^-sigma rounds to 1", lambda: geometric_tail_bound(1e-20, 4.0, 0), ValueError,
+     "tail sums not finite floats at sigma 1e-20"),
+    # a placement report against centers of another dimension
+    ("cardinality 1-D centers", lambda: cardinality_report(spec(), CenterSet(np.arange(4.0))),
+     ValueError, "dimensions differ: centers 1, spec.d 2"),
+    ("cardinality 2-D centers",
+     lambda: cardinality_report(spec(d=1, k=1, defect=[0.0], box=([-8.0], [8.0])),
+                                CenterSet(CLOUD)),
+     ValueError, "dimensions differ: centers 2, spec.d 1"),
     ("json string", lambda: _json_text({"a": "text"}), TypeError, "cannot write a str as JSON"),
     ("json bool", lambda: _json_text([True]), TypeError, "cannot write a bool as JSON"),
     ("json null", lambda: _json_text(None), TypeError, "cannot write a NoneType as JSON"),
@@ -357,6 +379,15 @@ def test_input_check(count_solves, name, call, exc, text):
     assert text in str(err.value)
     if name.startswith("minimal_density"):  # rejected before any solve
         assert count_solves == []
+
+
+def test_large_r_reaches_the_float_limits_without_warning():
+    # (1 + d / rho)^(-r) underflows at r = 5000: a far pair's ratio is inf and
+    # the diagonal's 1 is the minimum; (1 + 2 gamma)^(-700) = 2^-1400 underflows
+    # too, so every bad cube's ratio is its limit 0 (a warning fails the suite)
+    assert certify_self_majorization(FIELD, 5000.0) == 1.0
+    assert bound(c_sm=0.5, r=700.0) == 0.0
+    assert bound(c_sm=0.5, r=1.0) > 0.0
 
 
 def test_degree_numpy_integer():

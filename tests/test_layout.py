@@ -37,6 +37,17 @@ def test_one_ball_listing():
         assert counts == {"centers.py": 1}, needle
 
 
+def test_solve_mechanics_owned_by_polyrep():
+    # the one-thread BLAS policy is entered once, around the factorizations of
+    # _min_norm, and _monomials is the one moment-matrix builder
+    assert [name for name, text in MODULES.items() if "_serial_blas" in text] == ["polyrep.py"]
+    polyrep = MODULES["polyrep.py"]
+    min_norm = polyrep[polyrep.index("\ndef _min_norm("):]
+    min_norm = min_norm[:min_norm.index("\ndef ", 1)]
+    assert polyrep.count("with _serial_blas()") == min_norm.count("with _serial_blas()") == 1
+    assert not [name for name, text in MODULES.items() if "_moment_system" in text]
+
+
 def test_one_rho_reader():
     # rho reaches the quadrature only through a ``rho_at`` callable: a second
     # reader path, a density-field type in quasiinterp, would fork it

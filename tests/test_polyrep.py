@@ -30,7 +30,7 @@ from surfspline.polyrep import (
     _fixed_point,
     _float_fixed_point,
     _min_norm,
-    _moment_system,
+    _monomials,
     _products,
 )
 from test_density import CLOUDS, consistency_cloud
@@ -189,19 +189,16 @@ def test_precision_and_stability_property(seed, d, degree):
     assert pr.stability >= 1 - 1e-9
 
 
-def moment_system_by_pow(offsets, radius, degree):
-    """The moment system with per-axis power tables from one vector pow, each
+def monomials_by_pow(scaled, degree):
+    """The monomials with per-axis power tables from one vector pow, each
     power one libm ``pow``: the oracle for the rank decisions of the running
-    products in ``_moment_system``."""
-    expo = monomial_exponents(offsets.shape[1], degree)
-    scaled = offsets / radius
+    products in ``_monomials``."""
+    expo = monomial_exponents(scaled.shape[1], degree)
     table = scaled.T[:, None, :] ** np.arange(degree + 1)[:, None]
     bmat = table[0][expo[:, 0]]
-    for a in range(1, offsets.shape[1]):
+    for a in range(1, scaled.shape[1]):
         bmat *= table[a][expo[:, a]]
-    rhs = np.zeros(expo.shape[0])
-    rhs[0] = 1.0
-    return bmat, rhs
+    return bmat
 
 
 def moment_matrix_by_running_products(offsets, radius, degree):
@@ -232,26 +229,25 @@ def random_offsets(seed, d, n, log_scale):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 200),
        st.floats(-3.0, 3.0))
-def test_moment_system_bitwise_equals_running_products(seed, d, n, log_scale):
+def test_monomials_bitwise_equals_running_products(seed, d, n, log_scale):
     offsets, radius = random_offsets(seed, d, n, log_scale)
     for degree in range(16):
-        bmat, rhs = _moment_system(offsets, radius, degree)
+        bmat = _monomials(offsets / radius, degree)
         ref = moment_matrix_by_running_products(offsets, radius, degree)
         assert bmat.shape == ref.shape and bmat.dtype == ref.dtype
         assert bmat.tobytes() == ref.tobytes()
-        assert rhs.tolist() == [1.0] + [0.0] * (polynomial_dim(d, degree) - 1)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(1, 15), (2, 14), (3, 7)]), st.data(),
        st.integers(1, 30), st.floats(-3.0, 3.0))
-def test_moment_system_within_gamma_of_exact(seed, dim_and_top, data, n, log_scale):
+def test_monomials_within_gamma_of_exact(seed, dim_and_top, data, n, log_scale):
     import mpmath as mp
 
     d, top = dim_and_top
     degree = data.draw(st.integers(0, top))
     offsets, radius = random_offsets(seed, d, n, log_scale)
-    bmat = _moment_system(offsets, radius, degree)[0]
+    bmat = _monomials(offsets / radius, degree)
     expo = monomial_exponents(d, degree)
     u = mp.mpf(2) ** -53
     gamma = (degree + d) * u / (1 - (degree + d) * u)
@@ -266,11 +262,12 @@ def test_moment_system_within_gamma_of_exact(seed, dim_and_top, data, n, log_sca
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 120),
        st.floats(-3.0, 3.0), st.integers(0, 15), st.data())
-def test_moment_system_prefix_columns(seed, d, n, log_scale, degree, data):
+def test_monomials_prefix_columns(seed, d, n, log_scale, degree, data):
     offsets, radius = random_offsets(seed, d, n, log_scale)
+    scaled = offsets / radius
     k = data.draw(st.integers(1, n))
-    full = _moment_system(offsets, radius, degree)[0]
-    assert _moment_system(offsets[:k], radius, degree)[0].tobytes() == full[:, :k].tobytes()
+    full = _monomials(scaled, degree)
+    assert _monomials(scaled[:k], degree).tobytes() == full[:, :k].tobytes()
 
 
 def moment_matrix_mp(pr, cs):
@@ -347,14 +344,13 @@ def test_refine_weights_matches_normal_equations(seed, dim_and_top, data, kind, 
 
     cs, pr = oracle_case(seed, dim_and_top, data, kind)
     d, degree = cs.dim, pr.degree
-    cond = np.linalg.cond(_moment_system(cs.points[pr.indices] - pr.alpha, pr.radius,
-                                         degree)[0])
+    cond = np.linalg.cond(_monomials((cs.points[pr.indices] - pr.alpha) / pr.radius, degree))
     weights = refine_weights(pr, cs, dps=dps)
     assert len(weights) == pr.indices.size
     with mp.workdps(dps):  # running products and pows differ by at most degree + 2d roundings
         mpf = np.frompyfunc(mp.mpf, 1, 1)
-        bmat = _moment_system(mpf(cs.points[pr.indices]) - mpf(pr.alpha), mp.mpf(pr.radius),
-                              degree)[0]
+        bmat = _monomials((mpf(cs.points[pr.indices]) - mpf(pr.alpha)) / mp.mpf(pr.radius),
+                          degree)
         ref = moment_matrix_mp(pr, cs)
         assert all(abs(bmat[i, j] - ref[i, j]) <= (degree + d) * mp.eps * abs(ref[i, j])
                    for i in range(ref.rows) for j in range(ref.cols))
@@ -517,7 +513,7 @@ def prefix_offsets(cs, alpha, degree):
 def prefix_systems(cs, alpha, degree):
     """The moment matrix of every prefix of :func:`prefix_offsets`."""
     for offsets, radius in prefix_offsets(cs, alpha, degree):
-        yield _moment_system(offsets, radius, degree)[0]
+        yield _monomials(offsets / radius, degree)
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,8 +561,8 @@ def test_minimal_density_matches_gelsd_oracle(seed, d, data, kind):
 def test_minimal_density_matches_pow_oracle(seed, d, data, kind):
     degree = data.draw(st.integers(0, 7))
     cs, alpha = consistency_cloud(seed, d, kind)
-    assert (minimal_density_with("_moment_system", _moment_system, cs, alpha, degree)
-            == minimal_density_with("_moment_system", moment_system_by_pow, cs, alpha, degree))
+    assert (minimal_density_with("_monomials", _monomials, cs, alpha, degree)
+            == minimal_density_with("_monomials", monomials_by_pow, cs, alpha, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +606,7 @@ def test_axis_certificate_agrees_with_qr_and_gelsd(seed, d, degree):
     # computed moment matrix deficient at RANK_RTOL too
     offsets, radius = lattice_subset(seed, d, degree)
     if polyrep._axis_deficient(offsets / radius, degree):
-        bmat = _moment_system(offsets, radius, degree)[0]
+        bmat = _monomials(offsets / radius, degree)
         weights, rank = _min_norm(bmat.copy())
         assert weights is None and rank < bmat.shape[0]
         assert solve_by_gelsd(bmat)[1] < bmat.shape[0]
@@ -705,7 +701,7 @@ def near_deficient(d, degree, gap):
     m = polynomial_dim(d, degree)
     pts = np.random.default_rng(degree).uniform(-1, 1, size=(m, d))
     pts[-1] = pts[0] + gap / np.sqrt(d)
-    return _moment_system(pts, 2.0, degree)[0]
+    return _monomials(pts / 2.0, degree)
 
 
 def tuned_gap(d, degree, ratio):
@@ -870,6 +866,42 @@ def test_local_solves_run_on_one_blas_thread(monkeypatch, blas_threads):
         call()
         assert reads and set(reads) == {1}, name
         assert polyrep._get_blas_threads() == blas_threads, name
+
+
+def test_neighbor_queries_keep_the_callers_blas_threads(monkeypatch, blas_threads):
+    # only the factorizations run on one BLAS thread: the neighbor queries of
+    # each solving entry, read at the call and at each block a generator
+    # yields, run on the caller's count
+    import inspect
+
+    from surfspline import density, quasiinterp
+
+    get, reads = polyrep._get_blas_threads, {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def reading(*args, **kwargs):
+            reads.setdefault(name, []).append(get())
+            out = original(*args, **kwargs)
+
+            def each():
+                for item in out:
+                    reads[name].append(get())
+                    yield item
+            return each() if inspect.isgenerator(out) else out
+
+        monkeypatch.setattr(owner, name, reading)
+
+    spy(quasiinterp, "_balls")
+    spy(density, "_nearest_groups")
+    spy(CenterSet, "neighbor_arrays")
+    in_qr = read_threads_in_qr(monkeypatch)
+    for call in solving_calls()[0].values():
+        call()
+    assert {name: set(seen) for name, seen in reads.items()} == {
+        name: {blas_threads} for name in ("_balls", "_nearest_groups", "neighbor_arrays")}
+    assert in_qr and set(in_qr) == {1}
 
 
 def test_blas_threads_restored_on_raise(monkeypatch, blas_threads):
