@@ -9,11 +9,12 @@ are safe to issue concurrently.  A cloud's kd-tree is built on its first
 neighbor query, not with the cloud: concurrent first queries may each build
 an identical one.  The contracts: a point or batch (:func:`_as_points`,
 :func:`_as_point`), a box (:func:`_as_box`), an integer (:func:`_check_int`;
-levels up to ``_MAX_LEVEL``) and a positive finite real (:func:`_check_positive`).
+levels up to ``_MAX_LEVEL``), a real (:func:`_check_real`), k and d (:func:`_check_order`).
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -47,10 +48,22 @@ def _check_int(name: str, value, least: int, most: int | None = None) -> int:
     return int(value)
 
 
-def _check_positive(name: str, value) -> None:
-    """``name`` must be a positive finite real."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def _check_real(name: str, value, low, high=np.inf, closed: bool = False) -> float:
+    """A finite real (numpy's too, not bool) in (low, high), [low, high) if closed, as a float."""
+    x = value.item() if isinstance(value, np.generic) else value  # compared exactly, uncast
+    if (isinstance(x, bool) or not isinstance(x, (int, float)) or abs(x) > sys.float_info.max
+            or not (low <= x if closed else low < x) or not x < high):
+        raise ValueError(f"{name} must be a real in {'[' if closed else '('}{low}, {high}); "
+                         f"got {value!r}")
+    return float(x)
+
+
+def _check_order(k: int, d: int) -> None:
+    """Integers k, d >= 1 with 2k > d: the spline order in dimension d."""
+    _check_int("k", k, 1)
+    _check_int("d", d, 1)
+    if 2 * k <= d:
+        raise ValueError(f"need 2k > d; got k = {k}, d = {d}")
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -185,8 +198,8 @@ class CenterSet(_Cloud):
         of :func:`_balls`, sorted by distance, ties by index.
         """
         center = _as_point(center, self.dim)
-        _check_positive("radius", radius)
-        idx, dist, _ = next(_balls(self, center[None], np.array([radius], dtype=float)))
+        radius = _check_real("radius", radius, 0)
+        idx, dist, _ = next(_balls(self, center[None], np.array([radius])))
         order = np.argsort(dist, kind="stable")
         return np.take(idx, order), np.take(dist, order)
 

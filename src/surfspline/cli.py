@@ -24,11 +24,10 @@ import numpy as np
 
 from . import __version__
 from .centers import (_MAX_LEVEL, CenterSet, _as_box, _as_point, _as_points, _check_int,
-                      _grid_points, _lattice)
+                      _check_order, _check_real, _grid_points, _lattice)
 from .density import (
     DensityField,
     NoAdmissibleRadius,
-    _check_order,
     certify_self_majorization,
     certify_slow_growth,
     default_stability_cap,
@@ -47,7 +46,7 @@ from .dyadic import (
     max_overlap,
     overlap_count,
 )
-from .kernels import KernelParams, bump
+from .kernels import KernelParams, _check_dk, bump
 from .placement import MultiresSpec, build_ring_plan, cardinality_report, generate_centers
 from .polyrep import ReproductionError
 from .quasiinterp import AssemblyError, convergence_study
@@ -265,11 +264,11 @@ def _check(*rules) -> None:
             raise ConfigError(f"config key {key!r} must be {rule}")
 
 
-def _checked(key: str, contract, *args):
-    """``contract(*args)``, one of the library's input checks, its ``ValueError``
-    re-raised as a ConfigError naming the dotted config ``key``."""
+def _checked(key: str, contract, *args, **kwargs):
+    """``contract(*args, **kwargs)``, one of the library's input checks, its
+    ``ValueError`` re-raised as a ConfigError naming the dotted config ``key``."""
     try:
-        return contract(*args)
+        return contract(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
@@ -318,11 +317,12 @@ def cmd_place(cfg: dict, out: Path, seed: int) -> None:
 
 def cmd_density(cfg: dict, out: Path, seed: int) -> None:
     degree, epsilon, r, cap = cfg["degree"], cfg["epsilon"], cfg["r"], cfg["stability_cap"]
-    _check(("degree", degree >= 0, ">= 0"), ("r", r > 0, "> 0"),
-           ("epsilon", 0 < epsilon < 1, "in (0, 1)"),
-           ("stability_cap", cap is None or cap > 1, "> 1"),
-           ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
+    _checked("degree", _check_int, "degree", degree, 0)
     _checked("r", lemma_transfer_sm_to_sg, 1.0, r)  # C_sm <= 1: failing at 1, r fails for all
+    _checked("epsilon", _check_real, "epsilon", epsilon, 0, 1)
+    if cap is not None:
+        _checked("stability_cap", _check_real, "stability_cap", cap, 1)
+    _check(("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
     cs = read_centers(cfg["centers_file"])
     cap = cap if cap is not None else default_stability_cap(cs.dim, degree)
     probes = _probe_grid(cfg, cs.dim)
@@ -348,14 +348,14 @@ def cmd_density(cfg: dict, out: Path, seed: int) -> None:
 def cmd_study(cfg: dict, out: Path, seed: int) -> None:
     d, k, degree, epsilon = cfg["d"], cfg["k"], cfg["degree"], cfg["epsilon"]
     placement, defect = cfg["placement"], cfg["defect"]
-    _check_int("d", d, 1)  # before the keys shaped by d; KernelParams checks the pair
-    _check_int("k", k, 1)
-    lowest = 1 if placement == "multires" else -_MAX_LEVEL
+    _checked("k", _check_int, "k", k, 1)  # then the pair, before the keys shaped by d
+    _checked("d", _check_dk, d, k)
     _check(("placement", placement in ("uniform", "multires"), "'uniform' or 'multires'"),
-           ("js", all(lowest <= j <= _MAX_LEVEL for j in cfg["js"]),
-            f"levels in [{lowest}, {_MAX_LEVEL}]"),
            ("defect", placement == "uniform" or defect is not None, "given for multires"),
            ("probe.count", cfg["probe"]["count"] >= 2, ">= 2"))
+    for j in cfg["js"]:  # a multires level is a MultiresSpec j, at least 1
+        _checked("js", _check_int, "j", j, 1 if placement == "multires" else -_MAX_LEVEL,
+                 _MAX_LEVEL)
     if defect is not None:
         _checked("defect", _as_points, defect, d)
     box = _box(cfg, d)
@@ -392,9 +392,14 @@ def cmd_study(cfg: dict, out: Path, seed: int) -> None:
 def cmd_dyadic(cfg: dict, out: Path, seed: int) -> None:
     gamma, sigma, two_k, r = cfg["gamma"], cfg["sigma"], cfg["two_k"], cfg["r"]
     levels, overlap_points = cfg["levels"], cfg["overlap_points"]
-    _check(("levels", len(levels) == 2 and -_MAX_LEVEL <= levels[0] <= levels[1] <= _MAX_LEVEL,
-            f"[lo, hi] with -{_MAX_LEVEL} <= lo <= hi <= {_MAX_LEVEL}"),
-           ("r", r > 0, "> 0"), ("overlap_points", overlap_points >= 0, ">= 0"))
+    _check(("levels", len(levels) == 2 and levels[0] <= levels[1], "[lo, hi] with lo <= hi"),
+           ("overlap_points", overlap_points >= 0, ">= 0"))
+    for lv in levels:
+        _checked("levels", _check_int, "level", lv, -_MAX_LEVEL, _MAX_LEVEL)
+    _checked("r", _check_real, "r", r, 0)
+    _checked("gamma", _check_real, "gamma", gamma, 1, closed=True)
+    two_k = _checked("two_k", _check_real, "two_k", two_k, 0)
+    _checked("sigma", _check_real, "sigma", sigma, 0, two_k)
     _box(cfg)  # its length is d, read with the density
     params = DyadicParams(gamma=gamma, sigma=sigma, two_k=two_k)
     df = read_density(cfg["density_file"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .centers import (CenterSet, _CUTOFF_PAD, _Cloud, _as_points, _balls, _check_int,
-                      _check_positive, _nearest, _nearest_groups, _pair_distances)
+                      _check_order, _check_real, _nearest, _nearest_groups, _pair_distances)
 from .polyrep import PolyRep, _solve, polynomial_dim
 
 #: First window of a density query's distance order, in multiples of
@@ -116,13 +116,12 @@ def minimal_density(
     (n,) rho and the list of witnesses.  Raises :class:`NoAdmissibleRadius`,
     naming the first point in input order whose full set fails, and
     ``ValueError`` before any solve for a degree not an integer >= 0 or a
-    ``stability_cap`` not above 1 (NaN included), which only round-off meets.
+    ``stability_cap`` not a real above 1, which only round-off meets.
     """
     _check_int("degree", degree, 0)
     if stability_cap is None:
         stability_cap = default_stability_cap(cs.dim, degree)
-    if not stability_cap > 1:  # Sum|a| >= Sum a = 1 in exact arithmetic
-        raise ValueError(f"stability_cap must be > 1, got {stability_cap!r}")
+    stability_cap = _check_real("stability_cap", stability_cap, 1)  # Sum|a| >= Sum a = 1
     pts, single = _as_points(alpha, cs.dim)
     size = _WINDOW * polynomial_dim(cs.dim, degree)
     witnesses = [_search(cs, p, degree, stability_cap, size, window)
@@ -208,7 +207,7 @@ def majorant(df: DensityField, x, r: float) -> float | np.ndarray:
     each term (a term grows with rho(y)), which falls with the distance; the
     value is the one an exhaustive scan returns, bit for bit.
     """
-    _check_positive("r", r)
+    r = _check_real("r", r, 0)
     pts, single = _as_points(x, df.dim)
     v, top = df.values, float(np.max(df.values))
     out = _pair_extremum(
@@ -297,8 +296,7 @@ def certify_slow_growth(df: DensityField, epsilon: float) -> float:
     |x-alpha|/rho(x))^(1-epsilon)]``, which falls with the distance; the
     value is the one an exhaustive scan returns, bit for bit.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    epsilon = _check_real("epsilon", epsilon, 0, 1)
     v, top = df.values, float(np.max(df.values))
     return float(np.max(_pair_extremum(
         df, df.points,
@@ -317,7 +315,7 @@ def certify_self_majorization(df: DensityField, r: float) -> float:
     the distance; the value is the one an exhaustive scan returns, bit for
     bit.
     """
-    _check_positive("r", r)
+    r = _check_real("r", r, 0)
     v, bottom = df.values, float(np.min(df.values))
     with np.errstate(divide="ignore", over="ignore"):  # a far pair's ratio rounds to inf
         return float(np.min(_pair_extremum(
@@ -334,8 +332,7 @@ def lemma_transfer_sm_to_sg(c_sm: float, r: float) -> tuple[float, float]:
     C_sg = max(2^r / C_sm, (2^r / C_sm)^(1/(1+r))); raises ``ValueError``
     where C_sg is not a finite float.
     """
-    _check_positive("c_sm", c_sm)
-    _check_positive("r", r)
+    c_sm, r = _check_real("c_sm", c_sm, 0), _check_real("r", r, 0)
     try:
         base = 2.0**r / c_sm
     except OverflowError:
@@ -351,10 +348,8 @@ def lemma_transfer_sg_to_sm(c_sg: float, epsilon: float) -> tuple[float, float]:
     Returns ``(r, C_sm)`` with r = (1-epsilon)/epsilon and
     C_sm = min(2^(epsilon-1) / C_sg, (2^(epsilon-1) / C_sg)^(1/epsilon)).
     """
-    if not 1 <= c_sg < np.inf:
-        raise ValueError(f"c_sg must be >= 1 and finite, got {c_sg}")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    c_sg = _check_real("c_sg", c_sg, 1, closed=True)
+    epsilon = _check_real("epsilon", epsilon, 0, 1)
     base = 2.0 ** (epsilon - 1.0) / c_sg
     return (1.0 - epsilon) / epsilon, min(base, base ** (1.0 / epsilon))
 
@@ -362,25 +357,18 @@ def lemma_transfer_sg_to_sm(c_sg: float, epsilon: float) -> tuple[float, float]:
 def validate_theorem1_params(k: int, d: int, degree: int, epsilon: float) -> None:
     """Check the parameter constraints of the pointwise convergence theorem.
 
-    Requires integers k, d >= 1 with 2k > d, degree > 2k - d + 1,
-    0 < epsilon < 1 and, for such a degree, epsilon > 2k / degree.  Raises one
-    ``ValueError`` naming every violated condition, joined by ``"; "``.
+    Requires integers k, d >= 1 with 2k > d, degree > 2k - d + 1, a real
+    epsilon in (0, 1) and, for such a degree and epsilon, epsilon > 2k / degree.
+    Raises one ``ValueError`` naming every violated condition, joined by ``"; "``.
     """
     _check_order(k, d)
-    violations = []
+    try:
+        epsilon, violations = _check_real("epsilon", epsilon, 0, 1), []
+    except ValueError as exc:
+        violations = [str(exc)]
     if not degree > 2 * k - d + 1:
-        violations.append(f"degree {degree} must exceed 2k-d+1 = {2 * k - d + 1}")
-    elif not epsilon > 2 * k / degree:
+        violations.insert(0, f"degree {degree} must exceed 2k-d+1 = {2 * k - d + 1}")
+    elif not violations and not epsilon > 2 * k / degree:
         violations.append(f"epsilon {epsilon:g} must exceed 2k/degree = {2 * k / degree:g}")
-    if not 0 < epsilon < 1:
-        violations.append(f"epsilon {epsilon:g} must lie in (0, 1)")
     if violations:
         raise ValueError("; ".join(violations))
-
-
-def _check_order(k: int, d: int) -> None:
-    """Integers k, d >= 1 with 2k > d: the spline order in dimension d."""
-    _check_int("k", k, 1)
-    _check_int("d", d, 1)
-    if 2 * k <= d:
-        raise ValueError(f"need 2k > d; got k = {k}, d = {d}")

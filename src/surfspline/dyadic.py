@@ -18,12 +18,13 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .centers import (_MAX_LEVEL, _Cloud, _as_box, _as_points, _check_int, _check_positive,
+from .centers import (_MAX_LEVEL, _Cloud, _as_box, _as_points, _check_int, _check_real,
                       _grid_points, _pair_distances)
 from .density import DensityField
 
@@ -66,15 +67,8 @@ class DyadicParams:
     two_k: float
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
-        if not 0 < self.sigma < self.two_k:
-            raise ValueError("need 0 < sigma < 2k")
-
-
-def _check_gamma(gamma) -> None:
-    """The support inflation gamma must be a real >= 1 and finite."""
-    if not 1 <= gamma < np.inf:
-        raise ValueError("gamma must be >= 1 and finite")
+        _check_real("gamma", self.gamma, 1, closed=True)
+        _check_real("sigma", self.sigma, 0, _check_real("two_k", self.two_k, 0))
 
 
 class UndersampledDensity(Exception):
@@ -147,8 +141,7 @@ def bad_cube_bound_check(bad: DyadicCubes, density: DensityField, params: Dyadic
     ascending value order, that a kd-tree of its corners finds within reach.
     Returns 0.0 when no support holds a sample (no bad cubes).
     """
-    _check_positive("c_sm", c_sm)
-    _check_positive("r", r)
+    c_sm, r = _check_real("c_sm", c_sm, 0), _check_real("r", r, 0)
     _check_dims(bad, density)
     factor = c_sm * (1.0 + 2.0 * params.gamma) ** (-r)
     cap = 1.0 / factor if factor > 0 else np.inf  # underflowed: every ratio's limit is 0
@@ -180,8 +173,8 @@ def overlap_count(cubes: DyadicCubes, x, params: DyadicParams) -> int | np.ndarr
 def max_overlap(d: int, gamma: float) -> int:
     """The level-uniform overlap bound (2^d - 1)(2 ceil(Gamma) + 1)^d."""
     _check_int("d", d, 1)
-    _check_gamma(gamma)
-    return (2**d - 1) * (2 * int(np.ceil(gamma)) + 1) ** d
+    gamma = _check_real("gamma", gamma, 1, closed=True)
+    return (2**d - 1) * (2 * math.ceil(gamma) + 1) ** d
 
 
 def geometric_tail_bound(sigma: float, two_k: float, base_level: int) -> tuple[float, float]:
@@ -195,18 +188,17 @@ def geometric_tail_bound(sigma: float, two_k: float, base_level: int) -> tuple[f
       over sidelengths 2^j and smaller (requires sigma > 0).
 
     Here ``2^j`` abbreviates ``2^base_level``, an integer level, |level| at
-    most ``_MAX_LEVEL``.  Raises ``ValueError`` where a closed form is not a
-    finite float.
+    most ``_MAX_LEVEL``.  Each denominator ``1 - 2^x`` is taken as
+    ``-expm1(x ln 2)``, which keeps its digits near x = 0.  Raises ``ValueError``
+    where a closed form is not a finite float.
     """
     _check_int("base_level", base_level, -_MAX_LEVEL, _MAX_LEVEL)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive (bad-cube series diverges)")
-    if not sigma < two_k:
-        raise ValueError("sigma must be below 2k (good-cube series diverges)")
-    e = sigma - two_k
+    two_k = _check_real("two_k", two_k, 0)
+    sigma = _check_real("sigma", sigma, 0, two_k)
+    e, ln2 = sigma - two_k, math.log(2.0)
     try:
-        good = 2.0 ** (base_level * e) / (1.0 - 2.0**e)
-        bad = 2.0 ** (base_level * sigma) / (1.0 - 2.0**-sigma)
+        good = 2.0 ** (base_level * e) / -math.expm1(e * ln2)
+        bad = 2.0 ** (base_level * sigma) / -math.expm1(-sigma * ln2)
     except (OverflowError, ZeroDivisionError):
         good = bad = np.inf
     if not max(good, bad) < np.inf:

@@ -16,7 +16,8 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .centers import CenterSet, _as_point, _as_points, _check_int, _pair_distances
+from .centers import (CenterSet, _as_point, _as_points, _check_int, _check_order, _check_real,
+                      _pair_distances)
 from .polyrep import PolyRep, _float_fixed_point
 
 #: Supported ambient dimensions at desk scale.
@@ -32,10 +33,11 @@ _MAX_BUMP_EXPONENT = max(p for p in range(2, 64)
 
 
 def _check_dk(d: int, k: int) -> None:
-    _check_int("d", d, 1)
-    _check_int("k", k, 1)
-    if d not in SUPPORTED_DIMS or not (2 * k > d) or k > MAX_ORDER:
-        raise ValueError(f"unsupported (d, k) = ({d}, {k}); need d in {SUPPORTED_DIMS}, d/2 < k <= {MAX_ORDER}")
+    """A spline order k in dimension d (``_check_order``) that the kernel table holds."""
+    _check_order(k, d)
+    if d not in SUPPORTED_DIMS or k > MAX_ORDER:
+        raise ValueError(f"unsupported (d, k) = ({d}, {k}); need d in {SUPPORTED_DIMS}, "
+                         f"k <= {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,10 @@ def bump(p: int, center, scale: float) -> RadialBump:
     if p > _MAX_BUMP_EXPONENT:
         raise ValueError(f"exponent {p} exceeds {_MAX_BUMP_EXPONENT}: the rounding error of "
                          f"the bump's expansion could exceed {_BUMP_ROUNDING:g}")
+    scale = _check_real("scale", scale, 0)
     center = np.asarray(center, dtype=float)  # nested or scalar raises, as a box corner does
-    if not (0 < scale < np.inf and center.ndim == 1 and center.size and np.isfinite(center).all()):
-        raise ValueError("scale must be positive and finite, and center finite and 1-D, nonempty")
+    if not (center.ndim == 1 and center.size and np.isfinite(center).all()):
+        raise ValueError(f"center must be a finite, nonempty 1-D vector; got {center.tolist()}")
     # binomial expansion in t = r^2
     m = np.arange(p + 1)
     with np.errstate(over="ignore"):
@@ -170,7 +173,7 @@ def bump(p: int, center, scale: float) -> RadialBump:
     if not np.all(np.isfinite(coeffs) & (coeffs != 0)):
         raise ValueError(f"scale {scale:g} makes a coefficient scale^(-2m), m <= {p}, "
                          "overflow or underflow")
-    return RadialBump(exponent=p, center=center, scale=float(scale), coeffs=coeffs)
+    return RadialBump(exponent=p, center=center, scale=scale, coeffs=coeffs)
 
 
 def laplacian_power(f: RadialBump, k: int) -> RadialBump:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import (_MAX_LEVEL, CenterSet, _Cloud, _as_box, _as_points, _check_int,
-                      _check_positive, _lattice, _pair_distances)
+                      _check_real, _lattice, _pair_distances)
 from .density import minimal_density, validate_theorem1_params
 
 
@@ -178,7 +178,7 @@ def cardinality_report(spec: MultiresSpec, cs: CenterSet) -> CardinalityReport:
     whole defect set while the bound stays the one-point series, so a wider
     set holds more centers in the ball and can pass that limit: the 21-point
     segment [-0.5, 0.5] x {0} at j = 2, k = 2, box +-10 reads 15,389 / 1,372
-    = 11.2.  The centers must lie in R^``spec.d`` (else ``ValueError``).
+    = 11.2.  The centers must be points of R^``spec.d`` (else ``ValueError``).
     """
     if cs.dim != spec.d:
         raise ValueError(f"dimensions differ: centers {cs.dim}, spec.d {spec.d}")
@@ -205,9 +205,7 @@ def plan_transition(s: float, epsilon: float, k: int) -> TransitionPlan:
     it shrinks with h only when ``s * epsilon < 1`` (returned as ``valid``).
     ``min_degree`` is the smallest integer strictly above ``2k / epsilon``.
     """
-    _check_positive("s", s)
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    s, epsilon = _check_real("s", s, 0), _check_real("epsilon", epsilon, 0, 1)
     _check_int("k", k, 1)
     threshold = 2 * k / epsilon
     min_degree = int(np.floor(threshold)) + 1

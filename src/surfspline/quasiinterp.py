@@ -61,8 +61,8 @@ def quadrature_cells(box, cells_per_rho: int, rho_at) -> tuple[np.ndarray, np.nd
     Returns (centers, sides) with sides[i] a d-vector; a cell is split while
     its longest side exceeds ``rho(center) / cells_per_rho`` (``cells_per_rho``
     >= 2).  ``rho_at`` is called once per level, on the (n, d) centers of that
-    level's new cells, and must return a scalar or (n,) values, all positive
-    and finite (else ``ValueError`` before that level splits); a cell that
+    level's new cells, and must return a scalar or (n,) values, all finite
+    and positive (else ``ValueError`` before that level splits); a cell that
     splits is replaced in place by its 2^d children in reversed ``ndindex``
     order, so the cells come out in depth-first order.
     """
@@ -149,7 +149,7 @@ def assemble(cs: CenterSet, f: RadialBump, params: KernelParams, rho_at,
 def evaluate(ad: ApproximantDump, x, params: KernelParams) -> float | np.ndarray:
     """Sum of coefficient-weighted kernel translates: float at a point, (n,) for a batch.
 
-    The centers must lie in R^``params.d`` (else ``ValueError``).  The sum runs
+    The centers must be points of R^``params.d`` (else ``ValueError``).  The sum runs
     over the live centers, those with a nonzero coefficient, in index order:
     one ``ddot`` a probe, in blocks of at most ``_PAIR_CHUNK`` probe-center pairs."""
     if ad.centers.dim != params.d:

@@ -774,25 +774,28 @@ def test_readme_lists_schema_keys(command):
 #: Values of the right type that a command must reject before it runs:
 #: (command, overrides, text the error must hold).
 BAD_RANGES = [
-    ("place", {"epsilon": 1.5}, "epsilon 1.5 must lie in (0, 1)"),
-    ("place", {"epsilon": 1.0}, "epsilon 1 must lie in (0, 1)"),
+    ("place", {"epsilon": 1.5}, "epsilon must be a real in (0, 1); got 1.5"),
+    ("place", {"epsilon": 1.0}, "epsilon must be a real in (0, 1); got 1.0"),
     ("place", {"degree": 0}, "degree 0 must exceed"),
-    ("study", {"epsilon": 1.0}, "epsilon 1 must lie in (0, 1)"),
-    ("study", {"epsilon": 1.5}, "epsilon 1.5 must lie in (0, 1)"),
+    ("study", {"epsilon": 1.0}, "epsilon must be a real in (0, 1); got 1.0"),
+    ("study", {"epsilon": 1.5}, "epsilon must be a real in (0, 1); got 1.5"),
     ("study", {"js": [3, 3, 3]}, "at least 3 distinct levels"),
     ("study", {"js": [3, 4, 3, 4]}, "at least 3 distinct levels"),
-    ("dyadic", {"levels": [3, 1]}, "config key 'levels'"),
-    ("dyadic", {"levels": [0, 1, 2]}, "config key 'levels'"),
+    ("dyadic", {"levels": [3, 1]}, "config key 'levels' must be [lo, hi] with lo <= hi"),
+    ("dyadic", {"levels": [0, 1, 2]}, "config key 'levels' must be [lo, hi] with lo <= hi"),
     ("density", {"probe": {"lo": [-2.0], "hi": [2.0], "count": 1}}, "config key 'probe.count'"),
-    ("study", {"d": 2, "defect": [[0.0, 0.0]]},
+    ("study", {"d": 2, "k": 2, "defect": [[0.0, 0.0]]},
      "config key 'box': box must be a (lo, hi) pair of d-vectors with hi > lo, all finite; d = 2"),
-    ("study", {"d": 2, "defect": [[0.0, 0.0]], "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5]}},
+    ("study", {"d": 2, "k": 2, "defect": [[0.0, 0.0]],
+               "box": {"lo": [-2.5, -2.5], "hi": [2.5, 2.5]}},
      "config key 'probe.lo': points have shape (1,); expected (2,) for one point"),
     # spacings 2^-j and cube sides 2^-level that underflow or overflow
     ("place", {"j": 1100}, "j must be >= 1 and at most 511"),
-    ("study", {"js": [3, 4, 2000]}, "config key 'js' must be levels in [-511, 511]"),
-    ("dyadic", {"levels": [-2000, 0]}, "config key 'levels'"),
-    ("dyadic", {"levels": [0, 2000]}, "config key 'levels'"),
+    ("study", {"js": [3, 4, 2000]}, "config key 'js': j must be >= -511 and at most 511; got 2000"),
+    ("dyadic", {"levels": [-2000, 0]},
+     "config key 'levels': level must be >= -511 and an integer; got -2000"),
+    ("dyadic", {"levels": [0, 2000]},
+     "config key 'levels': level must be >= -511 and at most 511; got 2000"),
     # bumps whose expansion rounds badly or whose coefficients overflow or underflow
     ("study", {"bump": {"exponent": 40, "scale": 1.0}}, "exponent 40 exceeds 14"),
     ("study", {"bump": {"exponent": 5, "scale": 1e-200}}, "scale 1e-200 makes a coefficient"),
@@ -814,6 +817,23 @@ BAD_RANGES = [
     ("density", {"r": 1100.0},
      "config key 'r': C_sg = 2^r / c_sm overflows float64 at r = 1100.0, c_sm = 1.0"),
     ("density", {"r": 2000.0}, "config key 'r': C_sg = 2^r / c_sm overflows float64"),
+    # the kernel pair, before 'box' and 'probe'
+    ("study", {"d": 4}, "config key 'd': need 2k > d; got k = 1, d = 4"),
+    ("study", {"d": 4, "k": 3},
+     "config key 'd': unsupported (d, k) = (4, 3); need d in (1, 2, 3), k <= 4"),
+    # every real through the library's contract, named by its key
+    ("dyadic", {"gamma": 0.5}, "config key 'gamma': gamma must be a real in [1, inf); got 0.5"),
+    ("dyadic", {"sigma": 5.0}, "config key 'sigma': sigma must be a real in (0, 2.0); got 5.0"),
+    ("dyadic", {"r": -1.0}, "config key 'r': r must be a real in (0, inf); got -1.0"),
+    ("dyadic", {"two_k": 0.0}, "config key 'two_k': two_k must be a real in (0, inf); got 0.0"),
+    ("density", {"epsilon": 1.0},
+     "config key 'epsilon': epsilon must be a real in (0, 1); got 1.0"),
+    ("density", {"stability_cap": 1.0},
+     "config key 'stability_cap': stability_cap must be a real in (1, inf); got 1.0"),
+    ("density", {"degree": -1}, "config key 'degree': degree must be >= 0 and an integer; got -1"),
+    ("density", {"r": 0.0}, "config key 'r': r must be a real in (0, inf); got 0.0"),
+    ("study", {"placement": "multires", "defect": [[0.0]], "js": [0, 1, 2]},
+     "config key 'js': j must be >= 1 and an integer; got 0"),
 ]
 
 

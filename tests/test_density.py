@@ -170,7 +170,8 @@ def test_impossible_stability_cap_rejected_before_any_solve(count_solves, cap):
     # Sum|a| >= Sum a = 1, so a cap not above 1 could only be met by
     # round-off; the search would scan every candidate radius first
     cs = CenterSet(np.random.default_rng(5).uniform(-1, 1, size=(200, 2)))
-    with pytest.raises(ValueError, match=rf"^stability_cap must be > 1, got {cap!r}$"):
+    with pytest.raises(ValueError,
+                       match=rf"^stability_cap must be a real in \(1, inf\); got {cap!r}$"):
         minimal_density(cs, [[0.0, 0.0], [0.5, 0.5]], 3, cap)
     assert count_solves == []
 
@@ -1158,12 +1159,13 @@ def test_theorem1_params():
     with pytest.raises(ValueError, match=r"^epsilon 0.2 must exceed 2k/degree = 0.285714$"):
         validate_theorem1_params(2, 2, 14, 0.2)
     for epsilon in (1.0, 1.5):
-        with pytest.raises(ValueError, match=rf"^epsilon {epsilon:g} must lie in \(0, 1\)$"):
+        with pytest.raises(ValueError,
+                           match=rf"^epsilon must be a real in \(0, 1\); got {epsilon!r}$"):
             validate_theorem1_params(2, 2, 14, epsilon)
     with pytest.raises(ValueError, match=r"^degree 0 must exceed 2k-d\+1 = 3$"):
         validate_theorem1_params(2, 2, 0, 0.5)  # no division by a zero degree
     with pytest.raises(ValueError, match=r"^degree 3 must exceed 2k-d\+1 = 3; "
-                                         r"epsilon 1.5 must lie in \(0, 1\)$"):
+                                         r"epsilon must be a real in \(0, 1\); got 1\.5$"):
         validate_theorem1_params(2, 2, 3, 1.5)
     with pytest.raises(ValueError):
         validate_theorem1_params(1, 3, 10, 0.5)  # 2k <= d

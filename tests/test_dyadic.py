@@ -218,6 +218,24 @@ def test_geometric_tail_closed_forms():
         geometric_tail_bound(0.0, 4.0, 0)
 
 
+#: (sigma, 2k, base level, good sum, bad sum), the sums by mpmath at 50
+#: digits: near sigma = 0 and sigma = 2k a subtraction 1 - 2^x cancels, and
+#: at sigma 1e-20 it rounds 2^-sigma to 1 and divides by zero.
+TAIL_SUMS = {
+    "sigma 1e-10": (1e-10, 4.0, 0, 1.0666666666715958, 14426950409.389633),
+    "sigma near 2k": (3.999999999, 4.0, 0, 1442694922.0198503, 1.0666666667159572),
+    "2^-sigma rounds to 1": (1e-20, 4.0, 0, 1.0666666666666667, 1.4426950408889636e20),
+    "ordinary": (1.5, 4.0, 3, 0.006710538557956028, 35.002762283393736),
+}
+
+
+@pytest.mark.parametrize("sigma,two_k,j,good,bad", TAIL_SUMS.values(), ids=list(TAIL_SUMS))
+def test_geometric_tail_sums_keep_their_digits(sigma, two_k, j, good, bad):
+    got_good, got_bad = geometric_tail_bound(sigma, two_k, j)
+    assert abs(got_good - good) <= 2 * math.ulp(good)
+    assert abs(got_bad - bad) <= 2 * math.ulp(bad)
+
+
 def test_geometric_tail_partial_sums():
     sigma, two_k, j = 1.5, 4.0, 2
     good, bad = geometric_tail_bound(sigma, two_k, j)

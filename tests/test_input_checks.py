@@ -38,6 +38,7 @@ from surfspline import (
     refine_weights,
     validate_theorem1_params,
 )
+from surfspline.centers import _check_real
 from surfspline.cli import _json_text
 
 CLOUD = np.arange(6.0).reshape(3, 2)
@@ -81,6 +82,10 @@ def kernel_error(params=KernelParams(d=2, k=2, degree=1), **kwargs):
 
 DPS = "dps must be >= 16 and an integer"
 DEGREE = "degree must be >= 0 and an integer"
+POSITIVE = "must be a real in (0, inf)"
+UNIT = "must be a real in (0, 1)"
+AT_LEAST_1 = "must be a real in [1, inf)"
+CENTER = "center must be a finite, nonempty 1-D vector"
 
 #: (id, call, exception, text its message must hold)
 CHECKS = [
@@ -100,21 +105,20 @@ CHECKS = [
     ("non-finite coordinate", lambda: DensityField([[0.0, np.inf]], [1.0]), ValueError,
      "point coordinates must be finite"),
     ("neighbor radius", lambda: CenterSet(CLOUD).neighbor_arrays([0.0, 0.0], 0.0), ValueError,
-     "radius must be positive"),
-    ("majorant r", lambda: majorant(FIELD, [0.0, 0.0], 0.0), ValueError,
-     "r must be positive"),
+     f"radius {POSITIVE}; got 0.0"),
+    ("majorant r", lambda: majorant(FIELD, [0.0, 0.0], 0.0), ValueError, f"r {POSITIVE}; got 0.0"),
     ("slow growth epsilon", lambda: certify_slow_growth(FIELD, 1.0), ValueError,
-     "epsilon must lie in (0, 1)"),
+     f"epsilon {UNIT}; got 1.0"),
     ("self-majorization r", lambda: certify_self_majorization(FIELD, -1.0), ValueError,
-     "r must be positive"),
+     f"r {POSITIVE}; got -1.0"),
     ("sm to sg c_sm", lambda: lemma_transfer_sm_to_sg(0.0, 1.0), ValueError,
-     "c_sm must be positive"),
+     f"c_sm {POSITIVE}; got 0.0"),
     ("sm to sg r", lambda: lemma_transfer_sm_to_sg(0.5, 0.0), ValueError,
-     "r must be positive"),
+     f"r {POSITIVE}; got 0.0"),
     ("sg to sm c_sg", lambda: lemma_transfer_sg_to_sm(0.5, 0.5), ValueError,
-     "c_sg must be >= 1"),
+     f"c_sg {AT_LEAST_1}; got 0.5"),
     ("sg to sm epsilon", lambda: lemma_transfer_sg_to_sm(2.0, 0.0), ValueError,
-     "epsilon must lie in (0, 1)"),
+     f"epsilon {UNIT}; got 0.0"),
     ("spec j", lambda: spec(j=0), ValueError, "j must be >= 1"),
     ("spec j underflow", lambda: spec(j=512), ValueError, "j must be >= 1 and at most 511"),
     ("spec defect dimension", lambda: spec(defect=[[0.0, 0.0, 0.0]]), ValueError,
@@ -198,15 +202,13 @@ CHECKS = [
      "scale 1e+12 makes a coefficient scale^(-2m), m <= 14, overflow or underflow"),
     ("laplacian overflow", lambda: laplacian_power(bump(5, [0.0], 10**-30.8), 1), ValueError,
      "makes a coefficient of Delta^1 f overflow"),
-    ("bump scale", lambda: bump(4, [0.0], 0.0), ValueError, "scale must be positive"),
-    ("bump scale inf", lambda: bump(4, [0.0], np.inf), ValueError,
-     "scale must be positive and finite"),
-    ("bump center", lambda: bump(4, [0.0, np.nan], 1.0), ValueError,
-     "scale must be positive and finite, and center finite"),
+    ("bump scale", lambda: bump(4, [0.0], 0.0), ValueError, f"scale {POSITIVE}; got 0.0"),
+    ("bump scale inf", lambda: bump(4, [0.0], np.inf), ValueError, f"scale {POSITIVE}; got inf"),
+    ("bump center", lambda: bump(4, [0.0, np.nan], 1.0), ValueError, f"{CENTER}; got [0.0, nan]"),
     ("bump center nested", lambda: bump(4, [[0.0, 0.0]], 1.0), ValueError,
-     "center finite and 1-D, nonempty"),
-    ("bump center scalar", lambda: bump(4, 0.0, 1.0), ValueError, "center finite and 1-D"),
-    ("bump center empty", lambda: bump(4, [], 1.0), ValueError, "center finite and 1-D"),
+     f"{CENTER}; got [[0.0, 0.0]]"),
+    ("bump center scalar", lambda: bump(4, 0.0, 1.0), ValueError, f"{CENTER}; got 0.0"),
+    ("bump center empty", lambda: bump(4, [], 1.0), ValueError, f"{CENTER}; got []"),
     ("laplacian power k", lambda: laplacian_power(bump(4, [0.0], 1.0), -1), ValueError,
      "k must be >= 0"),
     ("reproduction degree", lambda: build_reproduction(CenterSet(CLOUD), [0.0, 0.0], 1.0, -1),
@@ -232,25 +234,21 @@ CHECKS = [
      f"{DEGREE}; got True"),
     ("monomial dim float", lambda: monomial_exponents(2.0, 2), ValueError,
      "dim must be >= 1 and an integer; got 2.0"),
-    ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, "s must be positive"),
+    ("transition s", lambda: plan_transition(0.0, 0.5, 1), ValueError, f"s {POSITIVE}; got 0.0"),
     ("transition epsilon", lambda: plan_transition(1.0, 1.0, 1), ValueError,
-     "epsilon must lie in (0, 1)"),
+     f"epsilon {UNIT}; got 1.0"),
     ("transition k", lambda: plan_transition(1.0, 0.5, 0), ValueError, "k must be >= 1"),
-    ("bound c_sm negative", lambda: bound(c_sm=-1.0), ValueError,
-     "c_sm must be positive and finite, got -1.0"),
-    ("bound c_sm zero", lambda: bound(c_sm=0.0), ValueError,
-     "c_sm must be positive and finite, got 0.0"),
-    ("bound c_sm nan", lambda: bound(c_sm=np.nan), ValueError,
-     "c_sm must be positive and finite, got nan"),
-    ("bound r negative", lambda: bound(r=-1.0), ValueError,
-     "r must be positive and finite, got -1.0"),
-    ("bound r inf", lambda: bound(r=np.inf), ValueError, "r must be positive and finite, got inf"),
+    ("bound c_sm negative", lambda: bound(c_sm=-1.0), ValueError, f"c_sm {POSITIVE}; got -1.0"),
+    ("bound c_sm zero", lambda: bound(c_sm=0.0), ValueError, f"c_sm {POSITIVE}; got 0.0"),
+    ("bound c_sm nan", lambda: bound(c_sm=np.nan), ValueError, f"c_sm {POSITIVE}; got nan"),
+    ("bound r negative", lambda: bound(r=-1.0), ValueError, f"r {POSITIVE}; got -1.0"),
+    ("bound r inf", lambda: bound(r=np.inf), ValueError, f"r {POSITIVE}; got inf"),
     ("bound dimension", lambda: bound(d=1), ValueError, "dimensions differ: cubes 1, density 2"),
     ("classify dimension", lambda: classify(enumerate_cubes(([0.0], [1.0]), [0], 1), FIELD,
                                             DyadicParams(1.5, 1.0, 2.0)),
      ValueError, "dimensions differ: cubes 1, density 2"),
     ("dyadic gamma inf", lambda: DyadicParams(np.inf, 1.0, 2.0), ValueError,
-     "gamma must be >= 1 and finite"),
+     f"gamma {AT_LEAST_1}; got inf"),
     ("kernel error weight count", lambda: kernel_error(weights=[0.125] * 8), ValueError,
      "need one weight per center of the reproduction (9), got 8"),
     ("kernel error weights extra", lambda: kernel_error(weights=[0.1] * 10), ValueError,
@@ -310,13 +308,13 @@ CHECKS = [
     ("max_overlap d float", lambda: max_overlap(2.0, 2.0), ValueError,
      "d must be >= 1 and an integer; got 2.0"),
     ("max_overlap gamma negative", lambda: max_overlap(2, -5.0), ValueError,
-     "gamma must be >= 1 and finite"),
+     f"gamma {AT_LEAST_1}; got -5.0"),
     ("max_overlap gamma below 1", lambda: max_overlap(2, 0.5), ValueError,
-     "gamma must be >= 1 and finite"),
+     f"gamma {AT_LEAST_1}; got 0.5"),
     ("max_overlap gamma inf", lambda: max_overlap(2, np.inf), ValueError,
-     "gamma must be >= 1 and finite"),
+     f"gamma {AT_LEAST_1}; got inf"),
     ("max_overlap gamma nan", lambda: max_overlap(2, np.nan), ValueError,
-     "gamma must be >= 1 and finite"),
+     f"gamma {AT_LEAST_1}; got nan"),
     ("cubes level float", lambda: enumerate_cubes(BOX, [1.5], 2), ValueError,
      "level must be >= -511 and an integer; got 1.5"),
     ("cubes level bool", lambda: enumerate_cubes(BOX, [True], 2), ValueError,
@@ -333,19 +331,46 @@ CHECKS = [
      "cells_per_rho must be >= 2 and an integer; got 2.5"),
     # reals that must be positive (c_sg: at least 1) and finite
     ("sm to sg c_sm inf", lambda: lemma_transfer_sm_to_sg(np.inf, 1.0), ValueError,
-     "c_sm must be positive and finite, got inf"),
+     f"c_sm {POSITIVE}; got inf"),
     ("sm to sg r inf", lambda: lemma_transfer_sm_to_sg(0.5, np.inf), ValueError,
-     "r must be positive and finite, got inf"),
+     f"r {POSITIVE}; got inf"),
     ("sg to sm c_sg inf", lambda: lemma_transfer_sg_to_sm(np.inf, 0.5), ValueError,
-     "c_sg must be >= 1 and finite, got inf"),
+     f"c_sg {AT_LEAST_1}; got inf"),
     ("majorant r inf", lambda: majorant(FIELD, [0.0, 0.0], np.inf), ValueError,
-     "r must be positive and finite, got inf"),
+     f"r {POSITIVE}; got inf"),
     ("self-majorization r inf", lambda: certify_self_majorization(FIELD, np.inf), ValueError,
-     "r must be positive and finite, got inf"),
+     f"r {POSITIVE}; got inf"),
     ("transition s inf", lambda: plan_transition(np.inf, 0.5, 1), ValueError,
-     "s must be positive and finite, got inf"),
+     f"s {POSITIVE}; got inf"),
     ("neighbor radius inf", lambda: CenterSet(CLOUD).neighbor_arrays([0.0, 0.0], np.inf),
-     ValueError, "radius must be positive and finite, got inf"),
+     ValueError, f"radius {POSITIVE}; got inf"),
+    # values that are no real, each of which leaked a TypeError, numpy's error
+    # or a silent bool before one contract checked every real
+    ("majorant r None", lambda: majorant(FIELD, [0.0, 0.0], None), ValueError,
+     f"r {POSITIVE}; got None"),
+    ("majorant r array", lambda: majorant(FIELD, [0.0, 0.0], np.array([1.0, 2.0])), ValueError,
+     f"r {POSITIVE}; got array([1., 2.])"),
+    ("majorant r bool", lambda: majorant(FIELD, [0.0, 0.0], True), ValueError,
+     f"r {POSITIVE}; got True"),
+    ("slow growth epsilon None", lambda: certify_slow_growth(FIELD, None), ValueError,
+     f"epsilon {UNIT}; got None"),
+    ("minimal_density stability_cap str", lambda: density(1, stability_cap="9"), ValueError,
+     "stability_cap must be a real in (1, inf); got '9'"),
+    ("dyadic gamma str", lambda: DyadicParams(gamma="2", sigma=1.0, two_k=2.0), ValueError,
+     f"gamma {AT_LEAST_1}; got '2'"),
+    ("dyadic sigma at 2k", lambda: DyadicParams(1.5, 2.0, 2.0), ValueError,
+     "sigma must be a real in (0, 2.0); got 2.0"),
+    ("dyadic two_k zero", lambda: DyadicParams(1.5, 1.0, 0.0), ValueError,
+     f"two_k {POSITIVE}; got 0.0"),
+    ("transition epsilon complex", lambda: plan_transition(1.0, 0.5j, 1), ValueError,
+     f"epsilon {UNIT}; got 0.5j"),
+    ("bump scale None", lambda: bump(6, [0.0], None), ValueError, f"scale {POSITIVE}; got None"),
+    ("tail bound sigma None", lambda: geometric_tail_bound(None, 4.0, 0), ValueError,
+     "sigma must be a real in (0, 4.0); got None"),
+    ("tail bound sigma at 2k", lambda: geometric_tail_bound(4.0, 4.0, 0), ValueError,
+     "sigma must be a real in (0, 4.0); got 4.0"),
+    ("sm to sg r bool", lambda: lemma_transfer_sm_to_sg(0.5, True), ValueError,
+     f"r {POSITIVE}; got True"),
     # constants beyond float64: 2^r, 2^r / c_sm and the tail sums
     ("sm to sg 2^r overflow", lambda: lemma_transfer_sm_to_sg(0.5, 1100.0), ValueError,
      "C_sg = 2^r / c_sm overflows float64 at r = 1100.0, c_sm = 0.5"),
@@ -357,8 +382,6 @@ CHECKS = [
      "base_level must be >= -511 and an integer; got 1.5"),
     ("tail bound overflow", lambda: geometric_tail_bound(3.0, 4.0, 400), ValueError,
      "tail sums not finite floats at sigma 3.0, 2k 4.0, base_level 400"),
-    ("tail bound 2^-sigma rounds to 1", lambda: geometric_tail_bound(1e-20, 4.0, 0), ValueError,
-     "tail sums not finite floats at sigma 1e-20"),
     # a placement report against centers of another dimension
     ("cardinality 1-D centers", lambda: cardinality_report(spec(), CenterSet(np.arange(4.0))),
      ValueError, "dimensions differ: centers 1, spec.d 2"),
@@ -379,6 +402,29 @@ def test_input_check(count_solves, name, call, exc, text):
     assert text in str(err.value)
     if name.startswith("minimal_density"):  # rejected before any solve
         assert count_solves == []
+
+
+#: Values that are no finite real, or lie outside (0, 1): bools, strings,
+#: None, complex numbers, arrays, NaN, the infinities, each bound and an int
+#: beyond the float range.
+NOT_IN_UNIT = [True, np.bool_(True), "2", None, 0.5j, np.array([1.0, 2.0]), np.nan, np.inf,
+               -np.inf, 0, 0.0, 1, 1.0, np.float32(1.0), 10**400]
+
+
+@pytest.mark.parametrize("value", NOT_IN_UNIT, ids=[repr(v)[:24] for v in NOT_IN_UNIT])
+def test_check_real_rejects(value):
+    with pytest.raises(ValueError) as err:
+        _check_real("x", value, 0, 1)
+    assert str(err.value) == f"x must be a real in (0, 1); got {value!r}"
+
+
+@pytest.mark.parametrize("value,low,closed", [
+    (0.5, 0, False), (np.float64(0.5), 0, False), (np.float32(0.5), 0, False), (3, 0, False),
+    (np.int64(3), 0, False), (1, 1, True), (np.int8(1), 1, True), (2.0**1023, 0, False)])
+def test_check_real_accepts(value, low, closed):
+    # Python and numpy ints and floats, the closed end, the largest floats
+    got = _check_real("x", value, low, closed=closed)
+    assert type(got) is float and got == value
 
 
 def test_large_r_reaches_the_float_limits_without_warning():

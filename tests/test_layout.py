@@ -24,10 +24,25 @@ def test_one_kd_tree_constructor():
 
 
 def test_input_contracts_defined_in_centers_only():
-    for name in ("_check_int", "_check_positive", "_as_points", "_as_point", "_as_box",
-                 "_MAX_LEVEL"):
+    for name in ("_check_int", "_check_real", "_check_order", "_as_points", "_as_point",
+                 "_as_box", "_MAX_LEVEL"):
         definition = re.compile(rf"^(def {name}\(|{name}\s*=)", re.M)
         assert [m for m, text in MODULES.items() if definition.search(text)] == ["centers.py"], name
+
+
+def test_one_real_contract():
+    # every real range check goes through _check_real, whose message alone
+    # may state a range in words; the CLI restates none of the library's rules
+    for name in ("_check_positive", "_check_gamma"):
+        assert not [m for m, text in MODULES.items() if name in text], name
+    centers = MODULES["centers.py"]
+    start = centers.index("\ndef _check_real(")
+    end = centers.index("\ndef ", start + 1)
+    outside = {**MODULES, "centers.py": centers[:start] + centers[end:]}
+    for phrase in ("must lie in", "and finite", "must be positive"):
+        assert not [m for m, text in outside.items() if phrase in text], phrase
+    rows = re.findall(r'(?<!_checked)\("(\w+)",', MODULES["cli.py"])
+    assert not {"r", "epsilon", "degree", "stability_cap", "gamma", "sigma", "two_k"} & set(rows)
 
 
 def test_one_ball_listing():
